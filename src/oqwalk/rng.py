@@ -8,7 +8,8 @@ pure function of (seed, counter), which is what the bit-reproducibility
 contract of the trajectory sampler leans on:
 
 * per-trajectory seed: ``seed_i = mix64(seed XOR i)``
-* draw k of trajectory i (k = 0 picks the initial site, k >= 1 picks steps):
+* draw k of trajectory i (k = 0 picks the initial site and eigenvector,
+  k >= 1 picks steps):
   ``u = to_unit(mix64(seed_i + (k + 1) * GAMMA mod 2^64))``
 * ``to_unit(x) = (x >> 11) * 2^-53`` in [0, 1).
 

@@ -1,11 +1,18 @@
 """Seeded quantum-trajectory simulation and exact small-horizon oracles.
 
 A trajectory alternates measurement-driven jumps: at each step the walker
-moves by displacement s with probability Tr(L_s rho L_s^dag) and its internal
-state collapses to the renormalized image.  The engine is vectorized over
-trajectories but arranged so that each trajectory's arithmetic is independent
-of the batch it runs in: trajectory i of a batch with root seed r is bit-for-
-bit the trajectory of stream seed derive_seed(r, i) (same platform).
+moves by displacement s with probability ||L_s psi||^2 and its internal state
+collapses to the renormalized image L_s psi / ||L_s psi||.  The engine
+evolves pure states: draw 0 resolves the initial lattice state into a site
+and an eigenvector of that site's block, with probability the eigenvalue.
+The position law is linear in the initial state, so it is that of the
+mixed-state walk; the recorded internal states are this pure-state
+unravelling, not the conditional mixed state given the positions.
+
+The engine is vectorized over trajectories but arranged so that each
+trajectory's arithmetic is independent of the batch it runs in: trajectory i
+of a batch with root seed r is bit-for-bit the trajectory of stream seed
+derive_seed(r, i) (same platform).
 
 Two exact companions keep the sampler honest on small horizons: a path-sum
 distribution (every displacement word enumerated) cross-checked against
@@ -46,47 +53,64 @@ __all__ = [
 ]
 
 PATH_BUDGET = 2**20
-_TRACE_CHECK_STRIDE = 64
+
+
+def _unravel(initial_state: LatticeState):
+    """Pure-state decomposition of the initial lattice state.
+
+    Returns, per (site, eigenvector) pair in sampling order, its position,
+    unit vector and weight; the state is the weighted mixture of the pairs.
+    Each block enters through its Hermitian part, and directions with
+    eigenvalue <= 0 are dropped: ``LatticeState`` admits eigenvalues down to
+    minus its positivity tolerance.
+    """
+    positions, vectors, weights = [], [], []
+    for pos in initial_state.positions:
+        block = initial_state.blocks[pos]
+        w, v = np.linalg.eigh((block + block.conj().T) / 2)
+        keep = w > 0
+        positions += [pos] * int(keep.sum())
+        vectors.append(v.T[keep])
+        weights.append(w[keep])
+    return (np.array(positions, dtype=np.int64), np.concatenate(vectors),
+            np.concatenate(weights))
 
 
 def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
-    """Vectorized trajectory kernel shared by single and batch entry points."""
-    n = model.internal_dim
-    d = model.lattice_dim
-    k_steps = model.n_steps
+    """Vectorized trajectory kernel shared by single and batch entry points.
+
+    Evolves one unit vector per trajectory.  Returns the initial and final
+    positions and, when ``record`` is set, the position, vector and step-index
+    histories (otherwise ``None`` for each).
+    """
     n_traj = len(stream_seeds)
+    k_steps = model.n_steps
+    rows = np.arange(n_traj)
 
-    site_positions, weights = initial_state.site_weights()
-    cum_sites = np.cumsum(weights) / weights.sum()
-
+    pair_pos, pair_vec, pair_weight = _unravel(initial_state)
+    cum_pairs = np.cumsum(pair_weight) / pair_weight.sum()
     u0 = unit_draws_array(stream_seeds, 0)
-    site_idx = np.minimum(
-        np.searchsorted(cum_sites, u0, side="right"), len(site_positions) - 1
-    )
-    x = np.array([site_positions[j] for j in site_idx], dtype=np.int64)
+    pair = np.minimum(np.searchsorted(cum_pairs, u0, side="right"), len(cum_pairs) - 1)
+    x = pair_pos[pair]
     x0 = x.copy()
-    rho = np.empty((n_traj, n, n), dtype=complex)
-    for j, pos in enumerate(site_positions):
-        mask = site_idx == j
-        if mask.any():
-            block = initial_state.blocks[pos]
-            rho[mask] = block / np.trace(block).real
+    psi = pair_vec[pair]
 
-    ops = np.stack([np.asarray(op) for op in model.operators])
-    ops_dag = ops.conj().transpose(0, 2, 1)
-    grams = np.stack([op.conj().T @ op for op in model.operators])
+    ops = model.operators
     steps = model.steps_array.astype(np.int64)
 
     if record:
-        pos_hist = np.empty((n_traj, n_steps + 1, d), dtype=np.int64)
-        state_hist = np.empty((n_traj, n_steps + 1, n, n), dtype=complex)
+        pos_hist = np.empty((n_traj, n_steps + 1, model.lattice_dim), dtype=np.int64)
+        psi_hist = np.empty((n_traj, n_steps + 1, model.internal_dim), dtype=complex)
         idx_hist = np.empty((n_traj, n_steps), dtype=np.int64)
         pos_hist[:, 0] = x
-        state_hist[:, 0] = rho
+        psi_hist[:, 0] = psi
 
     for p in range(1, n_steps + 1):
-        probs = np.einsum("kij,nji->nk", grams, rho).real
+        cand = np.einsum("kij,nj->nki", ops, psi)
+        flat = cand.view(float)
+        probs = np.einsum("nki,nki->nk", flat, flat)
+        # A NaN probability passes this gate and fails the next one.
         dead = np.all(probs <= 1e-15, axis=1)
         if dead.any():
             raise DegenerateStepError(
@@ -95,7 +119,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             )
         totals = probs.sum(axis=1)
         drift_off = float(np.max(np.abs(totals - 1.0)))
-        if drift_off > 1e-9:
+        if not drift_off <= 1e-9:
             raise TraceDriftError(
                 f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
             )
@@ -104,36 +128,27 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         choice = np.minimum(np.sum(u[:, None] >= cum, axis=1), k_steps - 1)
 
         x += steps[choice]
-        for k in range(k_steps):
-            mask = choice == k
-            if not mask.any():
-                continue
-            new = ops[k] @ rho[mask] @ ops_dag[k]
-            tr = np.einsum("mii->m", new).real
-            rho[mask] = new / tr[:, None, None]
-
-        if p % _TRACE_CHECK_STRIDE == 0:
-            tr = np.einsum("nii->n", rho).real
-            if np.max(np.abs(tr - 1.0)) > 1e-8:
-                raise TraceDriftError(
-                    f"internal-state trace drifted by "
-                    f"{float(np.max(np.abs(tr - 1.0))):.3e} at step {p}"
-                )
-            rho /= tr[:, None, None]
+        psi = (flat[rows, choice] / np.sqrt(probs[rows, choice])[:, None]).view(complex)
 
         if record:
             pos_hist[:, p] = x
-            state_hist[:, p] = rho
+            psi_hist[:, p] = psi
             idx_hist[:, p - 1] = choice
 
     if record:
-        return x0, x, rho, pos_hist, state_hist, idx_hist
-    return x0, x, rho, None, None, None
+        return x0, x, pos_hist, psi_hist, idx_hist
+    return x0, x, None, None, None
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled walk: positions and internal states after every step."""
+    """One sampled walk: positions and internal states after every step.
+
+    ``states[p]`` is the rank-one projector of the pure-state unravelling
+    after p steps, not the conditional mixed state given the positions: a
+    mixed initial state is first resolved into one of its eigenvectors,
+    drawn with its eigenvalue as probability.
+    """
 
     positions: np.ndarray
     states: np.ndarray
@@ -153,10 +168,10 @@ def sample_trajectory(model: KrausModel, n_steps: int, stream_seed: int,
     if initial_state is None:
         initial_state = default_initial_state(model)
     seeds = np.array([stream_seed], dtype=np.uint64)
-    _, _, _, pos, states, idx = _engine(model, initial_state, n_steps, seeds, True)
+    _, _, pos, psi, idx = _engine(model, initial_state, n_steps, seeds, True)
     return Trajectory(
-        positions=pos[0], states=states[0], step_indices=idx[0],
-        stream_seed=int(stream_seed),
+        positions=pos[0], states=np.einsum("pi,pj->pij", psi[0], psi[0].conj()),
+        step_indices=idx[0], stream_seed=int(stream_seed),
     )
 
 
@@ -210,7 +225,7 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
     covariance = np.asarray(covariance, dtype=float)
 
     seeds = derive_seeds(seed, n_traj)
-    x0, xf, _, _, _, _ = _engine(model, initial_state, n_steps, seeds, False)
+    x0, xf, _, _, _ = _engine(model, initial_state, n_steps, seeds, False)
 
     y = (xf - x0 - n_steps * mean) / np.sqrt(n_steps)
     w, v = np.linalg.eigh(covariance)

@@ -13,18 +13,27 @@ from oqwalk import (
     TraceDriftError,
     batch_statistics,
     builtin,
+    default_initial_state,
     exact_distribution,
     mgf_check,
     point_initial_state,
+    random_initial_state,
     sample_trajectory,
     write_batch_csv,
 )
 from oqwalk.rng import derive_seed, derive_seeds
+from oqwalk.trajectories import _engine, _unravel
 import reference
 from model_zoo import NN_STEPS, broken_scaled_model
 
 
 E2 = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
+def mixed_two_site_start(model):
+    """A full-rank, non-diagonal block split unevenly over sites (0,) and (3,)."""
+    block = random_initial_state(model, seed=5).blocks[(0,)]
+    return LatticeState({(0,): 0.3 * block, (3,): 0.7 * block})
 
 
 # -- seeding and reproducibility ----------------------------------------------
@@ -40,14 +49,25 @@ def test_batches_are_reproducible_and_seed_sensitive(std_model):
 
 
 def test_batch_rows_replay_as_single_trajectories(std_model):
-    root = 2024
-    batch = batch_statistics(std_model, 30, 512, seed=root)
-    assert np.array_equal(batch.stream_seeds, derive_seeds(root, 512))
-    for i in (0, 7, 499):
-        tr = sample_trajectory(std_model, 30, derive_seed(root, i))
-        assert tr.stream_seed == int(derive_seed(root, i))
-        assert np.array_equal(tr.positions[-1], batch.finals[i])
-        assert np.array_equal(tr.positions[0], batch.initials[i])
+    root, n_steps, n_traj = 2024, 30, 512
+    seeds = derive_seeds(root, n_traj)
+    for start in (None, mixed_two_site_start(std_model)):
+        batch = batch_statistics(std_model, n_steps, n_traj, seed=root,
+                                 initial_state=start)
+        assert np.array_equal(batch.stream_seeds, seeds)
+        start = start or default_initial_state(std_model)
+        _, _, _, batch_psi, batch_steps = _engine(std_model, start, n_steps,
+                                                  seeds, True)
+        for i in (0, 7, 499):
+            tr = sample_trajectory(std_model, n_steps, derive_seed(root, i),
+                                   initial_state=start)
+            assert tr.stream_seed == int(derive_seed(root, i))
+            assert np.array_equal(tr.positions[-1], batch.finals[i])
+            assert np.array_equal(tr.positions[0], batch.initials[i])
+            assert np.array_equal(tr.step_indices, batch_steps[i])
+            _, _, _, row_psi, _ = _engine(std_model, start, n_steps,
+                                          seeds[i:i + 1], True)
+            assert np.array_equal(row_psi[0], batch_psi[i])
 
 
 def test_trajectory_record_is_internally_consistent(periodic_model):
@@ -145,10 +165,20 @@ def test_classical_mgf_value_is_cosh_power(classical_model):
 # -- sampled law vs exact law -------------------------------------------------------
 
 def test_sampled_endpoints_match_the_exact_law(classical_model, std_model):
-    for model, p_steps in ((classical_model, 6), (std_model, 5)):
-        n_traj = 20000
-        batch = batch_statistics(model, p_steps, n_traj, seed=31)
-        dist = exact_distribution(model, p_steps)
+    """Sampled endpoints against the exact p-step law, position by position
+    and as distribution functions.
+
+    The distribution-function check uses the Dvoretzky-Kiefer-Wolfowitz bound
+    with Massart's constant, P(sup|F_N - F| > eps) <= 2 exp(-2 N eps^2): eps
+    is set so that each case fails by chance with probability 1e-6.
+    """
+    n_traj = 20000
+    eps = np.sqrt(np.log(2 / 1e-6) / (2 * n_traj))
+    for model, p_steps, start in ((classical_model, 6, None), (std_model, 5, None),
+                                  (std_model, 5, mixed_two_site_start(std_model))):
+        batch = batch_statistics(model, p_steps, n_traj, seed=31,
+                                 initial_state=start)
+        dist = exact_distribution(model, p_steps, initial_state=start)
         counts = {}
         for v in batch.finals[:, 0]:
             counts[int(v)] = counts.get(int(v), 0) + 1
@@ -156,6 +186,10 @@ def test_sampled_endpoints_match_the_exact_law(classical_model, std_model):
             freq = counts.get(pos[0], 0) / n_traj
             band = 4.0 * np.sqrt(mass * (1 - mass) / n_traj) + 1e-12
             assert abs(freq - mass) <= band, (pos, freq, mass)
+        support = sorted({pos[0] for pos in dist.masses} | set(counts))
+        f_exact = np.cumsum([dist.masses.get((x,), 0.0) for x in support])
+        f_sample = np.cumsum([counts.get(x, 0) for x in support]) / n_traj
+        assert np.max(np.abs(f_sample - f_exact)) <= eps
 
 
 # -- standardization and failure modes ----------------------------------------------
@@ -185,6 +219,23 @@ def test_vanishing_step_probabilities_are_detected():
 def test_trace_drift_is_detected_immediately():
     with pytest.raises(TraceDriftError):
         sample_trajectory(broken_scaled_model(), 3, stream_seed=0)
+
+
+def test_blocks_at_the_positivity_tolerance_are_sampled(std_model):
+    rot = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    block = rot @ np.diag([0.5 + 5e-11, -5e-11]) @ rot.T
+    assert np.linalg.eigvalsh(block)[0] == pytest.approx(-5e-11, rel=1e-3)
+    start = LatticeState({(0,): block, (3,): np.eye(2) / 4})
+    positions, vectors, weights = _unravel(start)
+    assert np.all(weights > 0)
+    for pos, block in start.blocks.items():
+        mine = np.all(positions == pos, axis=1)
+        mixture = np.einsum("p,pi,pj->ij", weights[mine], vectors[mine],
+                            vectors[mine].conj())
+        np.testing.assert_allclose(mixture, block, atol=1e-10)
+    batch = batch_statistics(std_model, 10, 200, seed=3, initial_state=start)
+    assert set(int(v) for v in batch.initials[:, 0]) == {0, 3}
+    assert np.all(np.isfinite(batch.standardized))
 
 
 def test_ks_distance_recomputes_from_the_standardized_sample(std_model):
