@@ -24,7 +24,13 @@ from .errors import (
 )
 from .model import KrausModel, LatticeState, default_initial_state
 from .numerics import frob, project_to_state, psd_check, solve_on_traceless, unvec, vec
-from .structure import _fixed_point_data, classify_c2, is_irreducible_L, period
+from .structure import (
+    _fixed_point_data,
+    algebra_closure,
+    classify_c2,
+    is_irreducible_L,
+    period,
+)
 from .superop import (
     Superoperator,
     build_superop,
@@ -348,11 +354,24 @@ def lambda_curve(model: KrausModel, parameters, direction=None,
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
     Each grid point goes through a full Perron extraction (on the rescaled
-    map, so large tilts cannot overflow); kink refinement between grid points
-    uses radius-only evaluations.  Kinks are certified to a bracket of width
-    1e-7 and reported with one-sided slopes from secants at offsets 1e-4 and
-    2e-4 outside the bracket.
+    map, so large tilts cannot overflow).  Kink refinement between grid points
+    uses radius-only evaluations and runs only when the Kraus operators do not
+    generate the full matrix algebra: tilting rescales each operator by a
+    positive scalar, so with a full algebra every tilted map is irreducible,
+    its spectral radius is a simple eigenvalue, and lambda_u is real-analytic
+    with no kink to find.  Kinks are certified to a bracket of width 1e-7 and
+    reported with one-sided slopes from secants at offsets 1e-4 and 2e-4
+    outside the bracket.
     """
+    if refine_kinks:
+        n = model.internal_dim
+        refine_kinks = algebra_closure(model.operators).dimension != n * n
+    return _lambda_curve(model, parameters, direction, refine_kinks, tols)
+
+
+def _lambda_curve(model: KrausModel, parameters, direction, refine_kinks: bool,
+                  tols: Tolerances) -> LambdaCurve:
+    """:func:`lambda_curve` with the kink refinement decided by the caller."""
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
         direction = np.zeros(model.lattice_dim)
@@ -506,8 +525,9 @@ def rate_function(model: KrausModel, positions,
     xs = np.asarray(positions, dtype=float)
     upper_only = not is_irreducible_L(model, tols).irreducible
 
-    curve = lambda_curve(model, np.linspace(u_min, u_max, points),
-                         refine_kinks=True, tols=tols)
+    # The irreducibility verdict is the closure test lambda_curve would repeat.
+    curve = _lambda_curve(model, np.linspace(u_min, u_max, points), None,
+                          upper_only, tols)
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 

@@ -21,6 +21,7 @@ import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
+    AssumptionError,
     HermiticityError,
     PositivityError,
     SingularRestrictionError,
@@ -116,6 +117,14 @@ class EigenSystem:
     leading_tie: bool
 
 
+def check_dense_side(side: int) -> None:
+    """Raise :class:`AssumptionError` beyond the dense eigensolver's cap."""
+    if side > DENSE_DIM_LIMIT:
+        raise AssumptionError(
+            f"dense eigensolver limited to side {DENSE_DIM_LIMIT}, got {side}"
+        )
+
+
 def _sort_order(values: np.ndarray) -> np.ndarray:
     # lexsort uses the last key as primary.
     return np.lexsort((values.imag, -values.real, -np.abs(values)))
@@ -125,16 +134,14 @@ def eigendecompose(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) ->
     """Dense eigendecomposition with the package's ordering and residual contract.
 
     Raises :class:`HermiticityError` never; raises ``ValueError`` for non-square
-    input and :class:`SingularRestrictionError` if residuals exceed
+    input, :class:`AssumptionError` for a side beyond ``DENSE_DIM_LIMIT``, and
+    :class:`SingularRestrictionError` if residuals exceed
     ``tols.residual * ||A||_F`` (which would indicate a defective solve).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > DENSE_DIM_LIMIT:
-        raise ValueError(
-            f"dense eigensolver limited to side {DENSE_DIM_LIMIT}, got {a.shape[0]}"
-        )
+    check_dense_side(a.shape[0])
     values, vectors = np.linalg.eig(a)
     order = _sort_order(values)
     values = values[order]

@@ -49,34 +49,48 @@ _SPAN_TOL = 1e-9
 
 
 class _OperatorSpan:
-    """Incrementally grown orthonormal basis of a subspace of n x n matrices."""
+    """Incrementally grown orthonormal basis of a subspace of n x n matrices.
+
+    The vec'd basis vectors are the first ``len(self)`` rows of one
+    preallocated ``(n^2, n^2)`` array, so projecting a candidate onto the
+    span is a single matrix-vector product.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.basis: list[np.ndarray] = []  # vec'd, orthonormal
+        self._rows = np.empty((n * n, n * n), dtype=complex)
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return self._count
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The orthonormal vec'd basis, one vector per row."""
+        return self._rows[:self._count]
 
     def add(self, candidate: np.ndarray) -> bool:
         """Try to adjoin a matrix; returns True if it enlarged the span."""
         v = vec(candidate)
         norm0 = np.linalg.norm(v)
-        if norm0 <= _SPAN_TOL:
+        if norm0 <= _SPAN_TOL or self._count == self.n * self.n:
             return False
         # Two rounds of projection: classical Gram-Schmidt done twice is
         # numerically equivalent to the modified variant.
+        basis = self.basis
         for _ in range(2):
-            for b in self.basis:
-                v = v - (b.conj() @ v) * b
+            v = v - (basis @ v.conj()).conj() @ basis
         norm1 = np.linalg.norm(v)
         if norm1 <= _SPAN_TOL * norm0:
             return False
-        self.basis.append(v / norm1)
+        self._rows[self._count] = v / norm1
+        self._count += 1
         return True
 
-    def matrices(self) -> list[np.ndarray]:
-        return [unvec(b, self.n) for b in self.basis]
+    def matrices(self) -> np.ndarray:
+        """The basis as a ``(len(self), n, n)`` array of matrices."""
+        n = self.n
+        return self.basis.reshape(-1, n, n).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -114,13 +128,13 @@ def algebra_closure(operators, include_identity: bool = False) -> AlgebraClosure
         changed = False
         current = span.matrices()
         for g in gens:
-            for b in current:
-                if span.add(g @ b):
+            for product in g @ current:
+                if span.add(product):
                     changed = True
         rounds += 1
         if len(span) == n * n:
             break
-    return AlgebraClosure(dimension=len(span), basis=np.array(span.matrices()), rounds=rounds)
+    return AlgebraClosure(dimension=len(span), basis=span.matrices().copy(), rounds=rounds)
 
 
 @dataclass(frozen=True)
@@ -680,9 +694,7 @@ def is_irreducible_M(model: KrausModel, max_length: int | None = None,
 
         # Close the span multiplicatively under the return words seen so far.
         if return_words:
-            closure = algebra_closure(
-                [unvec(b, n) for b in span.basis] if span.basis else return_words,
-            )
+            closure = algebra_closure(span.matrices() if len(span) else return_words)
             span = _OperatorSpan(n)
             for b in closure.basis:
                 span.add(b)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import SpectralIndeterminateError
+from .errors import AssumptionError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState
 from .numerics import (
     EigenSystem,
+    check_dense_side,
     eigendecompose,
     frob,
     kraus_superop,
@@ -54,9 +55,6 @@ class Superoperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(rho), self.dim)
 
-    def adjoint(self) -> "Superoperator":
-        return Superoperator(self.matrix.conj().T, self.dim)
-
     def power_apply(self, rho: np.ndarray, p: int) -> np.ndarray:
         v = vec(rho)
         for _ in range(p):
@@ -67,7 +65,7 @@ class Superoperator:
 def _as_direction(model: KrausModel, u) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (model.lattice_dim,):
-        raise ValueError(
+        raise AssumptionError(
             f"direction shape {u.shape} does not match lattice dimension "
             f"{model.lattice_dim}"
         )
@@ -174,6 +172,7 @@ def _hermitian_eigvec(eigensystem: EigenSystem, index: int, n: int) -> np.ndarra
 def spectral_radius(superoperator: Superoperator,
                     tols: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Just the spectral radius (cheapest query; used by curve scans)."""
+    check_dense_side(superoperator.matrix.shape[0])
     values = np.linalg.eigvals(superoperator.matrix)
     return float(np.max(np.abs(values)))
 

@@ -149,6 +149,65 @@ def test_kink_finder_agrees_with_the_curve(breakdown_model, std_model):
     assert find_kinks(std_model) == ()
 
 
+def _count_calls(monkeypatch, name, *modules):
+    """Route ``name`` in each module through one shared call counter."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def radius_calls(monkeypatch):
+    """Count the radius-only solves made through the asymptotics module."""
+    import oqwalk.asymptotics as asymptotics
+
+    return _count_calls(monkeypatch, "spectral_radius", asymptotics)
+
+
+_FULL_ALGEBRA_MODELS = {
+    "std": lambda: builtin("std_example"),
+    "periodic": lambda: builtin("periodic_example"),
+    "antidiag": lambda: builtin("antidiag_example"),
+    "isometry_n3": lambda: random_isometry_model(3, n=3),
+    "isometry_n4": lambda: random_isometry_model(4, n=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FULL_ALGEBRA_MODELS))
+def test_full_algebra_curves_skip_kink_refinement(name, radius_calls):
+    model = _FULL_ALGEBRA_MODELS[name]()
+    ts = np.linspace(-4.0, 4.0, 41)
+    curve = lambda_curve(model, ts)
+    assert radius_calls == []
+    assert curve.kinks == ()
+    plain = lambda_curve(model, ts, refine_kinks=False)
+    assert curve.lambda_values.tobytes() == plain.lambda_values.tobytes()
+    assert curve.log_lambda_values.tobytes() == plain.log_lambda_values.tobytes()
+
+
+def test_reducible_curves_keep_kink_refinement(breakdown_model, radius_calls):
+    curve = lambda_curve(breakdown_model, np.linspace(-4.0, 4.0, 41))
+    assert len(radius_calls) > 0
+    assert len(curve.kinks) == 1
+    assert curve.kinks[0].u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-4)
+
+
+def test_rate_function_computes_the_operator_closure_once(monkeypatch, std_model):
+    import oqwalk.asymptotics as asymptotics
+    import oqwalk.structure as structure
+
+    calls = _count_calls(monkeypatch, "algebra_closure", structure, asymptotics)
+    rate_function(std_model, [0.0])
+    assert len(calls) == 1
+
+
 # -- rate function -------------------------------------------------------------
 
 def legendre_by_hand(c, x, lo=-25.0, hi=25.0):

@@ -1,14 +1,22 @@
 """Command-line interface: exit codes, JSON output, artifact files."""
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oqwalk import dump_model
 from oqwalk.cli import main
-from model_zoo import broken_scaled_model, diagonal_pair_model, three_level_two_block_model
+from model_zoo import (
+    broken_scaled_model,
+    diagonal_pair_model,
+    random_isometry_model,
+    three_level_two_block_model,
+)
 
 
 def run_json(capsys, argv, expect=0):
@@ -209,6 +217,18 @@ def test_simulate_needs_a_unique_invariant_state_beyond_two_levels(tmp_path, cap
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "-P", "5", "-N", "2"]])
+def test_internal_dimension_beyond_the_dense_cap_is_a_typed_error(tmp_path, capsys,
+                                                                  command):
+    # n = 9 gives 81 x 81 superoperators, past the 64-side dense eigensolver.
+    path = tmp_path / "n9.json"
+    dump_model(random_isometry_model(2, n=9), path)
+    assert main([command[0], "--model", str(path), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_nonpositive_step_counts(capsys):
     assert main(["simulate", "--builtin", "std_example", "-P", "0"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -226,8 +246,6 @@ def test_oracle_check_passes_on_the_periodic_model(capsys):
 
 def test_oracle_check_respects_the_path_budget(tmp_path, capsys):
     # 33 step directions: 33^4 words already exceed the 2^20 path budget
-    from model_zoo import random_isometry_model
-
     steps = tuple((k,) for k in range(-16, 17))
     path = tmp_path / "wide.json"
     dump_model(random_isometry_model(1, n=2, steps=steps), path)
@@ -248,6 +266,18 @@ def test_oracle_check_writes_its_report(tmp_path, capsys):
 
 
 # -- console script -----------------------------------------------------------------
+
+def test_module_entry_point_smoke():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oqwalk.cli", "validate", "--builtin", "antidiag_example"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
+
 
 @pytest.mark.skipif(shutil.which("oqwalk") is None,
                     reason="console script not on PATH")

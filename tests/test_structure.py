@@ -63,6 +63,44 @@ def test_standard_operators_generate_the_full_algebra(std_model):
     assert algebra_closure(std_model.operators).dimension == 4
 
 
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _upper_triangular_pair(rng, n):
+    return np.triu(_complex_normal(rng, (2, n, n)))
+
+
+def _two_block_pair(rng, n, h):
+    ops = np.zeros((2, n, n), dtype=complex)
+    ops[:, :h, :h] = _complex_normal(rng, (2, h, h))
+    ops[:, h:, h:] = _complex_normal(rng, (2, n - h, n - h))
+    return ops
+
+
+@pytest.mark.parametrize("n, triangular, two_block", [
+    (2, 3, 2), (3, 6, 5), (4, 10, 8), (6, 21, 18),
+])
+def test_closure_dimensions_of_reducible_pairs(n, triangular, two_block):
+    # Upper-triangular matrices: n(n+1)/2; two diagonal blocks: h^2 + (n-h)^2.
+    h = n // 2
+    assert triangular == n * (n + 1) // 2
+    assert two_block == h * h + (n - h) ** 2
+    rng = np.random.default_rng(n)
+    assert algebra_closure(_upper_triangular_pair(rng, n)).dimension == triangular
+    assert algebra_closure(_two_block_pair(rng, n, h)).dimension == two_block
+
+
+def test_closure_basis_is_orthonormal():
+    rng = np.random.default_rng(11)
+    for ops in (_upper_triangular_pair(rng, 4), _two_block_pair(rng, 6, 3),
+                _complex_normal(rng, (2, 4, 4))):
+        closure = algebra_closure(ops)
+        vecs = closure.basis.transpose(0, 2, 1).reshape(closure.dimension, -1)
+        gram = vecs.conj() @ vecs.T
+        np.testing.assert_allclose(gram, np.eye(closure.dimension), atol=1e-12)
+
+
 # -- irreducibility of the auxiliary map --------------------------------------
 
 def test_standard_model_is_irreducible(std_model):

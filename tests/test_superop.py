@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oqwalk import (
+    AssumptionError,
     apply_L,
     apply_M,
     build_superop,
@@ -14,7 +15,13 @@ from oqwalk import (
     perron,
     spectral_radius,
 )
-from oqwalk.superop import deform_weighted, derivative_maps, weighted_superop
+from oqwalk.numerics import eigendecompose
+from oqwalk.superop import (
+    Superoperator,
+    deform_weighted,
+    derivative_maps,
+    weighted_superop,
+)
 import reference
 from model_zoo import diagonal_pair_model, random_isometry_model
 
@@ -155,3 +162,16 @@ def test_log_lambda_matches_reference_at_moderate_tilts(std_model):
     for u in (-200.0, -50.0, 50.0, 200.0):
         expected = float(np.log(reference.std_lambda(u)))
         assert log_lambda(std_model, u) == pytest.approx(expected, rel=1e-12)
+
+
+def test_direction_shape_mismatch_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError):
+        deform(std_model, [0.1, 0.2])
+
+
+def test_dense_eigensolver_cap_is_an_assumption_error():
+    big = Superoperator(np.eye(81, dtype=complex), 9)
+    with pytest.raises(AssumptionError):
+        spectral_radius(big)
+    with pytest.raises(AssumptionError):
+        eigendecompose(big.matrix)
