@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -23,7 +22,7 @@ from .errors import (
     TraceGaugeError,
 )
 from .model import KrausModel, LatticeState, default_initial_state
-from .numerics import frob, project_to_state, psd_check, solve_on_traceless, unvec, vec
+from .numerics import project_to_state, psd_check, solve_on_traceless, unvec, vec
 from .structure import (
     _fixed_point_data,
     algebra_closure,
@@ -51,7 +50,6 @@ __all__ = [
     "KinkRecord",
     "LambdaCurve",
     "lambda_curve",
-    "find_kinks",
     "RateFunctionTable",
     "rate_function",
     "C2Parameters",
@@ -59,15 +57,14 @@ __all__ = [
 ]
 
 
-def invariant_state(model: KrausModel,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def invariant_state(model: KrausModel) -> np.ndarray:
     """The invariant state of the auxiliary map; must be unique.
 
     Raises :class:`MultiplicityError` when the fixed space has dimension
     greater than one (two-level models can then fall back to
     :func:`c2_parameters`).
     """
-    count, _, h = _fixed_point_data(build_superop(model), tols)
+    count, _, h = _fixed_point_data(build_superop(model))
     if count != 1 or h is None:
         raise MultiplicityError(
             f"invariant state is not unique (fixed-point count {count}); "
@@ -76,11 +73,10 @@ def invariant_state(model: KrausModel,
     return project_to_state(h, what="invariant state")
 
 
-def drift(model: KrausModel, rho: np.ndarray | None = None,
-          tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def drift(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     """Mean displacement per step under the invariant internal state."""
     if rho is None:
-        rho = invariant_state(model, tols)
+        rho = invariant_state(model)
     weights = np.array(
         [float(np.trace(op @ rho @ op.conj().T).real) for op in model.operators]
     )
@@ -89,8 +85,7 @@ def drift(model: KrausModel, rho: np.ndarray | None = None,
 
 def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
                                rho: np.ndarray,
-                               superop: Superoperator,
-                               tols: Tolerances) -> tuple[float, np.ndarray]:
+                               superop: Superoperator) -> tuple[float, np.ndarray]:
     """lambda''(0) - lambda'(0)^2 along u, via the corrector equation.
 
     Returns the curvature together with the traceless corrector eta that
@@ -103,7 +98,7 @@ def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
     rhs = l1rho - lam1 * rho
     rhs = (rhs + rhs.conj().T) / 2
     eye = np.eye(n * n, dtype=complex)
-    eta = solve_on_traceless(eye - superop.matrix, rhs, tols)
+    eta = solve_on_traceless(eye - superop.matrix, rhs)
     eta = (eta + eta.conj().T) / 2
     lam2 = float(np.trace(d2.apply(rho)).real) + 2 * float(np.trace(d1.apply(eta)).real)
     return lam2 - lam1**2, eta
@@ -112,8 +107,7 @@ def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
 def _directional_curvature_ags(model: KrausModel, u: np.ndarray,
                                rho: np.ndarray,
                                superop: Superoperator,
-                               mean: np.ndarray,
-                               tols: Tolerances) -> float:
+                               mean: np.ndarray) -> float:
     """Same quantity via the adjoint-side observable equation.
 
     Solves (Id - adjoint)(Y) = sum_s <u,s> L_s^dag L_s - <u,m> Id, which is
@@ -163,17 +157,16 @@ def _quadratic_form_to_matrix(model: KrausModel, q) -> np.ndarray:
     return (c + c.T) / 2
 
 
-def covariance(model: KrausModel, rho: np.ndarray | None = None,
-               tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def covariance(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     """CLT covariance via the corrector (traceless-solve) route."""
     if rho is None:
-        rho = invariant_state(model, tols)
+        rho = invariant_state(model)
     superop = build_superop(model)
     c = _quadratic_form_to_matrix(
         model,
-        lambda u: _directional_curvature_eta(model, u, rho, superop, tols)[0],
+        lambda u: _directional_curvature_eta(model, u, rho, superop)[0],
     )
-    report = psd_check(c.astype(complex), tol=1e-8, tols=tols)
+    report = psd_check(c.astype(complex), tol=1e-8)
     if not report.is_psd:
         raise PositivityError(
             f"covariance is not positive semidefinite "
@@ -183,19 +176,18 @@ def covariance(model: KrausModel, rho: np.ndarray | None = None,
 
 
 def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
-                   mean: np.ndarray | None = None,
-                   tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                   mean: np.ndarray | None = None) -> np.ndarray:
     """CLT covariance via the adjoint-observable route (independent check)."""
     if rho is None:
-        rho = invariant_state(model, tols)
+        rho = invariant_state(model)
     if mean is None:
-        mean = drift(model, rho, tols)
+        mean = drift(model, rho)
     superop = build_superop(model)
     c = _quadratic_form_to_matrix(
         model,
-        lambda u: _directional_curvature_ags(model, u, rho, superop, mean, tols),
+        lambda u: _directional_curvature_ags(model, u, rho, superop, mean),
     )
-    report = psd_check(c.astype(complex), tol=1e-8, tols=tols)
+    report = psd_check(c.astype(complex), tol=1e-8)
     if not report.is_psd:
         raise PositivityError(
             f"covariance (adjoint route) is not positive semidefinite "
@@ -221,18 +213,17 @@ class AsymptoticStats:
     method_residuals: dict[str, float] = field(default_factory=dict)
 
 
-def asymptotic_stats(model: KrausModel,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> AsymptoticStats:
+def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     """Drift + covariance by both routes, with cross-checks recorded.
 
     ``route_gap`` is the max-abs difference of the two covariance routes;
     ``drift_fd_gap`` compares the drift against central differences of
     log lambda_u at h = 1e-5.
     """
-    rho = invariant_state(model, tols)
-    mean = drift(model, rho, tols)
-    c_eta = covariance(model, rho, tols)
-    c_ags = covariance_ags(model, rho, mean, tols)
+    rho = invariant_state(model)
+    mean = drift(model, rho)
+    c_eta = covariance(model, rho)
+    c_ags = covariance_ags(model, rho, mean)
     route_gap = float(np.max(np.abs(c_eta - c_ags)))
 
     superop = build_superop(model)
@@ -241,7 +232,7 @@ def asymptotic_stats(model: KrausModel,
     for i in range(model.lattice_dim):
         e = np.zeros(model.lattice_dim)
         e[i] = 1.0
-        _, eta = _directional_curvature_eta(model, e, rho, superop, tols)
+        _, eta = _directional_curvature_eta(model, e, rho, superop)
         if abs(np.trace(eta)) > 1e-12:
             raise TraceGaugeError(
                 f"corrector along axis {i} has trace {np.trace(eta):.3e}"
@@ -277,12 +268,11 @@ def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator
     return shift, weighted_superop(model, np.exp(phi - shift))
 
 
-def log_lambda(model: KrausModel, u,
-               tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def log_lambda(model: KrausModel, u) -> float:
     """log of the leading tilted eigenvalue, stable for large tilts."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     shift, shifted = _shifted_map(model, u)
-    radius = spectral_radius(shifted, tols)
+    radius = spectral_radius(shifted)
     if radius <= 0:
         raise ConvergenceError("tilted map has zero spectral radius")
     return shift + float(np.log(radius))
@@ -349,8 +339,7 @@ def _refine_kink(f, a: float, m: float, b: float, fa: float, fm: float,
 
 
 def lambda_curve(model: KrausModel, parameters, direction=None,
-                 refine_kinks: bool = True,
-                 tols: Tolerances = DEFAULT_TOLERANCES) -> LambdaCurve:
+                 refine_kinks: bool = True) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
     Each grid point goes through a full Perron extraction (on the rescaled
@@ -366,11 +355,11 @@ def lambda_curve(model: KrausModel, parameters, direction=None,
     if refine_kinks:
         n = model.internal_dim
         refine_kinks = algebra_closure(model.operators).dimension != n * n
-    return _lambda_curve(model, parameters, direction, refine_kinks, tols)
+    return _lambda_curve(model, parameters, direction, refine_kinks)
 
 
-def _lambda_curve(model: KrausModel, parameters, direction, refine_kinks: bool,
-                  tols: Tolerances) -> LambdaCurve:
+def _lambda_curve(model: KrausModel, parameters, direction,
+                  refine_kinks: bool) -> LambdaCurve:
     """:func:`lambda_curve` with the kink refinement decided by the caller."""
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
@@ -383,7 +372,7 @@ def _lambda_curve(model: KrausModel, parameters, direction, refine_kinks: bool,
     degenerate: list[float] = []
     for i, t in enumerate(ts):
         shift, shifted = _shifted_map(model, t * direction)
-        data = perron(shifted, tols)
+        data = perron(shifted)
         logs[i] = shift + float(np.log(data.lambda_u))
         lams[i] = float(np.exp(logs[i]))
         if data.degenerate:
@@ -391,7 +380,7 @@ def _lambda_curve(model: KrausModel, parameters, direction, refine_kinks: bool,
 
     def f(t: float) -> float:
         shift, shifted = _shifted_map(model, t * direction)
-        return float(np.exp(shift + np.log(spectral_radius(shifted, tols))))
+        return float(np.exp(shift + np.log(spectral_radius(shifted))))
 
     kinks: list[KinkRecord] = []
     if refine_kinks and len(ts) >= 3:
@@ -428,14 +417,6 @@ def _lambda_curve(model: KrausModel, parameters, direction, refine_kinks: bool,
         kinks=tuple(kinks),
         degenerate_parameters=tuple(degenerate),
     )
-
-
-def find_kinks(model: KrausModel, u_min: float = -4.0, u_max: float = 4.0,
-               points: int = 41, direction=None,
-               tols: Tolerances = DEFAULT_TOLERANCES) -> tuple[KinkRecord, ...]:
-    """Scan [u_min, u_max] for slope discontinuities of the tilted curve."""
-    ts = np.linspace(u_min, u_max, points)
-    return lambda_curve(model, ts, direction, refine_kinks=True, tols=tols).kinks
 
 
 @dataclass(frozen=True)
@@ -515,19 +496,18 @@ def _legendre_point(c, x: float, u_lo: float, u_hi: float,
 
 
 def rate_function(model: KrausModel, positions,
-                  u_min: float = -4.0, u_max: float = 4.0, points: int = 41,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> RateFunctionTable:
+                  u_min: float = -4.0, u_max: float = 4.0,
+                  points: int = 41) -> RateFunctionTable:
     """Large-deviation rate function on a grid of velocities (1-D walks only)."""
     if model.lattice_dim != 1:
         raise AssumptionError(
             "rate-function evaluation is implemented for one-dimensional walks"
         )
     xs = np.asarray(positions, dtype=float)
-    upper_only = not is_irreducible_L(model, tols).irreducible
+    upper_only = not is_irreducible_L(model).irreducible
 
     # The irreducibility verdict is the closure test lambda_curve would repeat.
-    curve = _lambda_curve(model, np.linspace(u_min, u_max, points), None,
-                          upper_only, tols)
+    curve = _lambda_curve(model, np.linspace(u_min, u_max, points), None, upper_only)
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 
@@ -537,7 +517,7 @@ def rate_function(model: KrausModel, positions,
 
     def c(u: float) -> float:
         if u not in cache:
-            cache[u] = log_lambda(model, u, tols)
+            cache[u] = log_lambda(model, u)
         return cache[u]
 
     if abs(c(0.0)) > 1e-10:
@@ -624,8 +604,7 @@ def _law_moments(law: dict[tuple[int, ...], float],
 
 
 def c2_parameters(model: KrausModel,
-                  initial_state: LatticeState | None = None,
-                  tols: Tolerances = DEFAULT_TOLERANCES) -> C2Parameters:
+                  initial_state: LatticeState | None = None) -> C2Parameters:
     """Drift/covariance of a two-level walk through its invariant-ray form.
 
     * no common ray: generic spectral statistics (periodic maps get the
@@ -635,15 +614,15 @@ def c2_parameters(model: KrausModel,
     * two common rays: two classical branch laws mixed with the initial
       weight of the first ray.
     """
-    cls = classify_c2(model, tols)
+    cls = classify_c2(model)
     d = model.lattice_dim
 
     if cls.situation == 1:
-        pd = period(model, tols)
+        pd = period(model)
         if pd.period == 1:
-            rho = invariant_state(model, tols)
-            mean = drift(model, rho, tols)
-            cov = covariance(model, rho, tols)
+            rho = invariant_state(model)
+            mean = drift(model, rho)
+            cov = covariance(model, rho)
             return C2Parameters(1, False, mean, cov, None, None, None)
         if pd.period != 2:
             raise AssumptionError(

@@ -24,7 +24,6 @@ from .asymptotics import (
     lambda_curve,
     rate_function,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -44,6 +43,8 @@ from .errors import (
 )
 from .model import (
     BUILTIN_NAMES,
+    _matrix_to_json,
+    _read_document,
     builtin,
     default_initial_state,
     load_initial_state,
@@ -93,13 +94,6 @@ def _exit_code(exc: OQWalkError) -> int:
     return 1
 
 
-def _matrix_json(m) -> list:
-    return [
-        [{"im": float(z.imag), "re": float(z.real)} for z in row]
-        for row in np.asarray(m, dtype=complex)
-    ]
-
-
 def _vector_json(v) -> list:
     return [float(x) for x in np.asarray(v, dtype=float)]
 
@@ -128,9 +122,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--builtin", choices=BUILTIN_NAMES, help="bundled model")
     p.add_argument("--p", type=float, default=None, dest="bias",
                    help="rightward probability for classical_dilation")
-    p.add_argument("--tol-positivity", type=float, default=None)
-    p.add_argument("--tol-residual", type=float, default=None)
-    p.add_argument("--tol-trace", type=float, default=None)
 
 
 def _add_state_args(p: argparse.ArgumentParser) -> None:
@@ -168,7 +159,6 @@ class RunConfig:
     x_max: float = 1.0
     x_points: int = 21
     tilts: tuple[float, ...] = _DEFAULT_TILTS
-    tolerances: Tolerances = DEFAULT_TOLERANCES
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -199,11 +189,6 @@ class RunConfig:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     get = lambda name, default: getattr(args, name, default)  # noqa: E731
     tilts = get("tilts", None)
-    tols = DEFAULT_TOLERANCES.with_overrides(
-        positivity=args.tol_positivity,
-        residual=args.tol_residual,
-        trace=args.tol_trace,
-    )
     return RunConfig(
         command=args.command,
         model_path=args.model,
@@ -221,31 +206,19 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         x_max=get("x_max", 1.0),
         x_points=get("x_points", 21),
         tilts=_DEFAULT_TILTS if tilts is None else tuple(tilts),
-        tolerances=tols,
         out_dir=get("out", None),
     )
-
-
-def _load_document(path: str) -> dict:
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
 
 
 def _resolve_model(cfg: RunConfig, validate: bool = True):
     if cfg.builtin_name is not None:
         return builtin(cfg.builtin_name, cfg.bias)
-    obj = _load_document(cfg.model_path)
-    return model_from_dict(obj, cfg.tolerances, validate=validate)
+    return model_from_dict(_read_document(cfg.model_path), validate=validate)
 
 
 def _resolve_state(cfg: RunConfig, model):
     if cfg.initial_path is not None:
-        return load_initial_state(cfg.initial_path, model, cfg.tolerances)
+        return load_initial_state(cfg.initial_path, model)
     if cfg.random_initial_seed is not None:
         return random_initial_state(model, cfg.random_initial_seed)
     return default_initial_state(model)
@@ -264,9 +237,8 @@ def _out_dir(cfg: RunConfig) -> Path | None:
 # --------------------------------------------------------------------------
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg, validate=False)
-    report = validate_model(model, tols)
+    report = validate_model(model)
     _emit({
         "choi_min_eigenvalue": float(report.choi_min_eigenvalue),
         "choi_psd": bool(report.choi_psd),
@@ -281,11 +253,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg)
-    validation = validate_model(model, tols)
+    validation = validate_model(model)
 
-    irr = is_irreducible_L(model, tols)
+    irr = is_irreducible_L(model)
     aux: dict = {
         "irreducible": bool(irr.irreducible),
         "closure_dimension": irr.closure_dimension,
@@ -300,32 +271,32 @@ def _cmd_analyze(cfg: RunConfig) -> int:
         "positivity_onset": None,
     }
     if irr.irreducible:
-        pd = period(model, tols)
-        reg = is_regular(model, tols)
+        pd = period(model)
+        reg = is_regular(model)
         aux["period"] = pd.period
-        aux["projections"] = [_matrix_json(p) for p in pd.projections]
+        aux["projections"] = [_matrix_to_json(p) for p in pd.projections]
         aux["regular"] = bool(reg.regular)
         aux["positivity_onset"] = reg.onset_estimate
-    bn = bn_decomposition(model, tols)
+    bn = bn_decomposition(model)
     aux["recurrent_dimension"] = bn.recurrent_dimension
     aux["decaying_dimension"] = bn.decaying_dimension
-    aux["recurrent_basis"] = _matrix_json(bn.recurrent_basis)
+    aux["recurrent_basis"] = _matrix_to_json(bn.recurrent_basis)
 
-    mirr = is_irreducible_M(model, tols=tols)
+    mirr = is_irreducible_M(model)
     lattice = {
         "verdict": mirr.verdict,
         "closure_dimension": mirr.closure_dimension,
         "max_length_used": mirr.max_length_used,
-        "witness": None if mirr.witness is None else _matrix_json(mirr.witness),
+        "witness": None if mirr.witness is None else _matrix_to_json(mirr.witness),
     }
 
     two_level = None
     if model.internal_dim == 2:
         try:
-            cls = classify_c2(model, tols)
+            cls = classify_c2(model)
             two_level = {
                 "situation": cls.situation,
-                "rays": [_matrix_json(r.reshape(-1, 1)) for r in cls.rays],
+                "rays": [_matrix_to_json(r.reshape(-1, 1)) for r in cls.rays],
                 "m_irreducible": None,
                 "m_period": None,
                 "reducible_reason": None,
@@ -334,7 +305,7 @@ def _cmd_analyze(cfg: RunConfig) -> int:
             two_level = None
         if (two_level is not None and model.lattice_dim == 1
                 and set(model.displacements) == {(1,), (-1,)}):
-            mcls = c2_m_classifier(model, tols)
+            mcls = c2_m_classifier(model)
             two_level["m_irreducible"] = bool(mcls.m_irreducible)
             two_level["m_period"] = mcls.m_period
             two_level["reducible_reason"] = mcls.reducible_reason
@@ -359,20 +330,20 @@ def _cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _stats_with_fallback(model, initial_state, tols):
+def _stats_with_fallback(model, initial_state):
     """Spectral drift/covariance, falling back to two-level closed forms.
 
     Returns (mean, covariance-or-None, method, extra-json).
     """
     try:
-        stats = asymptotic_stats(model, tols)
+        stats = asymptotic_stats(model)
         return (
             stats.mean,
             stats.covariance,
             "spectral",
             {
                 "covariance_alt": _real_matrix_json(stats.covariance_alt),
-                "eta_basis": [_matrix_json(e) for e in stats.eta_basis],
+                "eta_basis": [_matrix_to_json(e) for e in stats.eta_basis],
                 "method_residuals": {
                     k: float(v)
                     for k, v in sorted(stats.method_residuals.items())
@@ -382,7 +353,7 @@ def _stats_with_fallback(model, initial_state, tols):
     except MultiplicityError:
         if model.internal_dim != 2:
             raise
-        params = c2_parameters(model, initial_state, tols)
+        params = c2_parameters(model, initial_state)
         extra = {
             "situation": params.situation,
             "periodic": bool(params.periodic),
@@ -396,17 +367,16 @@ def _stats_with_fallback(model, initial_state, tols):
 
 
 def _cmd_asymptotics(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg)
     state = _resolve_state(cfg, model)
-    mean, cov, method, extra = _stats_with_fallback(model, state, tols)
+    mean, cov, method, extra = _stats_with_fallback(model, state)
 
     us = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
     curves = []
     for axis in range(model.lattice_dim):
         direction = np.zeros(model.lattice_dim)
         direction[axis] = 1.0
-        curve = lambda_curve(model, us, direction, tols=tols)
+        curve = lambda_curve(model, us, direction)
         curves.append({
             "axis": axis,
             "u": _vector_json(curve.parameters),
@@ -448,12 +418,10 @@ def _cmd_asymptotics(cfg: RunConfig) -> int:
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg)
     xs = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
     table = rate_function(
         model, xs, u_min=cfg.u_min, u_max=cfg.u_max, points=cfg.u_points,
-        tols=tols,
     )
     summary = {
         "x_grid": _vector_json(table.x_grid),
@@ -486,10 +454,9 @@ def _cmd_rate(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg)
     state = _resolve_state(cfg, model)
-    mean, cov, method, extra = _stats_with_fallback(model, state, tols)
+    mean, cov, method, extra = _stats_with_fallback(model, state)
     if cov is None:
         raise StandardizationError(
             "branch step laws have distinct means; no single Gaussian limit "
@@ -497,7 +464,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         )
     batch = batch_statistics(
         model, cfg.steps, cfg.trajectories, cfg.seed,
-        initial_state=state, mean=mean, covariance=cov, tols=tols,
+        initial_state=state, mean=mean, covariance=cov,
     )
     summary = {
         "covariance": _real_matrix_json(cov),
@@ -520,7 +487,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle_check(cfg: RunConfig) -> int:
-    tols = cfg.tolerances
     model = _resolve_model(cfg)
     state = _resolve_state(cfg, model)
     failures = 0
@@ -530,7 +496,7 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
         for u_scalar in cfg.tilts:
             u = np.zeros(model.lattice_dim)
             u[0] = u_scalar
-            report = mgf_check(model, u, p, initial_state=state, tols=tols)
+            report = mgf_check(model, u, p, initial_state=state)
             ok = report.relative_gap <= 1e-10
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"
@@ -542,7 +508,7 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
 
     for p in range(1, min(cfg.steps, 10) + 1):
         try:
-            dist = exact_distribution(model, p, initial_state=state, tols=tols)
+            dist = exact_distribution(model, p, initial_state=state)
             gap, ok = dist.tv_gap, dist.tv_gap <= 1e-10
         except ConvergenceError:
             gap, ok = float("nan"), False

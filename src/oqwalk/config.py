@@ -1,24 +1,17 @@
-"""Shared tolerance configuration.
+"""Numerical thresholds shared by more than one gate.
 
-Every numerical gate in the package reads its threshold from a ``Tolerances``
-instance so callers can tighten or relax the whole stack coherently.  The
-defaults are: positivity 1e-10, relative residuals 1e-9, trace checks 1e-12.
+Each gate reads the constant it needs directly. A threshold that only one
+function uses stays a literal in that function. A threshold that callers
+really vary is a parameter of that call, e.g. ``psd_check(tol=...)``.
 """
-from __future__ import annotations
 
-from dataclasses import dataclass, replace
+#: Smallest eigenvalue ``psd_check`` accepts by default, as ``-POSITIVITY_TOL``.
+#: It gates the Choi matrix in ``validate_model`` and lattice-state blocks.
+POSITIVITY_TOL = 1e-10
 
+#: Relative eigen-residual bound of ``eigendecompose`` and ``perron``.
+RESIDUAL_TOL = 1e-9
 
-@dataclass(frozen=True)
-class Tolerances:
-    positivity: float = 1e-10
-    residual: float = 1e-9
-    trace: float = 1e-12
-
-    def with_overrides(self, **kwargs: float) -> "Tolerances":
-        """Return a copy with the given fields replaced (None values ignored)."""
-        clean = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **clean) if clean else self
-
-
-DEFAULT_TOLERANCES = Tolerances()
+#: Largest stochasticity residual ``||sum_s L_s^dag L_s - Id||_F`` a valid
+#: model may have (``ValidationReport.is_valid`` and ``model_from_dict``).
+STOCHASTICITY_TOL = 1e-10

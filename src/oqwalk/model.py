@@ -11,18 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import STOCHASTICITY_TOL
 from .errors import ModelFormatError, ModelValidationError
 from .numerics import choi_matrix, frob, psd_check
 from .rng import MASK64, UnitStream
 
 __all__ = [
     "KrausModel",
-    "DensityMatrix",
     "LatticeState",
     "ValidationReport",
     "validate_model",
@@ -103,38 +102,10 @@ class KrausModel:
         return frob(acc - np.eye(self.internal_dim))
 
 
-class DensityMatrix:
-    """A validated density matrix: Hermitian (1e-12), PSD (-1e-10), unit trace (1e-10)."""
-
-    def __init__(self, matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelValidationError(f"density matrix must be square, got {m.shape}")
-        defect = frob(m - m.conj().T)
-        if defect > max(tols.trace, tols.trace * frob(m)):
-            raise ModelValidationError(
-                f"density matrix deviates from Hermitian by {defect:.3e}"
-            )
-        report = psd_check((m + m.conj().T) / 2, tol=tols.positivity)
-        if not report.is_psd:
-            raise ModelValidationError(
-                f"density matrix has negative eigenvalue {report.min_eigenvalue:.3e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1) > 1e-10:
-            raise ModelValidationError(f"density matrix trace {tr} is not 1")
-        self.matrix = _readonly(m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 class LatticeState:
     """Finitely supported lattice state: PSD blocks, total trace 1 (within 1e-8)."""
 
-    def __init__(self, blocks: Mapping[tuple[int, ...], np.ndarray],
-                 tols: Tolerances = DEFAULT_TOLERANCES, check: bool = True):
+    def __init__(self, blocks: Mapping[tuple[int, ...], np.ndarray], check: bool = True):
         clean: dict[tuple[int, ...], np.ndarray] = {}
         total = 0.0
         dim = None
@@ -148,7 +119,7 @@ class LatticeState:
                     f"block at {pos} has shape {b.shape}, expected ({dim}, {dim})"
                 )
             if check:
-                report = psd_check((b + b.conj().T) / 2, tol=tols.positivity)
+                report = psd_check((b + b.conj().T) / 2)
                 if not report.is_psd:
                     raise ModelValidationError(
                         f"block at {pos} has negative eigenvalue "
@@ -193,10 +164,10 @@ class ValidationReport:
         scalar model (internal dimension 1) never satisfies h2 yet is a
         perfectly valid walk.
         """
-        return self.residual <= 1e-10 and self.choi_psd
+        return self.residual <= STOCHASTICITY_TOL and self.choi_psd
 
 
-def validate_model(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> ValidationReport:
+def validate_model(model: KrausModel) -> ValidationReport:
     """Stochasticity residual plus the h1 (joint range) and h2 (non-scalar) probes."""
     n = model.internal_dim
     residual = model.stochasticity_residual()
@@ -210,7 +181,7 @@ def validate_model(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> 
             h2 = True
             break
     choi = choi_matrix(model.operators)
-    report = psd_check(choi, tol=tols.positivity)
+    report = psd_check(choi)
     return ValidationReport(
         residual=float(residual),
         h1_holds=h1,
@@ -296,8 +267,7 @@ def model_to_dict(model: KrausModel) -> dict:
     }
 
 
-def model_from_dict(obj: dict, tols: Tolerances = DEFAULT_TOLERANCES,
-                    validate: bool = True) -> KrausModel:
+def model_from_dict(obj: dict, validate: bool = True) -> KrausModel:
     d = _expect_key(obj, "lattice_dim", "$")
     n = _expect_key(obj, "internal_dim", "$")
     steps = _expect_key(obj, "steps", "$")
@@ -321,24 +291,28 @@ def model_from_dict(obj: dict, tols: Tolerances = DEFAULT_TOLERANCES,
         operators=np.array(operators),
     )
     if validate:
-        report = validate_model(model, tols)
-        if report.residual > 1e-10:
+        report = validate_model(model)
+        if report.residual > STOCHASTICITY_TOL:
             raise ModelValidationError(
-                f"stochasticity residual {report.residual:.3e} exceeds 1e-10"
+                f"stochasticity residual {report.residual:.3e} exceeds {STOCHASTICITY_TOL:g}"
             )
     return model
 
 
-def load_model(path: str | Path, tols: Tolerances = DEFAULT_TOLERANCES) -> KrausModel:
-    """Load and validate a model document; parse errors carry line/field context."""
+def _read_document(path: str | Path):
+    """Parse a JSON file; syntax errors become :class:`ModelFormatError` with position."""
     text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return model_from_dict(obj, tols)
+
+
+def load_model(path: str | Path) -> KrausModel:
+    """Load and validate a model document; parse errors carry line/field context."""
+    return model_from_dict(_read_document(path))
 
 
 def dump_model(model: KrausModel, path: str | Path) -> None:
@@ -354,8 +328,7 @@ def state_to_dict(state: LatticeState) -> dict:
     }
 
 
-def state_from_dict(obj: dict, lattice_dim: int, internal_dim: int,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> LatticeState:
+def state_from_dict(obj: dict, lattice_dim: int, internal_dim: int) -> LatticeState:
     sites = _expect_key(obj, "sites", "$")
     if not isinstance(sites, list) or not sites:
         raise ModelFormatError("$.sites: expected a non-empty list")
@@ -369,19 +342,11 @@ def state_from_dict(obj: dict, lattice_dim: int, internal_dim: int,
         if pos in blocks:
             raise ModelFormatError(f"{path}.position: duplicate site {pos}")
         blocks[pos] = block
-    return LatticeState(blocks, tols)
+    return LatticeState(blocks)
 
 
-def load_initial_state(path: str | Path, model: KrausModel,
-                       tols: Tolerances = DEFAULT_TOLERANCES) -> LatticeState:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return state_from_dict(obj, model.lattice_dim, model.internal_dim, tols)
+def load_initial_state(path: str | Path, model: KrausModel) -> LatticeState:
+    return state_from_dict(_read_document(path), model.lattice_dim, model.internal_dim)
 
 
 def default_initial_state(model: KrausModel) -> LatticeState:

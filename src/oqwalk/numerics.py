@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import POSITIVITY_TOL, RESIDUAL_TOL
 from .errors import (
     AssumptionError,
     HermiticityError,
@@ -130,17 +130,16 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, -values.real, -np.abs(values)))
 
 
-def eigendecompose(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
+def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     """Dense eigendecomposition with the package's ordering and residual contract.
 
-    Raises :class:`HermiticityError` never; raises ``ValueError`` for non-square
-    input, :class:`AssumptionError` for a side beyond ``DENSE_DIM_LIMIT``, and
-    :class:`SingularRestrictionError` if residuals exceed
-    ``tols.residual * ||A||_F`` (which would indicate a defective solve).
+    Raises :class:`AssumptionError` for non-square input or a side beyond
+    ``DENSE_DIM_LIMIT``, and :class:`SingularRestrictionError` if residuals
+    exceed ``RESIDUAL_TOL * ||A||_F`` (which would indicate a defective solve).
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise AssumptionError(f"expected a square matrix, got shape {a.shape}")
     check_dense_side(a.shape[0])
     values, vectors = np.linalg.eig(a)
     order = _sort_order(values)
@@ -154,10 +153,10 @@ def eigendecompose(matrix: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) ->
             vectors[:, k] = col * (abs(pivot) / pivot)
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     scale = max(frob(a), np.finfo(float).tiny)
-    if np.any(residuals > tols.residual * scale):
+    if np.any(residuals > RESIDUAL_TOL * scale):
         raise SingularRestrictionError(
             f"eigendecomposition residual {residuals.max():.3e} exceeds "
-            f"{tols.residual:.1e} * ||A|| = {tols.residual * scale:.3e}"
+            f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
         )
     leading_tie = False
     if len(values) > 1:
@@ -173,11 +172,7 @@ def traceless_basis(n: int) -> np.ndarray:
     return scipy.linalg.null_space(row)
 
 
-def solve_on_traceless(
-    a: np.ndarray,
-    b: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a(x) = b`` for the unique traceless matrix ``x``.
 
     ``a`` is a superoperator matrix whose restriction to the traceless subspace
@@ -189,7 +184,8 @@ def solve_on_traceless(
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
     if a.shape != (n * n, n * n):
-        raise ValueError(f"superoperator shape {a.shape} does not match matrix side {n}")
+        raise AssumptionError(
+            f"superoperator shape {a.shape} does not match matrix side {n}")
     tr_b = abs(complex(np.trace(b)))
     if tr_b > 1e-10:
         raise TraceGaugeError(f"right-hand side has |trace| = {tr_b:.3e} > 1e-10")
@@ -225,16 +221,13 @@ class PsdReport:
     hermitian_defect: float
 
 
-def psd_check(matrix: np.ndarray, tol: float | None = None,
-              tols: Tolerances = DEFAULT_TOLERANCES) -> PsdReport:
+def psd_check(matrix: np.ndarray, tol: float = POSITIVITY_TOL) -> PsdReport:
     """Check positive semidefiniteness of a Hermitian matrix.
 
     The matrix must be Hermitian within ``tol`` relative to its norm (raises
     :class:`HermiticityError` otherwise); ``is_psd`` holds iff the minimum
     eigenvalue is >= ``-tol``.
     """
-    if tol is None:
-        tol = tols.positivity
     m = np.asarray(matrix, dtype=complex)
     defect = frob(m - m.conj().T)
     scale = max(frob(m), np.finfo(float).tiny)
@@ -247,19 +240,12 @@ def psd_check(matrix: np.ndarray, tol: float | None = None,
     return PsdReport(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, hermitian_defect=defect)
 
 
-def project_to_state(
-    matrix: np.ndarray,
-    clip_tol: float = 1e-12,
-    fail_tol: float = 1e-8,
-    what: str = "state",
-) -> np.ndarray:
+def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
     """Turn an approximately-PSD eigenvector matrix into a bona fide density matrix.
 
     Hermitizes, flips the overall sign so the trace is positive, clips
-    eigenvalues in ``[-fail_tol, 0)`` to zero (raising :class:`PositivityError`
-    below ``-fail_tol``), and renormalizes to unit trace.  ``clip_tol`` only
-    controls which negatives are silently absorbed without being counted as
-    clipping at all.
+    eigenvalues in ``[-1e-8, 0)`` to zero (raising :class:`PositivityError`
+    below ``-1e-8``), and renormalizes to unit trace.
     """
     m = np.asarray(matrix, dtype=complex)
     h = (m + m.conj().T) / 2
@@ -271,13 +257,10 @@ def project_to_state(
         raise PositivityError(f"{what} has non-positive trace {tr:.3e}")
     h = h / tr
     w, v = np.linalg.eigh(h)
-    if w[0] < -fail_tol:
+    if w[0] < -1e-8:
         raise PositivityError(
-            f"{what} eigenvector has negative part {w[0]:.3e} beyond {fail_tol:.1e}"
+            f"{what} eigenvector has negative part {w[0]:.3e} beyond 1.0e-08"
         )
-    if w[0] < -clip_tol:
-        w = np.clip(w, 0.0, None)
-    else:
-        w = np.where(w < 0, 0.0, w)
+    w = np.where(w < 0, 0.0, w)
     h = (v * w[None, :]) @ v.conj().T
     return h / float(np.trace(h).real)

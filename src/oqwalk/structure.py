@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -102,7 +101,7 @@ class AlgebraClosure:
     rounds: int
 
 
-def algebra_closure(operators, include_identity: bool = False) -> AlgebraClosure:
+def algebra_closure(operators) -> AlgebraClosure:
     """Smallest multiplicatively closed span containing the given operators.
 
     Grows the span by repeatedly adjoining generator-times-basis products until
@@ -115,8 +114,6 @@ def algebra_closure(operators, include_identity: bool = False) -> AlgebraClosure
     n = gens[0].shape[0]
     gens = [g for g in gens if frob(g) > _SPAN_TOL]
     span = _OperatorSpan(n)
-    if include_identity:
-        span.add(np.eye(n, dtype=complex))
     for g in gens:
         span.add(g)
 
@@ -147,10 +144,9 @@ class IrreducibilityReport:
     min_fixed_eigenvalue: float | None
 
 
-def _fixed_point_data(superop: Superoperator,
-                      tols: Tolerances) -> tuple[int, float | None, np.ndarray | None]:
+def _fixed_point_data(superop: Superoperator) -> tuple[int, float | None, np.ndarray | None]:
     """Count eigenvalue-1 eigenvectors and, if unique, give its Hermitized state."""
-    es = eigendecompose(superop.matrix, tols)
+    es = eigendecompose(superop.matrix)
     dist = np.abs(es.values - 1.0)
     fixed = np.flatnonzero(dist <= 1e-8)
     ambiguous = np.flatnonzero((dist > 1e-8) & (dist < 1e-7))
@@ -177,8 +173,7 @@ def _fixed_point_data(superop: Superoperator,
     return 1, float(eigs.min()), h
 
 
-def is_irreducible_L(model: KrausModel,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> IrreducibilityReport:
+def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
     """Is the auxiliary map irreducible?  Two routes, cross-checked.
 
     Route one: the operators generate the full matrix algebra exactly when no
@@ -186,11 +181,11 @@ def is_irreducible_L(model: KrausModel,
     representative is faithful (strictly positive).  The routes must agree;
     a mismatch raises rather than guessing.
     """
-    closure = algebra_closure(model.operators, include_identity=False)
+    closure = algebra_closure(model.operators)
     n = model.internal_dim
     route_a = closure.dimension == n * n
 
-    count, min_eig, _ = _fixed_point_data(build_superop(model), tols)
+    count, min_eig, _ = _fixed_point_data(build_superop(model))
     if count == 1 and min_eig is not None and abs(min_eig - 1e-8) < 1e-9:
         raise SpectralIndeterminateError(
             f"fixed-point minimum eigenvalue {min_eig:.3e} sits on the "
@@ -237,7 +232,7 @@ def _projection_cleanup(p_raw: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def period(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodData:
+def period(model: KrausModel) -> PeriodData:
     """Cyclic period of the (irreducible) auxiliary map, with projections.
 
     The period equals the number of peripheral eigenvalues; these must form the
@@ -246,13 +241,16 @@ def period(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodDa
     to exact orthogonal projections, ordered to satisfy the shift relation, and
     labeled so that projection 0 maximizes the diagonal lexicographically.
     """
-    report = is_irreducible_L(model, tols)
-    if not report.irreducible:
+    if not is_irreducible_L(model).irreducible:
         raise AssumptionError("period is defined for irreducible maps only")
+    return _period_of_irreducible(model)
 
+
+def _period_of_irreducible(model: KrausModel) -> PeriodData:
+    """:func:`period` for a map the caller has already found irreducible."""
     n = model.internal_dim
     superop = build_superop(model)
-    es = eigendecompose(superop.matrix, tols)
+    es = eigendecompose(superop.matrix)
     mods = np.abs(es.values)
     if mods[0] > 1 + 1e-8:
         raise SpectralIndeterminateError(
@@ -271,7 +269,7 @@ def period(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> PeriodDa
         return PeriodData(1, (np.eye(n, dtype=complex),), 0.0)
 
     # Unitary-like eigenvector of the adjoint at the primitive root.
-    es_adj = eigendecompose(superop.matrix.conj().T, tols)
+    es_adj = eigendecompose(superop.matrix.conj().T)
     root = np.exp(2j * np.pi / d)
     idx = int(np.argmin(np.abs(es_adj.values - root)))
     if abs(es_adj.values[idx] - root) > 1e-8:
@@ -345,17 +343,16 @@ class RegularityReport:
     onset_estimate: int | None
 
 
-def is_regular(model: KrausModel, tols: Tolerances = DEFAULT_TOLERANCES) -> RegularityReport:
+def is_regular(model: KrausModel) -> RegularityReport:
     """Regular means irreducible with period 1.
 
     For regular maps, also probes the smallest power N <= 4 n^2 at which the
     map sends 200 reproducibly-seeded random pure states to strictly positive
     matrices (minimum eigenvalue above 1e-8).
     """
-    report = is_irreducible_L(model, tols)
-    if not report.irreducible:
+    if not is_irreducible_L(model).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    pd = period(model, tols)
+    pd = _period_of_irreducible(model)
     if pd.period != 1:
         return RegularityReport(regular=False, period=pd.period, onset_estimate=None)
 
@@ -405,8 +402,7 @@ _BN_ITERATION_CAP = 2**16
 _BN_DRAIN_RATIO = 0.8
 
 
-def bn_decomposition(model: KrausModel,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> BNDecomposition:
+def bn_decomposition(model: KrausModel) -> BNDecomposition:
     """Split the internal space into recurrent and decaying parts.
 
     Iterates the auxiliary map on the maximally mixed state and averages over
@@ -538,12 +534,11 @@ def _is_common_ray(v: np.ndarray, operators, tol: float = 1e-9) -> bool:
     return True
 
 
-def classify_c2(model: KrausModel,
-                tols: Tolerances = DEFAULT_TOLERANCES) -> C2Classification:
+def classify_c2(model: KrausModel) -> C2Classification:
     """Classify a two-level model by the common invariant rays of its operators."""
     if model.internal_dim != 2:
         raise AssumptionError("two-level classification needs internal dimension 2")
-    report = validate_model(model, tols)
+    report = validate_model(model)
     if not report.is_valid or not report.h1_holds or not report.h2_holds:
         raise AssumptionError(
             "two-level classification assumes a valid model whose operators "
@@ -646,8 +641,7 @@ def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
     return basis
 
 
-def is_irreducible_M(model: KrausModel, max_length: int | None = None,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> MIrreducibility:
+def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrreducibility:
     """Probe lattice-walk irreducibility through return-path words.
 
     The walk is irreducible exactly when the operators of zero-displacement
@@ -770,8 +764,7 @@ def _ray_member(v: np.ndarray, ray: np.ndarray, scale: float) -> bool:
     return np.linalg.norm(residual) <= 1e-9 * max(1.0, scale)
 
 
-def c2_m_classifier(model: KrausModel,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> C2MClassification:
+def c2_m_classifier(model: KrausModel) -> C2MClassification:
     """Classify the lattice walk of a two-level nearest-neighbour model.
 
     Works from the common eigenvector rays of the two round-trip products

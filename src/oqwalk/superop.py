@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import RESIDUAL_TOL
 from .errors import AssumptionError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState
 from .numerics import (
@@ -87,7 +87,8 @@ def deform_weighted(model: KrausModel, phi: np.ndarray, t: float) -> Superoperat
     """Tilted map with weights ``exp(t * phi_s)`` for a per-step functional phi."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (model.n_steps,):
-        raise ValueError(f"phi must assign one weight per step, got shape {phi.shape}")
+        raise AssumptionError(
+            f"phi must assign one weight per step, got shape {phi.shape}")
     return weighted_superop(model, np.exp(t * phi))
 
 
@@ -169,16 +170,14 @@ def _hermitian_eigvec(eigensystem: EigenSystem, index: int, n: int) -> np.ndarra
     return h if frob(h) >= frob(k) else k
 
 
-def spectral_radius(superoperator: Superoperator,
-                    tols: Tolerances = DEFAULT_TOLERANCES) -> float:
+def spectral_radius(superoperator: Superoperator) -> float:
     """Just the spectral radius (cheapest query; used by curve scans)."""
     check_dense_side(superoperator.matrix.shape[0])
     values = np.linalg.eigvals(superoperator.matrix)
     return float(np.max(np.abs(values)))
 
 
-def perron(superoperator: Superoperator,
-           tols: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
+def perron(superoperator: Superoperator) -> SpectralData:
     """Extract the Perron triple (radius, right state, left weight) of a CP map.
 
     Raises :class:`SpectralIndeterminateError` when no real positive eigenvalue
@@ -188,7 +187,7 @@ def perron(superoperator: Superoperator,
     """
     m = superoperator.matrix
     n = superoperator.dim
-    es = eigendecompose(m, tols)
+    es = eigendecompose(m)
     radius = float(np.max(np.abs(es.values)))
     if radius <= 0:
         raise SpectralIndeterminateError("zero spectral radius")
@@ -218,12 +217,12 @@ def perron(superoperator: Superoperator,
     rho = project_to_state(_hermitian_eigvec(es, lead, n), what="leading eigenvector")
     scale = max(frob(m), np.finfo(float).tiny)
     residual = frob(superoperator.apply(rho) - lam * rho) / scale
-    if residual > tols.residual and not degenerate:
+    if residual > RESIDUAL_TOL and not degenerate:
         raise SpectralIndeterminateError(
-            f"leading eigenvector residual {residual:.3e} exceeds {tols.residual:.1e}"
+            f"leading eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
 
-    es_adj = eigendecompose(m.conj().T, tols)
+    es_adj = eigendecompose(m.conj().T)
     idx = int(np.argmin(np.abs(es_adj.values - lam)))
     if abs(es_adj.values[idx] - lam) > 1e-8 * max(radius, 1.0):
         raise SpectralIndeterminateError("adjoint spectrum misses the Perron root")

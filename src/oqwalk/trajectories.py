@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DegenerateStepError,
     PathBudgetError,
@@ -157,8 +156,7 @@ class Trajectory:
 
 
 def sample_trajectory(model: KrausModel, n_steps: int, stream_seed: int,
-                      initial_state: LatticeState | None = None,
-                      tols: Tolerances = DEFAULT_TOLERANCES) -> Trajectory:
+                      initial_state: LatticeState | None = None) -> Trajectory:
     """Sample a single trajectory from its own stream seed.
 
     Note this takes the per-trajectory stream seed; trajectory i of
@@ -202,8 +200,7 @@ class BatchStatistics:
 def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
                      initial_state: LatticeState | None = None,
                      mean: np.ndarray | None = None,
-                     covariance: np.ndarray | None = None,
-                     tols: Tolerances = DEFAULT_TOLERANCES) -> BatchStatistics:
+                     covariance: np.ndarray | None = None) -> BatchStatistics:
     """Run ``n_traj`` trajectories of ``n_steps`` steps from a root seed.
 
     Drift and covariance for standardization are computed from the model
@@ -216,11 +213,11 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
         from .asymptotics import covariance as cov_fn
         from .asymptotics import drift as drift_fn
         from .asymptotics import invariant_state
-        rho = invariant_state(model, tols)
+        rho = invariant_state(model)
         if mean is None:
-            mean = drift_fn(model, rho, tols)
+            mean = drift_fn(model, rho)
         if covariance is None:
-            covariance = cov_fn(model, rho, tols)
+            covariance = cov_fn(model, rho)
     mean = np.asarray(mean, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
 
@@ -304,8 +301,7 @@ def _num_paths(model: KrausModel, p: int) -> int:
 
 def exact_distribution(model: KrausModel, p: int,
                        initial_state: LatticeState | None = None,
-                       max_paths: int = PATH_BUDGET,
-                       tols: Tolerances = DEFAULT_TOLERANCES) -> ExactDistribution:
+                       max_paths: int = PATH_BUDGET) -> ExactDistribution:
     """Exact position distribution after p steps (two routes, cross-checked)."""
     if initial_state is None:
         initial_state = default_initial_state(model)
@@ -359,8 +355,7 @@ class MgfReport:
 
 def mgf_check(model: KrausModel, u, p: int,
               initial_state: LatticeState | None = None,
-              max_paths: int = PATH_BUDGET,
-              tols: Tolerances = DEFAULT_TOLERANCES) -> MgfReport:
+              max_paths: int = PATH_BUDGET) -> MgfReport:
     """E[exp(<u, X_p - X_0>)] by path enumeration vs the tilted-map power."""
     if initial_state is None:
         initial_state = default_initial_state(model)

@@ -15,7 +15,6 @@ from oqwalk import (
     covariance,
     covariance_ags,
     drift,
-    find_kinks,
     invariant_state,
     lambda_curve,
     log_lambda,
@@ -143,10 +142,11 @@ def test_breakdown_curve_has_exactly_one_certified_kink(breakdown_model):
 
 
 def test_kink_finder_agrees_with_the_curve(breakdown_model, std_model):
-    kinks = find_kinks(breakdown_model)
+    grid = np.linspace(-4, 4, 41)
+    kinks = lambda_curve(breakdown_model, grid).kinks
     assert len(kinks) == 1
     assert kinks[0].u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-4)
-    assert find_kinks(std_model) == ()
+    assert lambda_curve(std_model, grid).kinks == ()
 
 
 def _count_calls(monkeypatch, name, *modules):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oqwalk import (
+    AssumptionError,
     HermiticityError,
     PositivityError,
     SingularRestrictionError,
@@ -132,6 +133,16 @@ def test_solve_on_traceless_inverts_id_minus_map(std_model):
     x = solve_on_traceless(a, rhs)
     assert abs(np.trace(x)) < 1e-11
     np.testing.assert_allclose(unvec(a @ vec(x)), rhs, atol=1e-12)
+
+
+def test_non_square_eigendecomposition_is_an_assumption_error():
+    with pytest.raises(AssumptionError):
+        eigendecompose(np.ones((2, 3)))
+
+
+def test_solve_on_traceless_rejects_a_side_mismatch():
+    with pytest.raises(AssumptionError):
+        solve_on_traceless(np.eye(9), np.diag([1.0, -1.0]))
 
 
 def test_solve_on_traceless_rejects_traced_rhs():

@@ -8,6 +8,7 @@ from oqwalk import (
     AssumptionError,
     algebra_closure,
     bn_decomposition,
+    builtin,
     c2_m_classifier,
     classify_c2,
     is_irreducible_L,
@@ -195,6 +196,24 @@ def test_regularity_verdicts(std_model, periodic_model, breakdown_model,
     assert (r.regular, r.period) == (False, 2)
 
     assert is_regular(classical_model).regular
+
+
+@pytest.mark.parametrize("name", ["std_example", "periodic_example", "antidiag_example"])
+@pytest.mark.parametrize("query", [is_regular, period])
+def test_period_and_regularity_compute_the_operator_closure_once(name, query,
+                                                                 monkeypatch):
+    import oqwalk.structure as structure
+
+    calls = []
+    real = structure.algebra_closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "algebra_closure", counting)
+    query(builtin(name))
+    assert len(calls) == 1
 
 
 # -- recurrent / decaying splitting ---------------------------------------------

@@ -175,3 +175,8 @@ def test_dense_eigensolver_cap_is_an_assumption_error():
         spectral_radius(big)
     with pytest.raises(AssumptionError):
         eigendecompose(big.matrix)
+
+
+def test_step_functional_shape_mismatch_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError):
+        deform_weighted(std_model, np.array([1.0, -1.0, 0.0]), 0.5)
