@@ -142,8 +142,12 @@ def _directional_curvature_ags(model: KrausModel, u: np.ndarray,
     return lam2 - lam1**2
 
 
-def _quadratic_form_to_matrix(model: KrausModel, q) -> np.ndarray:
-    """Assemble a symmetric matrix from its quadratic form by polarization."""
+def _covariance_from_form(model: KrausModel, q, what: str) -> np.ndarray:
+    """Covariance from its quadratic form by polarization, checked PSD.
+
+    ``q`` is called on the coordinate axes first, then on their pairwise
+    sums and differences.
+    """
     d = model.lattice_dim
     c = np.zeros((d, d))
     basis = np.eye(d)
@@ -154,25 +158,35 @@ def _quadratic_form_to_matrix(model: KrausModel, q) -> np.ndarray:
             plus = q(basis[i] + basis[j])
             minus = q(basis[i] - basis[j])
             c[i, j] = c[j, i] = (plus - minus) / 4
-    return (c + c.T) / 2
+    c = (c + c.T) / 2
+    report = psd_check(c.astype(complex), tol=1e-8)
+    if not report.is_psd:
+        raise PositivityError(
+            f"{what} is not positive semidefinite "
+            f"(minimum eigenvalue {report.min_eigenvalue:.3e})"
+        )
+    return c
+
+
+def _covariance_and_correctors(model: KrausModel, rho: np.ndarray,
+                               superop: Superoperator) -> tuple[np.ndarray, list]:
+    """Corrector-route covariance and the traceless corrector of each axis."""
+    etas = []
+
+    def curvature(u: np.ndarray) -> float:
+        value, eta = _directional_curvature_eta(model, u, rho, superop)
+        if len(etas) < model.lattice_dim:  # the axes come first
+            etas.append(eta)
+        return value
+
+    return _covariance_from_form(model, curvature, "covariance"), etas
 
 
 def covariance(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     """CLT covariance via the corrector (traceless-solve) route."""
     if rho is None:
         rho = invariant_state(model)
-    superop = build_superop(model)
-    c = _quadratic_form_to_matrix(
-        model,
-        lambda u: _directional_curvature_eta(model, u, rho, superop)[0],
-    )
-    report = psd_check(c.astype(complex), tol=1e-8)
-    if not report.is_psd:
-        raise PositivityError(
-            f"covariance is not positive semidefinite "
-            f"(minimum eigenvalue {report.min_eigenvalue:.3e})"
-        )
-    return c
+    return _covariance_and_correctors(model, rho, build_superop(model))[0]
 
 
 def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
@@ -183,17 +197,9 @@ def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
     if mean is None:
         mean = drift(model, rho)
     superop = build_superop(model)
-    c = _quadratic_form_to_matrix(
-        model,
-        lambda u: _directional_curvature_ags(model, u, rho, superop, mean),
-    )
-    report = psd_check(c.astype(complex), tol=1e-8)
-    if not report.is_psd:
-        raise PositivityError(
-            f"covariance (adjoint route) is not positive semidefinite "
-            f"(minimum eigenvalue {report.min_eigenvalue:.3e})"
-        )
-    return c
+    return _covariance_from_form(
+        model, lambda u: _directional_curvature_ags(model, u, rho, superop, mean),
+        "covariance (adjoint route)")
 
 
 @dataclass(frozen=True)
@@ -222,17 +228,14 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     """
     rho = invariant_state(model)
     mean = drift(model, rho)
-    c_eta = covariance(model, rho)
+    superop = build_superop(model)
+    c_eta, etas = _covariance_and_correctors(model, rho, superop)
     c_ags = covariance_ags(model, rho, mean)
     route_gap = float(np.max(np.abs(c_eta - c_ags)))
 
-    superop = build_superop(model)
-    etas = []
     eta_residual = 0.0
-    for i in range(model.lattice_dim):
-        e = np.zeros(model.lattice_dim)
-        e[i] = 1.0
-        _, eta = _directional_curvature_eta(model, e, rho, superop)
+    for i, eta in enumerate(etas):
+        e = np.eye(model.lattice_dim)[i]
         if abs(np.trace(eta)) > 1e-12:
             raise TraceGaugeError(
                 f"corrector along axis {i} has trace {np.trace(eta):.3e}"
@@ -241,7 +244,6 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
         lam1 = float(np.trace(d1.apply(rho)).real)
         defect = (eta - superop.apply(eta)) - (d1.apply(rho) - lam1 * rho)
         eta_residual = max(eta_residual, float(np.linalg.norm(defect)))
-        etas.append(eta)
 
     h = 1e-5
     fd = np.zeros_like(mean)

@@ -352,7 +352,11 @@ def is_regular(model: KrausModel) -> RegularityReport:
     """
     if not is_irreducible_L(model).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    pd = _period_of_irreducible(model)
+    return _regularity_of_irreducible(model, _period_of_irreducible(model))
+
+
+def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityReport:
+    """:func:`is_regular` for an irreducible map whose period data is known."""
     if pd.period != 1:
         return RegularityReport(regular=False, period=pd.period, onset_estimate=None)
 

@@ -1,4 +1,4 @@
-"""Seeded quantum-trajectory simulation and exact small-horizon oracles.
+"""Seeded quantum-trajectory simulation and exact oracles.
 
 A trajectory alternates measurement-driven jumps: at each step the walker
 moves by displacement s with probability ||L_s psi||^2 and its internal state
@@ -14,10 +14,10 @@ trajectory's arithmetic is independent of the batch it runs in: trajectory i
 of a batch with root seed r is bit-for-bit the trajectory of stream seed
 derive_seed(r, i) (same platform).
 
-Two exact companions keep the sampler honest on small horizons: a path-sum
-distribution (every displacement word enumerated) cross-checked against
-iterating the lattice map, and the tilted-map identity for the moment
-generating function.
+Two exact oracles keep the sampler honest at the horizons it runs at: the
+p-step position law from a windowed array propagator, cross-checked against
+iterating the lattice map (``apply_M``), and the moment generating function
+from the same propagator, cross-checked against the tilted map's p-th power.
 """
 from __future__ import annotations
 
@@ -28,15 +28,14 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import (
-    DegenerateStepError,
-    PathBudgetError,
     ConvergenceError,
+    DegenerateStepError,
     StandardizationError,
     TraceDriftError,
 )
 from .model import KrausModel, LatticeState, default_initial_state
 from .rng import derive_seeds, unit_draws_array
-from .superop import apply_M, deform
+from .superop import apply_M
 
 __all__ = [
     "Trajectory",
@@ -48,10 +47,7 @@ __all__ = [
     "exact_distribution",
     "MgfReport",
     "mgf_check",
-    "PATH_BUDGET",
 ]
-
-PATH_BUDGET = 2**20
 
 
 def _unravel(initial_state: LatticeState):
@@ -277,16 +273,60 @@ def write_batch_csv(batch: BatchStatistics, fileobj) -> None:
 
 
 # --------------------------------------------------------------------------
-# Exact small-horizon references.
+# Exact oracles.
 # --------------------------------------------------------------------------
+
+def _propagate(model: KrausModel, blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact p-step position law of the walk started from ``blocks``.
+
+    Every site reachable in p steps lies in the box of the start sites
+    widened by p extreme steps.  Flattened row-major, the box turns each
+    displacement into one flat offset, and a shifted reachable range never
+    wraps.  Blocks are stored row-vectorised, so a step is one GEMM per
+    displacement, ``B[a+o:b+o] += A[a:b] @ (L (x) conj L)^T``, over the
+    occupied range [a, b) only.  A reach mask shifts alongside, so the sites
+    returned (in lexicographic order, with their masses) are exactly those
+    some word reaches, zero-mass ones included.
+    """
+    n, order = model.internal_dim, sorted(blocks)
+    steps = model.steps_array.astype(np.int64)
+    starts = np.array(order, dtype=np.int64).reshape(len(order), -1)
+    lo = starts.min(axis=0) + p * np.minimum(steps.min(axis=0), 0)
+    shape = starts.max(axis=0) + p * np.maximum(steps.max(axis=0), 0) - lo + 1
+    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(len(shape))])
+    offsets = steps @ strides
+    ops = model.operators
+    kron_t = np.einsum("kij,kab->kjbia", ops, ops.conj()).reshape(len(ops), n * n, n * n)
+
+    cur, nxt = np.zeros((2, int(np.prod(shape)), n * n), dtype=complex)
+    reach, reach_next = np.zeros((2, len(cur)), dtype=bool)
+    flat = (starts - lo) @ strides
+    cur[flat] = np.array([blocks[pos] for pos in order]).reshape(len(order), -1)
+    reach[flat] = True
+    a, b = int(flat.min()), int(flat.max()) + 1
+    for _ in range(p):
+        na, nb = a + int(offsets.min()), b + int(offsets.max())
+        nxt[na:nb] = 0
+        reach_next[na:nb] = False
+        for o, k in zip(offsets, kron_t):
+            nxt[a + o:b + o] += cur[a:b] @ k
+            reach_next[a + o:b + o] |= reach[a:b]
+        cur, nxt, reach, reach_next = nxt, cur, reach_next, reach
+        a, b = na, nb
+
+    hit = np.flatnonzero(reach[a:b]) + a
+    sites = np.stack(np.unravel_index(hit, shape), axis=1) + lo
+    return sites, cur[hit][:, np.arange(n) * (n + 1)].sum(axis=1).real
+
 
 @dataclass(frozen=True)
 class ExactDistribution:
     """Position law after p steps, by two independent computations.
 
-    ``masses`` comes from enumerating every displacement word (path sum);
-    ``masses_iterated`` from iterating the lattice map; ``tv_gap`` is their
-    total-variation distance (must be tiny or construction raises).
+    ``masses`` comes from the windowed array propagator, ``masses_iterated``
+    and ``final_state`` from iterating the lattice map (``apply_M``); both
+    hold every site some word reaches.  ``tv_gap`` is their total-variation
+    distance (must be tiny or construction raises).
     """
 
     masses: dict[tuple[int, ...], float]
@@ -295,33 +335,13 @@ class ExactDistribution:
     final_state: LatticeState
 
 
-def _num_paths(model: KrausModel, p: int) -> int:
-    return model.n_steps**p
-
-
 def exact_distribution(model: KrausModel, p: int,
-                       initial_state: LatticeState | None = None,
-                       max_paths: int = PATH_BUDGET) -> ExactDistribution:
+                       initial_state: LatticeState | None = None) -> ExactDistribution:
     """Exact position distribution after p steps (two routes, cross-checked)."""
     if initial_state is None:
         initial_state = default_initial_state(model)
-    if _num_paths(model, p) > max_paths:
-        raise PathBudgetError(
-            f"{model.n_steps}^{p} paths exceed the budget of {max_paths}"
-        )
-
-    pairs = list(zip(model.displacements, model.operators))
-    masses: dict[tuple[int, ...], float] = {}
-    for pos, block in initial_state.blocks.items():
-        stack = [(0, pos, np.asarray(block, dtype=complex))]
-        while stack:
-            depth, site, sigma = stack.pop()
-            if depth == p:
-                masses[site] = masses.get(site, 0.0) + float(np.trace(sigma).real)
-                continue
-            for s, op in pairs:
-                target = tuple(a + b for a, b in zip(site, s))
-                stack.append((depth + 1, target, op @ sigma @ op.conj().T))
+    sites, weights = _propagate(model, initial_state.blocks, p)
+    masses = dict(zip(map(tuple, sites.tolist()), weights.tolist()))
 
     state = initial_state
     for _ in range(p):
@@ -334,19 +354,23 @@ def exact_distribution(model: KrausModel, p: int,
     tv = 0.5 * sum(abs(masses.get(k, 0.0) - masses_iter.get(k, 0.0)) for k in keys)
     if tv > 1e-10:
         raise ConvergenceError(
-            f"path-sum and iterated-map distributions disagree (TV {tv:.3e})"
+            f"propagated and iterated-map distributions disagree (TV {tv:.3e})"
         )
     total = sum(masses.values())
     if abs(total - 1.0) > 1e-10:
         raise ConvergenceError(
-            f"path-sum distribution has total mass {total!r}, expected 1"
+            f"propagated distribution has total mass {total!r}, expected 1"
         )
     return ExactDistribution(masses, masses_iter, float(tv), state)
 
 
 @dataclass(frozen=True)
 class MgfReport:
-    """Moment generating function of the p-step displacement, both routes."""
+    """Moment generating function of the p-step displacement, both routes.
+
+    ``relative_gap`` compares the routes rescaled by exp(-p max_s <u, s>);
+    the two values are unscaled and overflow to inf at long horizons.
+    """
 
     path_value: float
     tilted_value: float
@@ -354,37 +378,32 @@ class MgfReport:
 
 
 def mgf_check(model: KrausModel, u, p: int,
-              initial_state: LatticeState | None = None,
-              max_paths: int = PATH_BUDGET) -> MgfReport:
-    """E[exp(<u, X_p - X_0>)] by path enumeration vs the tilted-map power."""
+              initial_state: LatticeState | None = None) -> MgfReport:
+    """E[exp(<u, X_p - X_0>)] by the propagator vs the tilted-map power.
+
+    By translation invariance, X_p - X_0 has the position law of the walk
+    started from the summed blocks rho at the origin, which the propagator
+    gives; the other route is Tr(L_u^p rho).  Both use weights shifted by
+    exp(-max_s <u, s>) per step, as in ``asymptotics._shifted_map``, so
+    neither overflows; if both underflow, :class:`ConvergenceError`.
+    """
+    from .asymptotics import _shifted_map
     if initial_state is None:
         initial_state = default_initial_state(model)
-    if _num_paths(model, p) > max_paths:
-        raise PathBudgetError(
-            f"{model.n_steps}^{p} paths exceed the budget of {max_paths}"
-        )
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    rho = sum(np.asarray(b, dtype=complex) for b in initial_state.blocks.values())
 
-    pairs = list(zip(model.displacements, model.operators))
-    path_value = 0.0
-    for pos, block in initial_state.blocks.items():
-        stack = [(0, np.zeros(model.lattice_dim), np.asarray(block, dtype=complex))]
-        while stack:
-            depth, disp, sigma = stack.pop()
-            if depth == p:
-                path_value += float(np.exp(u @ disp) * np.trace(sigma).real)
-                continue
-            for s, op in pairs:
-                stack.append(
-                    (depth + 1, disp + np.asarray(s), op @ sigma @ op.conj().T)
-                )
-
-    tilted = deform(model, u)
-    tilted_value = 0.0
-    for block in initial_state.blocks.values():
-        tilted_value += float(np.trace(tilted.power_apply(block, p)).real)
-
-    gap = abs(path_value - tilted_value) / max(
-        abs(path_value), abs(tilted_value), np.finfo(float).tiny
-    )
-    return MgfReport(path_value, tilted_value, float(gap))
+    sites, weights = _propagate(model, {(0,) * model.lattice_dim: rho}, p)
+    shift, shifted = _shifted_map(model, u)
+    path = float(np.exp(sites @ u - p * shift) @ weights)
+    tilted = float(np.trace(shifted.power_apply(rho, p)).real)
+    larger = max(abs(path), abs(tilted))
+    if larger < np.finfo(float).tiny:
+        raise ConvergenceError(
+            f"scaled moments underflow at p={p} (propagator {path:.3e}, "
+            f"tilted map {tilted:.3e})"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(p * shift)
+        return MgfReport(float(path * scale), float(tilted * scale),
+                         abs(path - tilted) / larger)

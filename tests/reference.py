@@ -182,3 +182,43 @@ VARIANCES = {
 }
 
 LAMBDA_PP0 = {name: VARIANCES[name] + MEANS[name] ** 2 for name in MEANS}
+
+
+# ---------------------------------------------------------------------------
+# Path sums: every displacement word of length p enumerated, K^p sandwiches.
+# Only for small p; they take plain displacement tuples, operator arrays and
+# a {site: block} mapping, so nothing of the package is involved.
+# ---------------------------------------------------------------------------
+
+def _words(displacements, operators, blocks, p):
+    """Yield (start site, end site, final block) for every word of length p."""
+    pairs = [(tuple(s), np.asarray(op, dtype=complex))
+             for s, op in zip(displacements, operators)]
+    for start, block in blocks.items():
+        stack = [(0, tuple(start), np.asarray(block, dtype=complex))]
+        while stack:
+            depth, site, sigma = stack.pop()
+            if depth == p:
+                yield tuple(start), site, sigma
+                continue
+            for s, op in pairs:
+                target = tuple(a + b for a, b in zip(site, s))
+                stack.append((depth + 1, target, op @ sigma @ op.conj().T))
+
+
+def path_sum_masses(displacements, operators, blocks, p):
+    """Position law after p steps: the traces of the words' blocks, per end site."""
+    masses = {}
+    for _, site, sigma in _words(displacements, operators, blocks, p):
+        masses[site] = masses.get(site, 0.0) + float(np.trace(sigma).real)
+    return masses
+
+
+def path_sum_mgf(displacements, operators, blocks, u, p):
+    """E[exp(<u, X_p - X_0>)] as a sum over words."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    total = 0.0
+    for start, site, sigma in _words(displacements, operators, blocks, p):
+        shift = float(u @ np.subtract(site, start))
+        total += float(np.exp(shift) * np.trace(sigma).real)
+    return total

@@ -98,6 +98,20 @@ def test_full_stats_raise_cleanly_without_a_unique_invariant_state():
         asymptotic_stats(diagonal_pair_model(5))
 
 
+@pytest.mark.parametrize("label, solves", [("std", 1), ("2-D", 4)])
+def test_asymptotic_stats_solves_each_corrector_once(label, solves, monkeypatch):
+    """d axis solves plus d (d - 1) polarization solves; the axis correctors
+    of ``eta_basis`` reuse the covariance's diagonal solves."""
+    import oqwalk.asymptotics as asymptotics
+
+    model = (builtin("std_example") if label == "std"
+             else random_isometry_model(3, n=2, steps=STEPS_2D))
+    calls = _count_calls(monkeypatch, "solve_on_traceless", asymptotics)
+    stats = asymptotic_stats(model)
+    assert len(calls) == solves
+    assert len(stats.eta_basis) == model.lattice_dim
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_routes_and_finite_differences_agree_on_random_models(seed):

@@ -117,6 +117,26 @@ def test_analyze_breakdown_model(capsys):
     assert doc["two_level"]["reducible_reason"] == "common-eigenvector"
 
 
+@pytest.mark.parametrize("name, closures", [("std_example", 2),
+                                             ("periodic_example", 4)])
+def test_analyze_computes_the_auxiliary_closure_once(name, closures, monkeypatch,
+                                                     capsys):
+    """One closure for the auxiliary map; the rest are the lattice-walk
+    search's, one per word length from its first return word on."""
+    import oqwalk.structure as structure
+
+    calls = []
+    real = structure.algebra_closure
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "algebra_closure", counting)
+    run_json(capsys, ["analyze", "--builtin", name])
+    assert len(calls) == closures
+
+
 # -- asymptotics ----------------------------------------------------------------
 
 def test_asymptotics_standard_model(tmp_path, capsys):
@@ -244,14 +264,28 @@ def test_oracle_check_passes_on_the_periodic_model(capsys):
     assert "FAIL" not in outerr.out
 
 
-def test_oracle_check_respects_the_path_budget(tmp_path, capsys):
-    # 33 step directions: 33^4 words already exceed the 2^20 path budget
+def test_oracle_check_runs_past_the_old_path_budget(tmp_path, capsys):
+    # 33 step directions: 33^10 words, far past the former 2^20 path budget
     steps = tuple((k,) for k in range(-16, 17))
     path = tmp_path / "wide.json"
     dump_model(random_isometry_model(1, n=2, steps=steps), path)
     assert main(["oracle-check", "--model", str(path), "-P", "10",
-                 "-u", "0.1"]) == 3
-    assert "error:" in capsys.readouterr().err
+                 "-u", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert out.strip().endswith("PASS")
+    assert "FAIL" not in out
+
+
+def test_oracle_check_fails_an_underflowing_moment_check(capsys):
+    # weights shifted by exp(-40) leave 0.01^p of the moment: below the
+    # smallest normal double from p = 154 on, so the comparison is vacuous
+    code = main(["oracle-check", "--builtin", "classical_dilation", "--p", "0.01",
+                 "-P", "160", "-u", "40"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[0].startswith("ok mgf p=1 ")
+    assert "FAIL mgf p=160 u=40.0 gap=nan" in lines
+    assert lines[-1] == "FAIL (7 checks)"
 
 
 def test_oracle_check_writes_its_report(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from oqwalk import (
     AssumptionError,
+    PathBudgetError,
     algebra_closure,
     bn_decomposition,
     builtin,
@@ -342,6 +343,20 @@ def test_walk_irreducibility_respects_the_length_budget(std_model):
     assert verdict.verdict == "inconclusive"
     assert verdict.closure_dimension == 0
     assert verdict.max_length_used <= 1
+
+
+def test_walk_irreducibility_enforces_its_word_budget(periodic_model, monkeypatch):
+    import oqwalk.structure as structure
+
+    # the reducible verdict needs a stall over lengths 2-4, so no early exit
+    full = is_irreducible_M(periodic_model)
+    assert (full.verdict, full.max_length_used) == ("reducible", 4)
+    # length L holds 2^L words: a budget of 2^3 stops the search at length 4
+    monkeypatch.setattr(structure, "_WORD_BUDGET", 2**3)
+    with pytest.raises(PathBudgetError):
+        is_irreducible_M(periodic_model)
+    monkeypatch.setattr(structure, "_WORD_BUDGET", 2**4)
+    assert is_irreducible_M(periodic_model).verdict == "reducible"
 
 
 def test_breakdown_walk_is_not_irreducible(breakdown_model):

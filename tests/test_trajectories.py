@@ -1,14 +1,14 @@
-"""Trajectory engine: seeding, exact small-horizon oracles, standardization."""
+"""Trajectory engine: seeding, exact oracles, standardization."""
 import io
 
 import numpy as np
 import pytest
 
 from oqwalk import (
+    ConvergenceError,
     DegenerateStepError,
     KrausModel,
     LatticeState,
-    PathBudgetError,
     StandardizationError,
     TraceDriftError,
     batch_statistics,
@@ -24,9 +24,10 @@ from oqwalk import (
 from oqwalk.rng import derive_seed, derive_seeds
 from oqwalk.trajectories import _engine, _unravel
 import reference
-from model_zoo import NN_STEPS, broken_scaled_model
+from model_zoo import NN_STEPS, STEPS_2D, broken_scaled_model, random_isometry_model
 
 
+E1 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E2 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 
@@ -135,14 +136,45 @@ def test_ballistic_corner_of_the_breakdown_model(breakdown_model):
             float(np.vdot(power, power).real), abs=1e-12)
 
 
-def test_path_budget_is_enforced(std_model):
-    with pytest.raises(PathBudgetError):
-        exact_distribution(std_model, 25)
-    with pytest.raises(PathBudgetError):
-        mgf_check(std_model, 0.5, 25)
-    # a tighter explicit budget trips earlier
-    with pytest.raises(PathBudgetError):
-        exact_distribution(std_model, 5, max_paths=16)
+def test_oracles_run_past_the_old_path_budget(std_model, classical_model):
+    """Horizons whose word counts K^p lie far above the former 2^20 budget."""
+    q = 0.7
+    dist = exact_distribution(builtin("classical_dilation", p=q), 40)
+    assert set(dist.masses) == {(2 * j - 40,) for j in range(41)}
+    for j in range(41):
+        assert dist.masses[(2 * j - 40,)] == pytest.approx(
+            reference.binomial_mass(40, j, q), abs=1e-13)
+    dist = exact_distribution(std_model, 25)
+    assert dist.tv_gap <= 1e-10
+    assert sum(dist.masses.values()) == pytest.approx(1.0, abs=1e-12)
+
+    report = mgf_check(classical_model, 0.8, 40)
+    assert report.path_value == pytest.approx(float(np.cosh(0.8) ** 40), rel=1e-12)
+    # exp(p c) = e^1600 overflows; the gap is taken between scaled values
+    report = mgf_check(std_model, 4.0, 400)
+    assert np.isfinite(report.relative_gap) and report.relative_gap <= 1e-10
+    # both scaled values underflow: no vacuous zero gap
+    with pytest.raises(ConvergenceError):
+        mgf_check(std_model, -3.0, 1000)
+
+
+def test_propagator_matches_the_path_sum(all_builtins, std_model):
+    walk_2d = random_isometry_model(11, n=2, steps=STEPS_2D)
+    cases = [(name, model, default_initial_state(model), 10, 0.7)
+             for name, model in all_builtins.items()]
+    cases += [("mixed two-site start", std_model, mixed_two_site_start(std_model), 10, -0.6),
+              ("2-D, K = 4", walk_2d, default_initial_state(walk_2d), 7, [0.4, -0.3])]
+    for label, model, start, p_max, u in cases:
+        args = (model.displacements, model.operators, start.blocks)
+        for p in range(p_max + 1):
+            dist = exact_distribution(model, p, initial_state=start)
+            ref = reference.path_sum_masses(*args, p)
+            assert set(dist.masses) == set(ref) == set(dist.masses_iterated), (label, p)
+            for site, mass in ref.items():
+                assert abs(dist.masses[site] - mass) <= 1e-14, (label, p, site)
+            value = mgf_check(model, u, p, initial_state=start).path_value
+            assert value == pytest.approx(reference.path_sum_mgf(*args, u, p),
+                                          rel=1e-13), (label, p)
 
 
 # -- moment generating function oracle --------------------------------------------
@@ -189,6 +221,26 @@ def test_sampled_endpoints_match_the_exact_law(classical_model, std_model):
         support = sorted({pos[0] for pos in dist.masses} | set(counts))
         f_exact = np.cumsum([dist.masses.get((x,), 0.0) for x in support])
         f_sample = np.cumsum([counts.get(x, 0) for x in support]) / n_traj
+        assert np.max(np.abs(f_sample - f_exact)) <= eps
+
+
+def test_sampled_endpoints_match_the_exact_law_at_long_horizons(
+        std_model, periodic_model, breakdown_model):
+    """The three CLT cases of the acceptance suite, at P = 200, against the
+    exact P-step law rather than the Gaussian limit: sup|F_N - F_P| <= eps
+    with eps from the DKW bound at false-alarm probability 1e-6."""
+    n_traj, p_steps = 10000, 200
+    eps = np.sqrt(np.log(2 / 1e-6) / (2 * n_traj))
+    for model, start in ((std_model, None), (periodic_model, None),
+                         (breakdown_model, point_initial_state(breakdown_model, E1))):
+        batch = batch_statistics(model, p_steps, n_traj, seed=4242,
+                                 initial_state=start)
+        dist = exact_distribution(model, p_steps, initial_state=start)
+        ends, counts = np.unique(batch.finals[:, 0], return_counts=True)
+        support = sorted({pos[0] for pos in dist.masses} | set(ends.tolist()))
+        f_exact = np.cumsum([dist.masses.get((x,), 0.0) for x in support])
+        sampled = dict(zip(ends.tolist(), counts.tolist()))
+        f_sample = np.cumsum([sampled.get(x, 0) for x in support]) / n_traj
         assert np.max(np.abs(f_sample - f_exact)) <= eps
 
 
