@@ -9,6 +9,7 @@ where the generic spectral route degenerates.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     MultiplicityError,
     PositivityError,
     SingularRestrictionError,
+    SpectralIndeterminateError,
     TraceGaugeError,
 )
 from .model import KrausModel, LatticeState, default_initial_state
@@ -270,6 +272,50 @@ def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator
     return shift, weighted_superop(model, np.exp(phi - shift))
 
 
+def _log_lambda_derivatives(model: KrausModel,
+                            u: float) -> tuple[float, float, float] | None:
+    """``(c, c', c'')`` at ``u`` for ``c = log lambda`` on a 1-D walk.
+
+    One Perron triple of the overflow-free shifted map gives all three: with
+    ``r = vec(rho_u)``, ``l = vec(m_u)`` and ``M'``, ``M''`` the maps that
+    weight each Kraus term by ``s`` and ``s^2``, Hellmann-Feynman gives
+    ``c' = l^dag M' r / lambda``, and ``c'' = (l^dag M'' r + 2 l^dag M' x) /
+    lambda - c'^2``, where ``x`` solves the bordered system ``(lambda I - M +
+    r l^dag) x = (M' - c' lambda) r`` (the derivative of r with l^dag x = 0).
+    The shift rescales M, M' and M'' alike, so it drops out of c' and c''.
+
+    Returns None wherever these formulas cannot be trusted: the Perron data
+    is uncertified, degenerate or within 1e-6 of another eigenvalue, the
+    bordered system is singular, or ``c''`` is not finite and positive.
+    """
+    steps = model.steps_array[:, 0]
+    shift, shifted = _shifted_map(model, np.array([u]))
+    try:
+        data = perron(shifted)
+    except (SpectralIndeterminateError, PositivityError):
+        return None
+    if data.degenerate or data.separation < 1e-6:
+        return None
+    lam, rho, m = data.lambda_u, data.rho_u, data.m_u
+    ops = model.operators
+    ops_dag = ops.conj().transpose(0, 2, 1)
+    d1 = steps * np.exp(steps * u - shift)  # Kraus weights of M'
+    sandwiches = ops @ rho @ ops_dag
+    paired = np.einsum("ij,sji->s", m, sandwiches).real  # Tr(m L_s rho L_s^dag)
+    c1 = float(d1 @ paired) / lam
+    rhs = np.einsum("s,sij->ij", d1, sandwiches) - c1 * lam * rho
+    bordered = lam * np.eye(rho.size) - shifted.matrix + np.outer(vec(rho), vec(m).conj())
+    try:
+        x = unvec(np.linalg.solve(bordered, vec(rhs)), rho.shape[0])
+    except np.linalg.LinAlgError:
+        return None
+    paired_x = np.einsum("ij,sji->s", m, ops @ x @ ops_dag).real
+    c2 = float((steps * d1) @ paired + 2 * d1 @ paired_x) / lam - c1**2
+    if not (np.isfinite(c2) and c2 > 0):
+        return None
+    return shift + float(np.log(lam)), c1, c2
+
+
 def log_lambda(model: KrausModel, u) -> float:
     """log of the leading tilted eigenvalue, stable for large tilts."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -344,15 +390,16 @@ def lambda_curve(model: KrausModel, parameters, direction=None,
                  refine_kinks: bool = True) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
-    Each grid point goes through a full Perron extraction (on the rescaled
-    map, so large tilts cannot overflow).  Kink refinement between grid points
-    uses radius-only evaluations and runs only when the Kraus operators do not
-    generate the full matrix algebra: tilting rescales each operator by a
-    positive scalar, so with a full algebra every tilted map is irreducible,
-    its spectral radius is a simple eigenvalue, and lambda_u is real-analytic
-    with no kink to find.  Kinks are certified to a bracket of width 1e-7 and
-    reported with one-sided slopes from secants at offsets 1e-4 and 2e-4
-    outside the bracket.
+    Each grid point goes through a full Perron extraction: one
+    eigendecomposition, and a left vector by inverse iteration, on the
+    rescaled map so large tilts cannot overflow.  Kink refinement between
+    grid points uses radius-only evaluations and runs only when the Kraus
+    operators do not generate the full matrix algebra: tilting rescales each
+    operator by a positive scalar, so with a full algebra every tilted map is
+    irreducible, its spectral radius is a simple eigenvalue, and lambda_u is
+    real-analytic with no kink to find.  Kinks are certified to a bracket of
+    width 1e-7 and reported with one-sided slopes from secants at offsets
+    1e-4 and 2e-4 outside the bracket.
     """
     if refine_kinks:
         n = model.internal_dim
@@ -465,9 +512,45 @@ def _golden_max(g, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float
     return u, g(u)
 
 
-def _legendre_point(c, x: float, u_lo: float, u_hi: float,
-                    points: int) -> tuple[float, float]:
-    """sup_u (u x - c(u)) by grid bracketing, window growth, golden refinement."""
+def _newton_max(derivatives, x: float, a: float, u: float,
+                b: float) -> tuple[float, float] | None:
+    """Solve c'(u) = x by Newton from u, safeguarded inside [a, b].
+
+    A step that leaves the bracket is replaced by bisection; the bracket
+    shrinks by the sign of c' - x, which orders points because c is convex.
+    Stops at |c' - x| <= 1e-12 max(1, |x|) and returns (u, u x - c(u)) like
+    :func:`_golden_max`; None when ``derivatives`` declines a point or 16
+    steps do not converge.
+    """
+    tol = 1e-12 * max(1.0, abs(x))
+    for _ in range(16):
+        point = derivatives(u)
+        if point is None:
+            return None
+        value, slope, curvature = point
+        miss = slope - x
+        if abs(miss) <= tol:
+            return u, u * x - value
+        if miss < 0:
+            a = u
+        else:
+            b = u
+        u_next = u - miss / curvature
+        u = u_next if a < u_next < b else (a + b) / 2
+    return None
+
+
+def _legendre_point(c, x: float, u_lo: float, u_hi: float, points: int,
+                    derivatives=None) -> tuple[float, float]:
+    """sup_u (u x - c(u)) by grid bracketing, window growth and refinement.
+
+    Once the grid puts the maximum at an interior point, the maximizer is
+    refined by :func:`_newton_max` inside the two neighbouring cells when
+    ``derivatives`` is given, and by golden section on the same bracket when
+    it is not or when Newton gives up (a degenerate, nearly degenerate or
+    uncertified Perron triple, a singular bordered solve, a curvature that
+    is not positive, or no convergence in 16 steps).
+    """
     us = list(np.linspace(u_lo, u_hi, points))
     gs = [u * x - c(u) for u in us]
     for _ in range(64):
@@ -477,9 +560,9 @@ def _legendre_point(c, x: float, u_lo: float, u_hi: float,
         if max(gs) - min(gs) <= 1e-12 * max(1.0, abs(gs[i])):
             return float(gs[i]), float(us[i])  # flat objective (degenerate walk)
         if 0 < i < len(us) - 1:
-            u_star, val = _golden_max(
-                lambda u: u * x - c(u), us[i - 1], us[i + 1]
-            )
+            a, b = us[i - 1], us[i + 1]
+            newton = derivatives and _newton_max(derivatives, x, a, us[i], b)
+            u_star, val = newton or _golden_max(lambda u: u * x - c(u), a, b)
             return float(val), float(u_star)
         # Maximum at the window edge: extend outward by the current width.
         width = us[-1] - us[0]
@@ -500,7 +583,16 @@ def _legendre_point(c, x: float, u_lo: float, u_hi: float,
 def rate_function(model: KrausModel, positions,
                   u_min: float = -4.0, u_max: float = 4.0,
                   points: int = 41) -> RateFunctionTable:
-    """Large-deviation rate function on a grid of velocities (1-D walks only)."""
+    """Large-deviation rate function on a grid of velocities (1-D walks only).
+
+    ``log lambda_u`` is sampled on ``points`` tilts in ``[u_min, u_max]``, and
+    the window grows outward while a maximum sits at its edge.  For an
+    irreducible map each maximizer is then refined by safeguarded Newton steps
+    on ``(log lambda)'(u) = x`` between the grid neighbours, falling back to
+    golden section where a Perron triple is degenerate or uncertified (see
+    :func:`_legendre_point`); a reducible map, whose curve may have kinks,
+    always uses golden section.
+    """
     if model.lattice_dim != 1:
         raise AssumptionError(
             "rate-function evaluation is implemented for one-dimensional walks"
@@ -538,10 +630,16 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
+    # An irreducible map has a simple Perron root, so c is real-analytic and
+    # Newton steps on its Hellmann-Feynman slope apply; a reducible one may
+    # have kinks, where only the golden-section search is safe.
+    derivatives = None if upper_only else functools.cache(
+        functools.partial(_log_lambda_derivatives, model))
+
     values = np.empty(len(xs))
     maximizers = np.empty(len(xs))
     for j, x in enumerate(xs):
-        val, u_star = _legendre_point(c, float(x), u_min, u_max, points)
+        val, u_star = _legendre_point(c, float(x), u_min, u_max, points, derivatives)
         if np.isfinite(val) and val < 0:
             if val < -1e-10:
                 raise ConvergenceError(

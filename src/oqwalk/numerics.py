@@ -146,11 +146,12 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     values = values[order]
     vectors = vectors[:, order]
     # Fix each eigenvector's phase: largest-modulus component made real positive.
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        if abs(pivot) > 0:
-            vectors[:, k] = col * (abs(pivot) / pivot)
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    moduli = np.abs(pivots)
+    phases = np.ones_like(pivots)
+    nonzero = moduli > 0
+    phases[nonzero] = moduli[nonzero] / pivots[nonzero]
+    vectors = vectors * phases[None, :]
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
     scale = max(frob(a), np.finfo(float).tiny)
     if np.any(residuals > RESIDUAL_TOL * scale):

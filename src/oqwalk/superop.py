@@ -147,6 +147,9 @@ class SpectralData:
     * ``gap``: relative modulus gap to the next eigenvalue in sorted order;
       1.0 when there is no other eigenvalue.
     * ``residual``: relative eigen-residual of the returned rho_u.
+    * ``separation``: distance from the root to the nearest other eigenvalue,
+      relative to the radius; 1.0 when there is no other eigenvalue.  Unlike
+      ``gap`` it stays large on a periodic map, whose root is still simple.
     """
 
     lambda_u: float
@@ -155,6 +158,7 @@ class SpectralData:
     degenerate: bool
     gap: float
     residual: float
+    separation: float = 1.0
 
 
 def _hermitian_eigvec(eigensystem: EigenSystem, index: int, n: int) -> np.ndarray:
@@ -177,11 +181,47 @@ def spectral_radius(superoperator: Superoperator) -> float:
     return float(np.max(np.abs(values)))
 
 
+def _left_perron_vector(adjoint: np.ndarray, lam: float, n: int) -> np.ndarray:
+    """Hermitian left Perron vector by inverse iteration on the adjoint.
+
+    Two solves of ``(M^dag - lam (1 + 1e-13) I) w = b``, starting from
+    ``b = vec(I)`` and normalising in between.  ``vec(I)`` pairs with the
+    trace-one Perron state to 1, so it always has a component along the
+    sought vector; each solve shrinks the others by about 1e-13 relative to
+    it, and the second one leaves the vector accurate to rounding.
+    """
+    shifted = adjoint - lam * (1 + 1e-13) * np.eye(n * n)
+    w = vec(np.eye(n, dtype=complex))
+    try:
+        for _ in range(2):
+            w = np.linalg.solve(shifted, w)
+            w = w / np.linalg.norm(w)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralIndeterminateError(
+            "adjoint spectrum misses the Perron root (shifted solve is singular)"
+        ) from exc
+    residual = np.linalg.norm(adjoint @ w - lam * w)
+    scale = max(frob(adjoint), np.finfo(float).tiny)
+    if not residual <= RESIDUAL_TOL * scale:
+        raise SpectralIndeterminateError(
+            f"adjoint spectrum misses the Perron root (left residual "
+            f"{residual:.3e} exceeds {RESIDUAL_TOL:.1e} * ||M||)"
+        )
+    a = unvec(w, n)
+    return (a + a.conj().T) / 2
+
+
 def perron(superoperator: Superoperator) -> SpectralData:
     """Extract the Perron triple (radius, right state, left weight) of a CP map.
 
+    One eigendecomposition of the map gives the radius, the right state and
+    the spectral diagnostics; the left weight comes from two steps of inverse
+    iteration on the adjoint, shifted just past the root, and is gated on its
+    own eigen-residual.
+
     Raises :class:`SpectralIndeterminateError` when no real positive eigenvalue
-    sits at the spectral radius (not a CP map, or hopeless noise), and
+    sits at the spectral radius (not a CP map, or hopeless noise), when either
+    Perron vector misses its residual bound, or when the two pair to zero; and
     :class:`PositivityError` via state projection when the eigenvector has
     negative parts beyond 1e-8.
     """
@@ -205,14 +245,13 @@ def perron(superoperator: Superoperator) -> SpectralData:
             f"circle (closest {top}, radius {radius:.6e}); not a CP spectrum"
         )
     lam = float(top.real)
-    others = np.delete(np.arange(len(es.values)), lead)
-    same = np.abs(es.values[others] - top) <= tol_edge
-    degenerate = bool(np.any(same))
+    others = np.delete(es.values, lead)
+    degenerate = bool(np.any(np.abs(others - top) <= tol_edge))
     if others.size == 0:
-        gap = 1.0
+        gap = separation = 1.0
     else:
-        second = float(np.max(np.abs(es.values[others])))
-        gap = float((radius - second) / radius)
+        gap = float((radius - np.max(np.abs(others))) / radius)
+        separation = float(np.min(np.abs(others - top)) / radius)
 
     rho = project_to_state(_hermitian_eigvec(es, lead, n), what="leading eigenvector")
     scale = max(frob(m), np.finfo(float).tiny)
@@ -222,11 +261,7 @@ def perron(superoperator: Superoperator) -> SpectralData:
             f"leading eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
 
-    es_adj = eigendecompose(m.conj().T)
-    idx = int(np.argmin(np.abs(es_adj.values - lam)))
-    if abs(es_adj.values[idx] - lam) > 1e-8 * max(radius, 1.0):
-        raise SpectralIndeterminateError("adjoint spectrum misses the Perron root")
-    w = _hermitian_eigvec(es_adj, idx, n)
+    w = _left_perron_vector(m.conj().T, lam, n)
     pairing = float(np.trace(w @ rho).real)
     if abs(pairing) <= 1e-12 * max(frob(w), np.finfo(float).tiny):
         raise SpectralIndeterminateError(
@@ -240,4 +275,5 @@ def perron(superoperator: Superoperator) -> SpectralData:
         degenerate=degenerate,
         gap=gap,
         residual=residual,
+        separation=separation,
     )

@@ -154,6 +154,16 @@ def classical_log_lambda(u, p):
     return np.log(p * np.exp(u) + (1.0 - p) * np.exp(-u))
 
 
+def classical_maximizer(x, p):
+    """argmax_u (x u - classical_log_lambda(u, p)) for |x| < 1.
+
+    The slope of log lambda is (p e^u - (1-p) e^-u) / (p e^u + (1-p) e^-u);
+    setting it to x and solving for w = e^{2u} gives w = (1-p)(1+x) / (p(1-x)).
+    """
+    x = np.asarray(x, dtype=float)
+    return 0.5 * np.log((1.0 - p) * (1.0 + x) / (p * (1.0 - x)))
+
+
 def binomial_mass(p_steps, j, q):
     """P(j rightward steps out of p_steps) for the classical walk."""
     from math import comb

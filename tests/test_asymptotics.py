@@ -21,6 +21,7 @@ from oqwalk import (
     point_initial_state,
     rate_function,
 )
+from oqwalk.asymptotics import _log_lambda_derivatives
 import reference
 from model_zoo import (
     STEPS_2D,
@@ -274,6 +275,84 @@ def test_rate_vanishes_at_the_drift_for_every_builtin(all_builtins):
     for name, model in all_builtins.items():
         table = rate_function(model, [float(drift(model)[0])])
         assert table.rate[0] <= 1e-6, name
+
+
+def test_rate_maximizers_match_closed_forms(periodic_model):
+    xs = np.linspace(-0.9, 0.9, 19)
+    table = rate_function(periodic_model, xs)
+    np.testing.assert_allclose(table.maximizers, reference.periodic_maximizer(xs),
+                               rtol=0, atol=1e-10)
+    for p in (0.3, 0.5, 0.8):
+        table = rate_function(builtin("classical_dilation", p=p), xs)
+        np.testing.assert_allclose(table.maximizers, reference.classical_maximizer(xs, p),
+                                   rtol=0, atol=1e-10)
+
+
+_CLT_MODELS = {
+    "std": lambda: builtin("std_example"),
+    "periodic": lambda: builtin("periodic_example"),
+    "isometry_n4": lambda: random_isometry_model(4, n=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLT_MODELS))
+def test_newton_derivatives_at_zero_are_the_clt_constants(name):
+    # A third route to drift and variance: c'(0) and c''(0) of c = log lambda.
+    model = _CLT_MODELS[name]()
+    stats = asymptotic_stats(model)
+    value, slope, curvature = _log_lambda_derivatives(model, 0.0)
+    assert abs(value) < 1e-12
+    assert slope == pytest.approx(stats.mean[0], abs=1e-12)
+    assert curvature == pytest.approx(stats.covariance[0, 0], abs=1e-9)
+
+
+def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
+                                                                    std_model):
+    import oqwalk.asymptotics as asymptotics
+
+    perrons = _count_calls(monkeypatch, "perron", asymptotics)
+    radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
+    for x in np.linspace(-0.9, 0.9, 19):
+        perrons.clear()
+        radii.clear()
+        rate_function(std_model, [x])
+        assert 41 < len(perrons) <= 41 + 6, x  # the grid, then Newton
+        assert radii == [], x  # no golden-section fallback
+
+
+def test_reducible_rate_keeps_the_golden_section_path(monkeypatch, breakdown_model):
+    import oqwalk.asymptotics as asymptotics
+
+    newton = _count_calls(monkeypatch, "_log_lambda_derivatives", asymptotics)
+    golden = _count_calls(monkeypatch, "_golden_max", asymptotics)
+    table = rate_function(breakdown_model, [-0.5, 0.0, 0.5])
+    assert newton == []
+    assert len(golden) == 3
+    assert table.kinks[0] == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-6)
+
+
+def test_boundary_velocities_fall_back_to_golden_section(monkeypatch, periodic_model):
+    import oqwalk.asymptotics as asymptotics
+
+    golden = _count_calls(monkeypatch, "_golden_max", asymptotics)
+    table = rate_function(periodic_model, [-1.0, 1.0])
+    assert len(golden) == 2
+    # Speed-one limits of the closed form, which golden section meets to 3e-15.
+    np.testing.assert_allclose(
+        table.rate, [1.5 * np.log(2), 1.5 * np.log(2) - 0.5 * np.log(3)],
+        rtol=0, atol=1e-12)
+
+
+def test_rate_command_keeps_its_values_at_the_cone_edges():
+    import json
+
+    from test_cli_golden import GOLDEN, run
+
+    result = run("rate", "std_example")
+    assert result["exit_code"] == 0
+    golden = json.loads((GOLDEN / "rate.json").read_text())
+    np.testing.assert_allclose(result["stdout"]["rate"],
+                               golden["std_example"]["stdout"]["rate"], rtol=0, atol=1e-12)
 
 
 def test_rate_function_is_one_dimensional_only():

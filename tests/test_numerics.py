@@ -109,6 +109,29 @@ def test_eigendecompose_tie_ordering_prefers_real_part():
     np.testing.assert_allclose(es.values, [1.0, -1.0], atol=1e-12)
 
 
+def _phase_fixed_by_column_loop(a):
+    """Reference: the per-column phase fix the vectorised one replaced."""
+    values, vectors = np.linalg.eig(a)
+    vectors = vectors[:, np.lexsort((values.imag, -values.real, -np.abs(values)))]
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        pivot = col[np.argmax(np.abs(col))]
+        if abs(pivot) > 0:
+            vectors[:, k] = col * (abs(pivot) / pivot)
+    return vectors
+
+
+@pytest.mark.parametrize("side", [4, 16, 64])
+def test_eigendecompose_phase_fix_matches_the_column_loop(side):
+    rng = np.random.default_rng(side)
+    for _ in range(5):
+        a = random_complex(rng, side, side)
+        es = eigendecompose(a)
+        assert es.vectors.tobytes() == _phase_fixed_by_column_loop(a).tobytes()
+        pivots = es.vectors[np.argmax(np.abs(es.vectors), axis=0), np.arange(side)]
+        assert np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
+
+
 def test_traceless_basis_spans_the_traceless_space():
     for n in (2, 3):
         basis = traceless_basis(n)

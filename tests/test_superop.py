@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oqwalk import (
     AssumptionError,
+    SpectralIndeterminateError,
     apply_L,
     apply_M,
     build_superop,
@@ -18,6 +19,7 @@ from oqwalk import (
 from oqwalk.numerics import eigendecompose
 from oqwalk.superop import (
     Superoperator,
+    _left_perron_vector,
     deform_weighted,
     derivative_maps,
     weighted_superop,
@@ -139,6 +141,53 @@ def test_perron_flags_true_degeneracy_but_not_phase_ties(periodic_model):
     data = perron(build_superop(periodic_model))
     assert not data.degenerate
     assert data.lambda_u == pytest.approx(1.0, abs=1e-12)
+
+
+def test_periodic_root_is_separated_though_its_modulus_gap_is_zero(periodic_model):
+    sup = deform(periodic_model, 0.8)
+    data = perron(sup)
+    assert data.gap < 1e-12  # -lambda sits on the spectral circle too
+    values = np.linalg.eigvals(sup.matrix)
+    distances = np.sort(np.abs(values - data.lambda_u))[1:] / data.lambda_u
+    assert data.separation == pytest.approx(distances[0], abs=1e-12)
+    assert data.separation > 1e-2
+
+
+def test_one_perron_triple_costs_one_eigensolve(monkeypatch):
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    perron(deform(random_isometry_model(5, n=4), 0.3))
+    assert calls == {"eig": 1, "eigvals": 0}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_left_vector_matches_the_adjoint_eigendecomposition(seed):
+    # Reference: the adjoint eigenvector at the Perron root, made Hermitian.
+    model = random_isometry_model(seed, n=3)
+    sup = deform(model, 0.7 * seed - 1.0)
+    data = perron(sup)
+    es = eigendecompose(sup.matrix.conj().T)
+    a = es.vectors[:, int(np.argmin(np.abs(es.values - data.lambda_u)))].reshape(
+        3, 3, order="F")
+    w = (a + a.conj().T) / 2
+    w = w / np.trace(w @ data.rho_u).real
+    np.testing.assert_allclose(data.m_u, w, atol=1e-11)
+    residual = sup.matrix.conj().T @ data.m_u.flatten(order="F") \
+        - data.lambda_u * data.m_u.flatten(order="F")
+    assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(data.m_u)
+
+
+def test_left_vector_gate_rejects_a_root_the_adjoint_lacks(std_model):
+    adjoint = build_superop(std_model).matrix.conj().T
+    with pytest.raises(SpectralIndeterminateError, match="adjoint spectrum misses"):
+        _left_perron_vector(adjoint, 0.9, 2)
 
 
 def test_log_lambda_agrees_with_closed_forms(std_model, periodic_model):
