@@ -34,11 +34,11 @@ from .structure import (
 )
 from .superop import (
     Superoperator,
+    _shifted_map,
     build_superop,
     derivative_maps,
     perron,
     spectral_radius,
-    weighted_superop,
 )
 
 __all__ = [
@@ -265,13 +265,6 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     )
 
 
-def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:
-    """Tilted map rescaled so its weights lie in (0, 1] (overflow-free)."""
-    phi = model.steps_array @ u
-    shift = float(np.max(phi))
-    return shift, weighted_superop(model, np.exp(phi - shift))
-
-
 def _log_lambda_derivatives(model: KrausModel,
                             u: float) -> tuple[float, float, float] | None:
     """``(c, c', c'')`` at ``u`` for ``c = log lambda`` on a 1-D walk.
@@ -386,8 +379,7 @@ def _refine_kink(f, a: float, m: float, b: float, fa: float, fm: float,
     return m, jump
 
 
-def lambda_curve(model: KrausModel, parameters, direction=None,
-                 refine_kinks: bool = True) -> LambdaCurve:
+def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
     Each grid point goes through a full Perron extraction: one
@@ -401,9 +393,8 @@ def lambda_curve(model: KrausModel, parameters, direction=None,
     width 1e-7 and reported with one-sided slopes from secants at offsets
     1e-4 and 2e-4 outside the bracket.
     """
-    if refine_kinks:
-        n = model.internal_dim
-        refine_kinks = algebra_closure(model.operators).dimension != n * n
+    n = model.internal_dim
+    refine_kinks = algebra_closure(model.operators).dimension != n * n
     return _lambda_curve(model, parameters, direction, refine_kinks)
 
 

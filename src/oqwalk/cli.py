@@ -2,18 +2,27 @@
 
 Subcommands: validate, analyze, asymptotics, rate, simulate, oracle-check.
 All reports are JSON on stdout (sorted keys, fixed indentation) so repeated
-runs are byte-identical; optional --out writes CSV/JSON artifacts.  Exit
-codes: 0 success, 2 document parse error, 3 validation/precondition/oracle
-failure, 4 indeterminate spectral analysis, 5 non-unique invariant state
-without a two-level fallback, 6 simulation degeneracy or standardization
-failure, 1 anything else.
+runs are byte-identical; optional --out writes CSV/JSON artifacts.  The
+argparse parser holds every option and, but for the oracle-check tilts, its
+default; the command bodies read the parsed namespace directly.
+
+Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
+
+  0  success
+  1  OQWalkError: any other package error
+  2  ModelFormatError: bad document or argument (a missing file exits 2 too)
+  3  ModelValidationError, AssumptionError, PathBudgetError; also an invalid
+     model under ``validate`` and a failed ``oracle-check``
+  4  SpectralIndeterminateError, PositivityError, ConvergenceError,
+     SingularRestrictionError, HermiticityError, TraceGaugeError
+  5  MultiplicityError: no unique invariant state, no two-level fallback
+  6  DegenerateStepError, TraceDriftError, StandardizationError
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,24 +36,16 @@ from .asymptotics import (
 from .errors import (
     AssumptionError,
     ConvergenceError,
-    DegenerateStepError,
-    HermiticityError,
     ModelFormatError,
-    ModelValidationError,
     MultiplicityError,
     OQWalkError,
-    PathBudgetError,
-    PositivityError,
-    SingularRestrictionError,
-    SpectralIndeterminateError,
     StandardizationError,
-    TraceDriftError,
-    TraceGaugeError,
 )
 from .model import (
     BUILTIN_NAMES,
     _matrix_to_json,
     _read_document,
+    _require_stochastic,
     builtin,
     default_initial_state,
     load_initial_state,
@@ -67,31 +68,6 @@ from .trajectories import (
     mgf_check,
     write_batch_csv,
 )
-
-_EXIT_MAP = (
-    (ModelFormatError, 2),
-    (ModelValidationError, 3),
-    (AssumptionError, 3),
-    (PathBudgetError, 3),
-    (MultiplicityError, 5),
-    (DegenerateStepError, 6),
-    (TraceDriftError, 6),
-    (StandardizationError, 6),
-    (SpectralIndeterminateError, 4),
-    (PositivityError, 4),
-    (ConvergenceError, 4),
-    (SingularRestrictionError, 4),
-    (HermiticityError, 4),
-    (TraceGaugeError, 4),
-    (OQWalkError, 1),
-)
-
-
-def _exit_code(exc: OQWalkError) -> int:
-    for cls, code in _EXIT_MAP:
-        if isinstance(exc, cls):
-            return code
-    return 1
 
 
 def _vector_json(v) -> list:
@@ -131,103 +107,53 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
                    help="seeded random internal state at the origin")
 
 
+#: Tilts of ``oracle-check`` without ``-u``.  Not an argparse default: an
+#: ``append`` action would add the user's tilts to it.
 _DEFAULT_TILTS = (0.0, 0.5, -0.5, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation; every command is a pure function of it.
-
-    Exactly one of ``model_path`` / ``builtin_name`` is set.  The default
-    initial state (no ``initial_path``, no ``random_initial_seed``) is the
-    maximally mixed internal state at the origin.
-    """
-
-    command: str
-    model_path: str | None = None
-    builtin_name: str | None = None
-    bias: float | None = None
-    initial_path: str | None = None
-    random_initial_seed: int | None = None
-    seed: int = 0
-    steps: int = 1000
-    trajectories: int = 1000
-    u_min: float = -4.0
-    u_max: float = 4.0
-    u_points: int = 41
-    x_min: float = -1.0
-    x_max: float = 1.0
-    x_points: int = 21
-    tilts: tuple[float, ...] = _DEFAULT_TILTS
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        if (self.model_path is None) == (self.builtin_name is None):
-            raise ModelFormatError(
-                "exactly one of a model path or a builtin name must be given")
-        if self.steps < 1:
-            raise ModelFormatError(f"step count must be >= 1, got {self.steps}")
-        if self.trajectories < 1:
-            raise ModelFormatError(
-                f"trajectory count must be >= 1, got {self.trajectories}")
-        if not self.u_min < self.u_max:
-            raise ModelFormatError(
-                f"need u_min < u_max, got [{self.u_min}, {self.u_max}]")
-        if self.u_points < 3:
-            raise ModelFormatError(
-                f"tilt grid needs at least 3 points, got {self.u_points}")
-        if not self.x_min <= self.x_max:
-            raise ModelFormatError(
-                f"need x_min <= x_max, got [{self.x_min}, {self.x_max}]")
-        if self.x_points < 1:
-            raise ModelFormatError(
-                f"velocity grid needs at least 1 point, got {self.x_points}")
-        if self.seed < 0 or self.seed > 2**64 - 1:
-            raise ModelFormatError(f"seed must fit in 64 bits, got {self.seed}")
+def _check_args(args: argparse.Namespace) -> None:
+    """Range checks argparse does not express; each runs where its option exists."""
+    given = vars(args)
+    if "steps" in given and args.steps < 1:
+        raise ModelFormatError(f"step count must be >= 1, got {args.steps}")
+    if "trajectories" in given and args.trajectories < 1:
+        raise ModelFormatError(
+            f"trajectory count must be >= 1, got {args.trajectories}")
+    if "u_min" in given and not args.u_min < args.u_max:
+        raise ModelFormatError(
+            f"need u_min < u_max, got [{args.u_min}, {args.u_max}]")
+    if "u_points" in given and args.u_points < 3:
+        raise ModelFormatError(
+            f"tilt grid needs at least 3 points, got {args.u_points}")
+    if "x_min" in given and not args.x_min <= args.x_max:
+        raise ModelFormatError(
+            f"need x_min <= x_max, got [{args.x_min}, {args.x_max}]")
+    if "x_points" in given and args.x_points < 1:
+        raise ModelFormatError(
+            f"velocity grid needs at least 1 point, got {args.x_points}")
+    if "seed" in given and not 0 <= args.seed <= 2**64 - 1:
+        raise ModelFormatError(f"seed must fit in 64 bits, got {args.seed}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default: getattr(args, name, default)  # noqa: E731
-    tilts = get("tilts", None)
-    return RunConfig(
-        command=args.command,
-        model_path=args.model,
-        builtin_name=args.builtin,
-        bias=args.bias,
-        initial_path=get("initial", None),
-        random_initial_seed=get("random_initial", None),
-        seed=get("seed", 0),
-        steps=get("steps", 1000),
-        trajectories=get("trajectories", 1000),
-        u_min=get("u_min", -4.0),
-        u_max=get("u_max", 4.0),
-        u_points=get("u_points", 41),
-        x_min=get("x_min", -1.0),
-        x_max=get("x_max", 1.0),
-        x_points=get("x_points", 21),
-        tilts=_DEFAULT_TILTS if tilts is None else tuple(tilts),
-        out_dir=get("out", None),
-    )
+def _resolve_model(args: argparse.Namespace, validate: bool = True):
+    if args.builtin is not None:
+        return builtin(args.builtin, args.bias)
+    return model_from_dict(_read_document(args.model), validate=validate)
 
 
-def _resolve_model(cfg: RunConfig, validate: bool = True):
-    if cfg.builtin_name is not None:
-        return builtin(cfg.builtin_name, cfg.bias)
-    return model_from_dict(_read_document(cfg.model_path), validate=validate)
-
-
-def _resolve_state(cfg: RunConfig, model):
-    if cfg.initial_path is not None:
-        return load_initial_state(cfg.initial_path, model)
-    if cfg.random_initial_seed is not None:
-        return random_initial_state(model, cfg.random_initial_seed)
+def _resolve_state(args: argparse.Namespace, model):
+    if args.initial is not None:
+        return load_initial_state(args.initial, model)
+    if args.random_initial is not None:
+        return random_initial_state(model, args.random_initial)
     return default_initial_state(model)
 
 
-def _out_dir(cfg: RunConfig) -> Path | None:
-    if cfg.out_dir is None:
+def _out_dir(args: argparse.Namespace) -> Path | None:
+    if args.out is None:
         return None
-    path = Path(cfg.out_dir)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -236,8 +162,8 @@ def _out_dir(cfg: RunConfig) -> Path | None:
 # Subcommand bodies.
 # --------------------------------------------------------------------------
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg, validate=False)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    model = _resolve_model(args, validate=False)
     report = validate_model(model)
     _emit({
         "choi_min_eigenvalue": float(report.choi_min_eigenvalue),
@@ -252,9 +178,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.is_valid else 3
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    model = _resolve_model(args, validate=False)
     validation = validate_model(model)
+    _require_stochastic(validation)
 
     irr = is_irreducible_L(model)
     aux: dict = {
@@ -366,12 +293,12 @@ def _stats_with_fallback(model, initial_state):
         return params.mean, params.covariance, "two-level-closed-form", extra
 
 
-def _cmd_asymptotics(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg)
-    state = _resolve_state(cfg, model)
+def _cmd_asymptotics(args: argparse.Namespace) -> int:
+    model = _resolve_model(args)
+    state = _resolve_state(args, model)
     mean, cov, method, extra = _stats_with_fallback(model, state)
 
-    us = np.linspace(cfg.u_min, cfg.u_max, cfg.u_points)
+    us = np.linspace(args.u_min, args.u_max, args.u_points)
     curves = []
     for axis in range(model.lattice_dim):
         direction = np.zeros(model.lattice_dim)
@@ -405,7 +332,7 @@ def _cmd_asymptotics(cfg: RunConfig) -> int:
     }
     _emit(summary)
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
         _write_json(out / "asymptotics.json", summary)
         for curve in curves:
@@ -417,11 +344,11 @@ def _cmd_asymptotics(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_rate(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg)
-    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.x_points)
+def _cmd_rate(args: argparse.Namespace) -> int:
+    model = _resolve_model(args)
+    xs = np.linspace(args.x_min, args.x_max, args.x_points)
     table = rate_function(
-        model, xs, u_min=cfg.u_min, u_max=cfg.u_max, points=cfg.u_points,
+        model, xs, u_min=args.u_min, u_max=args.u_max, points=args.u_points,
     )
     summary = {
         "x_grid": _vector_json(table.x_grid),
@@ -438,7 +365,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         "kinks": [float(k) for k in table.kinks],
     }
     _emit(summary)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
         _write_json(out / "rate_function.json", summary)
         lines = ["x,rate,maximizer,finite"]
@@ -453,9 +380,9 @@ def _cmd_rate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg)
-    state = _resolve_state(cfg, model)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    model = _resolve_model(args)
+    state = _resolve_state(args, model)
     mean, cov, method, extra = _stats_with_fallback(model, state)
     if cov is None:
         raise StandardizationError(
@@ -463,7 +390,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             "exists to standardize against"
         )
     batch = batch_statistics(
-        model, cfg.steps, cfg.trajectories, cfg.seed,
+        model, args.steps, args.trajectories, args.seed,
         initial_state=state, mean=mean, covariance=cov,
     )
     summary = {
@@ -478,7 +405,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         "variance_standardized": _vector_json(batch.variance_standardized),
     }
     _emit(summary)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
         _write_json(out / "summary.json", summary)
         with open(out / "trajectories.csv", "w", newline="") as fh:
@@ -486,14 +413,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> int:
-    model = _resolve_model(cfg)
-    state = _resolve_state(cfg, model)
+def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    model = _resolve_model(args)
+    state = _resolve_state(args, model)
     failures = 0
     checks = []
 
-    for p in range(1, cfg.steps + 1):
-        for u_scalar in cfg.tilts:
+    for p in range(1, args.steps + 1):
+        for u_scalar in args.tilts or _DEFAULT_TILTS:
             u = np.zeros(model.lattice_dim)
             u[0] = u_scalar
             try:
@@ -508,7 +435,7 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
                 "check": "mgf", "p": p, "u": u_scalar, "gap": float(gap), "ok": ok,
             })
 
-    for p in range(1, min(cfg.steps, 10) + 1):
+    for p in range(1, min(args.steps, 10) + 1):
         try:
             dist = exact_distribution(model, p, initial_state=state)
             gap, ok = dist.tv_gap, dist.tv_gap <= 1e-10
@@ -522,7 +449,7 @@ def _cmd_oracle_check(cfg: RunConfig) -> int:
         })
 
     print("PASS" if failures == 0 else f"FAIL ({failures} checks)")
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
         _write_json(out / "oracle_check.json",
                     {"checks": checks, "failures": failures})
@@ -593,13 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(_config_from_args(args))
+        _check_args(args)
+        return args.func(args)
     except OQWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

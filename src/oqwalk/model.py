@@ -18,7 +18,7 @@ import numpy as np
 from .config import STOCHASTICITY_TOL
 from .errors import ModelFormatError, ModelValidationError
 from .numerics import choi_matrix, frob, psd_check
-from .rng import MASK64, UnitStream
+from .rng import MASK64, unit_draw
 
 __all__ = [
     "KrausModel",
@@ -142,11 +142,6 @@ class LatticeState:
     def total_trace(self) -> float:
         return float(sum(np.trace(b).real for b in self.blocks.values()))
 
-    def site_weights(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        pos = self.positions
-        w = np.array([float(np.trace(self.blocks[p]).real) for p in pos])
-        return pos, w
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -189,6 +184,14 @@ def validate_model(model: KrausModel) -> ValidationReport:
         choi_min_eigenvalue=report.min_eigenvalue,
         choi_psd=report.is_psd,
     )
+
+
+def _require_stochastic(report: ValidationReport) -> None:
+    """The stochasticity gate of a loaded model (``ModelValidationError``)."""
+    if report.residual > STOCHASTICITY_TOL:
+        raise ModelValidationError(
+            f"stochasticity residual {report.residual:.3e} exceeds {STOCHASTICITY_TOL:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +294,7 @@ def model_from_dict(obj: dict, validate: bool = True) -> KrausModel:
         operators=np.array(operators),
     )
     if validate:
-        report = validate_model(model)
-        if report.residual > STOCHASTICITY_TOL:
-            raise ModelValidationError(
-                f"stochasticity residual {report.residual:.3e} exceeds {STOCHASTICITY_TOL:g}"
-            )
+        _require_stochastic(validate_model(model))
     return model
 
 
@@ -364,10 +363,13 @@ def point_initial_state(model: KrausModel, matrix: np.ndarray,
 
 
 def random_initial_state(model: KrausModel, seed: int) -> LatticeState:
-    """Origin block ``X X^T / Tr(X X^T)`` with X uniform-[0,1) entries (seeded)."""
+    """Origin block ``X X^T / Tr(X X^T)`` with X uniform-[0,1) entries (seeded).
+
+    ``X[i, j]`` is draw ``i * n + j`` of the stream rooted at ``seed``.
+    """
     n = model.internal_dim
-    stream = UnitStream(seed & MASK64)
-    x = np.array([[stream.next() for _ in range(n)] for _ in range(n)])
+    seed &= MASK64
+    x = np.array([[unit_draw(seed, i * n + j) for j in range(n)] for i in range(n)])
     g = x @ x.T
     return point_initial_state(model, g / np.trace(g))
 

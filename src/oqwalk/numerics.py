@@ -33,8 +33,6 @@ __all__ = [
     "unvec",
     "frob",
     "kraus_superop",
-    "adjoint_superop",
-    "choi_from_superop",
     "choi_matrix",
     "EigenSystem",
     "eigendecompose",
@@ -77,26 +75,11 @@ def kraus_superop(operators: np.ndarray, weights: np.ndarray | None = None) -> n
     return acc
 
 
-def adjoint_superop(matrix: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of a superoperator given in column-stacking form."""
-    return np.asarray(matrix).conj().T
-
-
-def choi_from_superop(matrix: np.ndarray) -> np.ndarray:
-    """Reshuffle a superoperator matrix into its Choi matrix.
-
-    With column stacking the Choi matrix is ``J = sum_k vec(L_k) vec(L_k)^dag``
-    for a Kraus-presented map; the map is completely positive iff J is PSD.
-    """
-    matrix = np.asarray(matrix)
-    n2 = matrix.shape[0]
-    n = int(round(np.sqrt(n2)))
-    m4 = matrix.reshape(n, n, n, n)
-    return m4.transpose((3, 1, 2, 0)).reshape(n2, n2)
-
-
 def choi_matrix(operators: np.ndarray) -> np.ndarray:
-    """Choi matrix built directly from Kraus operators (oracle for the reshuffle)."""
+    """Choi matrix ``sum_k vec(L_k) vec(L_k)^dag`` of a Kraus-presented map.
+
+    The map is completely positive iff this matrix is PSD.
+    """
     vs = [vec(op) for op in np.asarray(operators, dtype=complex)]
     return sum(np.outer(v, v.conj()) for v in vs)
 
@@ -108,13 +91,11 @@ class EigenSystem:
     ``values`` are sorted by decreasing modulus (ties: decreasing real part,
     then increasing imaginary part); ``vectors[:, k]`` is the unit right
     eigenvector for ``values[k]``; ``residuals[k] = ||A v_k - lambda_k v_k||``.
-    ``leading_tie`` is set when the top two moduli agree within 1e-9 relative.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    leading_tie: bool
 
 
 def check_dense_side(side: int) -> None:
@@ -159,11 +140,7 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
             f"eigendecomposition residual {residuals.max():.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
         )
-    leading_tie = False
-    if len(values) > 1:
-        top = abs(values[0])
-        leading_tie = top > 0 and (top - abs(values[1])) <= 1e-9 * top
-    return EigenSystem(values=values, vectors=vectors, residuals=residuals, leading_tie=leading_tie)
+    return EigenSystem(values=values, vectors=vectors, residuals=residuals)
 
 
 def traceless_basis(n: int) -> np.ndarray:
@@ -219,7 +196,6 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PsdReport:
     is_psd: bool
     min_eigenvalue: float
-    hermitian_defect: float
 
 
 def psd_check(matrix: np.ndarray, tol: float = POSITIVITY_TOL) -> PsdReport:
@@ -238,7 +214,7 @@ def psd_check(matrix: np.ndarray, tol: float = POSITIVITY_TOL) -> PsdReport:
         )
     eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
     min_eig = float(eigenvalues[0])
-    return PsdReport(is_psd=min_eig >= -tol, min_eigenvalue=min_eig, hermitian_defect=defect)
+    return PsdReport(is_psd=min_eig >= -tol, min_eigenvalue=min_eig)
 
 
 def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:

@@ -76,15 +76,3 @@ def unit_draws_array(seeds: np.ndarray, k: int) -> np.ndarray:
         state = seeds + np.uint64(((k + 1) * GAMMA) & MASK64)
     return (mix64_array(state) >> np.uint64(11)) * 2.0**-53
 
-
-class UnitStream:
-    """Sequential view over the counter-based stream (scalar convenience)."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        self._k = 0
-
-    def next(self) -> float:
-        u = unit_draw(self.seed, self._k)
-        self._k += 1
-        return u

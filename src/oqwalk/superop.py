@@ -3,12 +3,12 @@ Perron data extraction.
 
 For a model with operators ``L_s`` the auxiliary map is
 ``rho -> sum_s L_s rho L_s^dag``; the tilted map attaches a weight
-``exp(<u, s>)`` to each Kraus term, and for weight-generating purposes the
-fully general form attaches ``exp(t * phi_s)`` for an arbitrary per-step
-functional ``phi``.  All of these are completely positive, so the leading
-eigenvalue is a genuine spectral radius with (up to normalization) a PSD
-eigenvector on either side; ``perron`` extracts that data with explicit
-tolerance and degeneracy reporting.
+``exp(<u, s>)`` to each Kraus term, and is built rescaled by
+``exp(-max_s <u, s>)`` so that large tilts cannot overflow.  All of these
+are completely positive, so the leading eigenvalue is a genuine spectral
+radius with (up to normalization) a PSD eigenvector on either side;
+``perron`` extracts that data with explicit tolerance and degeneracy
+reporting.
 """
 from __future__ import annotations
 
@@ -34,10 +34,7 @@ __all__ = [
     "Superoperator",
     "build_superop",
     "weighted_superop",
-    "deform",
-    "deform_weighted",
     "derivative_maps",
-    "apply_L",
     "apply_M",
     "SpectralData",
     "perron",
@@ -62,16 +59,6 @@ class Superoperator:
         return unvec(v, self.dim)
 
 
-def _as_direction(model: KrausModel, u) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (model.lattice_dim,):
-        raise AssumptionError(
-            f"direction shape {u.shape} does not match lattice dimension "
-            f"{model.lattice_dim}"
-        )
-    return u
-
-
 def weighted_superop(model: KrausModel, weights: np.ndarray) -> Superoperator:
     """Superoperator of ``rho -> sum_s w_s L_s rho L_s^dag``."""
     return Superoperator(kraus_superop(model.operators, np.asarray(weights, dtype=float)),
@@ -83,20 +70,15 @@ def build_superop(model: KrausModel) -> Superoperator:
     return weighted_superop(model, np.ones(model.n_steps))
 
 
-def deform_weighted(model: KrausModel, phi: np.ndarray, t: float) -> Superoperator:
-    """Tilted map with weights ``exp(t * phi_s)`` for a per-step functional phi."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (model.n_steps,):
-        raise AssumptionError(
-            f"phi must assign one weight per step, got shape {phi.shape}")
-    return weighted_superop(model, np.exp(t * phi))
+def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:
+    """Tilted map rescaled so its weights lie in (0, 1] (overflow-free).
 
-
-def deform(model: KrausModel, u) -> Superoperator:
-    """Tilted map with weights ``exp(<u, s>)``."""
-    u = _as_direction(model, u)
+    Returns ``(shift, map)`` with ``shift = max_s <u, s>``; the tilted map is
+    ``exp(shift)`` times the returned one.
+    """
     phi = model.steps_array @ u
-    return deform_weighted(model, phi, 1.0)
+    shift = float(np.max(phi))
+    return shift, weighted_superop(model, np.exp(phi - shift))
 
 
 def derivative_maps(model: KrausModel, u) -> tuple[Superoperator, Superoperator]:
@@ -104,18 +86,14 @@ def derivative_maps(model: KrausModel, u) -> tuple[Superoperator, Superoperator]
 
     These weight each Kraus term by ``<u, s>`` respectively ``<u, s>^2``.
     """
-    u = _as_direction(model, u)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (model.lattice_dim,):
+        raise AssumptionError(
+            f"direction shape {u.shape} does not match lattice dimension "
+            f"{model.lattice_dim}"
+        )
     phi = model.steps_array @ u
     return weighted_superop(model, phi), weighted_superop(model, phi**2)
-
-
-def apply_L(model: KrausModel, rho: np.ndarray) -> np.ndarray:
-    """Direct Kraus application of the auxiliary map (no superoperator matrix)."""
-    rho = np.asarray(rho, dtype=complex)
-    acc = np.zeros_like(rho)
-    for op in model.operators:
-        acc += op @ rho @ op.conj().T
-    return acc
 
 
 def apply_M(model: KrausModel, state: LatticeState) -> LatticeState:

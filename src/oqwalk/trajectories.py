@@ -35,7 +35,7 @@ from .errors import (
 )
 from .model import KrausModel, LatticeState, default_initial_state
 from .rng import derive_seeds, unit_draws_array
-from .superop import apply_M
+from .superop import _shifted_map, apply_M
 
 __all__ = [
     "Trajectory",
@@ -383,11 +383,10 @@ def mgf_check(model: KrausModel, u, p: int,
 
     By translation invariance, X_p - X_0 has the position law of the walk
     started from the summed blocks rho at the origin, which the propagator
-    gives; the other route is Tr(L_u^p rho).  Both use weights shifted by
-    exp(-max_s <u, s>) per step, as in ``asymptotics._shifted_map``, so
+    gives; the other route is Tr(L_u^p rho).  Both use the weights of
+    ``superop._shifted_map``, shifted by exp(-max_s <u, s>) per step, so
     neither overflows; if both underflow, :class:`ConvergenceError`.
     """
-    from .asymptotics import _shifted_map
     if initial_state is None:
         initial_state = default_initial_state(model)
     u = np.atleast_1d(np.asarray(u, dtype=float))

@@ -232,3 +232,26 @@ def path_sum_mgf(displacements, operators, blocks, u, p):
         shift = float(u @ np.subtract(site, start))
         total += float(np.exp(shift) * np.trace(sigma).real)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Superoperator references: the auxiliary map applied term by term, and the
+# Choi matrix reshuffled out of a column-stacking superoperator matrix.
+# ---------------------------------------------------------------------------
+
+def apply_L(operators, rho):
+    """The auxiliary map rho -> sum_s L_s rho L_s^dag, one Kraus term at a time."""
+    rho = np.asarray(rho, dtype=complex)
+    return sum(op @ rho @ op.conj().T for op in np.asarray(operators, dtype=complex))
+
+
+def choi_from_superop(matrix):
+    """Reshuffle a column-stacking superoperator matrix into its Choi matrix.
+
+    For a Kraus-presented map this is J = sum_k vec(L_k) vec(L_k)^dag, the
+    matrix the package builds directly from the operators.
+    """
+    matrix = np.asarray(matrix)
+    n2 = matrix.shape[0]
+    n = int(round(np.sqrt(n2)))
+    return matrix.reshape(n, n, n, n).transpose((3, 1, 2, 0)).reshape(n2, n2)

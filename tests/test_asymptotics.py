@@ -21,7 +21,7 @@ from oqwalk import (
     point_initial_state,
     rate_function,
 )
-from oqwalk.asymptotics import _log_lambda_derivatives
+from oqwalk.asymptotics import _lambda_curve, _log_lambda_derivatives
 import reference
 from model_zoo import (
     STEPS_2D,
@@ -202,7 +202,7 @@ def test_full_algebra_curves_skip_kink_refinement(name, radius_calls):
     curve = lambda_curve(model, ts)
     assert radius_calls == []
     assert curve.kinks == ()
-    plain = lambda_curve(model, ts, refine_kinks=False)
+    plain = _lambda_curve(model, ts, None, False)
     assert curve.lambda_values.tobytes() == plain.lambda_values.tobytes()
     assert curve.log_lambda_values.tobytes() == plain.log_lambda_values.tobytes()
 

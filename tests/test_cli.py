@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON output, artifact files."""
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqwalk import dump_model
+import oqwalk.cli
+import oqwalk.errors
+import oqwalk.model
+from oqwalk import ModelValidationError, dump_model, load_model
 from oqwalk.cli import main
 from model_zoo import (
     broken_scaled_model,
@@ -252,6 +256,87 @@ def test_internal_dimension_beyond_the_dense_cap_is_a_typed_error(tmp_path, caps
 def test_simulate_rejects_nonpositive_step_counts(capsys):
     assert main(["simulate", "--builtin", "std_example", "-P", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- argument checks and exit codes -------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "-P", "-3"], "step count must be >= 1, got -3"),
+    (["oracle-check", "-P", "0"], "step count must be >= 1, got 0"),
+    (["simulate", "-N", "0"], "trajectory count must be >= 1, got 0"),
+    (["asymptotics", "--u-min", "1", "--u-max", "1"], "need u_min < u_max, got [1.0, 1.0]"),
+    (["rate", "--u-points", "2"], "tilt grid needs at least 3 points, got 2"),
+    (["rate", "--x-min", "1", "--x-max", "0"], "need x_min <= x_max, got [1.0, 0.0]"),
+    (["rate", "--x-points", "0"], "velocity grid needs at least 1 point, got 0"),
+    (["simulate", "--seed", "-1"], "seed must fit in 64 bits, got -1"),
+    (["simulate", "--seed", str(2**64)], f"seed must fit in 64 bits, got {2**64}"),
+    # several violations: the first check in the fixed order reports
+    (["simulate", "-P", "0", "-N", "0", "--seed", "-1"], "step count must be >= 1, got 0"),
+    (["rate", "--u-min", "2", "--u-max", "1", "--u-points", "2", "--x-points", "0"],
+     "need u_min < u_max, got [2.0, 1.0]"),
+])
+def test_out_of_range_arguments_are_format_errors(argv, message, capsys):
+    assert main([argv[0], "--builtin", "std_example", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _documented_exit_codes() -> dict:
+    """Error class name -> exit code, read from the table in the cli docstring."""
+    table = oqwalk.cli.__doc__.split("Exit codes", 1)[1]
+    codes, code = {}, None
+    for line in table.splitlines():
+        row = re.match(r"  (\d)  ", line)
+        if row:
+            code = int(row.group(1))
+        for name in re.findall(r"\b\w+Error\b", line):
+            codes[name] = code
+    return codes
+
+
+def test_every_error_class_carries_its_documented_exit_code(monkeypatch, capsys):
+    classes = [c for c in vars(oqwalk.errors).values()
+               if isinstance(c, type) and issubclass(c, oqwalk.errors.OQWalkError)]
+    documented = _documented_exit_codes()
+    assert sorted(documented) == sorted(c.__name__ for c in classes)
+    for cls in classes:
+        assert "exit_code" in vars(cls), cls.__name__
+        assert cls.exit_code == documented[cls.__name__], cls.__name__
+
+        def failing(args, _cls=cls):
+            raise _cls("boom")
+
+        monkeypatch.setattr(oqwalk.cli, "_cmd_validate", failing)
+        assert main(["validate", "--builtin", "std_example"]) == cls.exit_code
+        assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_analyze_validates_a_model_document_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = oqwalk.model.validate_model
+
+    def counting(model):
+        calls.append(1)
+        return real(model)
+
+    monkeypatch.setattr(oqwalk.model, "validate_model", counting)
+    monkeypatch.setattr(oqwalk.cli, "validate_model", counting)
+    path = tmp_path / "n4.json"
+    dump_model(random_isometry_model(31, n=4), path)
+    run_json(capsys, ["analyze", "--model", str(path)])
+    assert len(calls) == 1
+
+
+def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    dump_model(broken_scaled_model(), path)
+    with pytest.raises(ModelValidationError) as loaded:
+        load_model(path)
+    assert main(["analyze", "--model", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {loaded.value}\n"
 
 
 # -- oracle-check ------------------------------------------------------------------

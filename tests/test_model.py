@@ -206,9 +206,8 @@ def test_lattice_state_orders_sites_lexicographically():
     }
     state = LatticeState(blocks)
     assert state.positions == [(-1,), (0,), (2,)]
-    pos, w = state.site_weights()
-    assert pos == state.positions
-    np.testing.assert_allclose(w, [0.5, 0.3, 0.2])
+    np.testing.assert_allclose(
+        [np.trace(state.blocks[p]).real for p in state.positions], [0.5, 0.3, 0.2])
     assert state.total_trace() == pytest.approx(1.0)
 
 

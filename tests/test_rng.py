@@ -1,12 +1,13 @@
 """The counter-based generator against a from-scratch reimplementation."""
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oqwalk import random_initial_state
 from oqwalk.rng import (
     GAMMA,
     MASK64,
-    UnitStream,
     derive_seed,
     derive_seeds,
     mix64,
@@ -15,6 +16,7 @@ from oqwalk.rng import (
     unit_draw,
     unit_draws_array,
 )
+from model_zoo import random_isometry_model
 
 M64 = (1 << 64) - 1
 
@@ -83,9 +85,18 @@ def test_unit_draws_array_agrees_with_scalar():
         np.testing.assert_array_equal(vectorized, scalar)
 
 
-def test_unit_stream_walks_the_counter():
-    stream = UnitStream(77)
-    assert [stream.next() for _ in range(6)] == [unit_draw(77, k) for k in range(6)]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 77, 2**64 + 5])
+def test_random_initial_state_reads_the_stream_row_major(n, seed):
+    # X[i, j] is draw i n + j of the stream rooted at the masked seed
+    root = seed & M64
+    x = np.array([[(mix64_by_hand(root + (i * n + j + 1) * GAMMA) >> 11) * 2.0**-53
+                   for j in range(n)] for i in range(n)])
+    g = x @ x.T
+    state = random_initial_state(random_isometry_model(0, n=n), seed)
+    assert state.positions == [(0,)]
+    expected = np.asarray(g / np.trace(g), dtype=complex)
+    assert state.blocks[(0,)].tobytes() == expected.tobytes()
 
 
 def test_streams_decorrelate_across_indices():

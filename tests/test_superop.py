@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from oqwalk import (
     AssumptionError,
     SpectralIndeterminateError,
-    apply_L,
     apply_M,
     build_superop,
     default_initial_state,
-    deform,
     log_lambda,
     perron,
     spectral_radius,
@@ -20,7 +18,7 @@ from oqwalk.numerics import eigendecompose
 from oqwalk.superop import (
     Superoperator,
     _left_perron_vector,
-    deform_weighted,
+    _shifted_map,
     derivative_maps,
     weighted_superop,
 )
@@ -34,12 +32,18 @@ def random_density(rng, n):
     return rho / np.trace(rho)
 
 
+def tilted(model, u):
+    """The tilted map, weights exp(<u, s>) unscaled."""
+    return weighted_superop(model, np.exp(model.steps_array @ np.atleast_1d(u)))
+
+
 def test_superop_matches_direct_kraus_application(std_model):
     rng = np.random.default_rng(0)
     s = build_superop(std_model)
     for _ in range(5):
         rho = random_density(rng, 2)
-        np.testing.assert_allclose(s.apply(rho), apply_L(std_model, rho), atol=1e-14)
+        np.testing.assert_allclose(s.apply(rho), reference.apply_L(std_model.operators, rho),
+                                   atol=1e-14)
 
 
 def test_build_superop_preserves_trace(all_builtins):
@@ -54,26 +58,23 @@ def test_build_superop_preserves_trace(all_builtins):
 def test_random_models_preserve_trace(seed):
     model = random_isometry_model(seed, n=2)
     rho = random_density(np.random.default_rng(seed + 1), 2)
-    assert abs(np.trace(apply_L(model, rho)) - 1.0) < 1e-12
+    assert abs(np.trace(build_superop(model).apply(rho)) - 1.0) < 1e-12
 
 
-def test_deform_at_zero_is_the_plain_map(std_model):
-    np.testing.assert_allclose(
-        deform(std_model, 0.0).matrix, build_superop(std_model).matrix, atol=0
-    )
+def test_shifted_map_at_zero_is_the_plain_map(std_model):
+    shift, shifted = _shifted_map(std_model, np.array([0.0]))
+    assert shift == 0.0
+    np.testing.assert_allclose(shifted.matrix, build_superop(std_model).matrix, atol=0)
 
 
-def test_deform_weights_each_step(periodic_model):
+def test_shifted_map_is_the_tilted_map_rescaled(periodic_model):
     u = 0.37
     weights = np.exp(np.asarray([s[0] for s in periodic_model.displacements]) * u)
+    shift, shifted = _shifted_map(periodic_model, np.array([u]))
+    assert shift == u  # the largest of <u, s> over the steps +1 and -1
     np.testing.assert_allclose(
-        deform(periodic_model, u).matrix,
+        np.exp(shift) * shifted.matrix,
         weighted_superop(periodic_model, weights).matrix,
-        atol=1e-15,
-    )
-    np.testing.assert_allclose(
-        deform_weighted(periodic_model, np.array([1.0, -1.0]), u).matrix,
-        deform(periodic_model, u).matrix,
         atol=1e-15,
     )
 
@@ -127,7 +128,7 @@ def test_perron_on_the_standard_model(std_model):
 
 
 def test_perron_normalization_holds_when_tilted(periodic_model):
-    data = perron(deform(periodic_model, 0.8))
+    data = perron(tilted(periodic_model, 0.8))
     assert np.trace(data.m_u @ data.rho_u).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(data.m_u - data.m_u.conj().T) < 1e-10
     assert abs(np.trace(data.rho_u) - 1.0) < 1e-12
@@ -144,7 +145,7 @@ def test_perron_flags_true_degeneracy_but_not_phase_ties(periodic_model):
 
 
 def test_periodic_root_is_separated_though_its_modulus_gap_is_zero(periodic_model):
-    sup = deform(periodic_model, 0.8)
+    sup = tilted(periodic_model, 0.8)
     data = perron(sup)
     assert data.gap < 1e-12  # -lambda sits on the spectral circle too
     values = np.linalg.eigvals(sup.matrix)
@@ -163,7 +164,7 @@ def test_one_perron_triple_costs_one_eigensolve(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    perron(deform(random_isometry_model(5, n=4), 0.3))
+    perron(tilted(random_isometry_model(5, n=4), 0.3))
     assert calls == {"eig": 1, "eigvals": 0}
 
 
@@ -171,7 +172,7 @@ def test_one_perron_triple_costs_one_eigensolve(monkeypatch):
 def test_left_vector_matches_the_adjoint_eigendecomposition(seed):
     # Reference: the adjoint eigenvector at the Perron root, made Hermitian.
     model = random_isometry_model(seed, n=3)
-    sup = deform(model, 0.7 * seed - 1.0)
+    sup = tilted(model, 0.7 * seed - 1.0)
     data = perron(sup)
     es = eigendecompose(sup.matrix.conj().T)
     a = es.vectors[:, int(np.argmin(np.abs(es.values - data.lambda_u)))].reshape(
@@ -215,7 +216,7 @@ def test_log_lambda_matches_reference_at_moderate_tilts(std_model):
 
 def test_direction_shape_mismatch_is_an_assumption_error(std_model):
     with pytest.raises(AssumptionError):
-        deform(std_model, [0.1, 0.2])
+        derivative_maps(std_model, [0.1, 0.2])
 
 
 def test_dense_eigensolver_cap_is_an_assumption_error():
@@ -225,7 +226,3 @@ def test_dense_eigensolver_cap_is_an_assumption_error():
     with pytest.raises(AssumptionError):
         eigendecompose(big.matrix)
 
-
-def test_step_functional_shape_mismatch_is_an_assumption_error(std_model):
-    with pytest.raises(AssumptionError):
-        deform_weighted(std_model, np.array([1.0, -1.0, 0.0]), 0.5)
