@@ -39,6 +39,7 @@ from .superop import (
     derivative_maps,
     perron,
     spectral_radius,
+    weighted_superop,
 )
 
 __all__ = [
@@ -66,13 +67,13 @@ def invariant_state(model: KrausModel) -> np.ndarray:
     greater than one (two-level models can then fall back to
     :func:`c2_parameters`).
     """
-    count, _, h = _fixed_point_data(build_superop(model))
-    if count != 1 or h is None:
+    fp = _fixed_point_data(model)
+    if fp.state is None:
         raise MultiplicityError(
-            f"invariant state is not unique (fixed-point count {count}); "
+            f"invariant state is not unique (fixed-point count {fp.fixed.size}); "
             "for two-level models use the closed-form route instead"
         )
-    return project_to_state(h, what="invariant state")
+    return project_to_state(fp.state, what="invariant state")
 
 
 def drift(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
@@ -340,7 +341,6 @@ class LambdaCurve:
     """Sampled tilted-eigenvalue curve along a fixed direction."""
 
     parameters: np.ndarray
-    direction: np.ndarray
     lambda_values: np.ndarray
     log_lambda_values: np.ndarray
     kinks: tuple[KinkRecord, ...]
@@ -451,7 +451,6 @@ def _lambda_curve(model: KrausModel, parameters, direction,
             ))
     return LambdaCurve(
         parameters=ts,
-        direction=direction,
         lambda_values=lams,
         log_lambda_values=logs,
         kinks=tuple(kinks),
@@ -582,7 +581,10 @@ def rate_function(model: KrausModel, positions,
     on ``(log lambda)'(u) = x`` between the grid neighbours, falling back to
     golden section where a Perron triple is degenerate or uncertified (see
     :func:`_legendre_point`); a reducible map, whose curve may have kinks,
-    always uses golden section.
+    always uses golden section.  At an extreme step x the supremum is the
+    u -> +-inf limit ``-log rho(Phi_x)``, with ``Phi_x`` the map of the Kraus
+    terms of step x alone, and beyond the steps it is infinite; the maximizer
+    there is reported as +-inf.
     """
     if model.lattice_dim != 1:
         raise AssumptionError(
@@ -629,8 +631,15 @@ def rate_function(model: KrausModel, positions,
 
     values = np.empty(len(xs))
     maximizers = np.empty(len(xs))
+    steps = model.steps_array[:, 0]
     for j, x in enumerate(xs):
-        val, u_star = _legendre_point(c, float(x), u_min, u_max, points, derivatives)
+        if steps.min() < x < steps.max():
+            val, u_star = _legendre_point(c, float(x), u_min, u_max, points, derivatives)
+        else:  # u x - c(u) is monotone here
+            edge = (spectral_radius(weighted_superop(model, steps == x))
+                    if steps.min() <= x <= steps.max() else 0.0)
+            val = -float(np.log(edge)) if edge > 0 else float("inf")
+            u_star = np.inf if x >= steps.max() else -np.inf
         if np.isfinite(val) and val < 0:
             if val < -1e-10:
                 raise ConvergenceError(

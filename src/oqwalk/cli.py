@@ -54,12 +54,13 @@ from .model import (
     validate_model,
 )
 from .structure import (
+    _fixed_point_data,
+    _irreducibility,
     _period_of_irreducible,
+    _recurrent_split,
     _regularity_of_irreducible,
-    bn_decomposition,
     c2_m_classifier,
     classify_c2,
-    is_irreducible_L,
     is_irreducible_M,
 )
 from .trajectories import (
@@ -183,7 +184,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     validation = validate_model(model)
     _require_stochastic(validation)
 
-    irr = is_irreducible_L(model)
+    fp = _fixed_point_data(model)
+    irr = _irreducibility(model, fp)
     aux: dict = {
         "irreducible": bool(irr.irreducible),
         "closure_dimension": irr.closure_dimension,
@@ -198,13 +200,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "positivity_onset": None,
     }
     if irr.irreducible:
-        pd = _period_of_irreducible(model)
+        pd = _period_of_irreducible(model, fp)
         reg = _regularity_of_irreducible(model, pd)
         aux["period"] = pd.period
         aux["projections"] = [_matrix_to_json(p) for p in pd.projections]
         aux["regular"] = bool(reg.regular)
         aux["positivity_onset"] = reg.onset_estimate
-    bn = bn_decomposition(model)
+    bn = _recurrent_split(model, fp)
     aux["recurrent_dimension"] = bn.recurrent_dimension
     aux["decaying_dimension"] = bn.decaying_dimension
     aux["recurrent_basis"] = _matrix_to_json(bn.recurrent_basis)

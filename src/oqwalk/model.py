@@ -139,9 +139,6 @@ class LatticeState:
         """Site positions in lexicographic order (the sampling order)."""
         return sorted(self.blocks)
 
-    def total_trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self.blocks.values()))
-
 
 @dataclass(frozen=True)
 class ValidationReport:

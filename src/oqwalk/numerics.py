@@ -90,12 +90,11 @@ class EigenSystem:
 
     ``values`` are sorted by decreasing modulus (ties: decreasing real part,
     then increasing imaginary part); ``vectors[:, k]`` is the unit right
-    eigenvector for ``values[k]``; ``residuals[k] = ||A v_k - lambda_k v_k||``.
+    eigenvector for ``values[k]``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
 
 
 def check_dense_side(side: int) -> None:
@@ -140,7 +139,7 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
             f"eigendecomposition residual {residuals.max():.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
         )
-    return EigenSystem(values=values, vectors=vectors, residuals=residuals)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def traceless_basis(n: int) -> np.ndarray:

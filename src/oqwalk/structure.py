@@ -20,7 +20,7 @@ from .errors import (
     SpectralIndeterminateError,
 )
 from .model import KrausModel, validate_model
-from .numerics import eigendecompose, frob, unvec, vec
+from .numerics import EigenSystem, eigendecompose, frob, unvec, vec
 from .superop import Superoperator, build_superop
 
 __all__ = [
@@ -98,7 +98,6 @@ class AlgebraClosure:
 
     dimension: int
     basis: np.ndarray  # (dimension, n, n)
-    rounds: int
 
 
 def algebra_closure(operators) -> AlgebraClosure:
@@ -131,7 +130,7 @@ def algebra_closure(operators) -> AlgebraClosure:
         rounds += 1
         if len(span) == n * n:
             break
-    return AlgebraClosure(dimension=len(span), basis=span.matrices().copy(), rounds=rounds)
+    return AlgebraClosure(dimension=len(span), basis=span.matrices().copy())
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,22 @@ class IrreducibilityReport:
     min_fixed_eigenvalue: float | None
 
 
-def _fixed_point_data(superop: Superoperator) -> tuple[int, float | None, np.ndarray | None]:
-    """Count eigenvalue-1 eigenvectors and, if unique, give its Hermitized state."""
+@dataclass(frozen=True)
+class _FixedPoints:
+    """The untilted map's one eigendecomposition, the indices of its eigenvalue-1
+    columns and, if unique, the Hermitized trace-one fixed point."""
+
+    superop: Superoperator
+    eigensystem: EigenSystem
+    fixed: np.ndarray
+    min_eigenvalue: float | None
+    state: np.ndarray | None
+
+
+def _fixed_point_data(model: KrausModel) -> _FixedPoints:
+    """The one home of the untilted map's eigendecomposition; the irreducibility
+    routes, the period and the recurrent split all read it."""
+    superop = build_superop(model)
     es = eigendecompose(superop.matrix)
     dist = np.abs(es.values - 1.0)
     fixed = np.flatnonzero(dist <= 1e-8)
@@ -160,7 +173,7 @@ def _fixed_point_data(superop: Superoperator) -> tuple[int, float | None, np.nda
             "trace-preserving map shows no eigenvalue 1; spectrum unusable"
         )
     if fixed.size > 1:
-        return int(fixed.size), None, None
+        return _FixedPoints(superop, es, fixed, None, None)
     n = superop.dim
     a = unvec(es.vectors[:, fixed[0]], n)
     h = (a + a.conj().T) / 2
@@ -170,7 +183,7 @@ def _fixed_point_data(superop: Superoperator) -> tuple[int, float | None, np.nda
     if np.trace(h).real < 0:
         h = -h
     eigs = np.linalg.eigvalsh(h)
-    return 1, float(eigs.min()), h
+    return _FixedPoints(superop, es, fixed, float(eigs.min()), h)
 
 
 def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
@@ -181,11 +194,16 @@ def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
     representative is faithful (strictly positive).  The routes must agree;
     a mismatch raises rather than guessing.
     """
+    return _irreducibility(model, _fixed_point_data(model))
+
+
+def _irreducibility(model: KrausModel, fp: _FixedPoints) -> IrreducibilityReport:
+    """:func:`is_irreducible_L` on the fixed points of the untilted map."""
     closure = algebra_closure(model.operators)
     n = model.internal_dim
     route_a = closure.dimension == n * n
 
-    count, min_eig, _ = _fixed_point_data(build_superop(model))
+    count, min_eig = int(fp.fixed.size), fp.min_eigenvalue
     if count == 1 and min_eig is not None and abs(min_eig - 1e-8) < 1e-9:
         raise SpectralIndeterminateError(
             f"fixed-point minimum eigenvalue {min_eig:.3e} sits on the "
@@ -241,16 +259,16 @@ def period(model: KrausModel) -> PeriodData:
     to exact orthogonal projections, ordered to satisfy the shift relation, and
     labeled so that projection 0 maximizes the diagonal lexicographically.
     """
-    if not is_irreducible_L(model).irreducible:
+    fp = _fixed_point_data(model)
+    if not _irreducibility(model, fp).irreducible:
         raise AssumptionError("period is defined for irreducible maps only")
-    return _period_of_irreducible(model)
+    return _period_of_irreducible(model, fp)
 
 
-def _period_of_irreducible(model: KrausModel) -> PeriodData:
+def _period_of_irreducible(model: KrausModel, fp: _FixedPoints) -> PeriodData:
     """:func:`period` for a map the caller has already found irreducible."""
     n = model.internal_dim
-    superop = build_superop(model)
-    es = eigendecompose(superop.matrix)
+    es = fp.eigensystem
     mods = np.abs(es.values)
     if mods[0] > 1 + 1e-8:
         raise SpectralIndeterminateError(
@@ -269,7 +287,7 @@ def _period_of_irreducible(model: KrausModel) -> PeriodData:
         return PeriodData(1, (np.eye(n, dtype=complex),), 0.0)
 
     # Unitary-like eigenvector of the adjoint at the primitive root.
-    es_adj = eigendecompose(superop.matrix.conj().T)
+    es_adj = eigendecompose(fp.superop.matrix.conj().T)
     root = np.exp(2j * np.pi / d)
     idx = int(np.argmin(np.abs(es_adj.values - root)))
     if abs(es_adj.values[idx] - root) > 1e-8:
@@ -287,26 +305,19 @@ def _period_of_irreducible(model: KrausModel) -> PeriodData:
     powers = [np.eye(n, dtype=complex)]
     for _ in range(d - 1):
         powers.append(w @ powers[-1])
-    raw = []
-    for j in range(d):
-        acc = np.zeros((n, n), dtype=complex)
-        for m_idx in range(d):
-            acc += np.exp(-2j * np.pi * j * m_idx / d) * powers[m_idx]
-        raw.append(acc / d)
-    projections = [_projection_cleanup(p) for p in raw]
+    projections = [
+        _projection_cleanup(sum(np.exp(-2j * np.pi * j * m / d) * powers[m]
+                                for m in range(d)) / d)
+        for j in range(d)
+    ]
 
     total = sum(projections)
     if frob(total - np.eye(n)) > 1e-8:
         raise SpectralIndeterminateError("cyclic projections do not resolve the identity")
 
     def relation_residual(projs: list[np.ndarray]) -> float:
-        worst = 0.0
-        for s_idx, op in enumerate(model.operators):
-            opn = max(frob(op), 1e-30)
-            for j in range(d):
-                r = frob(projs[j] @ op - op @ projs[(j - 1) % d]) / opn
-                worst = max(worst, r)
-        return worst
+        return max(frob(projs[j] @ op - op @ projs[j - 1]) / max(frob(op), 1e-30)
+                   for op in model.operators for j in range(d))
 
     res = relation_residual(projections)
     if res > 1e-8:
@@ -350,9 +361,10 @@ def is_regular(model: KrausModel) -> RegularityReport:
     map sends 200 reproducibly-seeded random pure states to strictly positive
     matrices (minimum eigenvalue above 1e-8).
     """
-    if not is_irreducible_L(model).irreducible:
+    fp = _fixed_point_data(model)
+    if not _irreducibility(model, fp).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    return _regularity_of_irreducible(model, _period_of_irreducible(model))
+    return _regularity_of_irreducible(model, _period_of_irreducible(model, fp))
 
 
 def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityReport:
@@ -364,19 +376,16 @@ def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityR
     rng = np.random.default_rng(0xA11CE)
     probes = rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n))
     probes /= np.linalg.norm(probes, axis=1)[:, None]
+    # Row k is vec(x_k x_k^dag) for probe x_k (column stacking).
+    pure = (probes.conj()[:, :, None] * probes[:, None, :]).reshape(len(probes), n * n)
     superop = build_superop(model)
     power = np.eye(n * n, dtype=complex)
     onset: int | None = None
     for n_pow in range(1, 4 * n * n + 1):
         power = superop.matrix @ power
-        ok = True
-        for x in probes:
-            out = unvec(power @ vec(np.outer(x, x.conj())), n)
-            out = (out + out.conj().T) / 2
-            if np.linalg.eigvalsh(out).min() <= 1e-8:
-                ok = False
-                break
-        if ok:
+        outs = (pure @ power.T).reshape(-1, n, n).transpose(0, 2, 1)
+        outs = (outs + outs.conj().transpose(0, 2, 1)) / 2
+        if np.linalg.eigvalsh(outs)[:, 0].min() > 1e-8:
             onset = n_pow
             break
     return RegularityReport(regular=True, period=1, onset_estimate=onset)
@@ -386,9 +395,9 @@ def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityR
 class BNDecomposition:
     """Recurrent/decaying splitting of the internal space.
 
-    ``recurrent_basis`` columns span the subspace that keeps mass in the long
-    run; ``decaying_basis`` columns span its orthocomplement, which every
-    Kraus operator maps into the recurrent part asymptotically.
+    ``recurrent_basis`` columns span the support of ``limit_state``, the
+    Cesaro limit of the map's powers on I/n; ``decaying_basis`` columns span
+    its orthocomplement.  Each basis is a function of its subspace alone.
     """
 
     recurrent_dimension: int
@@ -396,80 +405,46 @@ class BNDecomposition:
     recurrent_basis: np.ndarray
     decaying_basis: np.ndarray
     limit_state: np.ndarray
-    windows_used: int
 
 
 _BN_RANK_TOL = 1e-9
-_BN_ITERATION_CAP = 2**16
-# A retained eigenvalue that shrinks by more than this factor between
-# consecutive windows is transient mass still draining, not structure.
-_BN_DRAIN_RATIO = 0.8
 
 
 def bn_decomposition(model: KrausModel) -> BNDecomposition:
     """Split the internal space into recurrent and decaying parts.
 
-    Iterates the auxiliary map on the maximally mixed state and averages over
-    dyadic tail windows (iterates 2^m .. 2^{m+1}-1).  Window averaging washes
-    out peripheral oscillation while the tail start kills transients
-    geometrically, so the rank of the window average stabilizes at the
-    recurrent dimension.  Rank stability alone is not enough: transient mass
-    that has not yet dropped below the rank threshold shows up as an
-    eigenvalue shrinking window over window, so we keep iterating while any
-    retained eigenvalue dropped by more than 20% since the previous window.
-    Transients that decay slower than that (a decaying corner with spectral
-    radius very close to 1) can exhaust the iteration budget; that limitation
-    is inherent to any fixed-power method.
+    The recurrent part is the support of E1(I/n), the exact Cesaro limit:
+    E1 = R (L^dag R)^-1 L^dag projects onto the eigenvalue-1 eigenvectors R
+    (picked as the fixed-point count picks them) along the rest of the
+    spectrum, with L a basis of the adjoint's fixed space, vec(I) when the
+    fixed point r is unique (then E1(I/n) = r / Tr r).  A transient counts
+    as decaying however slowly it decays.
     """
+    return _recurrent_split(model, _fixed_point_data(model))
+
+
+def _recurrent_split(model: KrausModel, fp: _FixedPoints) -> BNDecomposition:
+    """:func:`bn_decomposition` on the fixed points of the untilted map."""
     n = model.internal_dim
-    superop = build_superop(model)
-    v = vec(np.eye(n, dtype=complex) / n)
-    applied = 0
+    limit = fp.state  # r / Tr r when the fixed point r is unique
+    if limit is None:
+        right = fp.eigensystem.vectors[:, fp.fixed]
+        # L spans the adjoint's fixed space: the left null space of M - I.
+        u = np.linalg.svd(fp.superop.matrix - np.eye(n * n))[0]
+        left = u[:, -fp.fixed.size:].conj().T
+        pairing = left @ right
+        if np.linalg.svd(pairing, compute_uv=False)[-1] <= 1e-12:
+            raise SpectralIndeterminateError(
+                "fixed spaces of the map and its adjoint pair degenerately")
+        limit = unvec(right @ np.linalg.solve(pairing, left @ vec(np.eye(n) / n)), n)
+        limit = (limit + limit.conj().T) / 2
 
-    ranks: list[int] = []
-    prev_eigs = None
-    window_avg = None
-    m_used = 0
-    for m_idx in range(0, 17):
-        start, stop = 2**m_idx, 2**(m_idx + 1)
-        if stop - 1 > _BN_ITERATION_CAP:
-            raise ConvergenceError(
-                "recurrent-subspace rank failed to stabilize within the "
-                f"iteration budget ({_BN_ITERATION_CAP} applications)"
-            )
-        acc = np.zeros_like(v)
-        for k in range(applied, stop):
-            v = superop.matrix @ v
-            applied = k + 1
-            if applied >= start:
-                acc += v
-        window_avg = unvec(acc / (stop - start), n)
-        window_avg = (window_avg + window_avg.conj().T) / 2
-        eigs = np.linalg.eigvalsh(window_avg)[::-1]  # descending
-        rank = int(np.sum(eigs > _BN_RANK_TOL))
-        ranks.append(rank)
-        draining = False
-        if prev_eigs is not None:
-            for j in range(rank):
-                if (prev_eigs[j] > _BN_RANK_TOL
-                        and eigs[j] <= _BN_DRAIN_RATIO * prev_eigs[j]):
-                    draining = True
-                    break
-        prev_eigs = eigs
-        m_used = m_idx
-        if (len(ranks) >= 3 and ranks[-1] == ranks[-2] == ranks[-3]
-                and not draining):
-            break
-    else:
-        raise ConvergenceError("recurrent-subspace rank failed to stabilize")
-
-    vals, vecs = np.linalg.eigh(window_avg)
-    keep = vals > _BN_RANK_TOL
-    recurrent = vecs[:, keep]
-    decaying = vecs[:, ~keep]
+    vals, vecs = np.linalg.eigh(limit)
+    keep = vecs[:, vals > _BN_RANK_TOL]
+    p_r = keep @ keep.conj().T
+    rank = keep.shape[1]
 
     # The recurrent part must be invariant under every Kraus operator.
-    p_r = recurrent @ recurrent.conj().T
     eye = np.eye(n)
     for op in model.operators:
         leak = frob((eye - p_r) @ op @ p_r) / max(frob(op), 1e-30)
@@ -479,13 +454,32 @@ def bn_decomposition(model: KrausModel) -> BNDecomposition:
                 f"(relative leakage {leak:.3e})"
             )
     return BNDecomposition(
-        recurrent_dimension=int(keep.sum()),
-        decaying_dimension=int(n - keep.sum()),
-        recurrent_basis=recurrent,
-        decaying_basis=decaying,
-        limit_state=window_avg,
-        windows_used=m_used,
+        recurrent_dimension=rank,
+        decaying_dimension=n - rank,
+        recurrent_basis=_projector_basis(p_r, rank),
+        decaying_basis=_projector_basis(eye - p_r, n - rank),
+        limit_state=limit,
     )
+
+
+def _projector_basis(p: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, a function of ``p`` alone.
+
+    Gram-Schmidt over the columns of ``p`` in order keeps each remainder of
+    squared norm above 1/(2n), phased real positive at its column's row; the
+    remainders sum to the rank left, so ``rank`` columns pass.  A zero or
+    full-rank projector gives the (empty) identity exactly.
+    """
+    n = p.shape[0]
+    if rank in (0, n):
+        return np.eye(n, dtype=complex)[:, :rank]
+    basis = np.zeros((n, 0), dtype=complex)
+    for j in range(n):
+        v = p[:, j] - basis @ (basis.conj().T @ p[:, j])
+        v = v - basis @ (basis.conj().T @ v)  # reorthogonalize once
+        if basis.shape[1] < rank and np.linalg.norm(v) ** 2 > 0.5 / n:
+            basis = np.column_stack([basis, v * (abs(v[j]) / v[j]) / np.linalg.norm(v)])
+    return basis
 
 
 # --------------------------------------------------------------------------

@@ -186,8 +186,6 @@ class BatchStatistics:
     mean_standardized: np.ndarray
     variance_standardized: np.ndarray
     ks_distance: float
-    drift_used: np.ndarray
-    covariance_used: np.ndarray
     n_steps: int
     n_traj: int
     root_seed: int
@@ -247,8 +245,6 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
         mean_standardized=z.mean(axis=0),
         variance_standardized=z.var(axis=0),
         ks_distance=ks,
-        drift_used=mean,
-        covariance_used=covariance,
         n_steps=int(n_steps),
         n_traj=int(n_traj),
         root_seed=int(seed),
@@ -324,7 +320,7 @@ class ExactDistribution:
     """Position law after p steps, by two independent computations.
 
     ``masses`` comes from the windowed array propagator, ``masses_iterated``
-    and ``final_state`` from iterating the lattice map (``apply_M``); both
+    from iterating the lattice map (``apply_M``); both
     hold every site some word reaches.  ``tv_gap`` is their total-variation
     distance (must be tiny or construction raises).
     """
@@ -332,7 +328,6 @@ class ExactDistribution:
     masses: dict[tuple[int, ...], float]
     masses_iterated: dict[tuple[int, ...], float]
     tv_gap: float
-    final_state: LatticeState
 
 
 def exact_distribution(model: KrausModel, p: int,
@@ -361,7 +356,7 @@ def exact_distribution(model: KrausModel, p: int,
         raise ConvergenceError(
             f"propagated distribution has total mass {total!r}, expected 1"
         )
-    return ExactDistribution(masses, masses_iter, float(tv), state)
+    return ExactDistribution(masses, masses_iter, float(tv))
 
 
 @dataclass(frozen=True)

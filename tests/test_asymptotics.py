@@ -331,16 +331,30 @@ def test_reducible_rate_keeps_the_golden_section_path(monkeypatch, breakdown_mod
     assert table.kinks[0] == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-6)
 
 
-def test_boundary_velocities_fall_back_to_golden_section(monkeypatch, periodic_model):
+def test_boundary_velocities_take_the_closed_form(monkeypatch, periodic_model):
     import oqwalk.asymptotics as asymptotics
 
     golden = _count_calls(monkeypatch, "_golden_max", asymptotics)
+    radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
     table = rate_function(periodic_model, [-1.0, 1.0])
-    assert len(golden) == 2
-    # Speed-one limits of the closed form, which golden section meets to 3e-15.
+    assert golden == []
+    assert len(radii) == 2  # one per edge: rho of the edge step's Kraus terms
+    # Speed-one limits of the closed form.
     np.testing.assert_allclose(
         table.rate, [1.5 * np.log(2), 1.5 * np.log(2) - 0.5 * np.log(3)],
         rtol=0, atol=1e-12)
+    assert list(table.maximizers) == [-np.inf, np.inf]
+
+
+def test_velocities_beyond_the_steps_are_infinite_at_once(monkeypatch, std_model):
+    import oqwalk.asymptotics as asymptotics
+
+    radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
+    table = rate_function(std_model, [-1.5, 1.5])
+    assert radii == []
+    assert list(table.rate) == [np.inf, np.inf]
+    assert list(table.maximizers) == [-np.inf, np.inf]
+    assert list(table.finite) == [False, False]
 
 
 def test_rate_command_keeps_its_values_at_the_cone_edges():

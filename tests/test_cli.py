@@ -13,13 +13,18 @@ import pytest
 import oqwalk.cli
 import oqwalk.errors
 import oqwalk.model
+import oqwalk.numerics
+import oqwalk.structure
+import oqwalk.superop
 from oqwalk import ModelValidationError, dump_model, load_model
 from oqwalk.cli import main
+from oqwalk.superop import build_superop
 from model_zoo import (
     broken_scaled_model,
     diagonal_pair_model,
     random_isometry_model,
     three_level_two_block_model,
+    upper_triangular_model,
 )
 
 
@@ -326,6 +331,47 @@ def test_analyze_validates_a_model_document_once(tmp_path, monkeypatch, capsys):
     dump_model(random_isometry_model(31, n=4), path)
     run_json(capsys, ["analyze", "--model", str(path)])
     assert len(calls) == 1
+
+
+def test_analyze_splits_off_a_slowly_decaying_transient(tmp_path, capsys):
+    # The corner of this model decays at rate 0.987 per step.
+    path = tmp_path / "upper.json"
+    dump_model(upper_triangular_model(0), path)
+    aux = run_json(capsys, ["analyze", "--model", str(path)])["auxiliary_map"]
+    assert (aux["recurrent_dimension"], aux["decaying_dimension"]) == (1, 1)
+
+
+def _bench_document(seed, name):
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import docs
+    finally:
+        sys.path.remove(str(bench))
+    return docs.generate(seed)[name]
+
+
+@pytest.mark.parametrize("source", ["std_example", "n8"])
+def test_analyze_eigendecomposes_the_untilted_map_once(source, tmp_path, monkeypatch,
+                                                       capsys):
+    if source == "n8":
+        path = tmp_path / "n8.json"
+        path.write_text(_bench_document(31, "n8.json"))
+        argv, model = ["--model", str(path)], load_model(path)
+    else:
+        argv, model = ["--builtin", source], oqwalk.builtin(source)
+    untilted = build_superop(model).matrix
+    matrices = []
+    real = oqwalk.numerics.eigendecompose
+
+    def recording(matrix):
+        matrices.append(np.asarray(matrix))
+        return real(matrix)
+
+    for module in (oqwalk.numerics, oqwalk.structure, oqwalk.superop):
+        monkeypatch.setattr(module, "eigendecompose", recording)
+    run_json(capsys, ["analyze", *argv])
+    assert sum(np.array_equal(m, untilted) for m in matrices) == 1
 
 
 def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):

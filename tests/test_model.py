@@ -208,7 +208,7 @@ def test_lattice_state_orders_sites_lexicographically():
     assert state.positions == [(-1,), (0,), (2,)]
     np.testing.assert_allclose(
         [np.trace(state.blocks[p]).real for p in state.positions], [0.5, 0.3, 0.2])
-    assert state.total_trace() == pytest.approx(1.0)
+    assert sum(np.trace(b).real for b in state.blocks.values()) == pytest.approx(1.0)
 
 
 def test_lattice_state_rejects_bad_total_trace():

@@ -6,6 +6,7 @@ import pytest
 
 from oqwalk import (
     AssumptionError,
+    KrausModel,
     PathBudgetError,
     algebra_closure,
     bn_decomposition,
@@ -17,12 +18,17 @@ from oqwalk import (
     is_regular,
     period,
 )
+from oqwalk.numerics import unvec, vec
+from oqwalk.structure import _projector_basis
+from oqwalk.superop import build_superop
 from model_zoo import (
     broken_scaled_model,
     c2_sample,
     diag_antidiag_model,
     diagonal_pair_model,
+    irreducible_sample,
     three_level_two_block_model,
+    upper_triangular_model,
 )
 
 
@@ -245,6 +251,102 @@ def test_reducible_but_faithful_models_have_no_decaying_part():
     bn = bn_decomposition(three_level_two_block_model())
     assert bn.recurrent_dimension == 3
     assert bn.decaying_dimension == 0
+
+
+def test_recurrent_split_follows_the_two_level_taxonomy():
+    # Situation 2 keeps only the common ray; situations 1 and 3 keep both.
+    models = [upper_triangular_model(seed) for seed in range(100)] + c2_sample(100)
+    for index, model in enumerate(models):
+        cls = classify_c2(model)
+        bn = bn_decomposition(model)
+        if cls.situation == 2:
+            assert bn.recurrent_dimension == 1, index
+            overlap = abs(np.vdot(cls.rays[0], bn.recurrent_basis[:, 0]))
+            assert overlap == pytest.approx(1.0, abs=1e-9), index
+        else:
+            assert bn.recurrent_dimension == 2, index
+        assert bn.recurrent_dimension + bn.decaying_dimension == 2
+
+
+def two_sink_model(p=0.01, q=0.02):
+    """Three levels: span(e1, e2) is fixed pointwise, and e3 drains into e1
+    with rate p and into e2 with rate q, so the limit of I/3 is
+    diag(1 + p / (p + q), 1 + q / (p + q), 0) / 3."""
+    ops = np.zeros((5, 3, 3), dtype=complex)
+    ops[0] = ops[1] = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2)
+    ops[2, 0, 2], ops[3, 1, 2], ops[4, 2, 2] = np.sqrt([p, q, 1 - p - q])
+    return KrausModel(1, 3, ((1,), (-1,), (2,), (-2,), (0,)), ops)
+
+
+def test_several_fixed_points_keep_the_mass_their_sinks_receive():
+    bn = bn_decomposition(two_sink_model())
+    assert (bn.recurrent_dimension, bn.decaying_dimension) == (2, 1)
+    np.testing.assert_allclose(bn.limit_state, np.diag([1 + 1 / 3, 1 + 2 / 3, 0]) / 3,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bn.recurrent_basis, np.eye(3)[:, :2], atol=1e-12)
+    np.testing.assert_allclose(bn.decaying_basis, np.eye(3)[:, 2:], atol=1e-12)
+
+
+@pytest.mark.parametrize("model, period_length", [
+    (upper_triangular_model(0), 1),  # its transient decays at rate 0.987
+    (builtin("breakdown_example"), 1),
+    (builtin("periodic_example"), 2),
+    (two_sink_model(), 1),  # four fixed points
+])
+def test_limit_state_is_the_cesaro_limit(model, period_length):
+    n = model.internal_dim
+    matrix = build_superop(model).matrix
+    tail = np.linalg.matrix_power(matrix, 4096) @ vec(np.eye(n) / n)
+    average = np.zeros_like(tail)
+    for _ in range(2 * period_length):
+        average += tail
+        tail = matrix @ tail
+    average /= 2 * period_length
+    bn = bn_decomposition(model)
+    np.testing.assert_allclose(bn.limit_state, unvec(average, n), rtol=0, atol=1e-10)
+
+
+def test_recurrent_bases_depend_only_on_the_subspace():
+    rng = np.random.default_rng(5)
+    n, rank = 4, 2
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    spin, _ = np.linalg.qr(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
+    first, second = q[:, :rank], q[:, :rank] @ spin
+    a = _projector_basis(first @ first.conj().T, rank)
+    b = _projector_basis(second @ second.conj().T, rank)
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.conj().T @ a, np.eye(rank), atol=1e-12)
+    np.testing.assert_allclose(a @ a.conj().T, first @ first.conj().T, atol=1e-12)
+    # A full recurrent part is reported in the standard basis, exactly.
+    for name in ("std_example", "periodic_example", "antidiag_example"):
+        bn = bn_decomposition(builtin(name))
+        assert np.array_equal(bn.recurrent_basis, np.eye(2))
+        assert bn.decaying_basis.shape == (2, 0)
+
+
+def _onset_by_probe_loop(model):
+    """The positivity-onset probe of ``is_regular``, one probe at a time."""
+    n = model.internal_dim
+    rng = np.random.default_rng(0xA11CE)
+    probes = rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n))
+    probes /= np.linalg.norm(probes, axis=1)[:, None]
+    matrix = build_superop(model).matrix
+    power = np.eye(n * n, dtype=complex)
+    for n_pow in range(1, 4 * n * n + 1):
+        power = matrix @ power
+        outs = [unvec(power @ vec(np.outer(x, x.conj())), n) for x in probes]
+        if all(np.linalg.eigvalsh((o + o.conj().T) / 2).min() > 1e-8 for o in outs):
+            return n_pow
+    return None
+
+
+def test_batched_onset_probe_matches_the_probe_loop():
+    models = [builtin(name) for name in ("std_example", "antidiag_example",
+                                         "classical_dilation")]
+    for model in models + irreducible_sample(20):
+        report = is_regular(model)
+        if report.regular:
+            assert report.onset_estimate == _onset_by_probe_loop(model)
 
 
 # -- two-level taxonomy by common eigenvectors -----------------------------------

@@ -107,7 +107,7 @@ def test_apply_M_moves_mass_where_it_should(classical_model):
     moved = apply_M(classical_model, state)
     assert moved.positions == [(-1,), (1,)]
     np.testing.assert_allclose(moved.blocks[(1,)], [[0.5]], atol=1e-15)
-    assert moved.total_trace() == pytest.approx(1.0)
+    assert sum(np.trace(b).real for b in moved.blocks.values()) == pytest.approx(1.0)
 
 
 def test_spectral_radius_is_one_untilted(all_builtins):
