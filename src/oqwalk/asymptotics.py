@@ -26,11 +26,12 @@ from .errors import (
 from .model import KrausModel, LatticeState, default_initial_state
 from .numerics import project_to_state, psd_check, solve_on_traceless, unvec, vec
 from .structure import (
+    _FixedPoints,
+    _checked_period,
     _fixed_point_data,
     algebra_closure,
     classify_c2,
     is_irreducible_L,
-    period,
 )
 from .superop import (
     Superoperator,
@@ -67,7 +68,11 @@ def invariant_state(model: KrausModel) -> np.ndarray:
     greater than one (two-level models can then fall back to
     :func:`c2_parameters`).
     """
-    fp = _fixed_point_data(model)
+    return _unique_invariant_state(_fixed_point_data(model))
+
+
+def _unique_invariant_state(fp: _FixedPoints) -> np.ndarray:
+    """:func:`invariant_state` from the untilted map's fixed points."""
     if fp.state is None:
         raise MultiplicityError(
             f"invariant state is not unique (fixed-point count {fp.fixed.size}); "
@@ -718,9 +723,10 @@ def c2_parameters(model: KrausModel,
     d = model.lattice_dim
 
     if cls.situation == 1:
-        pd = period(model)
+        fp = _fixed_point_data(model)
+        pd = _checked_period(model, fp)
         if pd.period == 1:
-            rho = invariant_state(model)
+            rho = _unique_invariant_state(fp)
             mean = drift(model, rho)
             cov = covariance(model, rho)
             return C2Parameters(1, False, mean, cov, None, None, None)

@@ -201,7 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if irr.irreducible:
         pd = _period_of_irreducible(model, fp)
-        reg = _regularity_of_irreducible(model, pd)
+        reg = _regularity_of_irreducible(model, fp, pd)
         aux["period"] = pd.period
         aux["projections"] = [_matrix_to_json(p) for p in pd.projections]
         aux["regular"] = bool(reg.regular)

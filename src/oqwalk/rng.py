@@ -14,6 +14,10 @@ contract of the trajectory sampler leans on:
 * ``to_unit(x) = (x >> 11) * 2^-53`` in [0, 1).
 
 Scalar and numpy-vectorized variants are provided; they agree bit for bit.
+The vectorized draw takes an array of draw indices as well as one index, so
+the trajectory engine fetches the draws of a whole block of steps, for every
+stream, in one call; each draw is still the same pure function of
+(stream seed, counter).
 """
 from __future__ import annotations
 
@@ -38,7 +42,10 @@ def mix64(x: int) -> int:
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` on uint64 arrays (wrapping arithmetic)."""
-    x = np.asarray(x, dtype=np.uint64).copy()
+    return _mix64_in_place(np.array(x, dtype=np.uint64))
+
+
+def _mix64_in_place(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(33)
         x *= np.uint64(_MIX_MUL_1)
@@ -69,10 +76,22 @@ def unit_draw(seed_i: int, k: int) -> float:
     return to_unit(mix64((seed_i + (k + 1) * GAMMA) & MASK64))
 
 
-def unit_draws_array(seeds: np.ndarray, k: int) -> np.ndarray:
-    """Draw ``k`` for every stream in ``seeds`` at once."""
+def unit_draws_array(seeds: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    """Draw ``k`` of every stream in ``seeds`` at once.
+
+    ``k`` is one draw index for all streams or an array of indices taken
+    elementwise with ``seeds``; either way the state is
+    ``seed + (k + 1) * GAMMA mod 2^64``, so the draws equal :func:`unit_draw`.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
+    # One state array, updated in place: a block of draws allocates only it
+    # and the result.
+    state = np.add(np.asarray(k, dtype=np.uint64), np.uint64(1),
+                   out=np.empty(seeds.shape, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        state = seeds + np.uint64(((k + 1) * GAMMA) & MASK64)
-    return (mix64_array(state) >> np.uint64(11)) * 2.0**-53
+        state *= np.uint64(GAMMA)
+        state += seeds
+    _mix64_in_place(state)
+    state >>= np.uint64(11)
+    return state * 2.0**-53
 

@@ -259,7 +259,11 @@ def period(model: KrausModel) -> PeriodData:
     to exact orthogonal projections, ordered to satisfy the shift relation, and
     labeled so that projection 0 maximizes the diagonal lexicographically.
     """
-    fp = _fixed_point_data(model)
+    return _checked_period(model, _fixed_point_data(model))
+
+
+def _checked_period(model: KrausModel, fp: _FixedPoints) -> PeriodData:
+    """:func:`period` on the fixed points of the untilted map."""
     if not _irreducibility(model, fp).irreducible:
         raise AssumptionError("period is defined for irreducible maps only")
     return _period_of_irreducible(model, fp)
@@ -364,10 +368,11 @@ def is_regular(model: KrausModel) -> RegularityReport:
     fp = _fixed_point_data(model)
     if not _irreducibility(model, fp).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    return _regularity_of_irreducible(model, _period_of_irreducible(model, fp))
+    return _regularity_of_irreducible(model, fp, _period_of_irreducible(model, fp))
 
 
-def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityReport:
+def _regularity_of_irreducible(model: KrausModel, fp: _FixedPoints,
+                               pd: PeriodData) -> RegularityReport:
     """:func:`is_regular` for an irreducible map whose period data is known."""
     if pd.period != 1:
         return RegularityReport(regular=False, period=pd.period, onset_estimate=None)
@@ -378,11 +383,10 @@ def _regularity_of_irreducible(model: KrausModel, pd: PeriodData) -> RegularityR
     probes /= np.linalg.norm(probes, axis=1)[:, None]
     # Row k is vec(x_k x_k^dag) for probe x_k (column stacking).
     pure = (probes.conj()[:, :, None] * probes[:, None, :]).reshape(len(probes), n * n)
-    superop = build_superop(model)
     power = np.eye(n * n, dtype=complex)
     onset: int | None = None
     for n_pow in range(1, 4 * n * n + 1):
-        power = superop.matrix @ power
+        power = fp.superop.matrix @ power
         outs = (pure @ power.T).reshape(-1, n, n).transpose(0, 2, 1)
         outs = (outs + outs.conj().transpose(0, 2, 1)) / 2
         if np.linalg.eigvalsh(outs)[:, 0].min() > 1e-8:

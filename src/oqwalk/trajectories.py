@@ -12,7 +12,10 @@ unravelling, not the conditional mixed state given the positions.
 The engine is vectorized over trajectories but arranged so that each
 trajectory's arithmetic is independent of the batch it runs in: trajectory i
 of a batch with root seed r is bit-for-bit the trajectory of stream seed
-derive_seed(r, i) (same platform).
+derive_seed(r, i) (same platform).  The draws for a block of steps of all
+trajectories come from one call to the generator; each is still the pure
+function of (stream seed, counter) that one call per step would give, so
+blocking changes no realization.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -71,6 +74,11 @@ def _unravel(initial_state: LatticeState):
             np.concatenate(weights))
 
 
+# Draws fetched per call: the engine draws a block of max(1, 2^14 // N) steps
+# for all N trajectories at once (128 KiB of draws).
+_BLOCK_DRAWS = 2**14
+
+
 def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
     """Vectorized trajectory kernel shared by single and batch entry points.
@@ -101,34 +109,44 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         pos_hist[:, 0] = x
         psi_hist[:, 0] = psi
 
-    for p in range(1, n_steps + 1):
-        cand = np.einsum("kij,nj->nki", ops, psi)
-        flat = cand.view(float)
-        probs = np.einsum("nki,nki->nk", flat, flat)
-        # A NaN probability passes this gate and fails the next one.
-        dead = np.all(probs <= 1e-15, axis=1)
-        if dead.any():
-            raise DegenerateStepError(
-                f"all step probabilities vanished at step {p} for "
-                f"{int(dead.sum())} trajectory(ies)"
-            )
-        totals = probs.sum(axis=1)
-        drift_off = float(np.max(np.abs(totals - 1.0)))
-        if not drift_off <= 1e-9:
-            raise TraceDriftError(
-                f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
-            )
-        cum = np.cumsum(probs, axis=1) / totals[:, None]
-        u = unit_draws_array(stream_seeds, p)
-        choice = np.minimum(np.sum(u[:, None] >= cum, axis=1), k_steps - 1)
+    block = max(1, _BLOCK_DRAWS // n_traj)
+    for start in range(1, n_steps + 1, block):
+        stop = min(start + block, n_steps + 1)
+        draws = unit_draws_array(np.tile(stream_seeds, stop - start),
+                                 np.repeat(np.arange(start, stop, dtype=np.uint64), n_traj))
+        for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
+            cand = np.einsum("kij,nj->nki", ops, psi)
+            flat = cand.view(float)
+            probs = np.einsum("nki,nki->nk", flat, flat)
+            totals = probs.sum(axis=1)
+            drift_off = float(abs(totals - 1.0).max())
+            # A dead row (total <= K 1e-15) always fails the drift gate, so
+            # the dead-step gate runs only then, and takes precedence; a NaN
+            # probability fails the drift gate and passes the dead one.
+            if not drift_off <= 1e-9:
+                dead = (probs <= 1e-15).all(axis=1)
+                if dead.any():
+                    raise DegenerateStepError(
+                        f"all step probabilities vanished at step {p} for "
+                        f"{int(dead.sum())} trajectory(ies)"
+                    )
+                raise TraceDriftError(
+                    f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
+                )
+            cum = probs.cumsum(axis=1)
+            cum /= totals[:, None]
+            choice = (u[:, None] >= cum).sum(axis=1)
+            np.minimum(choice, k_steps - 1, out=choice)
 
-        x += steps[choice]
-        psi = (flat[rows, choice] / np.sqrt(probs[rows, choice])[:, None]).view(complex)
+            x += steps[choice]
+            norms = probs[rows, choice]
+            np.sqrt(norms, out=norms)
+            psi = (flat[rows, choice] / norms[:, None]).view(complex)
 
-        if record:
-            pos_hist[:, p] = x
-            psi_hist[:, p] = psi
-            idx_hist[:, p - 1] = choice
+            if record:
+                pos_hist[:, p] = x
+                psi_hist[:, p] = psi
+                idx_hist[:, p - 1] = choice
 
     if record:
         return x0, x, pos_hist, psi_hist, idx_hist

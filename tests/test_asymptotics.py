@@ -22,6 +22,7 @@ from oqwalk import (
     rate_function,
 )
 from oqwalk.asymptotics import _lambda_curve, _log_lambda_derivatives
+from oqwalk.superop import build_superop
 import reference
 from model_zoo import (
     STEPS_2D,
@@ -389,6 +390,27 @@ def test_closed_form_on_aperiodic_irreducible_models(std_model):
     np.testing.assert_allclose(params.covariance, [[reference.STD_VARIANCE]],
                                atol=1e-10)
     assert params.law_a is None and params.law_b is None
+
+
+def test_closed_form_eigendecomposes_the_untilted_map_once(std_model, monkeypatch):
+    # period and invariant state come from one fixed-point record
+    import oqwalk.structure as structure
+
+    untilted = build_superop(std_model).matrix
+    seen = []
+    real = structure.eigendecompose
+
+    def recording(matrix, *args, **kwargs):
+        seen.append(np.array_equal(matrix, untilted))
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "eigendecompose", recording)
+    params = c2_parameters(std_model)
+    assert sum(seen) == 1
+    monkeypatch.undo()
+    rho = invariant_state(std_model)
+    assert params.mean.tobytes() == drift(std_model, rho).tobytes()
+    assert params.covariance.tobytes() == covariance(std_model, rho).tobytes()
 
 
 def test_closed_form_on_the_periodic_model(periodic_model):

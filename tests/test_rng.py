@@ -85,6 +85,19 @@ def test_unit_draws_array_agrees_with_scalar():
         np.testing.assert_array_equal(vectorized, scalar)
 
 
+def test_unit_draws_array_takes_an_array_of_indices():
+    # seeds within 2^10 of 2^64 make seed + (k + 1) GAMMA wrap; k = 0 included
+    seeds = np.concatenate([derive_seeds(9, 5),
+                            np.array([M64, M64 - 1, M64 - 1023], dtype=np.uint64)])
+    ks = np.array([0, 1, 2, 63, 2**20, 0, 7, 2**40], dtype=np.uint64)
+    vectorized = unit_draws_array(seeds, ks)
+    scalar = np.array([unit_draw(int(s), int(k)) for s, k in zip(seeds, ks)])
+    assert vectorized.tobytes() == scalar.tobytes()
+    # one index for all streams and the same index spelled out agree
+    same = unit_draws_array(seeds, np.full(len(seeds), 5, dtype=np.uint64))
+    assert same.tobytes() == unit_draws_array(seeds, 5).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 77, 2**64 + 5])
 def test_random_initial_state_reads_the_stream_row_major(n, seed):

@@ -223,6 +223,22 @@ def test_period_and_regularity_compute_the_operator_closure_once(name, query,
     assert len(calls) == 1
 
 
+def test_regularity_builds_the_untilted_map_once(std_model, monkeypatch):
+    # the positivity-onset probe reads the map from the fixed-point record
+    import oqwalk.structure as structure
+
+    calls = []
+    real = structure.build_superop
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "build_superop", counting)
+    assert is_regular(std_model).regular
+    assert len(calls) == 1
+
+
 # -- recurrent / decaying splitting ---------------------------------------------
 
 def test_breakdown_decomposition_isolates_the_trapping_ray(breakdown_model):

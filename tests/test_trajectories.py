@@ -21,8 +21,8 @@ from oqwalk import (
     sample_trajectory,
     write_batch_csv,
 )
-from oqwalk.rng import derive_seed, derive_seeds
-from oqwalk.trajectories import _engine, _unravel
+from oqwalk.rng import derive_seed, derive_seeds, unit_draws_array
+from oqwalk.trajectories import _BLOCK_DRAWS, _engine, _unravel
 import reference
 from model_zoo import NN_STEPS, STEPS_2D, broken_scaled_model, random_isometry_model
 
@@ -69,6 +69,26 @@ def test_batch_rows_replay_as_single_trajectories(std_model):
             _, _, _, row_psi, _ = _engine(std_model, start, n_steps,
                                           seeds[i:i + 1], True)
             assert np.array_equal(row_psi[0], batch_psi[i])
+
+
+def test_rows_replay_across_draw_blocks(std_model):
+    # At N = 3 a draw block holds 2^14 // 3 = 5461 steps, so the batch draws
+    # P = 5500 in two blocks, the second one partial; each single trajectory
+    # draws the same steps in one block.
+    root, n_traj, n_steps = 77, 3, 5500
+    block = _BLOCK_DRAWS // n_traj
+    assert block < n_steps and n_steps % block
+    seeds = derive_seeds(root, n_traj)
+    start = default_initial_state(std_model)
+    _, finals, pos, psi, idx = _engine(std_model, start, n_steps, seeds, True)
+    batch = batch_statistics(std_model, n_steps, n_traj, seed=root)
+    assert np.array_equal(batch.finals, finals)
+    for i in range(n_traj):
+        tr = sample_trajectory(std_model, n_steps, derive_seed(root, i))
+        assert np.array_equal(tr.positions, pos[i])
+        assert np.array_equal(tr.step_indices, idx[i])
+        _, _, _, row_psi, _ = _engine(std_model, start, n_steps, seeds[i:i + 1], True)
+        assert row_psi[0].tobytes() == psi[i].tobytes()
 
 
 def test_trajectory_record_is_internally_consistent(periodic_model):
@@ -264,13 +284,42 @@ def test_vanishing_step_probabilities_are_detected():
     ops = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2))]
     model = KrausModel(1, 2, NN_STEPS, tuple(np.asarray(o, complex) for o in ops))
     start = point_initial_state(model, E2)
-    with pytest.raises(DegenerateStepError):
+    with pytest.raises(DegenerateStepError,
+                       match=r"vanished at step 1 for 1 trajectory\(ies\)$"):
         sample_trajectory(model, 3, stream_seed=0, initial_state=start)
 
 
+def test_a_dead_row_among_live_rows_stops_the_batch():
+    # L_+ = |e1><e1| + |e3><e2|, L_- = 0: e1 walks right forever, e2 moves
+    # to e3 and dies at step 2.  The start mixes e1 (0.3) and e2 (0.7).
+    plus = np.zeros((3, 3), dtype=complex)
+    plus[0, 0] = plus[2, 1] = 1.0
+    model = KrausModel(1, 3, NN_STEPS, np.stack([plus, np.zeros((3, 3))]))
+    start = point_initial_state(model, np.diag([0.3, 0.7, 0.0]))
+    root, n_traj = 11, 64
+    # draw 0 picks e2 (the second pair of the unravelling) when u >= 0.3
+    dying = int(np.sum(unit_draws_array(derive_seeds(root, n_traj), 0) >= 0.3))
+    assert 0 < dying < n_traj
+    with pytest.raises(DegenerateStepError) as info:
+        batch_statistics(model, 5, n_traj, seed=root, initial_state=start,
+                         mean=[1.0], covariance=[[1.0]])
+    assert str(info.value) == (
+        f"all step probabilities vanished at step 2 for {dying} trajectory(ies)")
+
+
 def test_trace_drift_is_detected_immediately():
-    with pytest.raises(TraceDriftError):
+    with pytest.raises(TraceDriftError, match=r"off by 1\.\d+e-03 at step 1$"):
         sample_trajectory(broken_scaled_model(), 3, stream_seed=0)
+
+
+def test_a_nan_operator_is_a_trace_drift():
+    # A NaN probability passes the dead-step gate and fails the drift gate.
+    model = builtin("std_example")
+    ops = np.array(model.operators)
+    ops[0, 0, 0] = np.nan
+    object.__setattr__(model, "operators", ops)  # KrausModel rejects NaN entries
+    with pytest.raises(TraceDriftError, match=r"off by nan at step 1$"):
+        sample_trajectory(model, 3, stream_seed=0)
 
 
 def test_blocks_at_the_positivity_tolerance_are_sampled(std_model):
