@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .config import STOCHASTICITY_TOL
 from .errors import ModelFormatError, ModelValidationError
-from .numerics import choi_matrix, frob, psd_check
+from .numerics import choi_matrix, frob, kraus_products, psd_check
 from .rng import MASK64, unit_draw
 
 __all__ = [
@@ -96,6 +97,12 @@ class KrausModel:
     @property
     def steps_array(self) -> np.ndarray:
         return np.asarray(self.displacements, dtype=float)
+
+    @cached_property
+    def product_stack(self) -> np.ndarray:
+        """Read-only ``(K, n^2, n^2)`` stack of the Kraus-term superoperators
+        ``kron(conj(L_k), L_k)``, formed on first use and kept."""
+        return _readonly(kraus_products(self.operators))
 
     def stochasticity_residual(self) -> float:
         acc = sum(op.conj().T @ op for op in self.operators)

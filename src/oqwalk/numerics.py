@@ -5,6 +5,9 @@ Conventions
 * Matrices are vectorized by **column stacking**: ``vec(A) = A.flatten(order="F")``,
   so a sandwich map ``rho -> A rho B`` has superoperator ``kron(B.T, A)`` and a
   Kraus term ``rho -> L rho L^dag`` has superoperator ``kron(conj(L), L)``.
+  :func:`kraus_products` forms these products; each model keeps its stack
+  (``KrausModel.product_stack``), and every map the superoperator layer
+  builds is a weighted sum over it.
 * Eigenvalues are always reported sorted by decreasing modulus, ties broken by
   decreasing real part and then increasing imaginary part.
 * Norms are Frobenius unless stated otherwise.
@@ -32,7 +35,7 @@ __all__ = [
     "vec",
     "unvec",
     "frob",
-    "kraus_superop",
+    "kraus_products",
     "choi_matrix",
     "EigenSystem",
     "eigendecompose",
@@ -64,15 +67,15 @@ def frob(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
 
 
-def kraus_superop(operators: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator matrix of ``rho -> sum_k w_k L_k rho L_k^dag`` (column stacking)."""
+def kraus_products(operators: np.ndarray) -> np.ndarray:
+    """Stack of the Kraus-term superoperators ``kron(conj(L_k), L_k)``.
+
+    Entry ``k`` is the column-stacking matrix of ``rho -> L_k rho L_k^dag``;
+    any weighted map ``sum_k w_k L_k rho L_k^dag`` is a weighted sum of the
+    stack's entries.
+    """
     operators = np.asarray(operators, dtype=complex)
-    if weights is None:
-        weights = np.ones(len(operators))
-    acc = np.zeros((operators.shape[1] ** 2,) * 2, dtype=complex)
-    for w, op in zip(weights, operators):
-        acc += w * np.kron(op.conj(), op)
-    return acc
+    return np.array([np.kron(op.conj(), op) for op in operators])
 
 
 def choi_matrix(operators: np.ndarray) -> np.ndarray:

@@ -4,11 +4,13 @@ Perron data extraction.
 For a model with operators ``L_s`` the auxiliary map is
 ``rho -> sum_s L_s rho L_s^dag``; the tilted map attaches a weight
 ``exp(<u, s>)`` to each Kraus term, and is built rescaled by
-``exp(-max_s <u, s>)`` so that large tilts cannot overflow.  All of these
-are completely positive, so the leading eigenvalue is a genuine spectral
-radius with (up to normalization) a PSD eigenvector on either side;
-``perron`` extracts that data with explicit tolerance and degeneracy
-reporting.
+``exp(-max_s <u, s>)`` so that large tilts cannot overflow.  Every map is a
+weighted sum over the model's cached stack of Kraus-term products
+(``KrausModel.product_stack``), so from one tilt to the next only the
+weights change.  All of these maps are completely positive, so the leading
+eigenvalue is a genuine spectral radius with (up to normalization) a PSD
+eigenvector on either side; ``perron`` extracts that data with explicit
+tolerance and degeneracy reporting.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .numerics import (
     check_dense_side,
     eigendecompose,
     frob,
-    kraus_superop,
     project_to_state,
     unvec,
     vec,
@@ -60,9 +61,16 @@ class Superoperator:
 
 
 def weighted_superop(model: KrausModel, weights: np.ndarray) -> Superoperator:
-    """Superoperator of ``rho -> sum_s w_s L_s rho L_s^dag``."""
-    return Superoperator(kraus_superop(model.operators, np.asarray(weights, dtype=float)),
-                         model.internal_dim)
+    """Superoperator of ``rho -> sum_s w_s L_s rho L_s^dag``.
+
+    A weighted sum over the model's product stack, accumulated term by term
+    in step order.
+    """
+    products = model.product_stack
+    acc = np.zeros(products.shape[1:], dtype=complex)
+    for w, product in zip(np.asarray(weights, dtype=float), products):
+        acc += w * product
+    return Superoperator(acc, model.internal_dim)
 
 
 def build_superop(model: KrausModel) -> Superoperator:

