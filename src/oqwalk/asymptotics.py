@@ -204,7 +204,12 @@ def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
         rho = invariant_state(model)
     if mean is None:
         mean = drift(model, rho)
-    superop = build_superop(model)
+    return _covariance_ags(model, rho, mean, build_superop(model))
+
+
+def _covariance_ags(model: KrausModel, rho: np.ndarray, mean: np.ndarray,
+                    superop: Superoperator) -> np.ndarray:
+    """:func:`covariance_ags` on an already built untilted map."""
     return _covariance_from_form(
         model, lambda u: _directional_curvature_ags(model, u, rho, superop, mean),
         "covariance (adjoint route)")
@@ -234,11 +239,11 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     ``drift_fd_gap`` compares the drift against central differences of
     log lambda_u at h = 1e-5.
     """
-    rho = invariant_state(model)
+    fp = _fixed_point_data(model)
+    rho, superop = _unique_invariant_state(fp), fp.superop
     mean = drift(model, rho)
-    superop = build_superop(model)
     c_eta, etas = _covariance_and_correctors(model, rho, superop)
-    c_ags = covariance_ags(model, rho, mean)
+    c_ags = _covariance_ags(model, rho, mean, superop)
     route_gap = float(np.max(np.abs(c_eta - c_ags)))
 
     eta_residual = 0.0

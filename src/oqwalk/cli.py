@@ -11,8 +11,8 @@ Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
   0  success
   1  OQWalkError: any other package error
   2  ModelFormatError: bad document or argument (a missing file exits 2 too)
-  3  ModelValidationError, AssumptionError, PathBudgetError; also an invalid
-     model under ``validate`` and a failed ``oracle-check``
+  3  ModelValidationError, AssumptionError; also an invalid model under
+     ``validate`` and a failed ``oracle-check``
   4  SpectralIndeterminateError, PositivityError, ConvergenceError,
      SingularRestrictionError, HermiticityError, TraceGaugeError
   5  MultiplicityError: no unique invariant state, no two-level fallback

@@ -63,11 +63,6 @@ class ConvergenceError(OQWalkError):
     exit_code = 4
 
 
-class PathBudgetError(OQWalkError):
-    """An exact enumeration would exceed the configured path-count cap."""
-    exit_code = 3
-
-
 class DegenerateStepError(OQWalkError):
     """All step probabilities vanished along a trajectory (absorbing numerical trap)."""
     exit_code = 6

@@ -4,19 +4,20 @@ Covers irreducibility of the auxiliary map (two independent routes that must
 agree), its cyclic period with resolution projections, regularity, the
 recurrent/decaying splitting of the internal space, the three-way taxonomy of
 two-level models by their common invariant rays, irreducibility of the lattice
-walk itself via return-path words, and the dedicated two-level lattice
+walk itself via the spans of return words, and the dedicated two-level lattice
 classifier (reducible / period 2 / period 4).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from .errors import (
     AssumptionError,
     ConvergenceError,
-    PathBudgetError,
     SpectralIndeterminateError,
 )
 from .model import KrausModel, validate_model
@@ -55,10 +56,12 @@ class _OperatorSpan:
     span is a single matrix-vector product.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, candidates=()):
         self.n = n
         self._rows = np.empty((n * n, n * n), dtype=complex)
         self._count = 0
+        for candidate in candidates:
+            self.add(candidate)
 
     def __len__(self) -> int:
         return self._count
@@ -70,9 +73,11 @@ class _OperatorSpan:
 
     def add(self, candidate: np.ndarray) -> bool:
         """Try to adjoin a matrix; returns True if it enlarged the span."""
+        if self._count == self.n * self.n:
+            return False
         v = vec(candidate)
         norm0 = np.linalg.norm(v)
-        if norm0 <= _SPAN_TOL or self._count == self.n * self.n:
+        if norm0 <= _SPAN_TOL:
             return False
         # Two rounds of projection: classical Gram-Schmidt done twice is
         # numerically equivalent to the modified variant.
@@ -112,9 +117,7 @@ def algebra_closure(operators) -> AlgebraClosure:
         raise ValueError("algebra_closure needs at least one generator")
     n = gens[0].shape[0]
     gens = [g for g in gens if frob(g) > _SPAN_TOL]
-    span = _OperatorSpan(n)
-    for g in gens:
-        span.add(g)
+    span = _OperatorSpan(n, gens)
 
     rounds = 0
     changed = True
@@ -605,7 +608,7 @@ def classify_c2(model: KrausModel) -> C2Classification:
 
 
 # --------------------------------------------------------------------------
-# Lattice-walk irreducibility via return-path words.
+# Lattice-walk irreducibility via return-word spans.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -613,9 +616,11 @@ class MIrreducibility:
     """Verdict on irreducibility of the full lattice walk.
 
     ``verdict`` is one of ``"irreducible"``, ``"reducible"``,
-    ``"inconclusive"``.  A reducible verdict carries a certified witness: an
-    orthonormal basis of a proper subspace invariant under every return word
-    examined.
+    ``"inconclusive"``.  A reducible verdict from the span search carries a
+    certified witness: the canonical orthonormal basis (a function of the
+    subspace alone) of a proper subspace invariant under every return word.
+    A walk whose steps cannot reach every site is reducible on geometry
+    alone and reports ``("reducible", 0, 0, None)``.
     """
 
     verdict: str
@@ -624,7 +629,34 @@ class MIrreducibility:
     witness: np.ndarray | None
 
 
-_WORD_BUDGET = 2**20
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix, by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def _steps_generate_lattice(steps, d: int) -> bool:
+    """Do the integer steps generate Z^d as a semigroup?  Exact arithmetic.
+
+    They do when their cone is all of R^d, so the semigroup is a group, and
+    that group has index one: no hyperplane through d - 1 of the steps has
+    every step on one side, and the d x d minors have gcd 1.  For each set
+    ``sub`` of d - 1 independent steps, the cofactor normal ``m`` has
+    ``s . m = det([s, *sub])``: one product gives both a minor and the side
+    of ``s``.  The work is C(K, d - 1) normals of K products each.
+    """
+    g = 0
+    for sub in combinations(steps, d - 1):
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in sub]) for j in range(d)]
+        if not any(normal):
+            continue
+        sides = [sum(a * b for a, b in zip(s, normal)) for s in steps]
+        if min(sides) >= 0 or max(sides) <= 0:
+            return False
+        g = gcd(g, *sides)
+    return g == 1
 
 
 def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
@@ -644,85 +676,80 @@ def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
 
 
 def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrreducibility:
-    """Probe lattice-walk irreducibility through return-path words.
+    """Probe lattice-walk irreducibility through the spans of return words.
 
-    The walk is irreducible exactly when the operators of zero-displacement
-    paths generate, over all lengths, the full matrix algebra.  We enumerate
-    words up to ``max_length`` (default 2 n^2 + 2), growing the closure span as
-    return words appear:
+    The walk is irreducible exactly when its steps reach every site and the
+    return words (products of the ``L_s`` whose steps sum to zero) generate
+    the full matrix algebra.  First, in exact integer arithmetic, the steps
+    with nonzero operators must generate Z^d as a semigroup; otherwise the
+    walk is confined to a sublattice or a half-space: reducible.
 
-    * span reaches full dimension at some length: irreducible (early exit);
-    * span dimension stalls for three consecutive lengths below full: search
-      for a proper subspace invariant under every collected return word; if
-      certified, reducible with witness, otherwise inconclusive;
-    * budget exhausted without stall or fill: inconclusive.
+    Then, at each length up to ``max_length`` (default 2 n^2 + 2), one span
+    per reached site x holds the span of that length's words from the origin
+    to x: the span at x is the sum over s of L_s times the previous span at
+    x - s.  A site that cannot return to the origin in the lengths left is
+    dropped, which bounds the work without changing a verdict.  The origin's
+    span joins the return span, closed multiplicatively after each length
+    from the first return word on:
+
+    * return span reaches full dimension: irreducible (early exit);
+    * its dimension stalls for three consecutive lengths below full: search
+      for a proper subspace invariant under it; if certified, reducible with
+      the subspace's canonical basis as witness, otherwise inconclusive;
+    * lengths exhausted without stall or fill: inconclusive.
     """
-    n = model.internal_dim
+    n, d = model.internal_dim, model.lattice_dim
     if max_length is None:
         max_length = 2 * n * n + 2
+    live = [(s, op) for s, op in zip(model.displacements, model.operators) if op.any()]
+    steps = [s for s, _ in live]
+    if not _steps_generate_lattice(steps, d):
+        return MIrreducibility("reducible", 0, 0, None)
+    lo = [min(0, *c) for c in zip(*steps)]
+    hi = [max(0, *c) for c in zip(*steps)]
+    zero = (0,) * d
+    spans = {zero: _OperatorSpan(n, [np.eye(n)])}
     span = _OperatorSpan(n)
-    return_words: list[np.ndarray] = []
     dims: list[int] = []
-    zero = tuple([0] * model.lattice_dim)
-
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [
-        (zero, np.eye(n, dtype=complex))
-    ]
     length_used = 0
-    verdict: str | None = None
-    for length in range(1, max_length + 1):
-        if len(frontier) * model.n_steps > _WORD_BUDGET:
-            raise PathBudgetError(
-                f"word enumeration would exceed {_WORD_BUDGET} entries at "
-                f"length {length}"
-            )
-        new_frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
-        for disp, mat in frontier:
-            for s, op in zip(model.displacements, model.operators):
-                nd = tuple(a + b for a, b in zip(disp, s))
-                nm = op @ mat
-                new_frontier.append((nd, nm))
-                if nd == zero and frob(nm) > 1e-14:
-                    return_words.append(nm)
-                    span.add(nm)
-        frontier = new_frontier
-        length_used = length
-
-        # Close the span multiplicatively under the return words seen so far.
-        if return_words:
-            closure = algebra_closure(span.matrices() if len(span) else return_words)
-            span = _OperatorSpan(n)
-            for b in closure.basis:
+    for length_used in range(1, max_length + 1):
+        left = max_length - length_used
+        reached: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for site, words in spans.items():
+            for s, op in live:
+                x = tuple(a + b for a, b in zip(site, s))
+                if all(l * left <= -c <= h * left for l, c, h in zip(lo, x, hi)):
+                    reached.setdefault(x, []).extend(op @ words.matrices())
+        spans = {x: _OperatorSpan(n, mats) for x, mats in reached.items()}
+        if zero in spans:
+            for b in spans[zero].matrices():
                 span.add(b)
+        if len(span):  # close the return span multiplicatively
+            span = _OperatorSpan(n, algebra_closure(span.matrices()).basis)
         dims.append(len(span))
         if len(span) == n * n:
-            verdict = "irreducible"
-            break
-        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3] and dims[-1] > 0:
+            return MIrreducibility("irreducible", n * n, length_used, None)
+        if len(span) and dims[-3:] == [len(span)] * 3:
             break
 
-    if verdict == "irreducible":
-        return MIrreducibility("irreducible", n * n, length_used, None)
-    if not return_words:
+    if not len(span):
         return MIrreducibility("inconclusive", 0, length_used, None)
-
-    witness = _search_common_invariant_subspace(return_words, span, n)
-    if witness is not None:
-        return MIrreducibility("reducible", len(span), length_used, witness)
-    return MIrreducibility("inconclusive", len(span), length_used, None)
+    witness = _search_common_invariant_subspace(span.matrices(), n)
+    verdict = "inconclusive" if witness is None else "reducible"
+    return MIrreducibility(verdict, len(span), length_used, witness)
 
 
-def _search_common_invariant_subspace(return_words: list[np.ndarray],
-                                      span: _OperatorSpan,
+def _search_common_invariant_subspace(basis_mats: np.ndarray,
                                       n: int) -> np.ndarray | None:
-    """Look for a proper subspace invariant under all return words.
+    """Look for a proper subspace invariant under a closed span of matrices.
 
-    Generic elements of the closed span have eigenvectors generating minimal
-    invariant subspaces; any proper one found is validated against the full
-    word list before being reported.
+    Generic elements of the span have eigenvectors generating minimal
+    invariant subspaces; any proper one found is validated against every
+    basis matrix (invariance is linear, so that covers the whole span) and
+    reported by its canonical basis.
     """
-    basis_mats = span.matrices()
     rng = np.random.default_rng(0xBEEF)
+    eye = np.eye(n)
     for _ in range(4):
         coeffs = rng.normal(size=len(basis_mats)) + 1j * rng.normal(size=len(basis_mats))
         generic = sum(c * b for c, b in zip(coeffs, basis_mats))
@@ -731,13 +758,8 @@ def _search_common_invariant_subspace(return_words: list[np.ndarray],
             sub = _minimal_invariant_subspace(vecs[:, j], basis_mats, n)
             if 0 < sub.shape[1] < n:
                 p = sub @ sub.conj().T
-                eye = np.eye(n)
-                ok = all(
-                    frob((eye - p) @ w @ p) <= 1e-9 * max(1.0, frob(w))
-                    for w in return_words
-                )
-                if ok:
-                    return sub
+                if all(frob((eye - p) @ b @ p) <= 1e-9 for b in basis_mats):
+                    return _projector_basis(p, sub.shape[1])
     return None
 
 

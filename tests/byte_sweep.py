@@ -6,7 +6,9 @@ of stdout, of stderr and of every ``--out`` artifact.  The list covers the six
 commands on the bundled models and on the seeded benchmark documents
 (``perfbench/docs.py``, seeds 31 and 32: valid n = 4 and n = 8 walks, an
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
-initial-state documents, every range check, argparse errors and ``--help``.
+``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
+10^30, initial-state documents, every range check, argparse errors and
+``--help``.
 
 Usage, from the repository root::
 
@@ -39,6 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import docs  # noqa: E402  (perfbench/docs.py: the seeded model documents)
 
 import oqwalk.cli  # noqa: E402
+from model_zoo import moved_step_document  # noqa: E402
 
 BUILTINS = ("std_example", "periodic_example", "breakdown_example",
             "antidiag_example", "classical_dilation")
@@ -74,6 +77,9 @@ EXTRA = (
     "oracle-check --builtin periodic_example -P 3 -u 3",
     "validate --builtin classical_dilation --p 1.5",
     "analyze --builtin classical_dilation --p 1.5",
+    # First return words at length 21, and none within the default lengths.
+    "analyze --model {docs}/n4_step20_31.json",
+    "analyze --model {docs}/n4_step1e30_31.json",
     # Each range check alone, at and beyond its edge.
     "simulate --builtin std_example -P 0 -N 5",
     "simulate --builtin std_example -P -1 -N 5",
@@ -131,6 +137,8 @@ def write_documents(directory: Path) -> None:
         for name, text in docs.generate(seed).items():
             stem = name.removesuffix(".json")
             (directory / f"{stem}_{seed}.json").write_text(text)
+    for name, step in (("step20", 20), ("step1e30", 10**30)):
+        (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

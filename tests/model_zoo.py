@@ -6,6 +6,10 @@ complex Gaussian), and the structured two-level families parametrize their
 constraint manifolds with angles and phases.  All randomness goes through
 numpy's seeded Generator so samples are identical across runs.
 """
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from oqwalk import KrausModel, SpectralIndeterminateError, builtin, is_irreducible_L
@@ -171,3 +175,26 @@ def equal_modulus_diagonal_model():
         [[c, 0.0], [0.0, d]],
     ], dtype=complex)
     return KrausModel(1, 2, NN_STEPS, ops)
+
+
+def bench_document(seed, name):
+    """Text of one seeded benchmark document (``perfbench/docs.py``)."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import docs
+    finally:
+        sys.path.remove(str(bench))
+    return docs.generate(seed)[name]
+
+
+def moved_step_document(step, seed=31):
+    """The seeded n = 4 benchmark document with its +1 step moved to ``step``.
+
+    Return words then need ``step`` steps of -1, so listing every word of
+    every length up to the first return grows as 2^step.
+    """
+    doc = json.loads(bench_document(seed, "n4.json"))
+    assert doc["steps"][0]["displacement"] == [1]
+    doc["steps"][0]["displacement"] = [step]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

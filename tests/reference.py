@@ -3,7 +3,8 @@
 Everything here was worked out from scratch (2x2 spectral problems, classical
 generating functions, triangular matrix powers) and deliberately avoids
 importing the package under test, so these numbers can serve as independent
-oracles.  Derivation notes are inline where the algebra is not obvious.
+oracles; the one exception, the word-list walk search at the end, says why.
+Derivation notes are inline where the algebra is not obvious.
 """
 import numpy as np
 
@@ -273,3 +274,70 @@ def choi_from_superop(matrix):
     n2 = matrix.shape[0]
     n = int(round(np.sqrt(n2)))
     return matrix.reshape(n, n, n, n).transpose((3, 1, 2, 0)).reshape(n2, n2)
+
+
+# ---------------------------------------------------------------------------
+# Lattice-walk irreducibility by listing every word: the K^l words of each
+# length l are formed one by one and the return words kept in a list, so the
+# cost is exponential in the length.  It shares the package's operator span,
+# closure and minimal-invariant-subspace helpers, so a comparison with
+# ``is_irreducible_M`` isolates how the return words are collected.
+# ---------------------------------------------------------------------------
+
+def enumerated_walk_irreducibility(model, max_length=None):
+    """(verdict, closure dimension, lengths used, witness) from the word list."""
+    from oqwalk.structure import (
+        _minimal_invariant_subspace,
+        _OperatorSpan,
+        algebra_closure,
+    )
+
+    n = model.internal_dim
+    if max_length is None:
+        max_length = 2 * n * n + 2
+    span = _OperatorSpan(n)
+    return_words, dims = [], []
+    zero = (0,) * model.lattice_dim
+    frontier = [(zero, np.eye(n, dtype=complex))]
+    length_used = 0
+    for length in range(1, max_length + 1):
+        new_frontier = []
+        for disp, mat in frontier:
+            for s, op in zip(model.displacements, model.operators):
+                nd = tuple(a + b for a, b in zip(disp, s))
+                nm = op @ mat
+                new_frontier.append((nd, nm))
+                if nd == zero and np.linalg.norm(nm) > 1e-14:
+                    return_words.append(nm)
+                    span.add(nm)
+        frontier = new_frontier
+        length_used = length
+        if return_words:
+            closure = algebra_closure(span.matrices() if len(span) else return_words)
+            span = _OperatorSpan(n)
+            for b in closure.basis:
+                span.add(b)
+        dims.append(len(span))
+        if len(span) == n * n:
+            return "irreducible", n * n, length_used, None
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3] and dims[-1] > 0:
+            break
+    if not return_words:
+        return "inconclusive", 0, length_used, None
+
+    # A generic element of the closed span: its eigenvectors seed the minimal
+    # invariant subspaces; a proper one is checked against every word.
+    basis_mats = span.matrices()
+    rng = np.random.default_rng(0xBEEF)
+    for _ in range(4):
+        coeffs = rng.normal(size=len(basis_mats)) + 1j * rng.normal(size=len(basis_mats))
+        generic = sum(c * b for c, b in zip(coeffs, basis_mats))
+        _, vecs = np.linalg.eig(generic)
+        for j in range(n):
+            sub = _minimal_invariant_subspace(vecs[:, j], basis_mats, n)
+            if 0 < sub.shape[1] < n:
+                leak = np.eye(n) - sub @ sub.conj().T
+                if all(np.linalg.norm(leak @ w @ sub) <= 1e-9 * max(1.0, np.linalg.norm(w))
+                       for w in return_words):
+                    return "reducible", len(span), length_used, sub
+    return "inconclusive", len(span), length_used, None

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oqwalk.asymptotics
 import oqwalk.cli
 import oqwalk.errors
 import oqwalk.model
@@ -20,8 +21,10 @@ from oqwalk import ModelValidationError, dump_model, load_model
 from oqwalk.cli import main
 from oqwalk.superop import build_superop
 from model_zoo import (
+    bench_document,
     broken_scaled_model,
     diagonal_pair_model,
+    moved_step_document,
     random_isometry_model,
     three_level_two_block_model,
     upper_triangular_model,
@@ -341,22 +344,12 @@ def test_analyze_splits_off_a_slowly_decaying_transient(tmp_path, capsys):
     assert (aux["recurrent_dimension"], aux["decaying_dimension"]) == (1, 1)
 
 
-def _bench_document(seed, name):
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(bench))
-    try:
-        import docs
-    finally:
-        sys.path.remove(str(bench))
-    return docs.generate(seed)[name]
-
-
 @pytest.mark.parametrize("source", ["std_example", "n8"])
 def test_analyze_eigendecomposes_the_untilted_map_once(source, tmp_path, monkeypatch,
                                                        capsys):
     if source == "n8":
         path = tmp_path / "n8.json"
-        path.write_text(_bench_document(31, "n8.json"))
+        path.write_text(bench_document(31, "n8.json"))
         argv, model = ["--model", str(path)], load_model(path)
     else:
         argv, model = ["--builtin", source], oqwalk.builtin(source)
@@ -372,6 +365,35 @@ def test_analyze_eigendecomposes_the_untilted_map_once(source, tmp_path, monkeyp
         monkeypatch.setattr(module, "eigendecompose", recording)
     run_json(capsys, ["analyze", *argv])
     assert sum(np.array_equal(m, untilted) for m in matrices) == 1
+
+
+def test_analyze_answers_a_walk_whose_first_return_word_is_long(tmp_path, capsys):
+    # 2^21 words of length 21; only their spans per site are formed
+    path = tmp_path / "step20.json"
+    path.write_text(moved_step_document(20))
+    lattice = run_json(capsys, ["analyze", "--model", str(path)])["lattice_walk"]
+    assert (lattice["verdict"], lattice["closure_dimension"],
+            lattice["max_length_used"]) == ("irreducible", 16, 21)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--builtin", "std_example"],
+    ["asymptotics", "--builtin", "std_example", "--u-points", "5"],
+    ["simulate", "--builtin", "std_example", "-P", "5", "-N", "4"],
+    ["rate", "--builtin", "std_example", "--x-points", "3", "--u-points", "9"],
+], ids=["analyze", "asymptotics", "simulate", "rate"])
+def test_each_command_builds_the_untilted_map_once(argv, monkeypatch, capsys):
+    calls = []
+    real = oqwalk.superop.build_superop
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (oqwalk.superop, oqwalk.structure, oqwalk.asymptotics):
+        monkeypatch.setattr(module, "build_superop", counting)
+    run_json(capsys, argv)
+    assert len(calls) == 1
 
 
 def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):

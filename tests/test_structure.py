@@ -1,13 +1,16 @@
 """Structural analysis: closures, irreducibility, period, recurrence, taxonomy."""
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
 
 from oqwalk import (
+    BUILTIN_NAMES,
     AssumptionError,
     KrausModel,
-    PathBudgetError,
+    MIrreducibility,
     algebra_closure,
     bn_decomposition,
     builtin,
@@ -16,17 +19,25 @@ from oqwalk import (
     is_irreducible_L,
     is_irreducible_M,
     is_regular,
+    model_from_dict,
     period,
 )
 from oqwalk.numerics import unvec, vec
 from oqwalk.structure import _projector_basis
 from oqwalk.superop import build_superop
+import reference
 from model_zoo import (
+    NN_STEPS,
+    STEPS_2D,
+    bench_document,
     broken_scaled_model,
     c2_sample,
     diag_antidiag_model,
     diagonal_pair_model,
+    equal_modulus_diagonal_model,
     irreducible_sample,
+    moved_step_document,
+    random_isometry_model,
     three_level_two_block_model,
     upper_triangular_model,
 )
@@ -463,18 +474,89 @@ def test_walk_irreducibility_respects_the_length_budget(std_model):
     assert verdict.max_length_used <= 1
 
 
-def test_walk_irreducibility_enforces_its_word_budget(periodic_model, monkeypatch):
-    import oqwalk.structure as structure
+@pytest.mark.parametrize("step, expected", [
+    (20, ("irreducible", 16, 21)),
+    (10**30, ("inconclusive", 0, 34)),
+], ids=["step20", "step1e30"])
+def test_walk_irreducibility_needs_no_word_budget(step, expected):
+    # 2^l words of each length l, but at most l + 1 reached sites
+    model = model_from_dict(json.loads(moved_step_document(step)))
+    start = time.perf_counter()
+    verdict = is_irreducible_M(model)
+    assert time.perf_counter() - start < 0.5
+    assert (verdict.verdict, verdict.closure_dimension,
+            verdict.max_length_used) == expected
 
-    # the reducible verdict needs a stall over lengths 2-4, so no early exit
-    full = is_irreducible_M(periodic_model)
-    assert (full.verdict, full.max_length_used) == ("reducible", 4)
-    # length L holds 2^L words: a budget of 2^3 stops the search at length 4
-    monkeypatch.setattr(structure, "_WORD_BUDGET", 2**3)
-    with pytest.raises(PathBudgetError):
-        is_irreducible_M(periodic_model)
-    monkeypatch.setattr(structure, "_WORD_BUDGET", 2**4)
-    assert is_irreducible_M(periodic_model).verdict == "reducible"
+
+def test_walk_search_keeps_every_site_that_can_still_return(std_model):
+    # the first return words come at the last allowed length, and the paths
+    # that go furthest out touch the pruning bound
+    assert is_irreducible_M(std_model, max_length=2).verdict == "irreducible"
+    model = model_from_dict(json.loads(moved_step_document(20)))
+    verdict = is_irreducible_M(model, max_length=21)
+    assert (verdict.verdict, verdict.max_length_used) == ("irreducible", 21)
+
+
+def _walk_sample():
+    """Builtins, two-level, three-level, 1-D and 2-D isometries, long steps, n4/n8."""
+    models = [builtin(name) for name in BUILTIN_NAMES] + c2_sample(100)
+    models += [three_level_two_block_model(), equal_modulus_diagonal_model()]
+    models += [random_isometry_model(seed, n, steps) for seed in range(5)
+               for n in (2, 3, 4) for steps in (NN_STEPS, STEPS_2D)]
+    models += [random_isometry_model(seed, 2, ((1,), (-1,), (3,), (-2,)))
+               for seed in range(5)]
+    models += [model_from_dict(json.loads(bench_document(1, name)))
+               for name in ("n4.json", "n8.json")]
+    return models
+
+
+@pytest.mark.parametrize("max_length", [None, 1, 3, 8])
+def test_walk_irreducibility_matches_the_word_list(max_length):
+    sample = _walk_sample()
+    assert len(sample) == 144
+    for i, model in enumerate(sample):
+        got = is_irreducible_M(model, max_length)
+        verdict, dim, used, witness = reference.enumerated_walk_irreducibility(
+            model, max_length)
+        assert (got.verdict, got.closure_dimension, got.max_length_used) == (
+            verdict, dim, used), i
+        assert (got.witness is None) == (witness is None), i
+        if witness is not None:
+            np.testing.assert_allclose(got.witness @ got.witness.conj().T,
+                                       witness @ witness.conj().T, atol=1e-9)
+
+
+def test_walk_witness_depends_only_on_its_subspace(periodic_model):
+    w = is_irreducible_M(periodic_model).witness
+    assert w.tolist() == [[1], [0]]
+    w = is_irreducible_M(three_level_two_block_model()).witness
+    np.testing.assert_allclose(w, np.eye(3)[:, 1:], atol=1e-12)
+    # the reported basis is the projector's canonical one: a fixed point
+    np.testing.assert_allclose(_projector_basis(w @ w.conj().T, 2), w, atol=1e-14)
+
+
+def test_walk_on_a_line_in_the_plane_is_reducible(std_model):
+    model = KrausModel(2, 2, ((1, 0), (-1, 0)), std_model.operators)
+    assert is_irreducible_M(model) == MIrreducibility("reducible", 0, 0, None)
+
+
+def test_walk_on_even_sites_is_reducible(std_model):
+    model = KrausModel(1, 2, ((2,), (-2,)), std_model.operators)
+    assert is_irreducible_M(model) == MIrreducibility("reducible", 0, 0, None)
+
+
+def test_walk_without_a_down_step_is_reducible():
+    model = random_isometry_model(3, n=2, steps=((1, 0), (-1, 0), (0, 1)))
+    assert is_irreducible_M(model) == MIrreducibility("reducible", 0, 0, None)
+
+
+def test_walks_on_long_coprime_steps_reach_every_site(std_model):
+    # positive dependencies 3 (2) + 2 (-3) = 0 and (2, 1) + 2 (-1, 0) + (0, -1) = 0,
+    # and minors of gcd 1: the gate must pass both
+    model = KrausModel(1, 2, ((2,), (-3,)), std_model.operators)
+    assert is_irreducible_M(model).verdict == "irreducible"
+    model = random_isometry_model(3, n=2, steps=((2, 1), (-1, 0), (0, -1)))
+    assert is_irreducible_M(model).verdict == "irreducible"
 
 
 def test_breakdown_walk_is_not_irreducible(breakdown_model):
