@@ -29,6 +29,7 @@ from .structure import (
     _FixedPoints,
     _checked_period,
     _fixed_point_data,
+    _irreducible_blocks,
     algebra_closure,
     classify_c2,
     is_irreducible_L,
@@ -389,6 +390,29 @@ def _refine_kink(f, a: float, m: float, b: float, fa: float, fm: float,
     return m, jump
 
 
+def _kink_candidates(model: KrausModel, ts: np.ndarray,
+                     direction: np.ndarray) -> np.ndarray:
+    """Which interior grid triples ``(t[i-1], t[i], t[i+1])`` may hold a kink.
+
+    Entry ``i - 1`` is set when the top block of :func:`_irreducible_blocks`
+    is not the same at all three points, or when the two largest block radii
+    agree to 1e-6 relative at one of them; every entry is set when the
+    blocks cannot be certified.  The shift of each block's map is the whole
+    map's, so the shifted radii compare directly.
+    """
+    blocks = _irreducible_blocks(model)
+    if blocks is None:
+        return np.ones(len(ts) - 2, dtype=bool)
+    radii = np.array([[spectral_radius(_shifted_map(block, t * direction)[1])
+                       for block in blocks] for t in ts])
+    top = np.argmax(radii, axis=1)
+    ordered = np.sort(radii, axis=1)
+    tied = (ordered[:, -1] - ordered[:, -2] <= 1e-6 * ordered[:, -1]
+            if len(blocks) > 1 else np.zeros(len(ts), dtype=bool))
+    return ((top[:-2] != top[1:-1]) | (top[1:-1] != top[2:])
+            | tied[:-2] | tied[1:-1] | tied[2:])
+
+
 def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
@@ -399,9 +423,20 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     operators do not generate the full matrix algebra: tilting rescales each
     operator by a positive scalar, so with a full algebra every tilted map is
     irreducible, its spectral radius is a simple eigenvalue, and lambda_u is
-    real-analytic with no kink to find.  Kinks are certified to a bracket of
-    width 1e-7 and reported with one-sided slopes from secants at offsets
-    1e-4 and 2e-4 outside the bracket.
+    real-analytic with no kink to find.
+
+    Otherwise the same argument applies block by block.  The invariant
+    subspaces of the operators do not depend on the tilt, so in a basis
+    adapted to a composition series of the family every tilted map is block
+    triangular, and lambda_u is the largest of the irreducible diagonal
+    blocks' radii, each real-analytic.  A kink therefore needs the top block
+    to change: a grid triple is refined only when its top block differs
+    between its three points, or when two blocks tie to 1e-6 relative at one
+    of them (every triple, when no split can be certified).  The one blind
+    spot is a double crossing inside a single grid cell, where another block
+    rises to the top and falls back between grid points.  Kinks are certified
+    to a bracket of width 1e-7 and reported with one-sided slopes from
+    secants at offsets 1e-4 and 2e-4 outside the bracket.
     """
     n = model.internal_dim
     refine_kinks = algebra_closure(model.operators).dimension != n * n
@@ -434,7 +469,10 @@ def _lambda_curve(model: KrausModel, parameters, direction,
 
     kinks: list[KinkRecord] = []
     if refine_kinks and len(ts) >= 3:
+        candidates = _kink_candidates(model, ts, direction)
         for i in range(1, len(ts) - 1):
+            if not candidates[i - 1]:
+                continue
             a, m, b = ts[i - 1], ts[i], ts[i + 1]
             fa, fm, fb = lams[i - 1], lams[i], lams[i + 1]
             sl = (fm - fa) / (m - a)

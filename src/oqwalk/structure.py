@@ -763,6 +763,46 @@ def _search_common_invariant_subspace(basis_mats: np.ndarray,
     return None
 
 
+def _irreducible_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
+    """The nonzero diagonal blocks of a composition series of the Kraus family.
+
+    A subspace V invariant under every L_s, with W spanning its orthogonal
+    complement, puts the family in block upper triangular form; the
+    compressions V^dag L_s V and W^dag L_s W are split the same way until
+    each family generates its full matrix algebra.  Each nonzero block comes
+    back as a model on the original displacements, so a tilt weights its
+    terms as it weights the whole family's.  None when a search cannot
+    certify a split.
+    """
+    n = model.internal_dim
+    blocks = []
+    pending = [np.eye(n, dtype=complex)]  # isometries onto the pieces
+    while pending:
+        q = pending.pop()
+        m = q.shape[1]
+        ops = q.conj().T @ model.operators @ q
+        closure = algebra_closure(ops)
+        if closure.dimension == 0:
+            continue
+        if closure.dimension < m * m:
+            sub = _search_common_invariant_subspace(closure.basis, m)
+            if sub is None:
+                return None
+            rest = _projector_basis(np.eye(m) - sub @ sub.conj().T, m - sub.shape[1])
+            pending += [q @ rest, q @ sub]
+            continue
+        block = KrausModel(model.lattice_dim, m, model.displacements, ops)
+        # P = kron(conj(q), q) maps vec(X) to vec(q X q^dag), so P^dag S_k P is
+        # the block's k-th Kraus-term map: the block compresses the model's
+        # cached products instead of forming its own.
+        p = (q.conj()[:, None, :, None] * q[None, :, None, :]).reshape(n * n, m * m)
+        stack = p.conj().T @ model.product_stack @ p
+        stack.setflags(write=False)
+        vars(block)["product_stack"] = stack
+        blocks.append(block)
+    return tuple(blocks)
+
+
 # --------------------------------------------------------------------------
 # Two-level lattice walks on steps {+1, -1}: reducible / period 2 / period 4.
 # --------------------------------------------------------------------------

@@ -198,3 +198,21 @@ def moved_step_document(step, seed=31):
     assert doc["steps"][0]["displacement"] == [1]
     doc["steps"][0]["displacement"] = [step]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def block_sum_model(*models):
+    """Direct sum of models on the same steps: block-diagonal operators.
+
+    Each summand's subspace is invariant, so the sum is reducible and its
+    tilted radius is the largest of the summands' radii.
+    """
+    steps = models[0].displacements
+    assert all(m.displacements == steps for m in models)
+    n = sum(m.internal_dim for m in models)
+    ops = np.zeros((len(steps), n, n), dtype=complex)
+    at = 0
+    for m in models:
+        k = m.internal_dim
+        ops[:, at:at + k, at:at + k] = m.operators
+        at += k
+    return KrausModel(models[0].lattice_dim, n, steps, ops)

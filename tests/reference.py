@@ -341,3 +341,78 @@ def enumerated_walk_irreducibility(model, max_length=None):
                        for w in return_words):
                     return "reducible", len(span), length_used, sub
     return "inconclusive", len(span), length_used, None
+
+
+# ---------------------------------------------------------------------------
+# Tilted curve with kink refinement on every grid triple.  The package sends
+# a triple to refinement only where the top block of the operators'
+# invariant decomposition changes; this oracle refines all of them.  It
+# shares the package's Perron extraction, shifted maps and bracket
+# refinement, so a comparison isolates which triples are refined.
+# ---------------------------------------------------------------------------
+
+def refine_every_triple_curve(model, parameters, direction=None):
+    """``lambda_curve`` on a reducible model, refining every interior triple."""
+    from oqwalk.asymptotics import (
+        _KINK_JUMP_TOL,
+        _KINK_SLOPE_OFFSET,
+        KinkRecord,
+        LambdaCurve,
+        _refine_kink,
+    )
+    from oqwalk.superop import _shifted_map, perron, spectral_radius
+
+    ts = np.asarray(parameters, dtype=float)
+    if direction is None:
+        direction = np.zeros(model.lattice_dim)
+        direction[0] = 1.0
+    direction = np.asarray(direction, dtype=float)
+
+    lams = np.empty(len(ts))
+    logs = np.empty(len(ts))
+    degenerate = []
+    for i, t in enumerate(ts):
+        shift, shifted = _shifted_map(model, t * direction)
+        data = perron(shifted)
+        logs[i] = shift + float(np.log(data.lambda_u))
+        lams[i] = float(np.exp(logs[i]))
+        if data.degenerate:
+            degenerate.append(float(t))
+
+    def f(t):
+        shift, shifted = _shifted_map(model, t * direction)
+        return float(np.exp(shift + np.log(spectral_radius(shifted))))
+
+    kinks = []
+    for i in range(1, len(ts) - 1):
+        a, m, b = ts[i - 1], ts[i], ts[i + 1]
+        fa, fm, fb = lams[i - 1], lams[i], lams[i + 1]
+        sl = (fm - fa) / (m - a)
+        sr = (fb - fm) / (b - m)
+        scale = max(1.0, abs(sl), abs(sr))
+        if abs(sr - sl) <= _KINK_JUMP_TOL * scale:
+            continue
+        u0, jump = _refine_kink(f, a, m, b, fa, fm, fb)
+        if jump <= _KINK_JUMP_TOL * scale:
+            continue  # curvature masquerading as a kink
+        if any(abs(u0 - k.u) < (b - a) / 2 for k in kinks):
+            continue
+        h = _KINK_SLOPE_OFFSET
+        left = (f(u0 - h) - f(u0 - 2 * h)) / h
+        right = (f(u0 + 2 * h) - f(u0 + h)) / h
+        lam0 = f(u0)
+        kinks.append(KinkRecord(
+            u=float(u0),
+            lambda_slope_left=float(left),
+            lambda_slope_right=float(right),
+            log_slope_left=float(left / lam0),
+            log_slope_right=float(right / lam0),
+            slope_jump=float(jump),
+        ))
+    return LambdaCurve(
+        parameters=ts,
+        lambda_values=lams,
+        log_lambda_values=logs,
+        kinks=tuple(kinks),
+        degenerate_parameters=tuple(degenerate),
+    )

@@ -1,4 +1,6 @@
 """Drift, CLT covariance, tilted-curve kinks, rate function, closed forms."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,15 +23,22 @@ from oqwalk import (
     point_initial_state,
     rate_function,
 )
-from oqwalk.asymptotics import _lambda_curve, _log_lambda_derivatives
+from oqwalk.asymptotics import (
+    _kink_candidates,
+    _lambda_curve,
+    _log_lambda_derivatives,
+)
+from oqwalk.structure import _irreducible_blocks, algebra_closure
 from oqwalk.superop import build_superop
 import reference
 from model_zoo import (
     STEPS_2D,
+    block_sum_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     random_isometry_model,
     three_level_two_block_model,
+    upper_triangular_model,
 )
 
 
@@ -210,9 +219,97 @@ def test_full_algebra_curves_skip_kink_refinement(name, radius_calls):
 
 def test_reducible_curves_keep_kink_refinement(breakdown_model, radius_calls):
     curve = lambda_curve(breakdown_model, np.linspace(-4.0, 4.0, 41))
-    assert len(radius_calls) > 0
+    # Two block radii per grid point, two refined triples and the slopes;
+    # refining every triple took 1721.
+    assert 0 < len(radius_calls) <= 200
     assert len(curve.kinks) == 1
     assert curve.kinks[0].u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-4)
+
+
+def test_reducible_rate_function_refines_only_block_crossings(breakdown_model,
+                                                              radius_calls):
+    # The curve, then golden section at the three interior velocities and
+    # the closed form at the two edges; refining every triple took 1843.
+    rate_function(breakdown_model, np.linspace(-1.0, 1.0, 5))
+    assert len(radius_calls) <= 350
+
+
+def _is_reducible(model):
+    return algebra_closure(model.operators).dimension != model.internal_dim ** 2
+
+
+_REDUCIBLE_MODELS = {
+    "breakdown": lambda: builtin("breakdown_example"),
+    "three_level_two_block": three_level_two_block_model,
+    "equal_modulus_diagonal": equal_modulus_diagonal_model,
+    "block_sum_n8": lambda: block_sum_model(random_isometry_model(3, n=4),
+                                            random_isometry_model(4, n=4)),
+}
+_REDUCIBLE_MODELS.update({f"upper_triangular_{seed}": functools.partial(
+    upper_triangular_model, seed) for seed in range(30)})
+
+_ORACLE_GRIDS = (np.linspace(-4.0, 4.0, 41), np.linspace(-4.0, 4.0, 11),
+                 np.linspace(-4.0, 4.0, 5), np.linspace(-3.0, 7.0, 23))
+
+
+def _assert_same_curve(curve, oracle):
+    assert curve.kinks == oracle.kinks
+    assert curve.lambda_values.tobytes() == oracle.lambda_values.tobytes()
+    assert curve.log_lambda_values.tobytes() == oracle.log_lambda_values.tobytes()
+    assert curve.degenerate_parameters == oracle.degenerate_parameters
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCIBLE_MODELS))
+def test_block_screen_keeps_every_kink_of_refining_every_triple(name):
+    model = _REDUCIBLE_MODELS[name]()
+    assert _is_reducible(model)
+    for grid in _ORACLE_GRIDS:
+        _assert_same_curve(lambda_curve(model, grid),
+                           reference.refine_every_triple_curve(model, grid))
+
+
+@pytest.mark.parametrize("name", ["breakdown", "three_level_two_block",
+                                  "upper_triangular_0"])
+def test_uncertified_blocks_refine_every_triple(name, monkeypatch):
+    import oqwalk.structure as structure
+
+    monkeypatch.setattr(structure, "_search_common_invariant_subspace",
+                        lambda basis_mats, n: None)
+    model = _REDUCIBLE_MODELS[name]()
+    assert _irreducible_blocks(model) is None
+    grid = _ORACLE_GRIDS[0]
+    _assert_same_curve(lambda_curve(model, grid),
+                       reference.refine_every_triple_curve(model, grid))
+
+
+def test_tied_blocks_send_every_triple_to_refinement():
+    # The two 1 x 1 blocks have equal radii at every tilt, so which one is
+    # on top is rounding: no triple may be skipped on that verdict.
+    model = equal_modulus_diagonal_model()
+    assert _kink_candidates(model, np.linspace(-4.0, 4.0, 11), np.ones(1)).all()
+
+
+def test_wide_grid_reports_only_the_real_block_crossing():
+    # The std block's near-defective cluster at large tilt used to pass for
+    # kinks at 8.4998, 8.9995, 9.4993 and 9.7495, where the two block curves
+    # stay about 10 % apart.
+    model = three_level_two_block_model()
+    curve = lambda_curve(model, np.linspace(-10.0, 10.0, 81))
+    assert [k.u for k in curve.kinks] == [pytest.approx(0.0, abs=1e-7)]
+
+
+def test_breakdown_blocks_are_the_ray_and_the_corner(breakdown_model):
+    blocks = _irreducible_blocks(breakdown_model)
+    assert sorted(b.internal_dim for b in blocks) == [1, 1]
+    for u in (-3.0, -0.5, 0.0, reference.BREAKDOWN_KINK_U, 2.0):
+        got = sorted(log_lambda(b, u) for b in blocks)
+        want = sorted([np.log(np.cosh(u)), np.log(0.75) + u])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_two_block_model_splits_into_its_summands():
+    blocks = _irreducible_blocks(three_level_two_block_model())
+    assert sorted(b.internal_dim for b in blocks) == [1, 2]
 
 
 def test_rate_function_computes_the_operator_closure_once(monkeypatch, std_model):
