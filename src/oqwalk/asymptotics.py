@@ -26,16 +26,14 @@ from .errors import (
 from .model import KrausModel, LatticeState, default_initial_state
 from .numerics import project_to_state, psd_check, solve_on_traceless, unvec, vec
 from .structure import (
-    _FixedPoints,
-    _checked_period,
     _fixed_point_data,
     _irreducible_blocks,
-    algebra_closure,
+    _operator_closure,
     classify_c2,
     is_irreducible_L,
+    period,
 )
 from .superop import (
-    Superoperator,
     _shifted_map,
     build_superop,
     derivative_maps,
@@ -69,11 +67,7 @@ def invariant_state(model: KrausModel) -> np.ndarray:
     greater than one (two-level models can then fall back to
     :func:`c2_parameters`).
     """
-    return _unique_invariant_state(_fixed_point_data(model))
-
-
-def _unique_invariant_state(fp: _FixedPoints) -> np.ndarray:
-    """:func:`invariant_state` from the untilted map's fixed points."""
+    fp = _fixed_point_data(model)
     if fp.state is None:
         raise MultiplicityError(
             f"invariant state is not unique (fixed-point count {fp.fixed.size}); "
@@ -93,8 +87,7 @@ def drift(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
 
 
 def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
-                               rho: np.ndarray,
-                               superop: Superoperator) -> tuple[float, np.ndarray]:
+                               rho: np.ndarray) -> tuple[float, np.ndarray]:
     """lambda''(0) - lambda'(0)^2 along u, via the corrector equation.
 
     Returns the curvature together with the traceless corrector eta that
@@ -107,16 +100,14 @@ def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
     rhs = l1rho - lam1 * rho
     rhs = (rhs + rhs.conj().T) / 2
     eye = np.eye(n * n, dtype=complex)
-    eta = solve_on_traceless(eye - superop.matrix, rhs)
+    eta = solve_on_traceless(eye - build_superop(model).matrix, rhs)
     eta = (eta + eta.conj().T) / 2
     lam2 = float(np.trace(d2.apply(rho)).real) + 2 * float(np.trace(d1.apply(eta)).real)
     return lam2 - lam1**2, eta
 
 
 def _directional_curvature_ags(model: KrausModel, u: np.ndarray,
-                               rho: np.ndarray,
-                               superop: Superoperator,
-                               mean: np.ndarray) -> float:
+                               rho: np.ndarray, mean: np.ndarray) -> float:
     """Same quantity via the adjoint-side observable equation.
 
     Solves (Id - adjoint)(Y) = sum_s <u,s> L_s^dag L_s - <u,m> Id, which is
@@ -131,7 +122,7 @@ def _directional_curvature_ags(model: KrausModel, u: np.ndarray,
     shift = float(u @ mean)
     b = a_u - shift * np.eye(n)
 
-    k = np.eye(n * n, dtype=complex) - superop.matrix.conj().T
+    k = np.eye(n * n, dtype=complex) - build_superop(model).matrix.conj().T
     y_vec, *_ = np.linalg.lstsq(k, vec(b), rcond=None)
     resid = np.linalg.norm(k @ y_vec - vec(b))
     if resid > 1e-9 * max(1.0, np.linalg.norm(vec(b))):
@@ -177,13 +168,13 @@ def _covariance_from_form(model: KrausModel, q, what: str) -> np.ndarray:
     return c
 
 
-def _covariance_and_correctors(model: KrausModel, rho: np.ndarray,
-                               superop: Superoperator) -> tuple[np.ndarray, list]:
+def _covariance_and_correctors(model: KrausModel,
+                               rho: np.ndarray) -> tuple[np.ndarray, list]:
     """Corrector-route covariance and the traceless corrector of each axis."""
     etas = []
 
     def curvature(u: np.ndarray) -> float:
-        value, eta = _directional_curvature_eta(model, u, rho, superop)
+        value, eta = _directional_curvature_eta(model, u, rho)
         if len(etas) < model.lattice_dim:  # the axes come first
             etas.append(eta)
         return value
@@ -195,7 +186,7 @@ def covariance(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     """CLT covariance via the corrector (traceless-solve) route."""
     if rho is None:
         rho = invariant_state(model)
-    return _covariance_and_correctors(model, rho, build_superop(model))[0]
+    return _covariance_and_correctors(model, rho)[0]
 
 
 def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
@@ -205,14 +196,8 @@ def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
         rho = invariant_state(model)
     if mean is None:
         mean = drift(model, rho)
-    return _covariance_ags(model, rho, mean, build_superop(model))
-
-
-def _covariance_ags(model: KrausModel, rho: np.ndarray, mean: np.ndarray,
-                    superop: Superoperator) -> np.ndarray:
-    """:func:`covariance_ags` on an already built untilted map."""
     return _covariance_from_form(
-        model, lambda u: _directional_curvature_ags(model, u, rho, superop, mean),
+        model, lambda u: _directional_curvature_ags(model, u, rho, mean),
         "covariance (adjoint route)")
 
 
@@ -240,11 +225,10 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     ``drift_fd_gap`` compares the drift against central differences of
     log lambda_u at h = 1e-5.
     """
-    fp = _fixed_point_data(model)
-    rho, superop = _unique_invariant_state(fp), fp.superop
+    rho = invariant_state(model)
     mean = drift(model, rho)
-    c_eta, etas = _covariance_and_correctors(model, rho, superop)
-    c_ags = _covariance_ags(model, rho, mean, superop)
+    c_eta, etas = _covariance_and_correctors(model, rho)
+    c_ags = covariance_ags(model, rho, mean)
     route_gap = float(np.max(np.abs(c_eta - c_ags)))
 
     eta_residual = 0.0
@@ -256,7 +240,7 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
             )
         d1, _ = derivative_maps(model, e)
         lam1 = float(np.trace(d1.apply(rho)).real)
-        defect = (eta - superop.apply(eta)) - (d1.apply(rho) - lam1 * rho)
+        defect = (eta - build_superop(model).apply(eta)) - (d1.apply(rho) - lam1 * rho)
         eta_residual = max(eta_residual, float(np.linalg.norm(defect)))
 
     h = 1e-5
@@ -437,15 +421,13 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     rises to the top and falls back between grid points.  Kinks are certified
     to a bracket of width 1e-7 and reported with one-sided slopes from
     secants at offsets 1e-4 and 2e-4 outside the bracket.
+
+    At a grid point on a crossing two block roots can meet in a Jordan
+    block, where no Perron pair exists: there a reducible model takes the
+    map's spectral radius and lists the point as degenerate.
     """
     n = model.internal_dim
-    refine_kinks = algebra_closure(model.operators).dimension != n * n
-    return _lambda_curve(model, parameters, direction, refine_kinks)
-
-
-def _lambda_curve(model: KrausModel, parameters, direction,
-                  refine_kinks: bool) -> LambdaCurve:
-    """:func:`lambda_curve` with the kink refinement decided by the caller."""
+    reducible = _operator_closure(model).dimension != n * n
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
         direction = np.zeros(model.lattice_dim)
@@ -457,10 +439,16 @@ def _lambda_curve(model: KrausModel, parameters, direction,
     degenerate: list[float] = []
     for i, t in enumerate(ts):
         shift, shifted = _shifted_map(model, t * direction)
-        data = perron(shifted)
-        logs[i] = shift + float(np.log(data.lambda_u))
+        try:
+            data = perron(shifted)
+            radius, tied = data.lambda_u, data.degenerate
+        except SpectralIndeterminateError:
+            if not reducible:
+                raise
+            radius, tied = spectral_radius(shifted), True
+        logs[i] = shift + float(np.log(radius))
         lams[i] = float(np.exp(logs[i]))
-        if data.degenerate:
+        if tied:
             degenerate.append(float(t))
 
     def f(t: float) -> float:
@@ -468,7 +456,7 @@ def _lambda_curve(model: KrausModel, parameters, direction,
         return float(np.exp(shift + np.log(spectral_radius(shifted))))
 
     kinks: list[KinkRecord] = []
-    if refine_kinks and len(ts) >= 3:
+    if reducible and len(ts) >= 3:
         candidates = _kink_candidates(model, ts, direction)
         for i in range(1, len(ts) - 1):
             if not candidates[i - 1]:
@@ -640,9 +628,7 @@ def rate_function(model: KrausModel, positions,
         )
     xs = np.asarray(positions, dtype=float)
     upper_only = not is_irreducible_L(model).irreducible
-
-    # The irreducibility verdict is the closure test lambda_curve would repeat.
-    curve = _lambda_curve(model, np.linspace(u_min, u_max, points), None, upper_only)
+    curve = lambda_curve(model, np.linspace(u_min, u_max, points))
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 
@@ -766,10 +752,9 @@ def c2_parameters(model: KrausModel,
     d = model.lattice_dim
 
     if cls.situation == 1:
-        fp = _fixed_point_data(model)
-        pd = _checked_period(model, fp)
+        pd = period(model)
         if pd.period == 1:
-            rho = _unique_invariant_state(fp)
+            rho = invariant_state(model)
             mean = drift(model, rho)
             cov = covariance(model, rho)
             return C2Parameters(1, False, mean, cov, None, None, None)

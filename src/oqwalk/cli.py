@@ -54,14 +54,13 @@ from .model import (
     validate_model,
 )
 from .structure import (
-    _fixed_point_data,
-    _irreducibility,
-    _period_of_irreducible,
-    _recurrent_split,
-    _regularity_of_irreducible,
+    bn_decomposition,
     c2_m_classifier,
     classify_c2,
+    is_irreducible_L,
     is_irreducible_M,
+    is_regular,
+    period,
 )
 from .trajectories import (
     batch_statistics,
@@ -184,8 +183,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     validation = validate_model(model)
     _require_stochastic(validation)
 
-    fp = _fixed_point_data(model)
-    irr = _irreducibility(model, fp)
+    irr = is_irreducible_L(model)
     aux: dict = {
         "irreducible": bool(irr.irreducible),
         "closure_dimension": irr.closure_dimension,
@@ -200,13 +198,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "positivity_onset": None,
     }
     if irr.irreducible:
-        pd = _period_of_irreducible(model, fp)
-        reg = _regularity_of_irreducible(model, fp, pd)
+        pd = period(model)
+        reg = is_regular(model)
         aux["period"] = pd.period
         aux["projections"] = [_matrix_to_json(p) for p in pd.projections]
         aux["regular"] = bool(reg.regular)
         aux["positivity_onset"] = reg.onset_estimate
-    bn = _recurrent_split(model, fp)
+    bn = bn_decomposition(model)
     aux["recurrent_dimension"] = bn.recurrent_dimension
     aux["decaying_dimension"] = bn.decaying_dimension
     aux["recurrent_basis"] = _matrix_to_json(bn.recurrent_basis)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import Mapping
 
@@ -45,6 +45,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _kept(compute):
+    """Decorate a per-model fact ``compute(model)``: computed on first use and
+    kept in the model's ``__dict__``, as ``KrausModel.product_stack`` keeps
+    its stack.  A call that raises keeps nothing."""
+    key = f"{compute.__module__}.{compute.__qualname__}"
+
+    @wraps(compute)
+    def kept(model):
+        memo = vars(model)
+        if key not in memo:
+            memo[key] = compute(model)
+        return memo[key]
+
+    return kept
 
 
 @dataclass(frozen=True)
@@ -192,7 +208,7 @@ def validate_model(model: KrausModel) -> ValidationReport:
 
 def _require_stochastic(report: ValidationReport) -> None:
     """The stochasticity gate of a loaded model (``ModelValidationError``)."""
-    if report.residual > STOCHASTICITY_TOL:
+    if not report.residual <= STOCHASTICITY_TOL:  # a NaN residual fails too
         raise ModelValidationError(
             f"stochasticity residual {report.residual:.3e} exceeds {STOCHASTICITY_TOL:g}"
         )

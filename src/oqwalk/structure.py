@@ -20,9 +20,9 @@ from .errors import (
     ConvergenceError,
     SpectralIndeterminateError,
 )
-from .model import KrausModel, validate_model
+from .model import KrausModel, _kept, validate_model
 from .numerics import EigenSystem, eigendecompose, frob, unvec, vec
-from .superop import Superoperator, build_superop
+from .superop import build_superop
 
 __all__ = [
     "AlgebraClosure",
@@ -136,6 +136,12 @@ def algebra_closure(operators) -> AlgebraClosure:
     return AlgebraClosure(dimension=len(span), basis=span.matrices().copy())
 
 
+@_kept
+def _operator_closure(model: KrausModel) -> AlgebraClosure:
+    """The algebra generated by the model's operators, kept on the model."""
+    return algebra_closure(model.operators)
+
+
 @dataclass(frozen=True)
 class IrreducibilityReport:
     """Agreement record for the two irreducibility routes of the auxiliary map."""
@@ -151,18 +157,19 @@ class _FixedPoints:
     """The untilted map's one eigendecomposition, the indices of its eigenvalue-1
     columns and, if unique, the Hermitized trace-one fixed point."""
 
-    superop: Superoperator
     eigensystem: EigenSystem
     fixed: np.ndarray
     min_eigenvalue: float | None
     state: np.ndarray | None
 
 
+@_kept
 def _fixed_point_data(model: KrausModel) -> _FixedPoints:
-    """The one home of the untilted map's eigendecomposition; the irreducibility
-    routes, the period and the recurrent split all read it."""
-    superop = build_superop(model)
-    es = eigendecompose(superop.matrix)
+    """The one home of the untilted map's eigendecomposition, computed on first
+    use and kept on the model; the irreducibility routes, the period, the
+    recurrent split and the invariant state all read it.  The kept state is
+    read-only."""
+    es = eigendecompose(build_superop(model).matrix)
     dist = np.abs(es.values - 1.0)
     fixed = np.flatnonzero(dist <= 1e-8)
     ambiguous = np.flatnonzero((dist > 1e-8) & (dist < 1e-7))
@@ -176,8 +183,8 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
             "trace-preserving map shows no eigenvalue 1; spectrum unusable"
         )
     if fixed.size > 1:
-        return _FixedPoints(superop, es, fixed, None, None)
-    n = superop.dim
+        return _FixedPoints(es, fixed, None, None)
+    n = model.internal_dim
     a = unvec(es.vectors[:, fixed[0]], n)
     h = (a + a.conj().T) / 2
     if frob(h) <= 1e-12:
@@ -186,7 +193,8 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
     if np.trace(h).real < 0:
         h = -h
     eigs = np.linalg.eigvalsh(h)
-    return _FixedPoints(superop, es, fixed, float(eigs.min()), h)
+    h.setflags(write=False)
+    return _FixedPoints(es, fixed, float(eigs.min()), h)
 
 
 def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
@@ -197,12 +205,8 @@ def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
     representative is faithful (strictly positive).  The routes must agree;
     a mismatch raises rather than guessing.
     """
-    return _irreducibility(model, _fixed_point_data(model))
-
-
-def _irreducibility(model: KrausModel, fp: _FixedPoints) -> IrreducibilityReport:
-    """:func:`is_irreducible_L` on the fixed points of the untilted map."""
-    closure = algebra_closure(model.operators)
+    fp = _fixed_point_data(model)
+    closure = _operator_closure(model)
     n = model.internal_dim
     route_a = closure.dimension == n * n
 
@@ -262,20 +266,10 @@ def period(model: KrausModel) -> PeriodData:
     to exact orthogonal projections, ordered to satisfy the shift relation, and
     labeled so that projection 0 maximizes the diagonal lexicographically.
     """
-    return _checked_period(model, _fixed_point_data(model))
-
-
-def _checked_period(model: KrausModel, fp: _FixedPoints) -> PeriodData:
-    """:func:`period` on the fixed points of the untilted map."""
-    if not _irreducibility(model, fp).irreducible:
+    if not is_irreducible_L(model).irreducible:
         raise AssumptionError("period is defined for irreducible maps only")
-    return _period_of_irreducible(model, fp)
-
-
-def _period_of_irreducible(model: KrausModel, fp: _FixedPoints) -> PeriodData:
-    """:func:`period` for a map the caller has already found irreducible."""
     n = model.internal_dim
-    es = fp.eigensystem
+    es = _fixed_point_data(model).eigensystem
     mods = np.abs(es.values)
     if mods[0] > 1 + 1e-8:
         raise SpectralIndeterminateError(
@@ -294,7 +288,7 @@ def _period_of_irreducible(model: KrausModel, fp: _FixedPoints) -> PeriodData:
         return PeriodData(1, (np.eye(n, dtype=complex),), 0.0)
 
     # Unitary-like eigenvector of the adjoint at the primitive root.
-    es_adj = eigendecompose(fp.superop.matrix.conj().T)
+    es_adj = eigendecompose(build_superop(model).matrix.conj().T)
     root = np.exp(2j * np.pi / d)
     idx = int(np.argmin(np.abs(es_adj.values - root)))
     if abs(es_adj.values[idx] - root) > 1e-8:
@@ -368,15 +362,9 @@ def is_regular(model: KrausModel) -> RegularityReport:
     map sends 200 reproducibly-seeded random pure states to strictly positive
     matrices (minimum eigenvalue above 1e-8).
     """
-    fp = _fixed_point_data(model)
-    if not _irreducibility(model, fp).irreducible:
+    if not is_irreducible_L(model).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    return _regularity_of_irreducible(model, fp, _period_of_irreducible(model, fp))
-
-
-def _regularity_of_irreducible(model: KrausModel, fp: _FixedPoints,
-                               pd: PeriodData) -> RegularityReport:
-    """:func:`is_regular` for an irreducible map whose period data is known."""
+    pd = period(model)
     if pd.period != 1:
         return RegularityReport(regular=False, period=pd.period, onset_estimate=None)
 
@@ -386,10 +374,11 @@ def _regularity_of_irreducible(model: KrausModel, fp: _FixedPoints,
     probes /= np.linalg.norm(probes, axis=1)[:, None]
     # Row k is vec(x_k x_k^dag) for probe x_k (column stacking).
     pure = (probes.conj()[:, :, None] * probes[:, None, :]).reshape(len(probes), n * n)
+    matrix = build_superop(model).matrix
     power = np.eye(n * n, dtype=complex)
     onset: int | None = None
     for n_pow in range(1, 4 * n * n + 1):
-        power = fp.superop.matrix @ power
+        power = matrix @ power
         outs = (pure @ power.T).reshape(-1, n, n).transpose(0, 2, 1)
         outs = (outs + outs.conj().transpose(0, 2, 1)) / 2
         if np.linalg.eigvalsh(outs)[:, 0].min() > 1e-8:
@@ -427,17 +416,13 @@ def bn_decomposition(model: KrausModel) -> BNDecomposition:
     fixed point r is unique (then E1(I/n) = r / Tr r).  A transient counts
     as decaying however slowly it decays.
     """
-    return _recurrent_split(model, _fixed_point_data(model))
-
-
-def _recurrent_split(model: KrausModel, fp: _FixedPoints) -> BNDecomposition:
-    """:func:`bn_decomposition` on the fixed points of the untilted map."""
+    fp = _fixed_point_data(model)
     n = model.internal_dim
     limit = fp.state  # r / Tr r when the fixed point r is unique
     if limit is None:
         right = fp.eigensystem.vectors[:, fp.fixed]
         # L spans the adjoint's fixed space: the left null space of M - I.
-        u = np.linalg.svd(fp.superop.matrix - np.eye(n * n))[0]
+        u = np.linalg.svd(build_superop(model).matrix - np.eye(n * n))[0]
         left = u[:, -fp.fixed.size:].conj().T
         pairing = left @ right
         if np.linalg.svd(pairing, compute_uv=False)[-1] <= 1e-12:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RESIDUAL_TOL
 from .errors import AssumptionError, SpectralIndeterminateError
-from .model import KrausModel, LatticeState
+from .model import KrausModel, LatticeState, _kept
 from .numerics import (
     EigenSystem,
     check_dense_side,
@@ -73,9 +73,15 @@ def weighted_superop(model: KrausModel, weights: np.ndarray) -> Superoperator:
     return Superoperator(acc, model.internal_dim)
 
 
+@_kept
 def build_superop(model: KrausModel) -> Superoperator:
-    """The untilted auxiliary map."""
-    return weighted_superop(model, np.ones(model.n_steps))
+    """The untilted auxiliary map, built on first use and kept on the model.
+
+    Its matrix is read-only: every later call returns the same object.
+    """
+    superop = weighted_superop(model, np.ones(model.n_steps))
+    superop.matrix.setflags(write=False)
+    return superop
 
 
 def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:

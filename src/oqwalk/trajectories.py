@@ -25,6 +25,7 @@ from the same propagator, cross-checked against the tilted map's p-th power.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,6 +300,11 @@ def write_batch_csv(batch: BatchStatistics, fileobj) -> None:
 # Exact oracles.
 # --------------------------------------------------------------------------
 
+#: Largest box the exact propagator allocates, in complex entries (sites times
+#: n^2) per array: 256 MiB for each of its two arrays.
+_BOX_LIMIT = 2**24
+
+
 def _propagate(model: KrausModel, blocks, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact p-step position law of the walk started from ``blocks``.
 
@@ -310,12 +316,23 @@ def _propagate(model: KrausModel, blocks, p: int) -> tuple[np.ndarray, np.ndarra
     occupied range [a, b) only.  A reach mask shifts alongside, so the sites
     returned (in lexicographic order, with their masses) are exactly those
     some word reaches, zero-mass ones included.
+
+    The box is sized in Python integers first, which cannot wrap; one of more
+    than ``_BOX_LIMIT`` entries, or with a coordinate of 2^62 or more, raises
+    :class:`AssumptionError`.
     """
     n, order = model.internal_dim, sorted(blocks)
+    corners = [(min(c) + p * min(0, *s), max(c) + p * max(0, *s))
+               for c, s in zip(zip(*order), zip(*model.displacements))]
+    entries = math.prod(b - a + 1 for a, b in corners) * n * n
+    if entries > _BOX_LIMIT or any(abs(c) >= 2**62 for ab in corners for c in ab):
+        raise AssumptionError(
+            f"exact propagator box {corners} ({entries} entries) exceeds "
+            f"{_BOX_LIMIT} entries or 2^62 per coordinate")
     steps = model.steps_array.astype(np.int64)
     starts = np.array(order, dtype=np.int64).reshape(len(order), -1)
-    lo = starts.min(axis=0) + p * np.minimum(steps.min(axis=0), 0)
-    shape = starts.max(axis=0) + p * np.maximum(steps.max(axis=0), 0) - lo + 1
+    lo = np.array([a for a, _ in corners], dtype=np.int64)
+    shape = np.array([b - a + 1 for a, b in corners], dtype=np.int64)
     strides = np.array([int(np.prod(shape[i + 1:])) for i in range(len(shape))])
     offsets = steps @ strides
     ops = model.operators

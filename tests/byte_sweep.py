@@ -7,8 +7,12 @@ commands on the bundled models and on the seeded benchmark documents
 (``perfbench/docs.py``, seeds 31 and 32: valid n = 4 and n = 8 walks, an
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 ``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
-10^30, initial-state documents, every range check, argparse errors and
-``--help``.
+10^30, ``oracle-check`` on the 10^30 walk, five commands on that walk with
+its first entry set to 1e308, tilt grids with a point on the block crossing
+of ``breakdown_example``, initial-state documents, every range check,
+argparse errors and ``--help``.  The 1e308 walk's numpy warnings print
+source paths and line numbers on stderr, so those records compare only
+between runs of one checkout.
 
 Usage, from the repository root::
 
@@ -41,7 +45,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import docs  # noqa: E402  (perfbench/docs.py: the seeded model documents)
 
 import oqwalk.cli  # noqa: E402
-from model_zoo import moved_step_document  # noqa: E402
+from model_zoo import huge_entry_document, moved_step_document  # noqa: E402
 
 BUILTINS = ("std_example", "periodic_example", "breakdown_example",
             "antidiag_example", "classical_dilation")
@@ -80,6 +84,19 @@ EXTRA = (
     # First return words at length 21, and none within the default lengths.
     "analyze --model {docs}/n4_step20_31.json",
     "analyze --model {docs}/n4_step1e30_31.json",
+    # A lattice box too large for the exact propagator.
+    "oracle-check --model {docs}/n4_step1e30_31.json -P 5",
+    # An entry of 1e308: the stochasticity residual is NaN.
+    "analyze --model {docs}/n4_huge_31.json",
+    "asymptotics --model {docs}/n4_huge_31.json",
+    "rate --model {docs}/n4_huge_31.json",
+    "simulate --model {docs}/n4_huge_31.json -P 40 -N 30",
+    "oracle-check --model {docs}/n4_huge_31.json -P 5",
+    # A grid point on the crossing of breakdown_example's blocks, ln(2)/2.
+    "asymptotics --builtin breakdown_example --u-min 0.34657359027997264 --u-max 2 "
+    "--u-points 5",
+    "rate --builtin breakdown_example --u-min -0.34657359027997264 "
+    "--u-max 0.34657359027997264",
     # Each range check alone, at and beyond its edge.
     "simulate --builtin std_example -P 0 -N 5",
     "simulate --builtin std_example -P -1 -N 5",
@@ -139,6 +156,7 @@ def write_documents(directory: Path) -> None:
             (directory / f"{stem}_{seed}.json").write_text(text)
     for name, step in (("step20", 20), ("step1e30", 10**30)):
         (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
+    (directory / "n4_huge_31.json").write_text(huge_entry_document())
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -36,3 +38,25 @@ def classical_model():
 @pytest.fixture(scope="session")
 def all_builtins():
     return {name: builtin(name) for name in BUILTIN_NAMES}
+
+
+@pytest.fixture
+def computes(monkeypatch):
+    """``computes(fact, module, name)`` counts the calls of ``module.name`` made
+    by the body of the kept per-model ``fact``: computations of the fact, not
+    lookups of its kept value."""
+
+    def count(fact, module, name):
+        body = fact.__wrapped__.__code__
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            if sys._getframe(1).f_code is body:
+                calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return count

@@ -200,6 +200,14 @@ def moved_step_document(step, seed=31):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def huge_entry_document(seed=31):
+    """The seeded n = 4 benchmark document with its first entry's real part
+    set to 1e308: finite, but its stochasticity residual overflows to NaN."""
+    doc = json.loads(bench_document(seed, "n4.json"))
+    doc["steps"][0]["matrix"][0][0]["re"] = 1e308
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def block_sum_model(*models):
     """Direct sum of models on the same steps: block-diagonal operators.
 

@@ -11,24 +11,30 @@ from oqwalk import (
     AssumptionError,
     ConvergenceError,
     MultiplicityError,
+    SpectralIndeterminateError,
     asymptotic_stats,
+    bn_decomposition,
     builtin,
     c2_parameters,
     covariance,
     covariance_ags,
     drift,
     invariant_state,
+    is_irreducible_L,
+    is_regular,
     lambda_curve,
     log_lambda,
+    period,
     point_initial_state,
     rate_function,
 )
-from oqwalk.asymptotics import (
-    _kink_candidates,
-    _lambda_curve,
-    _log_lambda_derivatives,
+from oqwalk.asymptotics import _kink_candidates, _log_lambda_derivatives
+from oqwalk.structure import (
+    _fixed_point_data,
+    _irreducible_blocks,
+    _operator_closure,
+    algebra_closure,
 )
-from oqwalk.structure import _irreducible_blocks, algebra_closure
 from oqwalk.superop import build_superop
 import reference
 from model_zoo import (
@@ -212,9 +218,9 @@ def test_full_algebra_curves_skip_kink_refinement(name, radius_calls):
     curve = lambda_curve(model, ts)
     assert radius_calls == []
     assert curve.kinks == ()
-    plain = _lambda_curve(model, ts, None, False)
-    assert curve.lambda_values.tobytes() == plain.lambda_values.tobytes()
-    assert curve.log_lambda_values.tobytes() == plain.log_lambda_values.tobytes()
+    refined = reference.refine_every_triple_curve(model, ts)
+    assert curve.lambda_values.tobytes() == refined.lambda_values.tobytes()
+    assert curve.log_lambda_values.tobytes() == refined.log_lambda_values.tobytes()
 
 
 def test_reducible_curves_keep_kink_refinement(breakdown_model, radius_calls):
@@ -312,13 +318,78 @@ def test_two_block_model_splits_into_its_summands():
     assert sorted(b.internal_dim for b in blocks) == [1, 2]
 
 
-def test_rate_function_computes_the_operator_closure_once(monkeypatch, std_model):
-    import oqwalk.asymptotics as asymptotics
+def test_rate_function_computes_the_operator_closure_once(monkeypatch):
     import oqwalk.structure as structure
 
-    calls = _count_calls(monkeypatch, "algebra_closure", structure, asymptotics)
-    rate_function(std_model, [0.0])
+    model = builtin("std_example")
+    calls = _count_calls(monkeypatch, "algebra_closure", structure)
+    rate_function(model, [0.0])
     assert len(calls) == 1
+    rate_function(model, [0.0])  # the closure is kept on the model
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["std_example", "breakdown_example"])
+def test_one_model_computes_each_kept_fact_once(name, computes):
+    import oqwalk.structure as structure
+    import oqwalk.superop as superop
+
+    model = builtin(name)
+    builds = computes(build_superop, superop, "weighted_superop")
+    eigensolves = computes(_fixed_point_data, structure, "eigendecompose")
+    closures = computes(_operator_closure, structure, "algebra_closure")
+    if is_irreducible_L(model).irreducible:
+        period(model)
+    else:
+        with pytest.raises(AssumptionError):
+            period(model)
+    is_regular(model)
+    bn_decomposition(model)
+    invariant_state(model)
+    asymptotic_stats(model)
+    lambda_curve(model, np.linspace(-2.0, 2.0, 9))
+    rate_function(model, np.linspace(-0.5, 0.5, 3), points=9)
+    assert (len(builds), len(eigensolves), len(closures)) == (1, 1, 1)
+
+
+def test_kept_untilted_map_is_read_only():
+    model = builtin("std_example")
+    superop = build_superop(model)
+    assert build_superop(model) is superop
+    with pytest.raises(ValueError):
+        superop.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        _fixed_point_data(model).state[0, 0] = 0.0
+
+
+_CROSSING_U = float(np.log(2.0) / 2)  # where cosh u = 3/4 e^u on breakdown_example
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(_CROSSING_U, 2.0, 5),
+    np.linspace(-_CROSSING_U, _CROSSING_U, 41),
+    _CROSSING_U + np.linspace(-1.0, 1.0, 5),
+], ids=["first", "last", "interior"])
+def test_curve_answers_a_grid_point_on_the_block_crossing(breakdown_model, grid):
+    # The two block roots meet in a Jordan block there, so no Perron pair
+    # exists; the radius still does.
+    assert _CROSSING_U in grid
+    curve = lambda_curve(breakdown_model, grid)
+    assert curve.degenerate_parameters == (_CROSSING_U,)
+    want = np.maximum(np.cosh(grid), 0.75 * np.exp(grid))
+    np.testing.assert_allclose(curve.lambda_values, want, rtol=1e-7)
+
+
+def test_interior_crossing_point_reports_the_kink(breakdown_model):
+    curve = lambda_curve(breakdown_model, _CROSSING_U + np.linspace(-1.0, 1.0, 5))
+    assert [k.u for k in curve.kinks] == [pytest.approx(_CROSSING_U, abs=1e-7)]
+
+
+def test_irreducible_curves_still_raise_where_perron_fails(std_model):
+    # From u = 16 on the std map's nearly defective cluster defeats the
+    # Perron extraction; a full algebra has no crossing to fall back on.
+    with pytest.raises(SpectralIndeterminateError):
+        lambda_curve(std_model, [16.0, 17.0, 18.0])
 
 
 # -- rate function -------------------------------------------------------------
@@ -489,10 +560,11 @@ def test_closed_form_on_aperiodic_irreducible_models(std_model):
     assert params.law_a is None and params.law_b is None
 
 
-def test_closed_form_eigendecomposes_the_untilted_map_once(std_model, monkeypatch):
+def test_closed_form_eigendecomposes_the_untilted_map_once(monkeypatch):
     # period and invariant state come from one fixed-point record
     import oqwalk.structure as structure
 
+    std_model = builtin("std_example")
     untilted = build_superop(std_model).matrix
     seen = []
     real = structure.eigendecompose
@@ -503,6 +575,8 @@ def test_closed_form_eigendecomposes_the_untilted_map_once(std_model, monkeypatc
 
     monkeypatch.setattr(structure, "eigendecompose", recording)
     params = c2_parameters(std_model)
+    assert sum(seen) == 1
+    c2_parameters(std_model)  # the record is kept on the model
     assert sum(seen) == 1
     monkeypatch.undo()
     rho = invariant_state(std_model)

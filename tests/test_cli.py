@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from model_zoo import (
     bench_document,
     broken_scaled_model,
     diagonal_pair_model,
+    huge_entry_document,
     moved_step_document,
     random_isometry_model,
     three_level_two_block_model,
@@ -216,6 +218,30 @@ def test_rate_reports_the_breakdown_kink(capsys):
     assert doc["kinks"][0] == pytest.approx(0.5 * np.log(2), abs=1e-4)
 
 
+# ln(2)/2, where the two blocks of breakdown_example cross: their roots meet
+# in a Jordan block there, and the Perron pair used to fail with exit 4.
+_CROSSING = "0.34657359027997264"
+
+
+def test_asymptotics_answers_a_tilt_grid_that_starts_on_the_block_crossing(capsys):
+    doc = run_json(capsys, ["asymptotics", "--builtin", "breakdown_example",
+                            "--u-min", _CROSSING, "--u-max", "2", "--u-points", "5"])
+    curve = doc["lambda_curves"][0]
+    assert curve["degenerate_u"] == [float(_CROSSING)]
+    us = np.array(curve["u"])
+    np.testing.assert_allclose(curve["lambda"],
+                               np.maximum(np.cosh(us), 0.75 * np.exp(us)), rtol=1e-7)
+
+
+def test_rate_answers_a_tilt_window_that_ends_on_the_block_crossing(capsys):
+    doc = run_json(capsys, ["rate", "--builtin", "breakdown_example",
+                            "--u-min", f"-{_CROSSING}", "--u-max", _CROSSING])
+    assert doc["upper_bound_only"] is True
+    assert doc["u_grid"][-1] == float(_CROSSING)
+    assert doc["log_lambda"][-1] == pytest.approx(np.log(np.cosh(float(_CROSSING))),
+                                                  abs=1e-7)
+
+
 # -- simulate ---------------------------------------------------------------------
 
 def test_simulate_standard_model(tmp_path, capsys):
@@ -382,18 +408,11 @@ def test_analyze_answers_a_walk_whose_first_return_word_is_long(tmp_path, capsys
     ["simulate", "--builtin", "std_example", "-P", "5", "-N", "4"],
     ["rate", "--builtin", "std_example", "--x-points", "3", "--u-points", "9"],
 ], ids=["analyze", "asymptotics", "simulate", "rate"])
-def test_each_command_builds_the_untilted_map_once(argv, monkeypatch, capsys):
-    calls = []
-    real = oqwalk.superop.build_superop
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for module in (oqwalk.superop, oqwalk.structure, oqwalk.asymptotics):
-        monkeypatch.setattr(module, "build_superop", counting)
+def test_each_command_builds_the_untilted_map_once(argv, computes, capsys):
+    # each invocation loads a fresh model, which keeps its map from then on
+    builds = computes(build_superop, oqwalk.superop, "weighted_superop")
     run_json(capsys, argv)
-    assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):
@@ -405,6 +424,27 @@ def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {loaded.value}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"],
+    ["asymptotics"],
+    ["rate"],
+    ["simulate", "-P", "5", "-N", "4"],
+    ["oracle-check", "-P", "3"],
+], ids=lambda command: command[0])
+def test_an_overflowing_entry_fails_the_stochasticity_gate(command, tmp_path, capsys):
+    # An entry of 1e308 makes the residual NaN, which used to pass the gate
+    # and end in a LinAlgError traceback.
+    path = tmp_path / "huge.json"
+    path.write_text(huge_entry_document())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command[0], "--model", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: stochasticity residual nan exceeds 1e-10\n"
 
 
 # -- oracle-check ------------------------------------------------------------------
@@ -450,6 +490,24 @@ def test_oracle_check_writes_its_report(tmp_path, capsys):
     report = json.loads((out / "oracle_check.json").read_text())
     assert report["failures"] == 0
     assert all(c["ok"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("where", ["step", "start"])
+def test_oracle_check_refuses_a_lattice_box_beyond_its_bound(where, tmp_path, capsys):
+    # A step or a start site at 10^30 used to wrap or overflow the int64 box.
+    path = tmp_path / "model.json"
+    argv = ["oracle-check", "--model", str(path), "-P", "3", "-u", "0.0"]
+    if where == "step":
+        path.write_text(moved_step_document(10**30))
+    else:
+        path.write_text(bench_document(31, "n4.json"))
+        zero = {"re": 0.0, "im": 0.0}
+        block = [[{"re": 1.0, "im": 0.0}, zero, zero, zero]] + [[zero] * 4] * 3
+        state = tmp_path / "far.json"
+        state.write_text(json.dumps({"sites": [{"position": [10**30], "block": block}]}))
+        argv += ["--initial", str(state)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: exact propagator box ")
 
 
 # -- console script -----------------------------------------------------------------

@@ -25,7 +25,12 @@ from oqwalk import (
     state_to_dict,
     validate_model,
 )
-from model_zoo import NN_STEPS, broken_scaled_model, random_isometry_model
+from model_zoo import (
+    NN_STEPS,
+    broken_scaled_model,
+    huge_entry_document,
+    random_isometry_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,16 @@ def test_model_from_dict_validates_stochasticity():
     # opting out of validation must parse fine
     model = model_from_dict(obj, validate=False)
     assert model.stochasticity_residual() > 1e-4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_residual_fails_the_stochasticity_gate():
+    # 1e308 squared overflows, so the residual is NaN, which no comparison
+    # with the tolerance passes
+    obj = json.loads(huge_entry_document())
+    assert np.isnan(model_from_dict(obj, validate=False).stochasticity_residual())
+    with pytest.raises(ModelValidationError, match="residual nan exceeds"):
+        model_from_dict(obj)
 
 
 def test_complex_entries_use_re_im_objects(std_model):

@@ -234,20 +234,16 @@ def test_period_and_regularity_compute_the_operator_closure_once(name, query,
     assert len(calls) == 1
 
 
-def test_regularity_builds_the_untilted_map_once(std_model, monkeypatch):
-    # the positivity-onset probe reads the map from the fixed-point record
-    import oqwalk.structure as structure
+def test_regularity_builds_the_untilted_map_once(computes):
+    # the fixed points and the positivity-onset probe read the kept map
+    import oqwalk.superop as superop
 
-    calls = []
-    real = structure.build_superop
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(structure, "build_superop", counting)
-    assert is_regular(std_model).regular
-    assert len(calls) == 1
+    model = builtin("std_example")
+    builds = computes(build_superop, superop, "weighted_superop")
+    assert is_regular(model).regular
+    assert len(builds) == 1
+    assert is_regular(model).regular
+    assert len(builds) == 1
 
 
 # -- recurrent / decaying splitting ---------------------------------------------

@@ -179,6 +179,16 @@ def test_oracles_run_past_the_old_path_budget(std_model, classical_model):
         mgf_check(std_model, -3.0, 1000)
 
 
+
+@pytest.mark.parametrize("step", [2**24, 10**30])
+def test_exact_law_refuses_a_box_beyond_its_bound(step):
+    # The box is sized in Python integers: 10^30 used to wrap in int64 to a
+    # negative size.  2^24 + 2 sites is just past the bound.
+    ops = np.array([[[np.sqrt(0.5)]], [[np.sqrt(0.5)]]], dtype=complex)
+    model = KrausModel(1, 1, ((step,), (-1,)), ops)
+    with pytest.raises(AssumptionError, match="exact propagator box"):
+        exact_distribution(model, 1)
+
 def test_propagator_matches_the_path_sum(all_builtins, std_model):
     walk_2d = random_isometry_model(11, n=2, steps=STEPS_2D)
     cases = [(name, model, default_initial_state(model), 10, 0.7)
