@@ -319,8 +319,10 @@ def log_lambda(model: KrausModel, u) -> float:
 class KinkRecord:
     """A point where the tilted-eigenvalue curve has a slope discontinuity.
 
-    Slopes are one-sided, taken from secants just outside the certified
-    bracket; they are reported for both lambda_u and log lambda_u.
+    ``u`` is where two irreducible blocks' radii cross, and each one-sided
+    slope is the derivative of one block's own analytic curve there; they
+    are reported for both lambda_u and log lambda_u, and ``slope_jump`` is
+    the right lambda slope minus the left one.
     """
 
     u: float
@@ -342,59 +344,81 @@ class LambdaCurve:
     degenerate_parameters: tuple[float, ...]
 
 
-_KINK_BRACKET_WIDTH = 1e-7
 _KINK_JUMP_TOL = 1e-3
-_KINK_SLOPE_OFFSET = 1e-4
 
 
-def _refine_kink(f, a: float, m: float, b: float, fa: float, fm: float,
-                 fb: float) -> tuple[float, float]:
-    """Shrink a slope-jump bracket; returns (location, final jump).
+def _block_crossings(model: KrausModel, ts: np.ndarray,
+                     direction: np.ndarray) -> list[KinkRecord]:
+    """The kinks of a reducible curve: where its top irreducible block changes.
 
-    A genuine kink keeps a constant slope jump as the bracket shrinks, while
-    smooth curvature scales the jump down with the width, so following the
-    max-jump sub-bracket separates the two cases.
-    """
-    while b - a > _KINK_BRACKET_WIDTH:
-        q1, q2 = (a + m) / 2, (m + b) / 2
-        fq1, fq2 = f(q1), f(q2)
-        triples = (
-            (a, q1, m, fa, fq1, fm),
-            (q1, m, q2, fq1, fm, fq2),
-            (m, q2, b, fm, fq2, fb),
-        )
-        best, best_jump = None, -1.0
-        for t in triples:
-            ta, tm, tb, va, vm, vb = t
-            jump = abs((vb - vm) / (tb - tm) - (vm - va) / (tm - ta))
-            if jump > best_jump:
-                best, best_jump = t, jump
-        a, m, b, fa, fm, fb = best
-    jump = abs((fb - fm) / (b - m) - (fm - fa) / (m - a))
-    return m, jump
-
-
-def _kink_candidates(model: KrausModel, ts: np.ndarray,
-                     direction: np.ndarray) -> np.ndarray:
-    """Which interior grid triples ``(t[i-1], t[i], t[i+1])`` may hold a kink.
-
-    Entry ``i - 1`` is set when the top block of :func:`_irreducible_blocks`
-    is not the same at all three points, or when the two largest block radii
-    agree to 1e-6 relative at one of them; every entry is set when the
-    blocks cannot be certified.  The shift of each block's map is the whole
-    map's, so the shifted radii compare directly.
+    Each block's shifted map shares the whole map's shift, so the block radii
+    at a tilt compare directly.  In every grid cell whose two ends have
+    different top blocks a and b, bisection on "radius of a >= radius of b"
+    closes in on their crossing to 1e-13 relative.  If a third block is on
+    top there, the top went a -> c -> b inside the cell, and each half of the
+    cell is searched again.  The one-sided log slopes are central differences
+    (step 1e-5) of the two blocks' own curves.  A crossing is dropped (equal
+    block curves, a tangency) when its log slopes jump by at most 1e-3 of
+    max(1 / lambda, |left|, |right|): the lambda-slope gate divided by
+    lambda, which stays finite where lambda overflows.
     """
     blocks = _irreducible_blocks(model)
     if blocks is None:
-        return np.ones(len(ts) - 2, dtype=bool)
-    radii = np.array([[spectral_radius(_shifted_map(block, t * direction)[1])
-                       for block in blocks] for t in ts])
-    top = np.argmax(radii, axis=1)
-    ordered = np.sort(radii, axis=1)
-    tied = (ordered[:, -1] - ordered[:, -2] <= 1e-6 * ordered[:, -1]
-            if len(blocks) > 1 else np.zeros(len(ts), dtype=bool))
-    return ((top[:-2] != top[1:-1]) | (top[1:-1] != top[2:])
-            | tied[:-2] | tied[1:-1] | tied[2:])
+        raise SpectralIndeterminateError(
+            "no composition series of the Kraus family could be certified; "
+            "the tilted curve's kinks cannot be located"
+        )
+
+    def radius(block: KrausModel, t: float) -> float:
+        return spectral_radius(_shifted_map(block, t * direction)[1])
+
+    def top(t: float) -> int:
+        return int(np.argmax([radius(block, t) for block in blocks]))
+
+    def log_slope(block: KrausModel, t: float) -> float:
+        h = 1e-5
+        return (log_lambda(block, (t + h) * direction)
+                - log_lambda(block, (t - h) * direction)) / (2 * h)
+
+    def open_cell(lo: float, hi: float) -> bool:
+        return hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi))
+
+    def crossings(t0: float, i: int, t1: float, j: int) -> list[KinkRecord]:
+        """The kinks between grid-ordered ends t0 (top block i) and t1 (top j)."""
+        lo, hi, a, b = (t0, t1, i, j) if t0 < t1 else (t1, t0, j, i)
+        wide = open_cell(lo, hi)
+        while open_cell(lo, hi):
+            mid = (lo + hi) / 2
+            if radius(blocks[a], mid) >= radius(blocks[b], mid):
+                lo = mid
+            else:
+                hi = mid
+        u0 = float((lo + hi) / 2)
+        c = top(u0) if len(blocks) > 2 else a
+        if wide and c not in (a, b):
+            return crossings(t0, i, u0, c) + crossings(u0, c, t1, j)
+        with np.errstate(over="ignore"):
+            log_lam0 = log_lambda(blocks[a], u0 * direction)
+            lam0, inv_lam0 = float(np.exp(log_lam0)), float(np.exp(-log_lam0))
+        left, right = log_slope(blocks[a], u0), log_slope(blocks[b], u0)
+        if right - left <= _KINK_JUMP_TOL * max(inv_lam0, abs(left), abs(right)):
+            return []
+        sl, sr = lam0 * left, lam0 * right
+        return [KinkRecord(
+            u=u0,
+            lambda_slope_left=sl,
+            lambda_slope_right=sr,
+            log_slope_left=left,
+            log_slope_right=right,
+            slope_jump=sr - sl,
+        )]
+
+    tops = [top(t) for t in ts]
+    kinks: list[KinkRecord] = []
+    for k in range(len(ts) - 1):
+        if tops[k] != tops[k + 1]:
+            kinks += crossings(ts[k], tops[k], ts[k + 1], tops[k + 1])
+    return kinks
 
 
 def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
@@ -402,29 +426,30 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
 
     Each grid point goes through a full Perron extraction: one
     eigendecomposition, and a left vector by inverse iteration, on the
-    rescaled map so large tilts cannot overflow.  Kink refinement between
-    grid points uses radius-only evaluations and runs only when the Kraus
-    operators do not generate the full matrix algebra: tilting rescales each
-    operator by a positive scalar, so with a full algebra every tilted map is
-    irreducible, its spectral radius is a simple eigenvalue, and lambda_u is
-    real-analytic with no kink to find.
+    rescaled map so large tilts cannot overflow.  Kinks are looked for only
+    when the Kraus operators do not generate the full matrix algebra:
+    tilting rescales each operator by a positive scalar, so with a full
+    algebra every tilted map is irreducible, its spectral radius is a simple
+    eigenvalue, and lambda_u is real-analytic with no kink to find.
 
     Otherwise the same argument applies block by block.  The invariant
     subspaces of the operators do not depend on the tilt, so in a basis
     adapted to a composition series of the family every tilted map is block
     triangular, and lambda_u is the largest of the irreducible diagonal
-    blocks' radii, each real-analytic.  A kink therefore needs the top block
-    to change: a grid triple is refined only when its top block differs
-    between its three points, or when two blocks tie to 1e-6 relative at one
-    of them (every triple, when no split can be certified).  The one blind
-    spot is a double crossing inside a single grid cell, where another block
-    rises to the top and falls back between grid points.  Kinks are certified
-    to a bracket of width 1e-7 and reported with one-sided slopes from
-    secants at offsets 1e-4 and 2e-4 outside the bracket.
+    blocks' radii, each real-analytic.  A kink is therefore a point where one
+    block overtakes another: each grid cell whose ends have different top
+    blocks is bisected to the crossing of those two blocks (and split there
+    when a third block is on top), and the kink is reported with each
+    block's own slope there (see :func:`_block_crossings`).
+    The one blind spot is a double crossing inside a single grid cell, where
+    another block rises to the top and falls back between grid points.  A
+    family whose composition series cannot be certified raises
+    :class:`SpectralIndeterminateError`.
 
     At a grid point on a crossing two block roots can meet in a Jordan
     block, where no Perron pair exists: there a reducible model takes the
-    map's spectral radius and lists the point as degenerate.
+    map's spectral radius and lists the point as degenerate.  A lambda_u
+    beyond the largest double is reported as infinite.
     """
     n = model.internal_dim
     reducible = _operator_closure(model).dimension != n * n
@@ -447,44 +472,12 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
                 raise
             radius, tied = spectral_radius(shifted), True
         logs[i] = shift + float(np.log(radius))
-        lams[i] = float(np.exp(logs[i]))
+        with np.errstate(over="ignore"):
+            lams[i] = float(np.exp(logs[i]))
         if tied:
             degenerate.append(float(t))
 
-    def f(t: float) -> float:
-        shift, shifted = _shifted_map(model, t * direction)
-        return float(np.exp(shift + np.log(spectral_radius(shifted))))
-
-    kinks: list[KinkRecord] = []
-    if reducible and len(ts) >= 3:
-        candidates = _kink_candidates(model, ts, direction)
-        for i in range(1, len(ts) - 1):
-            if not candidates[i - 1]:
-                continue
-            a, m, b = ts[i - 1], ts[i], ts[i + 1]
-            fa, fm, fb = lams[i - 1], lams[i], lams[i + 1]
-            sl = (fm - fa) / (m - a)
-            sr = (fb - fm) / (b - m)
-            scale = max(1.0, abs(sl), abs(sr))
-            if abs(sr - sl) <= _KINK_JUMP_TOL * scale:
-                continue
-            u0, jump = _refine_kink(f, a, m, b, fa, fm, fb)
-            if jump <= _KINK_JUMP_TOL * scale:
-                continue  # curvature masquerading as a kink
-            if any(abs(u0 - k.u) < (b - a) / 2 for k in kinks):
-                continue
-            h = _KINK_SLOPE_OFFSET
-            left = (f(u0 - h) - f(u0 - 2 * h)) / h
-            right = (f(u0 + 2 * h) - f(u0 + h)) / h
-            lam0 = f(u0)
-            kinks.append(KinkRecord(
-                u=float(u0),
-                lambda_slope_left=float(left),
-                lambda_slope_right=float(right),
-                log_slope_left=float(left / lam0),
-                log_slope_right=float(right / lam0),
-                slope_jump=float(jump),
-            ))
+    kinks = _block_crossings(model, ts, direction) if reducible and len(ts) >= 2 else []
     return LambdaCurve(
         parameters=ts,
         lambda_values=lams,

@@ -74,6 +74,11 @@ def _vector_json(v) -> list:
     return [float(x) for x in np.asarray(v, dtype=float)]
 
 
+def _finite_json(x) -> float | None:
+    """A float, or null where it is infinite or NaN (JSON has neither)."""
+    return float(x) if np.isfinite(x) else None
+
+
 def _real_matrix_json(m) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
@@ -300,24 +305,26 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
 
     us = np.linspace(args.u_min, args.u_max, args.u_points)
     curves = []
+    lambda_curves = []
     for axis in range(model.lattice_dim):
         direction = np.zeros(model.lattice_dim)
         direction[axis] = 1.0
         curve = lambda_curve(model, us, direction)
+        lambda_curves.append(curve)
         curves.append({
             "axis": axis,
             "u": _vector_json(curve.parameters),
-            "lambda": _vector_json(curve.lambda_values),
+            "lambda": [_finite_json(v) for v in curve.lambda_values],
             "log_lambda": _vector_json(curve.log_lambda_values),
             "degenerate_u": _vector_json(curve.degenerate_parameters),
             "kinks": [
                 {
                     "u": k.u,
-                    "lambda_slope_left": k.lambda_slope_left,
-                    "lambda_slope_right": k.lambda_slope_right,
+                    "lambda_slope_left": _finite_json(k.lambda_slope_left),
+                    "lambda_slope_right": _finite_json(k.lambda_slope_right),
                     "log_slope_left": k.log_slope_left,
                     "log_slope_right": k.log_slope_right,
-                    "slope_jump": k.slope_jump,
+                    "slope_jump": _finite_json(k.slope_jump),
                 }
                 for k in curve.kinks
             ],
@@ -335,10 +342,10 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if out is not None:
         _write_json(out / "asymptotics.json", summary)
-        for curve in curves:
+        for curve, raw in zip(curves, lambda_curves):
             lines = ["u,lambda,log_lambda"]
-            for u, lam, ll in zip(curve["u"], curve["lambda"], curve["log_lambda"]):
-                lines.append(f"{u!r},{lam!r},{ll!r}")
+            for u, lam, ll in zip(curve["u"], raw.lambda_values, curve["log_lambda"]):
+                lines.append(f"{u!r},{float(lam)!r},{ll!r}")
             path = out / f"lambda_curve_axis{curve['axis']}.csv"
             path.write_text("\n".join(lines) + "\n")
     return 0
@@ -352,12 +359,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     )
     summary = {
         "x_grid": _vector_json(table.x_grid),
-        "rate": [
-            float(v) if np.isfinite(v) else None for v in table.rate
-        ],
-        "maximizers": [
-            float(u) if np.isfinite(u) else None for u in table.maximizers
-        ],
+        "rate": [_finite_json(v) for v in table.rate],
+        "maximizers": [_finite_json(u) for u in table.maximizers],
         "finite": [bool(b) for b in table.finite],
         "upper_bound_only": bool(table.upper_bound_only),
         "u_grid": _vector_json(table.u_grid),

@@ -257,18 +257,10 @@ def _projection_cleanup(p_raw: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def period(model: KrausModel) -> PeriodData:
-    """Cyclic period of the (irreducible) auxiliary map, with projections.
-
-    The period equals the number of peripheral eigenvalues; these must form the
-    full set of d-th roots of unity or the spectrum is rejected.  Projections
-    are synthesized from a peripheral eigenvector of the adjoint map, cleaned
-    to exact orthogonal projections, ordered to satisfy the shift relation, and
-    labeled so that projection 0 maximizes the diagonal lexicographically.
-    """
-    if not is_irreducible_L(model).irreducible:
-        raise AssumptionError("period is defined for irreducible maps only")
-    n = model.internal_dim
+def _peripheral_count(model: KrausModel) -> int:
+    """The number d of peripheral eigenvalues of the untilted map, read from its
+    kept eigendecomposition; they must form the full set of d-th roots of
+    unity or the spectrum is rejected."""
     es = _fixed_point_data(model).eigensystem
     mods = np.abs(es.values)
     if mods[0] > 1 + 1e-8:
@@ -284,6 +276,22 @@ def period(model: KrausModel) -> PeriodData:
             raise SpectralIndeterminateError(
                 f"peripheral spectrum is not the set of {d}-th roots of unity"
             )
+    return d
+
+
+def period(model: KrausModel) -> PeriodData:
+    """Cyclic period of the (irreducible) auxiliary map, with projections.
+
+    The period equals the number of peripheral eigenvalues; these must form the
+    full set of d-th roots of unity or the spectrum is rejected.  Projections
+    are synthesized from a peripheral eigenvector of the adjoint map, cleaned
+    to exact orthogonal projections, ordered to satisfy the shift relation, and
+    labeled so that projection 0 maximizes the diagonal lexicographically.
+    """
+    if not is_irreducible_L(model).irreducible:
+        raise AssumptionError("period is defined for irreducible maps only")
+    n = model.internal_dim
+    d = _peripheral_count(model)
     if d == 1:
         return PeriodData(1, (np.eye(n, dtype=complex),), 0.0)
 
@@ -364,9 +372,9 @@ def is_regular(model: KrausModel) -> RegularityReport:
     """
     if not is_irreducible_L(model).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
-    pd = period(model)
-    if pd.period != 1:
-        return RegularityReport(regular=False, period=pd.period, onset_estimate=None)
+    d = _peripheral_count(model)
+    if d != 1:
+        return RegularityReport(regular=False, period=d, onset_estimate=None)
 
     n = model.internal_dim
     rng = np.random.default_rng(0xA11CE)

@@ -7,10 +7,11 @@ commands on the bundled models and on the seeded benchmark documents
 (``perfbench/docs.py``, seeds 31 and 32: valid n = 4 and n = 8 walks, an
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 ``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
-10^30, ``oracle-check`` on the 10^30 walk, five commands on that walk with
-its first entry set to 1e308, tilt grids with a point on the block crossing
-of ``breakdown_example``, initial-state documents, every range check,
-argparse errors and ``--help``.  The 1e308 walk's numpy warnings print
+10^30, ``oracle-check`` and ``rate`` on the 10^30 walk, five commands on
+that walk with its first entry set to 1e308, tilt grids with a point on the
+block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
+it, ``classical_dilation`` tilts where lambda exceeds the largest double,
+initial-state documents, every range check, argparse errors and ``--help``.  The 1e308 walk's numpy warnings print
 source paths and line numbers on stderr, so those records compare only
 between runs of one checkout.
 
@@ -97,6 +98,11 @@ EXTRA = (
     "--u-points 5",
     "rate --builtin breakdown_example --u-min -0.34657359027997264 "
     "--u-max 0.34657359027997264",
+    # A five-point grid whose cells each hold at most one block crossing.
+    "rate --builtin breakdown_example --u-points 5",
+    # Tilts where lambda exceeds the largest double, and a step of 10^30.
+    "asymptotics --builtin classical_dilation --u-min 700 --u-max 800 --u-points 3",
+    "rate --model {docs}/n4_step1e30_31.json",
     # Each range check alone, at and beyond its edge.
     "simulate --builtin std_example -P 0 -N 5",
     "simulate --builtin std_example -P -1 -N 5",

@@ -160,6 +160,24 @@ def three_level_two_block_model():
     return KrausModel(1, 3, NN_STEPS, np.array(ops))
 
 
+def mirrored_breakdown_model():
+    """``breakdown_example`` with a mirrored third level: three 1 x 1 blocks.
+
+    Upper triangular on steps +1, -1 and 0, so every tilted map is triangular
+    and lambda_u is the largest of the diagonal radii ``3/4 e^-u``, ``cosh u``
+    and ``3/4 e^u``: the top block goes mirrored -> ray -> corner, with kinks
+    at -ln 2 / 2 and ln 2 / 2.  The step-0 operator carries the third
+    column's corner entry, which keeps the columns orthonormal.
+    """
+    s2, s3 = np.sqrt(2.0), np.sqrt(3.0)
+    ops = np.array([
+        [[1 / s2, 1 / (2 * s2), 0], [0, s3 / 2, 0], [0, 0, 0]],
+        [[1 / s2, -1 / (2 * s2), 0], [0, 0, 0], [0, 0, s3 / 2]],
+        [[0, 0, 1 / 2], [0, 0, 0], [0, 0, 0]],
+    ], dtype=complex)
+    return KrausModel(1, 3, ((1,), (-1,), (0,)), ops)
+
+
 def equal_modulus_diagonal_model():
     """Diagonal pair whose two branch laws coincide (entries differ by phase).
 

@@ -3,7 +3,8 @@
 Everything here was worked out from scratch (2x2 spectral problems, classical
 generating functions, triangular matrix powers) and deliberately avoids
 importing the package under test, so these numbers can serve as independent
-oracles; the one exception, the word-list walk search at the end, says why.
+oracles; the two exceptions at the end, the word-list walk search and the
+secant kink search, say why.
 Derivation notes are inline where the algebra is not obvious.
 """
 import numpy as np
@@ -344,23 +345,60 @@ def enumerated_walk_irreducibility(model, max_length=None):
 
 
 # ---------------------------------------------------------------------------
-# Tilted curve with kink refinement on every grid triple.  The package sends
-# a triple to refinement only where the top block of the operators'
-# invariant decomposition changes; this oracle refines all of them.  It
-# shares the package's Perron extraction, shifted maps and bracket
-# refinement, so a comparison isolates which triples are refined.
+# Tilted curve with kink refinement on every grid triple: the secant search
+# the package used before it located kinks as block crossings.  Every
+# interior triple whose secant slopes jump is refined on the whole map by
+# following the sub-bracket with the largest jump down to width 1e-7, and
+# the one-sided slopes are secants at offsets 1e-4 and 2e-4 outside it.  It
+# shares the package's Perron extraction and shifted maps, so a comparison
+# isolates how kinks are located.
 # ---------------------------------------------------------------------------
+
+KINK_BRACKET_WIDTH = 1e-7
+KINK_SLOPE_OFFSET = 1e-4
+
+
+def refine_kink(f, a, m, b, fa, fm, fb):
+    """Shrink a slope-jump bracket; returns (location, final jump).
+
+    A genuine kink keeps a constant slope jump as the bracket shrinks, while
+    smooth curvature scales the jump down with the width, so following the
+    max-jump sub-bracket separates the two cases.
+    """
+    while b - a > KINK_BRACKET_WIDTH:
+        q1, q2 = (a + m) / 2, (m + b) / 2
+        fq1, fq2 = f(q1), f(q2)
+        triples = (
+            (a, q1, m, fa, fq1, fm),
+            (q1, m, q2, fq1, fm, fq2),
+            (m, q2, b, fm, fq2, fb),
+        )
+        best, best_jump = None, -1.0
+        for t in triples:
+            ta, tm, tb, va, vm, vb = t
+            jump = abs((vb - vm) / (tb - tm) - (vm - va) / (tm - ta))
+            if jump > best_jump:
+                best, best_jump = t, jump
+        a, m, b, fa, fm, fb = best
+    jump = abs((fb - fm) / (b - m) - (fm - fa) / (m - a))
+    return m, jump
+
+
+def whole_map_lambda(model, direction):
+    """t -> lambda along ``t * direction`` from the whole map's radius alone."""
+    from oqwalk.superop import _shifted_map, spectral_radius
+
+    def f(t):
+        shift, shifted = _shifted_map(model, t * direction)
+        return float(np.exp(shift + np.log(spectral_radius(shifted))))
+
+    return f
+
 
 def refine_every_triple_curve(model, parameters, direction=None):
     """``lambda_curve`` on a reducible model, refining every interior triple."""
-    from oqwalk.asymptotics import (
-        _KINK_JUMP_TOL,
-        _KINK_SLOPE_OFFSET,
-        KinkRecord,
-        LambdaCurve,
-        _refine_kink,
-    )
-    from oqwalk.superop import _shifted_map, perron, spectral_radius
+    from oqwalk.asymptotics import _KINK_JUMP_TOL, KinkRecord, LambdaCurve
+    from oqwalk.superop import _shifted_map, perron
 
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
@@ -379,10 +417,7 @@ def refine_every_triple_curve(model, parameters, direction=None):
         if data.degenerate:
             degenerate.append(float(t))
 
-    def f(t):
-        shift, shifted = _shifted_map(model, t * direction)
-        return float(np.exp(shift + np.log(spectral_radius(shifted))))
-
+    f = whole_map_lambda(model, direction)
     kinks = []
     for i in range(1, len(ts) - 1):
         a, m, b = ts[i - 1], ts[i], ts[i + 1]
@@ -392,12 +427,12 @@ def refine_every_triple_curve(model, parameters, direction=None):
         scale = max(1.0, abs(sl), abs(sr))
         if abs(sr - sl) <= _KINK_JUMP_TOL * scale:
             continue
-        u0, jump = _refine_kink(f, a, m, b, fa, fm, fb)
+        u0, jump = refine_kink(f, a, m, b, fa, fm, fb)
         if jump <= _KINK_JUMP_TOL * scale:
             continue  # curvature masquerading as a kink
         if any(abs(u0 - k.u) < (b - a) / 2 for k in kinks):
             continue
-        h = _KINK_SLOPE_OFFSET
+        h = KINK_SLOPE_OFFSET
         left = (f(u0 - h) - f(u0 - 2 * h)) / h
         right = (f(u0 + 2 * h) - f(u0 + h)) / h
         lam0 = f(u0)

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from oqwalk import (
     AssumptionError,
+    KrausModel,
     ConvergenceError,
     MultiplicityError,
     SpectralIndeterminateError,
@@ -28,7 +29,11 @@ from oqwalk import (
     point_initial_state,
     rate_function,
 )
-from oqwalk.asymptotics import _kink_candidates, _log_lambda_derivatives
+from oqwalk.asymptotics import (
+    _KINK_JUMP_TOL,
+    _block_crossings,
+    _log_lambda_derivatives,
+)
 from oqwalk.structure import (
     _fixed_point_data,
     _irreducible_blocks,
@@ -42,6 +47,7 @@ from model_zoo import (
     block_sum_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
+    mirrored_breakdown_model,
     random_isometry_model,
     three_level_two_block_model,
     upper_triangular_model,
@@ -162,14 +168,15 @@ def test_breakdown_curve_has_exactly_one_certified_kink(breakdown_model):
         assert lam == pytest.approx(float(reference.breakdown_lambda(u)), abs=1e-10)
     assert len(curve.kinks) == 1
     kink = curve.kinks[0]
-    assert kink.u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-4)
+    # The crossing of cosh(u) and 3/4 e^u, with each block's own slopes.
+    assert kink.u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-12)
     sl, sr = reference.BREAKDOWN_LAMBDA_SLOPES
-    assert kink.lambda_slope_left == pytest.approx(sl, abs=1e-3)
-    assert kink.lambda_slope_right == pytest.approx(sr, abs=1e-3)
+    assert kink.lambda_slope_left == pytest.approx(sl, abs=1e-9)
+    assert kink.lambda_slope_right == pytest.approx(sr, abs=1e-9)
     gl, gr = reference.BREAKDOWN_LOG_SLOPES
-    assert kink.log_slope_left == pytest.approx(gl, abs=1e-3)
-    assert kink.log_slope_right == pytest.approx(gr, abs=1e-3)
-    assert kink.slope_jump > 0
+    assert kink.log_slope_left == pytest.approx(gl, abs=1e-9)
+    assert kink.log_slope_right == pytest.approx(gr, abs=1e-9)
+    assert kink.slope_jump == kink.lambda_slope_right - kink.lambda_slope_left
 
 
 def test_kink_finder_agrees_with_the_curve(breakdown_model, std_model):
@@ -225,8 +232,8 @@ def test_full_algebra_curves_skip_kink_refinement(name, radius_calls):
 
 def test_reducible_curves_keep_kink_refinement(breakdown_model, radius_calls):
     curve = lambda_curve(breakdown_model, np.linspace(-4.0, 4.0, 41))
-    # Two block radii per grid point, two refined triples and the slopes;
-    # refining every triple took 1721.
+    # Two block radii per grid point, two per bisection step at the one
+    # crossing, and five for its slopes: 169; refining every triple took 1721.
     assert 0 < len(radius_calls) <= 200
     assert len(curve.kinks) == 1
     assert curve.kinks[0].u == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-4)
@@ -248,6 +255,7 @@ _REDUCIBLE_MODELS = {
     "breakdown": lambda: builtin("breakdown_example"),
     "three_level_two_block": three_level_two_block_model,
     "equal_modulus_diagonal": equal_modulus_diagonal_model,
+    "mirrored_breakdown": mirrored_breakdown_model,
     "block_sum_n8": lambda: block_sum_model(random_isometry_model(3, n=4),
                                             random_isometry_model(4, n=4)),
 }
@@ -258,41 +266,100 @@ _ORACLE_GRIDS = (np.linspace(-4.0, 4.0, 41), np.linspace(-4.0, 4.0, 11),
                  np.linspace(-4.0, 4.0, 5), np.linspace(-3.0, 7.0, 23))
 
 
-def _assert_same_curve(curve, oracle):
-    assert curve.kinks == oracle.kinks
+def _assert_same_values(curve, oracle):
     assert curve.lambda_values.tobytes() == oracle.lambda_values.tobytes()
     assert curve.log_lambda_values.tobytes() == oracle.log_lambda_values.tobytes()
     assert curve.degenerate_parameters == oracle.degenerate_parameters
+
+
+def _assert_confirmed_by_secants(model, kink):
+    """Whole-map secants at offsets 1e-4 and 2e-4 show the same kink."""
+    f = reference.whole_map_lambda(model, np.eye(model.lattice_dim)[0])
+    u0, h = kink.u, reference.KINK_SLOPE_OFFSET
+    left = (f(u0 - h) - f(u0 - 2 * h)) / h
+    right = (f(u0 + 2 * h) - f(u0 + h)) / h
+    assert right - left > _KINK_JUMP_TOL * max(1.0, abs(left), abs(right))
+    assert kink.log_slope_left == pytest.approx(left / f(u0), abs=1e-3)
+    assert kink.log_slope_right == pytest.approx(right / f(u0), abs=1e-3)
 
 
 @pytest.mark.parametrize("name", sorted(_REDUCIBLE_MODELS))
 def test_block_screen_keeps_every_kink_of_refining_every_triple(name):
     model = _REDUCIBLE_MODELS[name]()
     assert _is_reducible(model)
+    width = reference.KINK_BRACKET_WIDTH
     for grid in _ORACLE_GRIDS:
-        _assert_same_curve(lambda_curve(model, grid),
-                           reference.refine_every_triple_curve(model, grid))
+        curve = lambda_curve(model, grid)
+        oracle = reference.refine_every_triple_curve(model, grid)
+        _assert_same_values(curve, oracle)
+        found = [k.u for k in curve.kinks]
+        for kink in oracle.kinks:
+            assert any(abs(u - kink.u) <= width for u in found)
+        for kink in curve.kinks:
+            if not any(abs(kink.u - o.u) <= width for o in oracle.kinks):
+                _assert_confirmed_by_secants(model, kink)
 
 
 @pytest.mark.parametrize("name", ["breakdown", "three_level_two_block",
                                   "upper_triangular_0"])
-def test_uncertified_blocks_refine_every_triple(name, monkeypatch):
+def test_uncertified_blocks_raise(name, monkeypatch, capsys):
     import oqwalk.structure as structure
+    from oqwalk.cli import main
 
     monkeypatch.setattr(structure, "_search_common_invariant_subspace",
                         lambda basis_mats, n: None)
     model = _REDUCIBLE_MODELS[name]()
     assert _irreducible_blocks(model) is None
-    grid = _ORACLE_GRIDS[0]
-    _assert_same_curve(lambda_curve(model, grid),
-                       reference.refine_every_triple_curve(model, grid))
+    with pytest.raises(SpectralIndeterminateError, match="composition series"):
+        lambda_curve(model, _ORACLE_GRIDS[0])
+    if name == "breakdown":
+        assert main(["asymptotics", "--builtin", "breakdown_example"]) == 4
+        assert "composition series" in capsys.readouterr().err
 
 
-def test_tied_blocks_send_every_triple_to_refinement():
+def test_tied_blocks_report_no_kink():
     # The two 1 x 1 blocks have equal radii at every tilt, so which one is
-    # on top is rounding: no triple may be skipped on that verdict.
+    # on top is rounding: their crossings have no slope jump.
     model = equal_modulus_diagonal_model()
-    assert _kink_candidates(model, np.linspace(-4.0, 4.0, 11), np.ones(1)).all()
+    for grid in _ORACLE_GRIDS:
+        assert lambda_curve(model, grid).kinks == ()
+
+
+@pytest.mark.parametrize("grid", [np.linspace(-3.0, 3.0, 4),
+                                  np.linspace(3.0, -3.0, 4)])
+def test_three_tops_in_one_cell_report_both_crossings(grid):
+    # On [-1, 1] the mirrored block is on top at -1 and the corner at 1;
+    # their own crossing at 0 lies under the ray block's cosh u, so the cell
+    # holds two kinks, one where each of them meets cosh u.
+    curve = lambda_curve(mirrored_breakdown_model(), grid)
+    kinks = curve.kinks if grid[0] < grid[-1] else curve.kinks[::-1]  # grid order
+    u0 = reference.BREAKDOWN_KINK_U
+    sl, sr = reference.BREAKDOWN_LAMBDA_SLOPES
+    gl, gr = reference.BREAKDOWN_LOG_SLOPES
+    want = [(-u0, -sr, -sl, -gr, -gl), (u0, sl, sr, gl, gr)]
+    assert len(kinks) == 2
+    for kink, (u, lam_l, lam_r, log_l, log_r) in zip(kinks, want):
+        assert kink.u == pytest.approx(u, abs=1e-12)
+        assert kink.lambda_slope_left == pytest.approx(lam_l, abs=1e-9)
+        assert kink.lambda_slope_right == pytest.approx(lam_r, abs=1e-9)
+        assert kink.log_slope_left == pytest.approx(log_l, abs=1e-9)
+        assert kink.log_slope_right == pytest.approx(log_r, abs=1e-9)
+
+
+def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
+    # Block radii eps e^{2u} + (1 - eps) e^{-u} and cosh u cross at
+    # u = ln(1 / (2 eps)), where lambda_u overflows; the jump is read from
+    # the finite log slopes, 1 on the left and 2 on the right.
+    eps = np.exp(-720.0)
+    ops = np.zeros((3, 2, 2), dtype=complex)
+    ops[0, 0, 0], ops[2, 0, 0] = np.sqrt(eps), np.sqrt(1 - eps)
+    ops[1, 1, 1] = ops[2, 1, 1] = np.sqrt(0.5)
+    model = KrausModel(1, 2, ((2,), (1,), (-1,)), ops)
+    (kink,) = _block_crossings(model, np.array([700.0, 740.0]), np.ones(1))
+    assert kink.u == pytest.approx(720.0 - np.log(2.0), rel=1e-13)
+    assert kink.log_slope_left == pytest.approx(1.0, abs=1e-5)
+    assert kink.log_slope_right == pytest.approx(2.0, abs=1e-5)
+    assert kink.lambda_slope_left == kink.lambda_slope_right == np.inf
 
 
 def test_wide_grid_reports_only_the_real_block_crossing():

@@ -218,6 +218,43 @@ def test_rate_reports_the_breakdown_kink(capsys):
     assert doc["kinks"][0] == pytest.approx(0.5 * np.log(2), abs=1e-4)
 
 
+def test_rate_finds_the_breakdown_kink_on_a_five_point_grid(capsys):
+    # No grid triple of -4, -2, 0, 2, 4 showed the kink to the secant screen;
+    # the top block changes between 0 and 2.
+    doc = run_json(capsys, ["rate", "--builtin", "breakdown_example",
+                            "--u-points", "5"])
+    assert doc["kinks"] == [pytest.approx(0.5 * np.log(2), abs=1e-12)]
+
+
+def _main_without_warnings(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+def test_lambda_beyond_the_largest_double_prints_as_null(capsys):
+    code = _main_without_warnings(["asymptotics", "--builtin", "classical_dilation",
+                                   "--u-min", "700", "--u-max", "800", "--u-points", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out, parse_constant=lambda name: pytest.fail(name))
+    (curve,) = doc["lambda_curves"]
+    assert curve["lambda"][0] > 1e303
+    assert curve["lambda"][1:] == [None, None]
+    # lambda_u = (e^u + e^-u) / 2 for the default p = 1/2
+    assert curve["log_lambda"] == pytest.approx([u - np.log(2.0) for u in (700, 750, 800)],
+                                                rel=1e-12)
+
+
+def test_rate_on_a_step_of_ten_to_the_thirty_warns_nothing(tmp_path, capsys):
+    path = tmp_path / "step1e30.json"
+    path.write_text(moved_step_document(10**30))
+    code = _main_without_warnings(["rate", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    json.loads(captured.out, parse_constant=lambda name: pytest.fail(name))
+
+
 # ln(2)/2, where the two blocks of breakdown_example cross: their roots meet
 # in a Jordan block there, and the Perron pair used to fail with exit 4.
 _CROSSING = "0.34657359027997264"
@@ -391,6 +428,24 @@ def test_analyze_eigendecomposes_the_untilted_map_once(source, tmp_path, monkeyp
         monkeypatch.setattr(module, "eigendecompose", recording)
     run_json(capsys, ["analyze", *argv])
     assert sum(np.array_equal(m, untilted) for m in matrices) == 1
+
+
+@pytest.mark.parametrize("name", ["periodic_example", "antidiag_example"])
+def test_analyze_eigendecomposes_a_periodic_map_twice(name, monkeypatch, capsys):
+    # The untilted map once, and its adjoint once for the cyclic projections:
+    # is_regular reads the period off the kept spectrum.
+    calls = []
+    real = oqwalk.numerics.eigendecompose
+
+    def counting(matrix):
+        calls.append(1)
+        return real(matrix)
+
+    for module in (oqwalk.numerics, oqwalk.structure, oqwalk.superop):
+        monkeypatch.setattr(module, "eigendecompose", counting)
+    doc = run_json(capsys, ["analyze", "--builtin", name])
+    assert doc["auxiliary_map"]["period"] == 2
+    assert len(calls) == 2
 
 
 def test_analyze_answers_a_walk_whose_first_return_word_is_long(tmp_path, capsys):
