@@ -510,42 +510,32 @@ class RateFunctionTable:
 
 
 _RATE_SUP_CAP = 1e6
-_GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(g, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section maximization on [a, b] to absolute width xtol."""
-    x1 = b - _GOLDEN_RATIO * (b - a)
-    x2 = a + _GOLDEN_RATIO * (b - a)
-    g1, g2 = g(x1), g(x2)
-    while b - a > xtol:
-        if g1 < g2:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + _GOLDEN_RATIO * (b - a)
-            g2 = g(x2)
-        else:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - _GOLDEN_RATIO * (b - a)
-            g1 = g(x1)
-    u = (a + b) / 2
-    return u, g(u)
-
-
-def _newton_max(derivatives, x: float, a: float, u: float,
-                b: float) -> tuple[float, float] | None:
+def _newton_max(c, derivatives, x: float, a: float, u: float,
+                b: float) -> tuple[float, float]:
     """Solve c'(u) = x by Newton from u, safeguarded inside [a, b].
 
     A step that leaves the bracket is replaced by bisection; the bracket
     shrinks by the sign of c' - x, which orders points because c is convex.
-    Stops at |c' - x| <= 1e-12 max(1, |x|) and returns (u, u x - c(u)) like
-    :func:`_golden_max`; None when ``derivatives`` declines a point or 16
-    steps do not converge.
+    Where ``derivatives`` declines (a linear block, a degenerate or
+    uncertified Perron triple), the concave objective u x - c(u) is compared
+    at u +- h, h = 1e-3 (b - a), and cannot peak beyond the lower side, kink
+    or not.  Stops at |c' - x| <= 1e-12 max(1, |x|) or a bracket closed to
+    1e-13 relative, with (u, u x - c(u)); raises after 100 steps.
     """
     tol = 1e-12 * max(1.0, abs(x))
-    for _ in range(16):
+    for _ in range(100):
+        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
+            u = (a + b) / 2
+            return u, u * x - c(u)
         point = derivatives(u)
         if point is None:
-            return None
+            h = 1e-3 * (b - a)
+            rising = (u + h) * x - c(u + h) > (u - h) * x - c(u - h)
+            a, b = (max(a, u - h), b) if rising else (a, min(b, u + h))
+            u = (a + b) / 2
+            continue
         value, slope, curvature = point
         miss = slope - x
         if abs(miss) <= tol:
@@ -556,19 +546,17 @@ def _newton_max(derivatives, x: float, a: float, u: float,
             b = u
         u_next = u - miss / curvature
         u = u_next if a < u_next < b else (a + b) / 2
-    return None
+    raise ConvergenceError(f"Legendre maximizer for x = {x} did not converge in 100 steps")
 
 
 def _legendre_point(c, x: float, u_lo: float, u_hi: float, points: int,
-                    derivatives=None) -> tuple[float, float]:
+                    derivatives, kinks: tuple[KinkRecord, ...]) -> tuple[float, float]:
     """sup_u (u x - c(u)) by grid bracketing, window growth and refinement.
 
-    Once the grid puts the maximum at an interior point, the maximizer is
-    refined by :func:`_newton_max` inside the two neighbouring cells when
-    ``derivatives`` is given, and by golden section on the same bracket when
-    it is not or when Newton gives up (a degenerate, nearly degenerate or
-    uncertified Perron triple, a singular bordered solve, a curvature that
-    is not positive, or no convergence in 16 steps).
+    Once the grid puts the maximum at an interior point, the maximizer lies
+    between its two neighbours.  A kink there whose one-sided log slopes
+    straddle x is the maximizer itself; otherwise :func:`_newton_max`
+    refines inside that bracket.
     """
     us = list(np.linspace(u_lo, u_hi, points))
     gs = [u * x - c(u) for u in us]
@@ -580,8 +568,10 @@ def _legendre_point(c, x: float, u_lo: float, u_hi: float, points: int,
             return float(gs[i]), float(us[i])  # flat objective (degenerate walk)
         if 0 < i < len(us) - 1:
             a, b = us[i - 1], us[i + 1]
-            newton = derivatives and _newton_max(derivatives, x, a, us[i], b)
-            u_star, val = newton or _golden_max(lambda u: u * x - c(u), a, b)
+            for kink in kinks:
+                if a < kink.u < b and kink.log_slope_left <= x <= kink.log_slope_right:
+                    return float(kink.u * x - c(kink.u)), float(kink.u)
+            u_star, val = _newton_max(c, derivatives, x, a, us[i], b)
             return float(val), float(u_star)
         # Maximum at the window edge: extend outward by the current width.
         width = us[-1] - us[0]
@@ -605,12 +595,12 @@ def rate_function(model: KrausModel, positions,
     """Large-deviation rate function on a grid of velocities (1-D walks only).
 
     ``log lambda_u`` is sampled on ``points`` tilts in ``[u_min, u_max]``, and
-    the window grows outward while a maximum sits at its edge.  For an
-    irreducible map each maximizer is then refined by safeguarded Newton steps
-    on ``(log lambda)'(u) = x`` between the grid neighbours, falling back to
-    golden section where a Perron triple is degenerate or uncertified (see
-    :func:`_legendre_point`); a reducible map, whose curve may have kinks,
-    always uses golden section.  At an extreme step x the supremum is the
+    the window grows outward while a maximum sits at its edge.  Between the
+    grid neighbours the maximizer is a kink whose one-sided slopes straddle
+    x, or Newton steps on ``(log lambda)'(u) = x`` with the Perron triple of
+    the top irreducible block (the whole map if irreducible) refine it, with
+    bisection on the objective where that triple declines (see
+    :func:`_legendre_point`).  At an extreme step x the supremum is the
     u -> +-inf limit ``-log rho(Phi_x)``, with ``Phi_x`` the map of the Kraus
     terms of step x alone, and beyond the steps it is infinite; the maximizer
     there is reported as +-inf.
@@ -650,18 +640,23 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
-    # An irreducible map has a simple Perron root, so c is real-analytic and
-    # Newton steps on its Hellmann-Feynman slope apply; a reducible one may
-    # have kinks, where only the golden-section search is safe.
-    derivatives = None if upper_only else functools.cache(
-        functools.partial(_log_lambda_derivatives, model))
+    # c is the largest of the curves of the irreducible blocks (lambda_curve
+    # has certified them), each analytic: Newton uses the top block's triple.
+    blocks = _irreducible_blocks(model) if upper_only else (model,)
+
+    @functools.cache
+    def derivatives(u: float):
+        top = blocks[0] if len(blocks) == 1 else max(
+            blocks, key=lambda b: spectral_radius(_shifted_map(b, np.array([u]))[1]))
+        return _log_lambda_derivatives(top, u)
 
     values = np.empty(len(xs))
     maximizers = np.empty(len(xs))
     steps = model.steps_array[:, 0]
     for j, x in enumerate(xs):
         if steps.min() < x < steps.max():
-            val, u_star = _legendre_point(c, float(x), u_min, u_max, points, derivatives)
+            val, u_star = _legendre_point(c, float(x), u_min, u_max, points,
+                                          derivatives, curve.kinks)
         else:  # u x - c(u) is monotone here
             edge = (spectral_radius(weighted_superop(model, steps == x))
                     if steps.min() <= x <= steps.max() else 0.0)

@@ -756,6 +756,7 @@ def _search_common_invariant_subspace(basis_mats: np.ndarray,
     return None
 
 
+@_kept
 def _irreducible_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
     """The nonzero diagonal blocks of a composition series of the Kraus family.
 
@@ -765,7 +766,7 @@ def _irreducible_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
     each family generates its full matrix algebra.  Each nonzero block comes
     back as a model on the original displacements, so a tilt weights its
     terms as it weights the whole family's.  None when a search cannot
-    certify a split.
+    certify a split.  Kept on the model; each block's product stack is read-only.
     """
     n = model.internal_dim
     blocks = []

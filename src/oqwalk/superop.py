@@ -187,7 +187,8 @@ def _left_perron_vector(adjoint: np.ndarray, lam: float, n: int) -> np.ndarray:
     try:
         for _ in range(2):
             w = np.linalg.solve(shifted, w)
-            w = w / np.linalg.norm(w)
+            with np.errstate(invalid="ignore"):  # a NaN w fails the residual gate
+                w = w / np.linalg.norm(w)
     except np.linalg.LinAlgError as exc:
         raise SpectralIndeterminateError(
             "adjoint spectrum misses the Perron root (shifted solve is singular)"

@@ -10,7 +10,8 @@ n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 10^30, ``oracle-check`` and ``rate`` on the 10^30 walk, five commands on
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
-it, ``classical_dilation`` tilts where lambda exceeds the largest double,
+it, ``rate`` on a three-level direct sum whose blocks have different drifts,
+``classical_dilation`` tilts where lambda exceeds the largest double,
 initial-state documents, every range check, argparse errors and ``--help``.  The 1e308 walk's numpy warnings print
 source paths and line numbers on stderr, so those records compare only
 between runs of one checkout.
@@ -46,7 +47,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import docs  # noqa: E402  (perfbench/docs.py: the seeded model documents)
 
 import oqwalk.cli  # noqa: E402
-from model_zoo import huge_entry_document, moved_step_document  # noqa: E402
+from oqwalk import dump_model  # noqa: E402
+from model_zoo import (  # noqa: E402
+    huge_entry_document,
+    moved_step_document,
+    three_level_two_block_model,
+)
 
 BUILTINS = ("std_example", "periodic_example", "breakdown_example",
             "antidiag_example", "classical_dilation")
@@ -103,6 +109,8 @@ EXTRA = (
     # Tilts where lambda exceeds the largest double, and a step of 10^30.
     "asymptotics --builtin classical_dilation --u-min 700 --u-max 800 --u-points 3",
     "rate --model {docs}/n4_step1e30_31.json",
+    # A direct sum whose blocks have different drifts: a kink at u = 0.
+    "rate --model {docs}/three_level.json",
     # Each range check alone, at and beyond its edge.
     "simulate --builtin std_example -P 0 -N 5",
     "simulate --builtin std_example -P -1 -N 5",
@@ -163,6 +171,7 @@ def write_documents(directory: Path) -> None:
     for name, step in (("step20", 20), ("step1e30", 10**30)):
         (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
     (directory / "n4_huge_31.json").write_text(huge_entry_document())
+    dump_model(three_level_two_block_model(), directory / "three_level.json")
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

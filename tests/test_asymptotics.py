@@ -1,5 +1,6 @@
 """Drift, CLT covariance, tilted-curve kinks, rate function, closed forms."""
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -241,8 +242,9 @@ def test_reducible_curves_keep_kink_refinement(breakdown_model, radius_calls):
 
 def test_reducible_rate_function_refines_only_block_crossings(breakdown_model,
                                                               radius_calls):
-    # The curve, then golden section at the three interior velocities and
-    # the closed form at the two edges; refining every triple took 1843.
+    # The curve, then the kink or block Newton steps at the three interior
+    # velocities and the closed form at the two edges; refining every triple
+    # took 1843.
     rate_function(breakdown_model, np.linspace(-1.0, 1.0, 5))
     assert len(radius_calls) <= 350
 
@@ -346,20 +348,34 @@ def test_three_tops_in_one_cell_report_both_crossings(grid):
         assert kink.log_slope_right == pytest.approx(log_r, abs=1e-9)
 
 
-def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
-    # Block radii eps e^{2u} + (1 - eps) e^{-u} and cosh u cross at
-    # u = ln(1 / (2 eps)), where lambda_u overflows; the jump is read from
-    # the finite log slopes, 1 on the left and 2 on the right.
+def _overflowing_crossing_model():
+    """Block radii eps e^{2u} + (1 - eps) e^{-u} and cosh u, eps = e^-720:
+    they cross at u = ln(1 / (2 eps)) = 720 - ln 2, where lambda_u overflows."""
     eps = np.exp(-720.0)
     ops = np.zeros((3, 2, 2), dtype=complex)
     ops[0, 0, 0], ops[2, 0, 0] = np.sqrt(eps), np.sqrt(1 - eps)
     ops[1, 1, 1] = ops[2, 1, 1] = np.sqrt(0.5)
-    model = KrausModel(1, 2, ((2,), (1,), (-1,)), ops)
+    return KrausModel(1, 2, ((2,), (1,), (-1,)), ops)
+
+
+def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
+    # The jump is read from the finite log slopes, 1 on the left and 2 on
+    # the right.
+    model = _overflowing_crossing_model()
     (kink,) = _block_crossings(model, np.array([700.0, 740.0]), np.ones(1))
     assert kink.u == pytest.approx(720.0 - np.log(2.0), rel=1e-13)
     assert kink.log_slope_left == pytest.approx(1.0, abs=1e-5)
     assert kink.log_slope_right == pytest.approx(2.0, abs=1e-5)
     assert kink.lambda_slope_left == kink.lambda_slope_right == np.inf
+
+
+def test_a_curve_past_the_largest_double_warns_nothing():
+    # The left Perron solve comes back NaN at these tilts; the residual gate
+    # refuses it without a numpy warning (every point is still degenerate).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = lambda_curve(_overflowing_crossing_model(), np.linspace(700.0, 740.0, 3))
+    assert [k.u for k in curve.kinks] == [pytest.approx(720.0 - np.log(2.0), rel=1e-12)]
 
 
 def test_wide_grid_reports_only_the_real_block_crossing():
@@ -405,6 +421,7 @@ def test_one_model_computes_each_kept_fact_once(name, computes):
     builds = computes(build_superop, superop, "weighted_superop")
     eigensolves = computes(_fixed_point_data, structure, "eigendecompose")
     closures = computes(_operator_closure, structure, "algebra_closure")
+    searches = computes(_irreducible_blocks, structure, "_search_common_invariant_subspace")
     if is_irreducible_L(model).irreducible:
         period(model)
     else:
@@ -416,7 +433,10 @@ def test_one_model_computes_each_kept_fact_once(name, computes):
     asymptotic_stats(model)
     lambda_curve(model, np.linspace(-2.0, 2.0, 9))
     rate_function(model, np.linspace(-0.5, 0.5, 3), points=9)
+    lambda_curve(model, np.linspace(-1.0, 1.0, 5))
     assert (len(builds), len(eigensolves), len(closures)) == (1, 1, 1)
+    # One composition series for a reducible family, none for a full algebra.
+    assert len(searches) == (0 if is_irreducible_L(model).irreducible else 1)
 
 
 def test_kept_untilted_map_is_read_only():
@@ -553,27 +573,96 @@ def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
         radii.clear()
         rate_function(std_model, [x])
         assert 41 < len(perrons) <= 41 + 6, x  # the grid, then Newton
-        assert radii == [], x  # no golden-section fallback
+        assert radii == [], x  # no bisection fallback
 
 
-def test_reducible_rate_keeps_the_golden_section_path(monkeypatch, breakdown_model):
+def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch):
     import oqwalk.asymptotics as asymptotics
 
-    newton = _count_calls(monkeypatch, "_log_lambda_derivatives", asymptotics)
-    golden = _count_calls(monkeypatch, "_golden_max", asymptotics)
-    table = rate_function(breakdown_model, [-0.5, 0.0, 0.5])
-    assert newton == []
-    assert len(golden) == 3
-    assert table.kinks[0] == pytest.approx(reference.BREAKDOWN_KINK_U, abs=1e-6)
+    model = builtin("breakdown_example")
+    curve = lambda_curve(model, np.linspace(-4.0, 4.0, 41))
+    newton, searched = [], []
+    real_newton, real_log_lambda = asymptotics._log_lambda_derivatives, asymptotics.log_lambda
+
+    def block_newton(block, u):
+        newton.append(block)
+        return real_newton(block, u)
+
+    def whole_curve(m, u):
+        if m is model:
+            searched.append(u)
+        return real_log_lambda(m, u)
+
+    monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", block_newton)
+    monkeypatch.setattr(asymptotics, "log_lambda", whole_curve)
+    table = rate_function(model, [-0.5, 0.0, 0.5])
+    # Newton on the cosh u block for x = -0.5 and 0; x = 0.5 lies between the
+    # kink's slopes 1/3 and 1, so the kink is the maximizer, and the whole
+    # map's curve is read only there, for the value.
+    assert newton and all(block.internal_dim == 1 for block in newton)
+    assert searched == [curve.kinks[0].u]
+    assert table.maximizers[2] == curve.kinks[0].u
+    np.testing.assert_allclose(table.maximizers[:2], [np.arctanh(-0.5), 0.0],
+                               rtol=0, atol=1e-12)
+
+
+def test_breakdown_rate_matches_its_closed_form(breakdown_model):
+    # lambda_u = max(cosh u, 3/4 e^u): the maximizer is atanh(x) below the
+    # kink's left slope 1/3, and the kink itself from there up to 1.
+    xs = np.linspace(-0.9, 0.9, 19)
+    table = rate_function(breakdown_model, xs)
+    kink = table.kinks[0]
+    assert kink == pytest.approx(np.log(2.0) / 2, abs=1e-12)
+    below = np.abs(xs) < 1 / 3
+    above = xs >= 1 / 3
+    np.testing.assert_allclose(table.maximizers[below], np.arctanh(xs[below]),
+                               rtol=0, atol=1e-12)
+    assert (table.maximizers[above] == kink).all()
+    want = np.where(xs < 1 / 3, xs * np.arctanh(xs) - np.log(np.cosh(np.arctanh(xs))),
+                    kink * xs - np.log(np.cosh(kink)))
+    np.testing.assert_allclose(table.rate, want, rtol=0, atol=1e-12)
+
+
+_DIRECT_SUMS = {
+    "three_level_two_block": (three_level_two_block_model, np.linspace(-1.0, 1.0, 21)),
+    "block_sum_n8": (lambda: block_sum_model(random_isometry_model(3, n=4),
+                                             random_isometry_model(4, n=4)),
+                     np.linspace(-0.5, 0.5, 11)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT_SUMS))
+def test_direct_sums_with_different_block_drifts_answer(name):
+    # Every block radius is 1 at u = 0, so lambda_u has a kink there whose
+    # one-sided slopes are the block drifts: the rate vanishes between them.
+    build, xs = _DIRECT_SUMS[name]
+    model = build()
+    table = rate_function(model, xs)
+    drifts = sorted(float(drift(block)[0]) for block in _irreducible_blocks(model))
+    assert drifts[0] < drifts[-1]
+    assert (table.rate >= 0).all()
+    between = (xs >= drifts[0]) & (xs <= drifts[-1])
+    assert between.any()
+    assert (table.rate[between] <= 1e-12).all()
+
+
+def test_bisection_fallback_matches_the_newton_rates(monkeypatch, std_model):
+    import oqwalk.asymptotics as asymptotics
+
+    xs = np.linspace(-0.9, 0.9, 19)
+    newton = rate_function(std_model, xs)
+    monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", lambda model, u: None)
+    bisected = rate_function(std_model, xs)
+    np.testing.assert_allclose(bisected.rate, newton.rate, rtol=0, atol=1e-12)
 
 
 def test_boundary_velocities_take_the_closed_form(monkeypatch, periodic_model):
     import oqwalk.asymptotics as asymptotics
 
-    golden = _count_calls(monkeypatch, "_golden_max", asymptotics)
+    newton = _count_calls(monkeypatch, "_newton_max", asymptotics)
     radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
     table = rate_function(periodic_model, [-1.0, 1.0])
-    assert golden == []
+    assert newton == []
     assert len(radii) == 2  # one per edge: rho of the edge step's Kraus terms
     # Speed-one limits of the closed form.
     np.testing.assert_allclose(

@@ -255,6 +255,18 @@ def test_rate_on_a_step_of_ten_to_the_thirty_warns_nothing(tmp_path, capsys):
     json.loads(captured.out, parse_constant=lambda name: pytest.fail(name))
 
 
+def test_rate_answers_a_direct_sum_with_different_block_drifts(tmp_path, capsys):
+    # Both summands' radii are 1 at u = 0, a kink whose one-sided slopes are
+    # the drifts -0.4 and 0: the rate vanishes between them, and a search
+    # that undershoots the sup there trips the negative-rate gate.
+    path = tmp_path / "three_level.json"
+    dump_model(three_level_two_block_model(), path)
+    doc = run_json(capsys, ["rate", "--model", str(path)])
+    xs, rate = np.array(doc["x_grid"]), np.array(doc["rate"])
+    assert (rate >= 0).all()
+    assert (rate[(xs >= -0.4) & (xs <= 0.0)] <= 1e-12).all()
+
+
 # ln(2)/2, where the two blocks of breakdown_example cross: their roots meet
 # in a Jordan block there, and the Perron pair used to fail with exit 4.
 _CROSSING = "0.34657359027997264"
