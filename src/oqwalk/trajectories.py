@@ -15,7 +15,11 @@ of a batch with root seed r is bit-for-bit the trajectory of stream seed
 derive_seed(r, i) (same platform).  The draws for a block of steps of all
 trajectories come from one call to the generator; each is still the pure
 function of (stream seed, counter) that one call per step would give, so
-blocking changes no realization.
+blocking changes no realization.  Each step forms the candidates L_s psi of
+all trajectories in one real matrix product, which holds row replay only if
+every row gets the same bits at every batch width: OpenBLAS computes a
+one-row product by a matrix-vector routine whose bits differ, so a single
+trajectory runs beside a zero row.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -85,12 +89,18 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
     """Vectorized trajectory kernel shared by single and batch entry points.
 
-    Evolves one unit vector per trajectory.  Returns the initial and final
-    positions and, when ``record`` is set, the position, vector and step-index
-    histories (otherwise ``None`` for each).
+    Evolves one unit vector per trajectory, held in a complex buffer of at
+    least two rows.  A step is one real GEMM of the buffer's interleaved
+    (re, im) coordinates with a (2n, 2Kn) matrix built once per call, giving
+    the K candidates of every row; the chosen one, renormalized, is written
+    back into the buffer.  The buffer never has fewer than two rows because a
+    one-row product goes to gemv, whose bits differ from a row of a wider
+    GEMM.  Returns the initial and final positions and, when ``record`` is
+    set, the position, vector and step-index histories (otherwise ``None``
+    for each).
     """
     n_traj = len(stream_seeds)
-    k_steps = model.n_steps
+    n, k_steps = model.internal_dim, model.n_steps
     rows = np.arange(n_traj)
 
     pair_pos, pair_vec, pair_weight = _unravel(initial_state)
@@ -99,14 +109,36 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     pair = np.minimum(np.searchsorted(cum_pairs, u0, side="right"), len(cum_pairs) - 1)
     x = pair_pos[pair]
     x0 = x.copy()
-    psi = pair_vec[pair]
+    # OpenBLAS sends a one-row GEMM to gemv, whose bits differ from the
+    # GEMM's; every product of two or more rows gives each row the same bits,
+    # with one BLAS thread or more.  So a lone trajectory runs beside a zero
+    # row that no step writes, and row i of a batch replays it bit for bit.
+    buf = np.zeros((max(n_traj, 2), n), dtype=complex)
+    psi = buf[:n_traj]
+    psi[:] = pair_vec[pair]
+    coords = buf.view(float)
 
-    ops = model.operators
+    # The candidates L_s psi of all rows in one real GEMM: with psi's
+    # interleaved (re, im) coordinates as rows, column (s, i, re) of ``gemm``
+    # holds (Re L_s[i], -Im L_s[i]) and column (s, i, im) holds
+    # (Im L_s[i], Re L_s[i]), so ``cand`` is the float view of the (N, K, n)
+    # complex candidates.  Not a complex matmul: right after a zgemm call,
+    # numpy's axis-1 reductions ran about 13x slower on x86-64 (numpy 2.4,
+    # OpenBLAS 0.3.31), which made small-n batches slower overall.
+    ops = model.operators.transpose(2, 0, 1)
+    gemm = np.empty((n, 2, k_steps, n, 2))
+    gemm[:, 0, ..., 0] = ops.real
+    gemm[:, 1, ..., 0] = -ops.imag
+    gemm[:, 0, ..., 1] = ops.imag
+    gemm[:, 1, ..., 1] = ops.real
+    gemm = gemm.reshape(2 * n, 2 * k_steps * n)
+    cand = np.empty((len(buf), 2 * k_steps * n))
+    flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
     steps = model.steps_array.astype(np.int64)
 
     if record:
         pos_hist = np.empty((n_traj, n_steps + 1, model.lattice_dim), dtype=np.int64)
-        psi_hist = np.empty((n_traj, n_steps + 1, model.internal_dim), dtype=complex)
+        psi_hist = np.empty((n_traj, n_steps + 1, n), dtype=complex)
         idx_hist = np.empty((n_traj, n_steps), dtype=np.int64)
         pos_hist[:, 0] = x
         psi_hist[:, 0] = psi
@@ -117,8 +149,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         draws = unit_draws_array(np.tile(stream_seeds, stop - start),
                                  np.repeat(np.arange(start, stop, dtype=np.uint64), n_traj))
         for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
-            cand = np.einsum("kij,nj->nki", ops, psi)
-            flat = cand.view(float)
+            np.matmul(coords, gemm, out=cand)
             probs = np.einsum("nki,nki->nk", flat, flat)
             totals = probs.sum(axis=1)
             drift_off = float(abs(totals - 1.0).max())
@@ -143,7 +174,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             x += steps[choice]
             norms = probs[rows, choice]
             np.sqrt(norms, out=norms)
-            psi = (flat[rows, choice] / norms[:, None]).view(complex)
+            np.divide(flat[rows, choice], norms[:, None], out=coords[:n_traj])
 
             if record:
                 pos_hist[:, p] = x

@@ -1,5 +1,9 @@
 """Trajectory engine: seeding, exact oracles, standardization."""
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,20 +96,69 @@ def test_rows_replay_across_draw_blocks(std_model):
         assert row_psi[0].tobytes() == psi[i].tobytes()
 
 
-def test_trajectory_record_is_internally_consistent(periodic_model):
-    tr = sample_trajectory(periodic_model, 50, stream_seed=99)
+def assert_rows_replay(model, root, n_steps, sizes, rows):
+    """The run at N = 1 of stream i is row i of the run at every N in
+    ``sizes``, bit for bit, for each i in ``rows`` below N."""
+    seeds = derive_seeds(root, max(sizes))
+    start = default_initial_state(model)
+    singles = {i: _engine(model, start, n_steps, seeds[i:i + 1], True) for i in rows}
+    for n_traj in sizes:
+        _, _, pos, psi, idx = _engine(model, start, n_steps, seeds[:n_traj], True)
+        for i in (i for i in rows if i < n_traj):
+            _, _, row_pos, row_psi, row_idx = singles[i]
+            assert np.array_equal(row_pos[0], pos[i]), (n_traj, i)
+            assert np.array_equal(row_idx[0], idx[i]), (n_traj, i)
+            assert row_psi[0].tobytes() == psi[i].tobytes(), (n_traj, i)
+
+
+@pytest.mark.parametrize("model", [random_isometry_model(31, n=4),
+                                   random_isometry_model(32, n=3, steps=STEPS_2D)],
+                         ids=["isometry31_n4", "isometry32_n3_2d"])
+def test_complex_operator_rows_replay_at_every_batch_width(model):
+    # The candidates come from one GEMM over all rows; a lone trajectory must
+    # get the bits of a row of a wider product, not those of a matrix-vector
+    # product.
+    assert_rows_replay(model, 2024, 40, (2, 3, 5, 64), range(64))
+
+
+# OpenBLAS splits the rows of a large enough GEMM over its threads; the CI
+# tier-1 job pins one BLAS thread, so this check runs with two.
+_THREADED_REPLAY = """
+from model_zoo import random_isometry_model
+from test_trajectories import assert_rows_replay
+assert_rows_replay(random_isometry_model(8, n=8), 5, 12, (3, 2048),
+                   rows=(0, 1, 2, 1023, 2047))
+"""
+
+
+def test_rows_replay_with_two_blas_threads():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _THREADED_REPLAY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("model", [builtin("periodic_example"),
+                                   random_isometry_model(31, n=4)],
+                         ids=["periodic_example", "isometry31_n4"])
+def test_trajectory_record_is_internally_consistent(model):
+    n = model.internal_dim
+    tr = sample_trajectory(model, 50, stream_seed=99)
     assert tr.positions.shape == (51, 1) and tr.positions.dtype == np.int64
-    assert tr.states.shape == (51, 2, 2)
+    assert tr.states.shape == (51, n, n)
     assert tr.step_indices.shape == (50,)
     assert np.array_equal(tr.positions[0], [0])  # default start: origin
-    steps = periodic_model.steps_array
+    steps = model.steps_array
     np.testing.assert_array_equal(np.diff(tr.positions, axis=0),
                                   steps[tr.step_indices])
     np.testing.assert_allclose(np.trace(tr.states, axis1=1, axis2=2),
                                1.0, atol=1e-10)
     # collapse rule: each state is the renormalized image of its predecessor
     for p in range(5):
-        op = periodic_model.operators[tr.step_indices[p]]
+        op = model.operators[tr.step_indices[p]]
         new = op @ tr.states[p] @ op.conj().T
         np.testing.assert_allclose(tr.states[p + 1], new / np.trace(new).real,
                                    atol=1e-12)
