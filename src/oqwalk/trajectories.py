@@ -19,7 +19,11 @@ blocking changes no realization.  Each step forms the candidates L_s psi of
 all trajectories in one real matrix product, which holds row replay only if
 every row gets the same bits at every batch width: OpenBLAS computes a
 one-row product by a matrix-vector routine whose bits differ, so a single
-trajectory runs beside a zero row.
+trajectory runs beside a zero row.  What follows the probabilities (the
+choice of step, the renormalization and the position update) takes one of
+two forms by batch width, vectorized over the rows or, for a few rows, in
+Python scalars, where numpy's per-call cost would dominate; both give each
+row the same bits.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -84,20 +88,67 @@ def _unravel(initial_state: LatticeState):
 # for all N trajectories at once (128 KiB of draws).
 _BLOCK_DRAWS = 2**14
 
+# Widest batch whose steps choose and renormalize in Python scalars.  Timed
+# with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4) for n = 2, 4 and 8
+# (K = 2) and for K = 9, the scalar tail took 7.5-16 us a step against
+# 21-38 us for the vectorized one at N = 1, and won at every N <= 4 by at
+# least a quarter; its lead was 3-20 % at N = 8, and it mostly lost
+# at N = 12 and always at N = 16.  The scalar cost grows with N * K, so the
+# boundary stays well short of the crossover.
+_NARROW = 4
+
+
+def _stop(probs: np.ndarray, totals: np.ndarray, p: int):
+    """Raise for step p, whose probabilities failed the drift screen.
+
+    A dead row (total <= K 1e-15) always fails the drift screen, so the
+    dead-step gate runs only then, and takes precedence; a NaN probability
+    fails the drift screen and passes the dead one.
+    """
+    dead = (probs <= 1e-15).all(axis=1)
+    if dead.any():
+        raise DegenerateStepError(
+            f"all step probabilities vanished at step {p} for "
+            f"{int(dead.sum())} trajectory(ies)"
+        )
+    drift_off = float(abs(totals - 1.0).max())
+    raise TraceDriftError(
+        f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
+    )
+
 
 def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
-    """Vectorized trajectory kernel shared by single and batch entry points.
+    """Trajectory kernel shared by single and batch entry points.
 
     Evolves one unit vector per trajectory, held in a complex buffer of at
-    least two rows.  A step is one real GEMM of the buffer's interleaved
-    (re, im) coordinates with a (2n, 2Kn) matrix built once per call, giving
-    the K candidates of every row; the chosen one, renormalized, is written
-    back into the buffer.  The buffer never has fewer than two rows because a
-    one-row product goes to gemv, whose bits differ from a row of a wider
-    GEMM.  Returns the initial and final positions and, when ``record`` is
-    set, the position, vector and step-index histories (otherwise ``None``
-    for each).
+    least two rows.  A step has a front shared by every batch width and one
+    of two tails:
+
+    * the front is one real GEMM of the buffer's interleaved (re, im)
+      coordinates with a (2n, 2Kn) matrix built once per call, giving the K
+      candidates of every row, then their squared norms ``probs`` (by
+      ``einsum``) and the row totals (by ``sum``).  The buffer never has
+      fewer than two rows because a one-row product goes to gemv, whose bits
+      differ from a row of a wider GEMM;
+    * the tail screens each total for drift from 1 (a failure raises from
+      :func:`_stop`, the one home of the drift and dead-row gates), picks per
+      row the first step s < K-1 whose cumulative probability over the total
+      exceeds the row's draw (else K-1), writes L_s psi / sqrt(probs[s]) back
+      into the buffer and moves the position by s.  Batches of up to
+      ``_NARROW`` rows do this in Python scalars, a row at a time; wider ones
+      with a few numpy calls over all rows.
+
+    The two tails agree bit for bit: the front's operations, whose bits
+    depend on how numpy blocks a reduction, are common, and each tail
+    accumulates the cumulative probabilities sequentially (as
+    ``np.cumsum`` does) and then only compares, divides and takes square
+    roots, which IEEE arithmetic rounds correctly in either form.  So row i
+    of any batch replays the single trajectory of its stream seed.
+
+    Returns the initial and final positions and, when ``record`` is set, the
+    position, vector and step-index histories (otherwise ``None`` for each).
+    Raises :class:`AssumptionError` if a coordinate could reach 2^62.
     """
     n_traj = len(stream_seeds)
     n, k_steps = model.internal_dim, model.n_steps
@@ -109,6 +160,15 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     pair = np.minimum(np.searchsorted(cum_pairs, u0, side="right"), len(cum_pairs) - 1)
     x = pair_pos[pair]
     x0 = x.copy()
+    # Positions are int64.  Refuse a walk that could leave that range, as the
+    # exact propagator does, rather than wrap in the wide tail or overflow on
+    # converting the narrow tail's Python ints back.
+    reach = (max(n_steps, 1) * max(abs(int(c)) for s in model.displacements for c in s)
+             + int(np.abs(x0).max()))
+    if reach >= 2**62:
+        raise AssumptionError(
+            f"a coordinate may reach {reach} in {n_steps} steps; positions must "
+            "stay below 2^62")
     # OpenBLAS sends a one-row GEMM to gemv, whose bits differ from the
     # GEMM's; every product of two or more rows gives each row the same bits,
     # with one BLAS thread or more.  So a lone trajectory runs beside a zero
@@ -134,7 +194,13 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     gemm = gemm.reshape(2 * n, 2 * k_steps * n)
     cand = np.empty((len(buf), 2 * k_steps * n))
     flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
+    probs = np.empty((n_traj, k_steps))
+    totals = np.empty(n_traj)
     steps = model.steps_array.astype(np.int64)
+    last = k_steps - 1
+    narrow = n_traj <= _NARROW
+    if narrow:
+        xs, steps_list = x.tolist(), steps.tolist()
 
     if record:
         pos_hist = np.empty((n_traj, n_steps + 1, model.lattice_dim), dtype=np.int64)
@@ -150,40 +216,52 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                                  np.repeat(np.arange(start, stop, dtype=np.uint64), n_traj))
         for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
             np.matmul(coords, gemm, out=cand)
-            probs = np.einsum("nki,nki->nk", flat, flat)
-            totals = probs.sum(axis=1)
-            drift_off = float(abs(totals - 1.0).max())
-            # A dead row (total <= K 1e-15) always fails the drift gate, so
-            # the dead-step gate runs only then, and takes precedence; a NaN
-            # probability fails the drift gate and passes the dead one.
-            if not drift_off <= 1e-9:
-                dead = (probs <= 1e-15).all(axis=1)
-                if dead.any():
-                    raise DegenerateStepError(
-                        f"all step probabilities vanished at step {p} for "
-                        f"{int(dead.sum())} trajectory(ies)"
-                    )
-                raise TraceDriftError(
-                    f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
-                )
-            cum = probs.cumsum(axis=1)
-            cum /= totals[:, None]
-            choice = (u[:, None] >= cum).sum(axis=1)
-            np.minimum(choice, k_steps - 1, out=choice)
+            np.einsum("nki,nki->nk", flat, flat, out=probs)
+            probs.sum(axis=1, out=totals)
+            if narrow:
+                for i, (ui, pr, total) in enumerate(zip(u.tolist(), probs.tolist(),
+                                                         totals.tolist())):
+                    if not abs(total - 1.0) <= 1e-9:
+                        _stop(probs, totals, p)
+                    # One add at a time, as np.cumsum does; not builtin sum()
+                    # or math.fsum, which compensate (sum() from Python 3.12).
+                    cum = 0.0
+                    for k in range(last):
+                        cum += pr[k]
+                        if ui < cum / total:
+                            break
+                    else:
+                        k = last
+                    np.divide(flat[i, k], math.sqrt(pr[k]), out=coords[i])
+                    xi = xs[i]
+                    for j, sj in enumerate(steps_list[k]):
+                        xi[j] += sj
+                    if record:
+                        idx_hist[i, p - 1] = k
+                        pos_hist[i, p] = xi
+            else:
+                if not abs(totals - 1.0).max() <= 1e-9:
+                    _stop(probs, totals, p)
+                cum = probs.cumsum(axis=1)
+                cum /= totals[:, None]
+                choice = (u[:, None] >= cum).sum(axis=1)
+                np.minimum(choice, last, out=choice)
 
-            x += steps[choice]
-            norms = probs[rows, choice]
-            np.sqrt(norms, out=norms)
-            np.divide(flat[rows, choice], norms[:, None], out=coords[:n_traj])
-
+                x += steps[choice]
+                norms = probs[rows, choice]
+                np.sqrt(norms, out=norms)
+                np.divide(flat[rows, choice], norms[:, None], out=coords[:n_traj])
+                if record:
+                    pos_hist[:, p] = x
+                    idx_hist[:, p - 1] = choice
             if record:
-                pos_hist[:, p] = x
                 psi_hist[:, p] = psi
-                idx_hist[:, p - 1] = choice
         # Free this block's draws (and the row view into them) before the
         # next block's call allocates its own.
         del draws, u
 
+    if narrow:
+        x = np.array(xs, dtype=np.int64)
     if record:
         return x0, x, pos_hist, psi_hist, idx_hist
     return x0, x, None, None, None

@@ -68,6 +68,10 @@ PER_MODEL = (
     "simulate -P 40 -N 30 --seed 7 --out {out}",
     "simulate -P 300 -N 64 --seed 3 --out {out}",
     "simulate -P 37 -N 3000 --seed 5",
+    # Narrow batches, which choose and renormalize in Python scalars; the
+    # N = 3 run crosses a draw block (2^14 // 3 steps).
+    "simulate -P 400 -N 1 --seed 9",
+    "simulate -P 6000 -N 3 --seed 11 --out {out}",
     "oracle-check -P 5 --out {out}",
 )
 

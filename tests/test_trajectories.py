@@ -27,7 +27,7 @@ from oqwalk import (
     write_batch_csv,
 )
 from oqwalk.rng import derive_seed, derive_seeds, unit_draws_array
-from oqwalk.trajectories import _BLOCK_DRAWS, _engine, _unravel
+from oqwalk.trajectories import _BLOCK_DRAWS, _NARROW, _engine, _unravel
 import reference
 from model_zoo import NN_STEPS, STEPS_2D, broken_scaled_model, random_isometry_model
 
@@ -112,13 +112,18 @@ def assert_rows_replay(model, root, n_steps, sizes, rows):
 
 
 @pytest.mark.parametrize("model", [random_isometry_model(31, n=4),
-                                   random_isometry_model(32, n=3, steps=STEPS_2D)],
-                         ids=["isometry31_n4", "isometry32_n3_2d"])
+                                   random_isometry_model(32, n=3, steps=STEPS_2D),
+                                   random_isometry_model(5, n=3,
+                                                         steps=[(s,) for s in range(-4, 5)])],
+                         ids=["isometry31_n4", "isometry32_n3_2d", "isometry5_n3_k9"])
 def test_complex_operator_rows_replay_at_every_batch_width(model):
     # The candidates come from one GEMM over all rows; a lone trajectory must
     # get the bits of a row of a wider product, not those of a matrix-vector
-    # product.
-    assert_rows_replay(model, 2024, 40, (2, 3, 5, 64), range(64))
+    # product.  Batches up to _NARROW rows choose and renormalize in Python
+    # scalars, wider ones vectorized, so the widths straddle that boundary;
+    # with K = 9 the scalar cumulative sum runs past numpy's 8-way pairwise
+    # block of the row totals.
+    assert_rows_replay(model, 2024, 40, (2, _NARROW, _NARROW + 1, 64), range(64))
 
 
 # OpenBLAS splits the rows of a large enough GEMM over its threads; the CI
@@ -370,14 +375,15 @@ def test_vanishing_step_probabilities_are_detected():
         sample_trajectory(model, 3, stream_seed=0, initial_state=start)
 
 
-def test_a_dead_row_among_live_rows_stops_the_batch():
+@pytest.mark.parametrize("n_traj", [2, 64], ids=["narrow", "wide"])
+def test_a_dead_row_among_live_rows_stops_the_batch(n_traj):
     # L_+ = |e1><e1| + |e3><e2|, L_- = 0: e1 walks right forever, e2 moves
     # to e3 and dies at step 2.  The start mixes e1 (0.3) and e2 (0.7).
     plus = np.zeros((3, 3), dtype=complex)
     plus[0, 0] = plus[2, 1] = 1.0
     model = KrausModel(1, 3, NN_STEPS, np.stack([plus, np.zeros((3, 3))]))
     start = point_initial_state(model, np.diag([0.3, 0.7, 0.0]))
-    root, n_traj = 11, 64
+    root = 11
     # draw 0 picks e2 (the second pair of the unravelling) when u >= 0.3
     dying = int(np.sum(unit_draws_array(derive_seeds(root, n_traj), 0) >= 0.3))
     assert 0 < dying < n_traj
@@ -393,14 +399,31 @@ def test_trace_drift_is_detected_immediately():
         sample_trajectory(broken_scaled_model(), 3, stream_seed=0)
 
 
-def test_a_nan_operator_is_a_trace_drift():
+@pytest.mark.parametrize("n_traj", [1, 3, 64], ids=["single", "narrow", "wide"])
+def test_a_nan_operator_is_a_trace_drift(n_traj):
     # A NaN probability passes the dead-step gate and fails the drift gate.
     model = builtin("std_example")
     ops = np.array(model.operators)
     ops[0, 0, 0] = np.nan
     object.__setattr__(model, "operators", ops)  # KrausModel rejects NaN entries
     with pytest.raises(TraceDriftError, match=r"off by nan at step 1$"):
-        sample_trajectory(model, 3, stream_seed=0)
+        if n_traj == 1:
+            sample_trajectory(model, 3, stream_seed=0)
+        else:
+            batch_statistics(model, 3, n_traj, seed=0, mean=[0.0], covariance=[[1.0]])
+
+
+@pytest.mark.parametrize("n_traj", [1, 3, 64], ids=["single", "narrow", "wide"])
+def test_a_walk_that_could_leave_int64_is_refused(n_traj):
+    # Positions are int64: the wide tail would wrap, and the narrow tail's
+    # Python ints would overflow on the way back to an array.
+    model = KrausModel(1, 2, ((2**61,), (-1,)), builtin("std_example").operators)
+    start, seeds = default_initial_state(model), derive_seeds(4, n_traj)
+    _, finals, _, _, _ = _engine(model, start, 1, seeds, False)
+    assert set(finals[:, 0].tolist()) <= {2**61, -1}
+    with pytest.raises(AssumptionError, match=rf"may reach {2**62} in 2 steps; positions "
+                                              r"must stay below 2\^62$"):
+        _engine(model, start, 2, seeds, False)
 
 
 def test_blocks_at_the_positivity_tolerance_are_sampled(std_model):
