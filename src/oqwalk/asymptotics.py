@@ -86,79 +86,93 @@ def drift(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     return weights @ model.steps_array
 
 
-def _directional_curvature_eta(model: KrausModel, u: np.ndarray,
-                               rho: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda''(0) - lambda'(0)^2 along u, via the corrector equation.
+def _axis_terms(model: KrausModel, rho: np.ndarray):
+    """The maps D1_i, the images D1_i(rho), lambda'_i = Tr D1_i(rho) (the
+    drift) and the matrix Tr D2_ij(rho).
 
-    Returns the curvature together with the traceless corrector eta that
-    produced it.
-    """
-    n = model.internal_dim
-    d1, d2 = derivative_maps(model, u)
-    l1rho = d1.apply(rho)
-    lam1 = float(np.trace(l1rho).real)
-    rhs = l1rho - lam1 * rho
-    rhs = (rhs + rhs.conj().T) / 2
-    eye = np.eye(n * n, dtype=complex)
-    eta = solve_on_traceless(eye - build_superop(model).matrix, rhs)
-    eta = (eta + eta.conj().T) / 2
-    lam2 = float(np.trace(d2.apply(rho)).real) + 2 * float(np.trace(d1.apply(eta)).real)
-    return lam2 - lam1**2, eta
-
-
-def _directional_curvature_ags(model: KrausModel, u: np.ndarray,
-                               rho: np.ndarray, mean: np.ndarray) -> float:
-    """Same quantity via the adjoint-side observable equation.
-
-    Solves (Id - adjoint)(Y) = sum_s <u,s> L_s^dag L_s - <u,m> Id, which is
-    consistent exactly when m is the drift; the answer is invariant under the
-    Y -> Y + c Id gauge, so any particular solution works.
-    """
-    n = model.internal_dim
-    phi = model.steps_array @ u
-    a_u = np.zeros((n, n), dtype=complex)
-    for w, op in zip(phi, model.operators):
-        a_u += w * (op.conj().T @ op)
-    shift = float(u @ mean)
-    b = a_u - shift * np.eye(n)
-
-    k = np.eye(n * n, dtype=complex) - build_superop(model).matrix.conj().T
-    y_vec, *_ = np.linalg.lstsq(k, vec(b), rcond=None)
-    resid = np.linalg.norm(k @ y_vec - vec(b))
-    if resid > 1e-9 * max(1.0, np.linalg.norm(vec(b))):
-        raise SingularRestrictionError(
-            f"observable equation is inconsistent (residual {resid:.3e}); "
-            "drift input is wrong or the map is degenerate"
-        )
-    y = unvec(y_vec, n)
-    y = (y + y.conj().T) / 2
-    y = y - (np.trace(y) / n) * np.eye(n)
-
-    d1, d2 = derivative_maps(model, u)
-    l1rho = d1.apply(rho)
-    lam1 = float(np.trace(l1rho).real)
-    correction = float(np.trace(l1rho @ y).real) - lam1 * float(np.trace(rho @ y).real)
-    lam2 = float(np.trace(d2.apply(rho)).real) + 2 * correction
-    return lam2 - lam1**2
-
-
-def _covariance_from_form(model: KrausModel, q, what: str) -> np.ndarray:
-    """Covariance from its quadratic form by polarization, checked PSD.
-
-    ``q`` is called on the coordinate axes first, then on their pairwise
-    sums and differences.
+    D1_i and D2_ij weight each Kraus term by s_i and s_i s_j; D1_i and D2_ii
+    are :func:`derivative_maps` along axis i.
     """
     d = model.lattice_dim
-    c = np.zeros((d, d))
-    basis = np.eye(d)
-    for i in range(d):
-        c[i, i] = q(basis[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            plus = q(basis[i] + basis[j])
-            minus = q(basis[i] - basis[j])
-            c[i, j] = c[j, i] = (plus - minus) / 4
-    c = (c + c.T) / 2
+    maps = [derivative_maps(model, e) for e in np.eye(d)]
+    d1_rho = [d1.apply(rho) for d1, _ in maps]
+    second = np.empty((d, d))
+    for i, (_, d2_ii) in enumerate(maps):
+        second[i, i] = float(np.trace(d2_ii.apply(rho)).real)
+        for j in range(i):
+            d2 = weighted_superop(model, model.steps_array[:, i] * model.steps_array[:, j])
+            second[i, j] = second[j, i] = float(np.trace(d2.apply(rho)).real)
+    return [d1 for d1, _ in maps], d1_rho, [float(np.trace(x).real) for x in d1_rho], second
+
+
+def _corrector_route(model: KrausModel, rho: np.ndarray,
+                     axes) -> tuple[np.ndarray, list]:
+    """Covariance with G_ij = Tr D1_i(eta_j), and the correctors eta_j.
+
+    eta_j is the traceless solution of (Id - Phi)(eta) = D1_j(rho) -
+    lambda'_j rho, one solve per axis.
+    """
+    d1_maps, d1_rho, lam1, _ = axes
+    n = model.internal_dim
+    k = np.eye(n * n, dtype=complex) - build_superop(model).matrix
+    etas = []
+    for x, l1 in zip(d1_rho, lam1):
+        rhs = x - l1 * rho
+        eta = solve_on_traceless(k, (rhs + rhs.conj().T) / 2)
+        etas.append((eta + eta.conj().T) / 2)
+    g = [[float(np.trace(d1.apply(eta)).real) for eta in etas] for d1 in d1_maps]
+    return _covariance_from_terms(axes, g, "covariance"), etas
+
+
+def _adjoint_route(model: KrausModel, rho: np.ndarray, mean: np.ndarray,
+                   axes) -> np.ndarray:
+    """Covariance with G_ij = Tr(D1_i(rho) Y_j) - lambda'_i Tr(rho Y_j).
+
+    Y_j solves (Id - adjoint)(Y) = sum_s s_j L_s^dag L_s - m_j Id, one
+    least-squares solve per axis; the equation is consistent exactly when m
+    is the drift.  G is invariant under the Y -> Y + c Id gauge, so any
+    particular solution works.
+    """
+    _, d1_rho, lam1, _ = axes
+    n = model.internal_dim
+    k = np.eye(n * n, dtype=complex) - build_superop(model).matrix.conj().T
+    columns = []
+    for j in range(model.lattice_dim):
+        a_j = sum(w * (op.conj().T @ op)
+                  for w, op in zip(model.steps_array[:, j], model.operators))
+        b = a_j - float(mean[j]) * np.eye(n)
+        y_vec, *_ = np.linalg.lstsq(k, vec(b), rcond=None)
+        resid = np.linalg.norm(k @ y_vec - vec(b))
+        if resid > 1e-9 * max(1.0, np.linalg.norm(vec(b))):
+            raise SingularRestrictionError(
+                f"observable equation is inconsistent (residual {resid:.3e}); "
+                "drift input is wrong or the map is degenerate"
+            )
+        y = unvec(y_vec, n)
+        y = (y + y.conj().T) / 2
+        y = y - (np.trace(y) / n) * np.eye(n)
+        shift = float(np.trace(rho @ y).real)
+        columns.append([float(np.trace(x @ y).real) - l1 * shift
+                        for x, l1 in zip(d1_rho, lam1)])
+    return _covariance_from_terms(axes, np.array(columns).T, "covariance (adjoint route)")
+
+
+def _covariance_from_terms(axes, g, what: str) -> np.ndarray:
+    """The Hessian of log lambda_u at u = 0, a bilinear form, checked PSD:
+
+        C_ij = Tr D2_ij(rho) + (G_ij + G_ji) - lambda'_i lambda'_j.
+
+    Each route supplies the cross term G; the adjoint route's G is the
+    corrector route's transposed, and only G + G^T enters.
+    """
+    _, _, lam1, second = axes
+    c = np.empty(second.shape)
+    for i in range(len(lam1)):
+        # lam1[i]**2 (libm pow) and lam1[i] * lam1[i] can differ in the last
+        # bit; the 1-D outputs that tests/byte_sweep.py compares square with **.
+        c[i, i] = (second[i, i] + 2 * g[i][i]) - lam1[i]**2
+        for j in range(i):
+            c[i, j] = c[j, i] = (second[i, j] + (g[i][j] + g[j][i])) - lam1[i] * lam1[j]
     report = psd_check(c.astype(complex), tol=1e-8)
     if not report.is_psd:
         raise PositivityError(
@@ -168,37 +182,22 @@ def _covariance_from_form(model: KrausModel, q, what: str) -> np.ndarray:
     return c
 
 
-def _covariance_and_correctors(model: KrausModel,
-                               rho: np.ndarray) -> tuple[np.ndarray, list]:
-    """Corrector-route covariance and the traceless corrector of each axis."""
-    etas = []
-
-    def curvature(u: np.ndarray) -> float:
-        value, eta = _directional_curvature_eta(model, u, rho)
-        if len(etas) < model.lattice_dim:  # the axes come first
-            etas.append(eta)
-        return value
-
-    return _covariance_from_form(model, curvature, "covariance"), etas
-
-
 def covariance(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
-    """CLT covariance via the corrector (traceless-solve) route."""
+    """CLT covariance via the corrector route: one traceless solve per axis."""
     if rho is None:
         rho = invariant_state(model)
-    return _covariance_and_correctors(model, rho)[0]
+    return _corrector_route(model, rho, _axis_terms(model, rho))[0]
 
 
 def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
                    mean: np.ndarray | None = None) -> np.ndarray:
-    """CLT covariance via the adjoint-observable route (independent check)."""
+    """CLT covariance via the adjoint-observable route (independent check):
+    one least-squares solve per axis."""
     if rho is None:
         rho = invariant_state(model)
     if mean is None:
         mean = drift(model, rho)
-    return _covariance_from_form(
-        model, lambda u: _directional_curvature_ags(model, u, rho, mean),
-        "covariance (adjoint route)")
+    return _adjoint_route(model, rho, mean, _axis_terms(model, rho))
 
 
 @dataclass(frozen=True)
@@ -221,34 +220,31 @@ class AsymptoticStats:
 def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     """Drift + covariance by both routes, with cross-checks recorded.
 
-    ``route_gap`` is the max-abs difference of the two covariance routes;
-    ``drift_fd_gap`` compares the drift against central differences of
-    log lambda_u at h = 1e-5.
+    The axis maps are built once and serve both routes and the corrector
+    residual check.  ``route_gap`` is the max-abs difference of the two
+    covariance routes; ``drift_fd_gap`` compares the drift against central
+    differences of log lambda_u at h = 1e-5.
     """
     rho = invariant_state(model)
     mean = drift(model, rho)
-    c_eta, etas = _covariance_and_correctors(model, rho)
-    c_ags = covariance_ags(model, rho, mean)
+    axes = _axis_terms(model, rho)
+    c_eta, etas = _corrector_route(model, rho, axes)
+    c_ags = _adjoint_route(model, rho, mean, axes)
     route_gap = float(np.max(np.abs(c_eta - c_ags)))
 
     eta_residual = 0.0
+    _, d1_rho, lam1, _ = axes
     for i, eta in enumerate(etas):
-        e = np.eye(model.lattice_dim)[i]
         if abs(np.trace(eta)) > 1e-12:
             raise TraceGaugeError(
                 f"corrector along axis {i} has trace {np.trace(eta):.3e}"
             )
-        d1, _ = derivative_maps(model, e)
-        lam1 = float(np.trace(d1.apply(rho)).real)
-        defect = (eta - build_superop(model).apply(eta)) - (d1.apply(rho) - lam1 * rho)
+        defect = (eta - build_superop(model).apply(eta)) - (d1_rho[i] - lam1[i] * rho)
         eta_residual = max(eta_residual, float(np.linalg.norm(defect)))
 
     h = 1e-5
-    fd = np.zeros_like(mean)
-    for i in range(model.lattice_dim):
-        e = np.zeros(model.lattice_dim)
-        e[i] = 1.0
-        fd[i] = (log_lambda(model, h * e) - log_lambda(model, -h * e)) / (2 * h)
+    fd = np.array([(log_lambda(model, h * e) - log_lambda(model, -h * e)) / (2 * h)
+                   for e in np.eye(model.lattice_dim)])
     drift_fd_gap = float(np.max(np.abs(fd - mean)))
     return AsymptoticStats(
         mean, c_eta, c_ags, route_gap, drift_fd_gap,
@@ -322,7 +318,8 @@ class KinkRecord:
     ``u`` is where two irreducible blocks' radii cross, and each one-sided
     slope is the derivative of one block's own analytic curve there; they
     are reported for both lambda_u and log lambda_u, and ``slope_jump`` is
-    the right lambda slope minus the left one.
+    the right lambda slope minus the left one (+inf where lambda_u overflows,
+    since the right log slope exceeds the left).
     """
 
     u: float
@@ -410,7 +407,7 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
             lambda_slope_right=sr,
             log_slope_left=left,
             log_slope_right=right,
-            slope_jump=sr - sl,
+            slope_jump=sr - sl if lam0 < np.inf else np.inf,
         )]
 
     tops = [top(t) for t in ts]

@@ -226,6 +226,28 @@ def huge_entry_document(seed=31):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def block_cyclic_model(seed, sizes, steps=NN_STEPS):
+    """Valid model whose operators all map block j - 1 into block j (mod d).
+
+    The internal space splits into d = len(sizes) coordinate blocks; for each
+    source block the operators' blocks stack into an isometry (QR of a
+    complex Gaussian), so sum_s L_s^dag L_s = Id and the map has period d.
+    """
+    rng = np.random.default_rng(seed)
+    k, n = len(steps), sum(sizes)
+    starts = np.cumsum((0,) + tuple(sizes))
+    ops = np.zeros((k, n, n), dtype=complex)
+    for j in range(len(sizes)):
+        src, dst = (j - 1) % len(sizes), j
+        rows, cols = sizes[dst], sizes[src]
+        g = rng.normal(size=(k * rows, cols)) + 1j * rng.normal(size=(k * rows, cols))
+        q, _ = np.linalg.qr(g)
+        for i in range(k):
+            ops[i, starts[dst]:starts[dst] + rows,
+                starts[src]:starts[src] + cols] = q[i * rows:(i + 1) * rows]
+    return KrausModel(len(steps[0]), n, steps, ops)
+
+
 def block_sum_model(*models):
     """Direct sum of models on the same steps: block-diagonal operators.
 

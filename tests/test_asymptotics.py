@@ -1,5 +1,6 @@
 """Drift, CLT covariance, tilted-curve kinks, rate function, closed forms."""
 import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -122,18 +123,41 @@ def test_full_stats_raise_cleanly_without_a_unique_invariant_state():
         asymptotic_stats(diagonal_pair_model(5))
 
 
-@pytest.mark.parametrize("label, solves", [("std", 1), ("2-D", 4)])
-def test_asymptotic_stats_solves_each_corrector_once(label, solves, monkeypatch):
-    """d axis solves plus d (d - 1) polarization solves; the axis correctors
-    of ``eta_basis`` reuse the covariance's diagonal solves."""
+STEPS_3D = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+ISOMETRY_2D_3D = {"2-D": random_isometry_model(3, n=2, steps=STEPS_2D),
+                  "3-D": random_isometry_model(4, n=2, steps=STEPS_3D)}
+
+
+@pytest.mark.parametrize("label", ["std", "2-D", "3-D"])
+def test_asymptotic_stats_solves_each_corrector_once(label, monkeypatch):
+    """Each route solves once per axis: d traceless solves for the
+    correctors (which ``eta_basis`` keeps) and d adjoint ``lstsq`` calls."""
     import oqwalk.asymptotics as asymptotics
 
-    model = (builtin("std_example") if label == "std"
-             else random_isometry_model(3, n=2, steps=STEPS_2D))
-    calls = _count_calls(monkeypatch, "solve_on_traceless", asymptotics)
+    model = builtin("std_example") if label == "std" else ISOMETRY_2D_3D[label]
+    solves = _count_calls(monkeypatch, "solve_on_traceless", asymptotics)
+    lstsq_calls = _count_calls(monkeypatch, "lstsq", np.linalg)
     stats = asymptotic_stats(model)
-    assert len(calls) == solves
+    assert len(solves) == len(lstsq_calls) == model.lattice_dim
     assert len(stats.eta_basis) == model.lattice_dim
+
+
+@pytest.mark.parametrize("label", ["2-D", "3-D"])
+def test_covariance_is_the_hessian_of_log_lambda(label):
+    # Central second differences of log lambda_u at 0 (h = 1e-3) share no
+    # code with either covariance route; their error is O(h^2).
+    model = ISOMETRY_2D_3D[label]
+    d, h = model.lattice_dim, 1e-3
+    axes = np.eye(d) * h
+    hessian = np.empty((d, d))
+    for i, j in itertools.product(range(d), repeat=2):
+        hessian[i, j] = sum(
+            a * b * log_lambda(model, a * axes[i] + b * axes[j])
+            for a, b in itertools.product((1, -1), repeat=2)) / (4 * h * h)
+    stats = asymptotic_stats(model)
+    assert np.max(np.abs(hessian - np.diag(np.diag(hessian)))) >= 0.01
+    np.testing.assert_allclose(stats.covariance, hessian, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(stats.covariance_alt, hessian, rtol=0, atol=1e-5)
 
 
 @settings(max_examples=40)
@@ -367,6 +391,7 @@ def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
     assert kink.log_slope_left == pytest.approx(1.0, abs=1e-5)
     assert kink.log_slope_right == pytest.approx(2.0, abs=1e-5)
     assert kink.lambda_slope_left == kink.lambda_slope_right == np.inf
+    assert kink.slope_jump == np.inf
 
 
 def test_a_curve_past_the_largest_double_warns_nothing():

@@ -30,6 +30,7 @@ from model_zoo import (
     NN_STEPS,
     STEPS_2D,
     bench_document,
+    block_cyclic_model,
     broken_scaled_model,
     c2_sample,
     diag_antidiag_model,
@@ -189,6 +190,28 @@ def test_antidiagonal_model_has_period_two(antidiag_model):
         np.testing.assert_allclose(
             data.projections[j] @ op, op @ data.projections[(j - 1) % 2], atol=1e-9
         )
+
+
+@pytest.mark.parametrize("sizes, steps", [
+    ((3, 2, 3), NN_STEPS),
+    ((3, 2, 1, 1), ((1,), (-1,), (0,))),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_cyclic_models_have_their_period_and_blocks(sizes, steps, seed):
+    model = block_cyclic_model(seed, sizes, steps)
+    d = len(sizes)
+    data = period(model)
+    assert data.period == d
+    assert data.relation_residual <= 1e-8
+    # Projection 0 has the largest diagonal, so the labels follow the blocks.
+    assert [int(round(np.trace(p).real)) for p in data.projections] == list(sizes)
+    starts = np.cumsum((0,) + sizes)
+    for j, p in enumerate(data.projections):
+        block = np.zeros(model.internal_dim)
+        block[starts[j]:starts[j + 1]] = 1.0
+        np.testing.assert_allclose(p, np.diag(block), atol=1e-9)
+    r = is_regular(model)
+    assert (r.regular, r.period) == (False, d)
 
 
 def test_period_requires_irreducibility(breakdown_model):
