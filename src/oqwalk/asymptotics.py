@@ -34,7 +34,11 @@ from .structure import (
     period,
 )
 from .superop import (
+    SpectralData,
+    Superoperator,
+    _perron_rows,
     _shifted_map,
+    _shifted_maps,
     build_superop,
     derivative_maps,
     perron,
@@ -421,13 +425,18 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
 def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
-    Each grid point goes through a full Perron extraction: one
-    eigendecomposition, and a left vector by inverse iteration, on the
-    rescaled map so large tilts cannot overflow.  Kinks are looked for only
-    when the Kraus operators do not generate the full matrix algebra:
-    tilting rescales each operator by a positive scalar, so with a full
-    algebra every tilted map is irreducible, its spectral radius is a simple
-    eigenvalue, and lambda_u is real-analytic with no kink to find.
+    The grid's rescaled maps (rescaled so large tilts cannot overflow) are
+    built as one stack and go through one stacked Perron extraction: one
+    ``eig``, one projection ``eigh`` and two left solves for the whole grid,
+    in chunks of a fixed size.  Each point gets exactly the triple, or the
+    error, that :func:`perron` gives on its map alone, and the points are
+    read in grid order, so the first failing point raises.
+
+    Kinks are looked for only when the Kraus operators do not generate the
+    full matrix algebra: tilting rescales each operator by a positive
+    scalar, so with a full algebra every tilted map is irreducible, its
+    spectral radius is a simple eigenvalue, and lambda_u is real-analytic
+    with no kink to find.
 
     Otherwise the same argument applies block by block.  The invariant
     subspaces of the operators do not depend on the tilt, so in a basis
@@ -459,16 +468,15 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     lams = np.empty(len(ts))
     logs = np.empty(len(ts))
     degenerate: list[float] = []
-    for i, t in enumerate(ts):
-        shift, shifted = _shifted_map(model, t * direction)
-        try:
-            data = perron(shifted)
+    shifts, stack = _shifted_maps(model, ts[:, None] * direction)
+    for i, (t, data) in enumerate(zip(ts, _perron_rows(stack, n))):
+        if isinstance(data, SpectralData):
             radius, tied = data.lambda_u, data.degenerate
-        except SpectralIndeterminateError:
-            if not reducible:
-                raise
-            radius, tied = spectral_radius(shifted), True
-        logs[i] = shift + float(np.log(radius))
+        elif reducible and isinstance(data, SpectralIndeterminateError):
+            radius, tied = spectral_radius(Superoperator(stack[i], n)), True
+        else:
+            raise data
+        logs[i] = float(shifts[i]) + float(np.log(radius))
         with np.errstate(over="ignore"):
             lams[i] = float(np.exp(logs[i]))
         if tied:

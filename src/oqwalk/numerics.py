@@ -11,6 +11,12 @@ Conventions
 * Eigenvalues are always reported sorted by decreasing modulus, ties broken by
   decreasing real part and then increasing imaginary part.
 * Norms are Frobenius unless stated otherwise.
+* :func:`eigendecompose` and :func:`project_to_state` also take a
+  ``(T, N, N)`` stack of matrices, as the tilt grids of the superoperator
+  layer need.  Each LAPACK stage is one stacked call, and every reduction
+  whose result is returned runs matrix by matrix, so each row of a stack
+  gets exactly the bits its matrix would get alone, whatever the stack
+  around it.
 
 Everything here wraps LAPACK (via numpy) and adds the residual / tolerance
 contracts the higher layers rely on; no iterative or randomized solvers.
@@ -20,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import POSITIVITY_TOL, RESIDUAL_TOL
 from .errors import (
@@ -94,6 +99,9 @@ class EigenSystem:
     ``values`` are sorted by decreasing modulus (ties: decreasing real part,
     then increasing imaginary part); ``vectors[:, k]`` is the unit right
     eigenvector for ``values[k]``.
+
+    For a stack both arrays gain a leading axis: ``values[t]`` and
+    ``vectors[t]`` are the spectrum of matrix ``t``.
     """
 
     values: np.ndarray
@@ -109,7 +117,8 @@ def check_dense_side(side: int) -> None:
 
 
 def _sort_order(values: np.ndarray) -> np.ndarray:
-    # lexsort uses the last key as primary.
+    # lexsort uses the last key as primary, and sorts along the last axis,
+    # so a stack of spectra sorts row by row.
     return np.lexsort((values.imag, -values.real, -np.abs(values)))
 
 
@@ -119,37 +128,28 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     Raises :class:`AssumptionError` for non-square input or a side beyond
     ``DENSE_DIM_LIMIT``, and :class:`SingularRestrictionError` if residuals
     exceed ``RESIDUAL_TOL * ||A||_F`` (which would indicate a defective solve).
+    A ``(T, N, N)`` stack gives ``(T, N)`` values and ``(T, N, N)`` vectors,
+    each row what its matrix alone would give (:func:`_eigendecompose_stack`);
+    there the first matrix to miss the residual bound raises.
     """
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise AssumptionError(f"expected a square matrix, got shape {a.shape}")
-    check_dense_side(a.shape[0])
-    values, vectors = np.linalg.eig(a)
-    order = _sort_order(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    # Fix each eigenvector's phase: largest-modulus component made real positive.
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    moduli = np.abs(pivots)
-    phases = np.ones_like(pivots)
-    nonzero = moduli > 0
-    phases[nonzero] = moduli[nonzero] / pivots[nonzero]
-    vectors = vectors * phases[None, :]
-    residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    scale = max(frob(a), np.finfo(float).tiny)
-    if np.any(residuals > RESIDUAL_TOL * scale):
-        raise SingularRestrictionError(
-            f"eigendecomposition residual {residuals.max():.3e} exceeds "
-            f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
-        )
-    return EigenSystem(values=values, vectors=vectors)
+    check_dense_side(a.shape[-1])
+    es = _eigendecompose_stack(a if a.ndim == 3 else a[None])
+    if a.ndim == 3:
+        return es
+    # One matrix is a stack of one, returned without the stack axis.
+    return EigenSystem(values=es.values[0], vectors=es.vectors[0])
 
 
 def traceless_basis(n: int) -> np.ndarray:
     """Orthonormal basis (as columns of an ``n^2 x (n^2-1)`` array) of the
     traceless subspace of ``n x n`` matrices, in vectorized form."""
     row = vec(np.eye(n, dtype=complex)).conj()[None, :]
-    return scipy.linalg.null_space(row)
+    # The right singular vectors after the first span the row's null space;
+    # the basis is returned row-major.
+    return np.ascontiguousarray(np.linalg.svd(row)[2][1:].conj().T)
 
 
 def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,22 +224,57 @@ def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
 
     Hermitizes, flips the overall sign so the trace is positive, clips
     eigenvalues in ``[-1e-8, 0)`` to zero (raising :class:`PositivityError`
-    below ``-1e-8``), and renormalizes to unit trace.
+    below ``-1e-8``), and renormalizes to unit trace.  A ``(T, n, n)`` stack
+    is projected matrix by matrix with one stacked ``eigh``; the error
+    raised is that of the first matrix to fail the earliest check.
     """
     m = np.asarray(matrix, dtype=complex)
-    h = (m + m.conj().T) / 2
-    tr = float(np.trace(h).real)
-    if tr < 0:
-        h = -h
-        tr = -tr
-    if tr <= 0 or not np.isfinite(tr):
-        raise PositivityError(f"{what} has non-positive trace {tr:.3e}")
-    h = h / tr
+    stack = m.reshape((-1,) + m.shape[-2:])
+    h = (stack + stack.conj().swapaxes(1, 2)) / 2
+    tr = np.array([x.trace().real for x in h])
+    flip = tr < 0
+    if flip.any():
+        h[flip] = -h[flip]
+        tr[flip] = -tr[flip]
+    for t in tr.tolist():
+        if t <= 0 or not np.isfinite(t):
+            raise PositivityError(f"{what} has non-positive trace {t:.3e}")
+    h = h / tr[:, None, None]
     w, v = np.linalg.eigh(h)
-    if w[0] < -1e-8:
-        raise PositivityError(
-            f"{what} eigenvector has negative part {w[0]:.3e} beyond 1.0e-08"
-        )
+    for low in w[:, 0].tolist():
+        if low < -1e-8:
+            raise PositivityError(
+                f"{what} eigenvector has negative part {low:.3e} beyond 1.0e-08"
+            )
     w = np.where(w < 0, 0.0, w)
-    h = (v * w[None, :]) @ v.conj().T
-    return h / float(np.trace(h).real)
+    h = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
+    tr = np.array([x.trace().real for x in h])
+    return (h / tr[:, None, None]).reshape(m.shape)
+
+
+def _eigendecompose_stack(stack: np.ndarray) -> EigenSystem:
+    """:func:`eigendecompose` of a ``(T, N, N)`` stack, with one stacked ``eig``."""
+    values, vectors = np.linalg.eig(stack)
+    rows = np.arange(len(stack))[:, None]
+    order = _sort_order(values)
+    values = values[rows, order]
+    # Gathered as rows of the transpose, so each matrix of eigenvectors is
+    # column-major, as a column gather of one matrix leaves it.
+    vectors = vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    # Fix each eigenvector's phase: largest-modulus component made real positive.
+    pivots = vectors[rows, np.abs(vectors).argmax(axis=1), np.arange(stack.shape[2])]
+    moduli = np.abs(pivots)
+    phases = np.ones_like(pivots)
+    nonzero = moduli > 0
+    phases[nonzero] = moduli[nonzero] / pivots[nonzero]
+    vectors = vectors * phases[:, None, :]
+    residuals = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
+    tiny = np.finfo(float).tiny
+    for x, r in zip(stack, residuals):
+        scale = max(frob(x), tiny)
+        if (r > RESIDUAL_TOL * scale).any():
+            raise SingularRestrictionError(
+                f"eigendecomposition residual {r.max():.3e} exceeds "
+                f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
+            )
+    return EigenSystem(values=values, vectors=vectors)

@@ -10,7 +10,10 @@ weighted sum over the model's cached stack of Kraus-term products
 weights change.  All of these maps are completely positive, so the leading
 eigenvalue is a genuine spectral radius with (up to normalization) a PSD
 eigenvector on either side; ``perron`` extracts that data with explicit
-tolerance and degeneracy reporting.
+tolerance and degeneracy reporting.  A tilt grid builds its maps as one
+stack (``_shifted_maps``) and extracts all their Perron data with one
+stacked call per LAPACK stage (``_perron_rows``); ``perron`` is the same
+code on a stack of one.
 """
 from __future__ import annotations
 
@@ -19,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RESIDUAL_TOL
-from .errors import AssumptionError, SpectralIndeterminateError
+from .errors import AssumptionError, OQWalkError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState, _kept
 from .numerics import (
-    EigenSystem,
     check_dense_side,
     eigendecompose,
     frob,
@@ -60,17 +62,23 @@ class Superoperator:
         return unvec(v, self.dim)
 
 
-def weighted_superop(model: KrausModel, weights: np.ndarray) -> Superoperator:
-    """Superoperator of ``rho -> sum_s w_s L_s rho L_s^dag``.
+def _weighted_stack(model: KrausModel, weights: np.ndarray) -> np.ndarray:
+    """The ``(T, n^2, n^2)`` stack of maps ``rho -> sum_s w_ts L_s rho L_s^dag``.
 
-    A weighted sum over the model's product stack, accumulated term by term
-    in step order.
+    Row ``t`` is the weighted sum of the model's product stack with the
+    weights ``weights[t]``, accumulated term by term in step order.
     """
     products = model.product_stack
-    acc = np.zeros(products.shape[1:], dtype=complex)
-    for w, product in zip(np.asarray(weights, dtype=float), products):
-        acc += w * product
-    return Superoperator(acc, model.internal_dim)
+    acc = np.zeros((len(weights),) + products.shape[1:], dtype=complex)
+    for w, product in zip(np.asarray(weights, dtype=float).T, products):
+        acc += w[:, None, None] * product
+    return acc
+
+
+def weighted_superop(model: KrausModel, weights: np.ndarray) -> Superoperator:
+    """Superoperator of ``rho -> sum_s w_s L_s rho L_s^dag``."""
+    return Superoperator(_weighted_stack(model, np.asarray(weights, dtype=float)[None])[0],
+                         model.internal_dim)
 
 
 @_kept
@@ -84,15 +92,22 @@ def build_superop(model: KrausModel) -> Superoperator:
     return superop
 
 
-def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:
-    """Tilted map rescaled so its weights lie in (0, 1] (overflow-free).
+def _shifted_maps(model: KrausModel, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted maps at the tilts ``us`` (rows), each rescaled so its weights lie
+    in (0, 1] (overflow-free).
 
-    Returns ``(shift, map)`` with ``shift = max_s <u, s>``; the tilted map is
-    ``exp(shift)`` times the returned one.
+    Returns ``(shifts, stack)``: ``shifts[t] = max_s <us[t], s>``, and the
+    tilted map at ``us[t]`` is ``exp(shifts[t])`` times ``stack[t]``.
     """
-    phi = model.steps_array @ u
-    shift = float(np.max(phi))
-    return shift, weighted_superop(model, np.exp(phi - shift))
+    phis = np.array([model.steps_array @ u for u in us]).reshape(len(us), model.n_steps)
+    shifts = np.max(phis, axis=1)
+    return shifts, _weighted_stack(model, np.exp(phis - shifts[:, None]))
+
+
+def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:
+    """:func:`_shifted_maps` at the one tilt ``u``, as ``(shift, map)``."""
+    shifts, stack = _shifted_maps(model, np.asarray(u, dtype=float)[None])
+    return float(shifts[0]), Superoperator(stack[0], model.internal_dim)
 
 
 def derivative_maps(model: KrausModel, u) -> tuple[Superoperator, Superoperator]:
@@ -153,19 +168,6 @@ class SpectralData:
     separation: float = 1.0
 
 
-def _hermitian_eigvec(eigensystem: EigenSystem, index: int, n: int) -> np.ndarray:
-    """Extract a Hermitian representative from an eigenvector of a real-eigenvalue.
-
-    The map preserves Hermiticity, so for a real simple eigenvalue the
-    eigenvector is Hermitian up to a phase; in degenerate corners the Hermitian
-    and anti-Hermitian parts are both eigenvectors and we keep the larger one.
-    """
-    a = unvec(eigensystem.vectors[:, index], n)
-    h = (a + a.conj().T) / 2
-    k = (a - a.conj().T) / 2j
-    return h if frob(h) >= frob(k) else k
-
-
 def spectral_radius(superoperator: Superoperator) -> float:
     """Just the spectral radius (cheapest query; used by curve scans)."""
     check_dense_side(superoperator.matrix.shape[0])
@@ -173,35 +175,148 @@ def spectral_radius(superoperator: Superoperator) -> float:
     return float(np.max(np.abs(values)))
 
 
-def _left_perron_vector(adjoint: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """Hermitian left Perron vector by inverse iteration on the adjoint.
+def _left_perron_vectors(adjoints: np.ndarray, lams, n: int) -> np.ndarray:
+    """Hermitian left Perron vectors by inverse iteration on a stack of adjoints.
 
     Two solves of ``(M^dag - lam (1 + 1e-13) I) w = b``, starting from
     ``b = vec(I)`` and normalising in between.  ``vec(I)`` pairs with the
     trace-one Perron state to 1, so it always has a component along the
     sought vector; each solve shrinks the others by about 1e-13 relative to
-    it, and the second one leaves the vector accurate to rounding.
+    it, and the second one leaves the vector accurate to rounding.  Each
+    solve is one stacked call; the norms stay per matrix, so every row gets
+    the bits it would get alone.
     """
-    shifted = adjoint - lam * (1 + 1e-13) * np.eye(n * n)
-    w = vec(np.eye(n, dtype=complex))
+    side = n * n
+    shifted = adjoints - (np.array(lams) * (1 + 1e-13))[:, None, None] * np.eye(side)
+    w = np.tile(vec(np.eye(n, dtype=complex)), (len(adjoints), 1))
     try:
         for _ in range(2):
-            w = np.linalg.solve(shifted, w)
+            w = np.linalg.solve(shifted, w[:, :, None])[:, :, 0]
+            norms = np.array([frob(x) for x in w])
             with np.errstate(invalid="ignore"):  # a NaN w fails the residual gate
-                w = w / np.linalg.norm(w)
+                w = w / norms[:, None]
     except np.linalg.LinAlgError as exc:
         raise SpectralIndeterminateError(
             "adjoint spectrum misses the Perron root (shifted solve is singular)"
         ) from exc
-    residual = np.linalg.norm(adjoint @ w - lam * w)
-    scale = max(frob(adjoint), np.finfo(float).tiny)
-    if not residual <= RESIDUAL_TOL * scale:
-        raise SpectralIndeterminateError(
-            f"adjoint spectrum misses the Perron root (left residual "
-            f"{residual:.3e} exceeds {RESIDUAL_TOL:.1e} * ||M||)"
-        )
-    a = unvec(w, n)
-    return (a + a.conj().T) / 2
+    for adjoint, lam, x in zip(adjoints, lams, w):
+        residual = frob(adjoint @ x - lam * x)
+        scale = max(frob(adjoint), np.finfo(float).tiny)
+        if not residual <= RESIDUAL_TOL * scale:
+            raise SpectralIndeterminateError(
+                f"adjoint spectrum misses the Perron root (left residual "
+                f"{residual:.3e} exceeds {RESIDUAL_TOL:.1e} * ||M||)"
+            )
+    a = w.reshape(-1, n, n).swapaxes(1, 2)
+    return (a + a.conj().swapaxes(1, 2)) / 2
+
+
+#: Complex entries per stacked array in :func:`_perron_rows`: a stack is
+#: solved in chunks of ``max(1, _STACK_ENTRIES // n^4)`` maps, 4 MiB per
+#: array (64 maps at n = 8).  Rows are independent, so chunks move no bits.
+_STACK_ENTRIES = 1 << 18
+
+#: What a row of a chunk may raise; the ValueError is the ``argmax`` of an
+#: empty peripheral band (a radius that overflowed to inf).
+_PERRON_ERRORS = (OQWalkError, np.linalg.LinAlgError, ValueError)
+
+
+def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
+    """Perron triples of a ``(T, n^2, n^2)`` stack of CP maps, row by row.
+
+    Each LAPACK stage (``eig``, the projection's ``eigh``, the left solves)
+    runs once on the whole stack; every reduction whose result reaches a
+    triple runs per row.  The gates run in :func:`perron`'s order, each over
+    all rows, and the first row to fail one raises its error.
+    """
+    es = eigendecompose(stack)
+    rows = np.arange(len(stack))
+    moduli = np.abs(es.values)
+    radius = moduli.max(axis=1)
+    if (radius <= 0).any():
+        raise SpectralIndeterminateError("zero spectral radius")
+    # The peripheral eigenvalues may tie in modulus to rounding (e.g. a +/-
+    # pair for a 2-periodic map), so the modulus sort alone cannot be trusted
+    # to put the Perron root first: take the peripheral one of largest real
+    # part and insist that it is the positive real point of the circle.
+    tol_edge = 1e-9 * np.maximum(radius, 1.0)
+    peripheral = moduli >= (radius - tol_edge)[:, None]
+    if not peripheral.any(axis=1).all():  # inf - inf: numpy's own error for one map
+        raise ValueError("attempt to get argmax of an empty sequence")
+    lead = np.where(peripheral, es.values.real, -np.inf).argmax(axis=1)
+    top = es.values[rows, lead]
+    for t, r, edge in zip(top, radius.tolist(), tol_edge.tolist()):
+        if abs(t - r) > edge:
+            raise SpectralIndeterminateError(
+                f"no eigenvalue at the positive real point of the spectral "
+                f"circle (closest {t}, radius {r:.6e}); not a CP spectrum"
+            )
+    lams = top.real.tolist()
+    distance = np.abs(es.values - top[:, None])
+    distance[rows, lead] = np.inf
+    degenerate = (distance <= tol_edge[:, None]).any(axis=1)
+    if stack.shape[1] == 1:
+        gap = separation = [1.0] * len(stack)
+    else:
+        moduli[rows, lead] = -np.inf
+        gap = ((radius - moduli.max(axis=1)) / radius).tolist()
+        separation = (distance.min(axis=1) / radius).tolist()
+
+    # The map preserves Hermiticity, so for a real simple eigenvalue the
+    # eigenvector is Hermitian up to a phase; in degenerate corners the
+    # Hermitian and anti-Hermitian parts are both eigenvectors and the
+    # larger one is kept.
+    a = es.vectors[rows, :, lead].reshape(-1, n, n).swapaxes(1, 2)
+    h = (a + a.conj().swapaxes(1, 2)) / 2
+    k = (a - a.conj().swapaxes(1, 2)) / 2j
+    keep_h = np.array([frob(x) >= frob(y) for x, y in zip(h, k)])
+    rhos = project_to_state(np.where(keep_h[:, None, None], h, k), what="leading eigenvector")
+    tiny = np.finfo(float).tiny
+    scales = [max(frob(m), tiny) for m in stack]
+    residuals = []
+    for m, rho, lam, scale, tied in zip(stack, rhos, lams, scales, degenerate.tolist()):
+        residual = frob(unvec(m @ vec(rho), n) - lam * rho) / scale
+        if residual > RESIDUAL_TOL and not tied:
+            raise SpectralIndeterminateError(
+                f"leading eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
+            )
+        residuals.append(residual)
+
+    ws = _left_perron_vectors(stack.conj().swapaxes(1, 2), lams, n)
+    pairings = []
+    for w, rho in zip(ws, rhos):
+        pairing = float((w @ rho).trace().real)
+        if abs(pairing) <= 1e-12 * max(frob(w), tiny):
+            raise SpectralIndeterminateError(
+                "left/right Perron eigenvectors pair to zero (defective root)"
+            )
+        pairings.append(pairing)
+    return [SpectralData(lambda_u=lam, rho_u=rho, m_u=w / pairing, degenerate=tied, gap=g,
+                         residual=r, separation=sep)
+            for lam, rho, w, pairing, tied, g, r, sep in zip(
+                lams, rhos, ws, pairings, degenerate.tolist(), gap, residuals, separation)]
+
+
+def _perron_rows(stack: np.ndarray, n: int) -> list[SpectralData | Exception]:
+    """What :func:`perron` returns or raises on each map of a stack, in order.
+
+    The stack is solved in chunks of :data:`_STACK_ENTRIES` entries.  When a
+    chunk raises, whether at a gate or in a stacked LAPACK call, its rows are
+    solved again one at a time, so that each row's entry is its own triple
+    or error.
+    """
+    size = max(1, _STACK_ENTRIES // (stack.shape[1] * stack.shape[2]))
+    out: list[SpectralData | Exception] = []
+    for lo in range(0, len(stack), size):
+        chunk = stack[lo:lo + size]
+        try:
+            out += _perron_stack(chunk, n)
+        except _PERRON_ERRORS as exc:
+            if len(chunk) == 1:
+                out.append(exc)
+            else:
+                out += [r for i in range(len(chunk)) for r in _perron_rows(chunk[i:i + 1], n)]
+    return out
 
 
 def perron(superoperator: Superoperator) -> SpectralData:
@@ -210,7 +325,8 @@ def perron(superoperator: Superoperator) -> SpectralData:
     One eigendecomposition of the map gives the radius, the right state and
     the spectral diagnostics; the left weight comes from two steps of inverse
     iteration on the adjoint, shifted just past the root, and is gated on its
-    own eigen-residual.
+    own eigen-residual.  This is :func:`_perron_stack` on a stack of one, the
+    same code a tilt grid runs on all its maps at once.
 
     Raises :class:`SpectralIndeterminateError` when no real positive eigenvalue
     sits at the spectral radius (not a CP map, or hopeless noise), when either
@@ -218,55 +334,4 @@ def perron(superoperator: Superoperator) -> SpectralData:
     :class:`PositivityError` via state projection when the eigenvector has
     negative parts beyond 1e-8.
     """
-    m = superoperator.matrix
-    n = superoperator.dim
-    es = eigendecompose(m)
-    radius = float(np.max(np.abs(es.values)))
-    if radius <= 0:
-        raise SpectralIndeterminateError("zero spectral radius")
-    # The peripheral eigenvalues may tie in modulus to rounding (e.g. a +/-
-    # pair for a 2-periodic map), so the modulus sort alone cannot be trusted
-    # to put the Perron root first: take the peripheral one of largest real
-    # part and insist that it is the positive real point of the circle.
-    tol_edge = 1e-9 * max(radius, 1.0)
-    peripheral = np.flatnonzero(np.abs(es.values) >= radius - tol_edge)
-    lead = int(peripheral[np.argmax(es.values[peripheral].real)])
-    top = es.values[lead]
-    if abs(top - radius) > tol_edge:
-        raise SpectralIndeterminateError(
-            f"no eigenvalue at the positive real point of the spectral "
-            f"circle (closest {top}, radius {radius:.6e}); not a CP spectrum"
-        )
-    lam = float(top.real)
-    others = np.delete(es.values, lead)
-    degenerate = bool(np.any(np.abs(others - top) <= tol_edge))
-    if others.size == 0:
-        gap = separation = 1.0
-    else:
-        gap = float((radius - np.max(np.abs(others))) / radius)
-        separation = float(np.min(np.abs(others - top)) / radius)
-
-    rho = project_to_state(_hermitian_eigvec(es, lead, n), what="leading eigenvector")
-    scale = max(frob(m), np.finfo(float).tiny)
-    residual = frob(superoperator.apply(rho) - lam * rho) / scale
-    if residual > RESIDUAL_TOL and not degenerate:
-        raise SpectralIndeterminateError(
-            f"leading eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
-
-    w = _left_perron_vector(m.conj().T, lam, n)
-    pairing = float(np.trace(w @ rho).real)
-    if abs(pairing) <= 1e-12 * max(frob(w), np.finfo(float).tiny):
-        raise SpectralIndeterminateError(
-            "left/right Perron eigenvectors pair to zero (defective root)"
-        )
-    m_u = w / pairing
-    return SpectralData(
-        lambda_u=lam,
-        rho_u=rho,
-        m_u=m_u,
-        degenerate=degenerate,
-        gap=gap,
-        residual=residual,
-        separation=separation,
-    )
+    return _perron_stack(np.asarray(superoperator.matrix)[None], superoperator.dim)[0]

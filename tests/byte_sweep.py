@@ -11,10 +11,12 @@ n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
-``classical_dilation`` tilts where lambda exceeds the largest double,
-initial-state documents, every range check, argparse errors and ``--help``.  The 1e308 walk's numpy warnings print
-source paths and line numbers on stderr, so those records compare only
-between runs of one checkout.
+``classical_dilation`` tilts where lambda exceeds the largest double, tilt
+windows where the Perron extraction of a valid model fails, ``asymptotics``
+on a 2-D walk, initial-state documents, every range check, argparse errors
+and ``--help``.  The 1e308 walk's numpy warnings print source paths and
+line numbers on stderr, so those records compare only between runs of one
+checkout.
 
 Usage, from the repository root::
 
@@ -49,8 +51,10 @@ import docs  # noqa: E402  (perfbench/docs.py: the seeded model documents)
 import oqwalk.cli  # noqa: E402
 from oqwalk import dump_model  # noqa: E402
 from model_zoo import (  # noqa: E402
+    STEPS_2D,
     huge_entry_document,
     moved_step_document,
+    random_isometry_model,
     three_level_two_block_model,
 )
 
@@ -115,6 +119,12 @@ EXTRA = (
     "rate --model {docs}/n4_step1e30_31.json",
     # A direct sum whose blocks have different drifts: a kink at u = 0.
     "rate --model {docs}/three_level.json",
+    # Tilt windows where the Perron extraction fails on a valid model.
+    "asymptotics --builtin std_example --u-min=-15 --u-max=15",
+    "asymptotics --builtin std_example --u-min=-17 --u-max=17",
+    "rate --builtin periodic_example --u-min=-40 --u-max=40",
+    # A walk on Z^2, whose curve runs along the first axis.
+    "asymptotics --model {docs}/isometry_2d.json",
     # Each range check alone, at and beyond its edge.
     "simulate --builtin std_example -P 0 -N 5",
     "simulate --builtin std_example -P -1 -N 5",
@@ -176,6 +186,7 @@ def write_documents(directory: Path) -> None:
         (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
     (directory / "n4_huge_31.json").write_text(huge_entry_document())
     dump_model(three_level_two_block_model(), directory / "three_level.json")
+    dump_model(random_isometry_model(3, n=2, steps=STEPS_2D), directory / "isometry_2d.json")
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

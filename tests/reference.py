@@ -395,27 +395,123 @@ def whole_map_lambda(model, direction):
     return f
 
 
-def refine_every_triple_curve(model, parameters, direction=None):
-    """``lambda_curve`` on a reducible model, refining every interior triple."""
-    from oqwalk.asymptotics import _KINK_JUMP_TOL, KinkRecord, LambdaCurve
-    from oqwalk.superop import _shifted_map, perron
+def perron_per_matrix(matrix, n):
+    """``superop.perron`` as one matrix at a time computes it: the triple
+    ``(lambda_u, rho_u, m_u, degenerate, gap, residual, separation)``, or
+    the same error with the same message."""
+    from oqwalk import PositivityError, SpectralIndeterminateError
+    from oqwalk.numerics import eigendecompose, frob, unvec, vec
+
+    def state(a):
+        h = (a + a.conj().T) / 2
+        tr = float(np.trace(h).real)
+        if tr < 0:
+            h, tr = -h, -tr
+        if tr <= 0 or not np.isfinite(tr):
+            raise PositivityError(f"leading eigenvector has non-positive trace {tr:.3e}")
+        w, v = np.linalg.eigh(h / tr)
+        if w[0] < -1e-8:
+            raise PositivityError(f"leading eigenvector eigenvector has negative part "
+                                  f"{w[0]:.3e} beyond 1.0e-08")
+        h = (v * np.where(w < 0, 0.0, w)[None, :]) @ v.conj().T
+        return h / float(np.trace(h).real)
+
+    es = eigendecompose(matrix)
+    radius = float(np.max(np.abs(es.values)))
+    if radius <= 0:
+        raise SpectralIndeterminateError("zero spectral radius")
+    tol_edge = 1e-9 * max(radius, 1.0)
+    peripheral = np.flatnonzero(np.abs(es.values) >= radius - tol_edge)
+    lead = int(peripheral[np.argmax(es.values[peripheral].real)])
+    top = es.values[lead]
+    if abs(top - radius) > tol_edge:
+        raise SpectralIndeterminateError(
+            f"no eigenvalue at the positive real point of the spectral "
+            f"circle (closest {top}, radius {radius:.6e}); not a CP spectrum")
+    lam = float(top.real)
+    others = np.delete(es.values, lead)
+    degenerate = bool(np.any(np.abs(others - top) <= tol_edge))
+    gap = separation = 1.0
+    if others.size:
+        gap = float((radius - np.max(np.abs(others))) / radius)
+        separation = float(np.min(np.abs(others - top)) / radius)
+    a = unvec(es.vectors[:, lead], n)
+    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
+    rho = state(h if frob(h) >= frob(k) else k)
+    scale = max(frob(matrix), np.finfo(float).tiny)
+    residual = frob(unvec(matrix @ vec(rho), n) - lam * rho) / scale
+    if residual > 1e-9 and not degenerate:
+        raise SpectralIndeterminateError(
+            f"leading eigenvector residual {residual:.3e} exceeds 1.0e-09")
+    adjoint = matrix.conj().T
+    shifted = adjoint - lam * (1 + 1e-13) * np.eye(n * n)
+    w = vec(np.eye(n, dtype=complex))
+    try:
+        for _ in range(2):
+            w = np.linalg.solve(shifted, w)
+            with np.errstate(invalid="ignore"):
+                w = w / np.linalg.norm(w)
+    except np.linalg.LinAlgError:
+        raise SpectralIndeterminateError(
+            "adjoint spectrum misses the Perron root (shifted solve is singular)") from None
+    left = np.linalg.norm(adjoint @ w - lam * w)
+    if not left <= 1e-9 * max(frob(adjoint), np.finfo(float).tiny):
+        raise SpectralIndeterminateError(
+            f"adjoint spectrum misses the Perron root (left residual "
+            f"{left:.3e} exceeds 1.0e-09 * ||M||)")
+    w = unvec(w, n)
+    w = (w + w.conj().T) / 2
+    pairing = float(np.trace(w @ rho).real)
+    if abs(pairing) <= 1e-12 * max(frob(w), np.finfo(float).tiny):
+        raise SpectralIndeterminateError(
+            "left/right Perron eigenvectors pair to zero (defective root)")
+    return lam, rho, w / pairing, degenerate, gap, residual, separation
+
+
+def per_point_curve(model, parameters, direction=None):
+    """``lambda_curve``'s values, degenerate points and errors from one
+    ``perron`` call per grid point, each on its own shifted map."""
+    from oqwalk import SpectralIndeterminateError
+    from oqwalk.structure import _operator_closure
+    from oqwalk.superop import _shifted_map, perron, spectral_radius
 
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
         direction = np.zeros(model.lattice_dim)
         direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
-
+    n = model.internal_dim
+    reducible = _operator_closure(model).dimension != n * n
     lams = np.empty(len(ts))
     logs = np.empty(len(ts))
     degenerate = []
     for i, t in enumerate(ts):
         shift, shifted = _shifted_map(model, t * direction)
-        data = perron(shifted)
-        logs[i] = shift + float(np.log(data.lambda_u))
-        lams[i] = float(np.exp(logs[i]))
-        if data.degenerate:
+        try:
+            data = perron(shifted)
+            radius, tied = data.lambda_u, data.degenerate
+        except SpectralIndeterminateError:
+            if not reducible:
+                raise
+            radius, tied = spectral_radius(shifted), True
+        logs[i] = shift + float(np.log(radius))
+        with np.errstate(over="ignore"):
+            lams[i] = float(np.exp(logs[i]))
+        if tied:
             degenerate.append(float(t))
+    return lams, logs, tuple(degenerate)
+
+
+def refine_every_triple_curve(model, parameters, direction=None):
+    """``lambda_curve`` on a reducible model, refining every interior triple."""
+    from oqwalk.asymptotics import _KINK_JUMP_TOL, KinkRecord, LambdaCurve
+
+    ts = np.asarray(parameters, dtype=float)
+    if direction is None:
+        direction = np.zeros(model.lattice_dim)
+        direction[0] = 1.0
+    direction = np.asarray(direction, dtype=float)
+    lams, logs, degenerate = per_point_curve(model, ts, direction)
 
     f = whole_map_lambda(model, direction)
     kinks = []

@@ -1,6 +1,7 @@
 """Drift, CLT covariance, tilted-curve kinks, rate function, closed forms."""
 import functools
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oqwalk import (
+    BUILTIN_NAMES,
     AssumptionError,
     KrausModel,
     ConvergenceError,
@@ -27,6 +29,7 @@ from oqwalk import (
     is_regular,
     lambda_curve,
     log_lambda,
+    model_from_dict,
     period,
     point_initial_state,
     rate_function,
@@ -46,6 +49,7 @@ from oqwalk.superop import build_superop
 import reference
 from model_zoo import (
     STEPS_2D,
+    bench_document,
     block_sum_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
@@ -477,11 +481,14 @@ def test_kept_untilted_map_is_read_only():
 _CROSSING_U = float(np.log(2.0) / 2)  # where cosh u = 3/4 e^u on breakdown_example
 
 
-@pytest.mark.parametrize("grid", [
-    np.linspace(_CROSSING_U, 2.0, 5),
-    np.linspace(-_CROSSING_U, _CROSSING_U, 41),
-    _CROSSING_U + np.linspace(-1.0, 1.0, 5),
-], ids=["first", "last", "interior"])
+_CROSSING_GRIDS = {
+    "first": np.linspace(_CROSSING_U, 2.0, 5),
+    "last": np.linspace(-_CROSSING_U, _CROSSING_U, 41),
+    "interior": _CROSSING_U + np.linspace(-1.0, 1.0, 5),
+}
+
+
+@pytest.mark.parametrize("grid", list(_CROSSING_GRIDS.values()), ids=list(_CROSSING_GRIDS))
 def test_curve_answers_a_grid_point_on_the_block_crossing(breakdown_model, grid):
     # The two block roots meet in a Jordan block there, so no Perron pair
     # exists; the radius still does.
@@ -502,6 +509,100 @@ def test_irreducible_curves_still_raise_where_perron_fails(std_model):
     # Perron extraction; a full algebra has no crossing to fall back on.
     with pytest.raises(SpectralIndeterminateError):
         lambda_curve(std_model, [16.0, 17.0, 18.0])
+
+
+# -- one stacked Perron extraction per curve -----------------------------------
+
+def _bench_model(seed, stem):
+    return model_from_dict(json.loads(bench_document(seed, f"{stem}.json")))
+
+
+_WIDE = np.linspace(-4.0, 4.0, 41)
+_STACKED_CURVES = {
+    **{name: (functools.partial(builtin, name), _WIDE, None) for name in BUILTIN_NAMES},
+    "n4_31": (functools.partial(_bench_model, 31, "n4"), _WIDE, None),
+    "n8_31": (functools.partial(_bench_model, 31, "n8"), np.linspace(-4.0, 4.0, 9), None),
+    "2-D axis 0": (lambda: ISOMETRY_2D_3D["2-D"], _WIDE, np.array([1.0, 0.0])),
+    "2-D axis 1": (lambda: ISOMETRY_2D_3D["2-D"], _WIDE, np.array([0.0, 1.0])),
+    **{f"crossing {key}": (functools.partial(builtin, "breakdown_example"), grid, None)
+       for key, grid in _CROSSING_GRIDS.items()},
+}
+
+# Complex entries per stacked chunk: the default, and chunks of 3 and of 1
+# maps at n = 2 (3 maps at n = 1).
+_CHUNK_ENTRIES = [None, 48, 3]
+
+
+@pytest.mark.parametrize("entries", _CHUNK_ENTRIES)
+@pytest.mark.parametrize("name", list(_STACKED_CURVES))
+def test_stacked_curve_keeps_the_bits_of_one_perron_per_point(name, entries, monkeypatch):
+    import oqwalk.superop as superop
+
+    make, grid, direction = _STACKED_CURVES[name]
+    if entries is not None:
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", entries)
+    model = make()
+    curve = lambda_curve(model, grid, direction)
+    lams, logs, degenerate = reference.per_point_curve(model, grid, direction)
+    assert curve.lambda_values.tobytes() == lams.tobytes()
+    assert curve.log_lambda_values.tobytes() == logs.tobytes()
+    assert curve.degenerate_parameters == degenerate
+
+
+# Grids where the Perron extraction of a valid model fails.
+_RAISING_CURVES = {
+    "std 16-18": (functools.partial(builtin, "std_example"), np.array([16.0, 17.0, 18.0])),
+    "std +-15": (functools.partial(builtin, "std_example"), np.linspace(-15.0, 15.0, 41)),
+    "std +-17": (functools.partial(builtin, "std_example"), np.linspace(-17.0, 17.0, 41)),
+    "periodic +-40": (functools.partial(builtin, "periodic_example"),
+                      np.linspace(-40.0, 40.0, 41)),
+}
+_ROW_CASES = {**_STACKED_CURVES,
+              **{key: (make, grid, None) for key, (make, grid) in _RAISING_CURVES.items()}}
+
+
+@pytest.mark.parametrize("entries", _CHUNK_ENTRIES)
+@pytest.mark.parametrize("name", list(_ROW_CASES))
+def test_each_stacked_row_is_the_triple_of_its_matrix_alone(name, entries, monkeypatch):
+    import oqwalk.superop as superop
+
+    make, grid, direction = _ROW_CASES[name]
+    if entries is not None:
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", entries)
+    model = make()
+    if direction is None:
+        direction = np.eye(model.lattice_dim)[0]
+    _, stack = superop._shifted_maps(model, grid[:, None] * direction)
+    n = model.internal_dim
+    for matrix, row in zip(stack, superop._perron_rows(stack, n)):
+        try:
+            want = reference.perron_per_matrix(matrix, n)
+        except Exception as exc:
+            assert (type(row), str(row)) == (type(exc), str(exc))
+            continue
+        got = (row.lambda_u, row.rho_u, row.m_u, row.degenerate, row.gap, row.residual,
+               row.separation)
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+
+
+@pytest.mark.parametrize("entries", _CHUNK_ENTRIES)
+@pytest.mark.parametrize("name", list(_RAISING_CURVES))
+def test_stacked_curve_raises_what_the_first_failing_point_raises(name, entries, monkeypatch):
+    import oqwalk.superop as superop
+
+    if entries is not None:
+        monkeypatch.setattr(superop, "_STACK_ENTRIES", entries)
+    make, grid = _RAISING_CURVES[name]
+    model = make()
+    outcomes = []
+    for curve in (reference.per_point_curve, lambda_curve):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Exception) as raised:
+                curve(model, grid)
+        outcomes.append((type(raised.value), str(raised.value),
+                         [str(w.message) for w in caught]))
+    assert outcomes[1] == outcomes[0]
 
 
 # -- rate function -------------------------------------------------------------
@@ -593,12 +694,35 @@ def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
 
     perrons = _count_calls(monkeypatch, "perron", asymptotics)
     radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
+    stacked = []
+    real_rows = asymptotics._perron_rows
+
+    def rows(stack, n):
+        stacked.append(len(stack))
+        return real_rows(stack, n)
+
+    monkeypatch.setattr(asymptotics, "_perron_rows", rows)
     for x in np.linspace(-0.9, 0.9, 19):
         perrons.clear()
         radii.clear()
+        stacked.clear()
         rate_function(std_model, [x])
-        assert 41 < len(perrons) <= 41 + 6, x  # the grid, then Newton
+        assert stacked == [41], x  # the grid, in one stacked call
+        assert 0 < len(perrons) <= 6, x  # then Newton
         assert radii == [], x  # no bisection fallback
+
+
+@pytest.mark.parametrize("name", ["std_example", "breakdown_example"])
+def test_a_curve_takes_one_eig_and_no_eigvals_outside_the_radius(name, monkeypatch):
+    import oqwalk.asymptotics as asymptotics
+
+    model = builtin(name)
+    lambda_curve(model, [0.0, 1.0])  # the model's kept structure facts
+    calls = {key: _count_calls(monkeypatch, key, np.linalg) for key in ("eig", "eigvals")}
+    radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
+    lambda_curve(model, np.linspace(-4.0, 4.0, 41))
+    assert len(calls["eig"]) == 1
+    assert len(calls["eigvals"]) == len(radii)  # radii only for a reducible model's kinks
 
 
 def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch):

@@ -1,4 +1,7 @@
 """Vectorization conventions, spectral helpers, and the traceless solver."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -142,6 +145,37 @@ def test_eigendecompose_phase_fix_matches_the_column_loop(side):
         assert es.vectors.tobytes() == _phase_fixed_by_column_loop(a).tobytes()
         pivots = es.vectors[np.argmax(np.abs(es.vectors), axis=0), np.arange(side)]
         assert np.all(np.abs(pivots.imag) <= 1e-15 * pivots.real)
+
+
+@pytest.mark.parametrize("side", [1, 4, 9])
+def test_a_stack_eigendecomposes_as_each_matrix_alone(side):
+    rng = np.random.default_rng(side)
+    stack = np.array([random_complex(rng, side, side) for _ in range(5)])
+    es = eigendecompose(stack)
+    for a, values, vectors in zip(stack, es.values, es.vectors):
+        alone = eigendecompose(a)
+        assert values.tobytes() == alone.values.tobytes()
+        assert vectors.tobytes() == alone.vectors.tobytes()
+
+
+def test_a_stack_projects_to_states_as_each_matrix_alone():
+    rng = np.random.default_rng(7)
+    stack = np.array([(lambda b: b @ b.conj().T)(random_complex(rng, 3, 3))
+                      for _ in range(4)])
+    stack[1] *= -1  # a negative trace flips the sign
+    states = project_to_state(stack)
+    for m, state in zip(stack, states):
+        assert state.tobytes() == project_to_state(m).tobytes()
+    stack[2] = -np.eye(3) + 2 * np.diag([1.0, 0.0, 0.0])  # trace -1, eigenvalue 1
+    with pytest.raises(PositivityError, match="negative part -1.000e\\+00"):
+        project_to_state(stack)
+
+
+def test_importing_the_package_loads_no_scipy_linalg():
+    code = "import sys, oqwalk.cli; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_traceless_basis_spans_the_traceless_space():

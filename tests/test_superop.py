@@ -19,7 +19,7 @@ from oqwalk import (
 from oqwalk.numerics import eigendecompose
 from oqwalk.superop import (
     Superoperator,
-    _left_perron_vector,
+    _left_perron_vectors,
     _shifted_map,
     derivative_maps,
     weighted_superop,
@@ -248,7 +248,7 @@ def test_left_vector_matches_the_adjoint_eigendecomposition(seed):
 def test_left_vector_gate_rejects_a_root_the_adjoint_lacks(std_model):
     adjoint = build_superop(std_model).matrix.conj().T
     with pytest.raises(SpectralIndeterminateError, match="adjoint spectrum misses"):
-        _left_perron_vector(adjoint, 0.9, 2)
+        _left_perron_vectors(adjoint[None], np.array([0.9]), 2)
 
 
 def test_log_lambda_agrees_with_closed_forms(std_model, periodic_model):
