@@ -84,8 +84,8 @@ def unit_draws_array(seeds: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     ``seed + (k + 1) * GAMMA mod 2^64``, so the draws equal :func:`unit_draw`.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    # One state array, updated in place: a block of draws allocates only it
-    # and the result.
+    # One state array, updated in place and then overwritten by the draws
+    # themselves: a block of draws allocates nothing else.
     state = np.add(np.asarray(k, dtype=np.uint64), np.uint64(1),
                    out=np.empty(seeds.shape, dtype=np.uint64))
     with np.errstate(over="ignore"):
@@ -93,5 +93,5 @@ def unit_draws_array(seeds: np.ndarray, k: int | np.ndarray) -> np.ndarray:
         state += seeds
     _mix64_in_place(state)
     state >>= np.uint64(11)
-    return state * 2.0**-53
+    return np.multiply(state, 2.0**-53, out=state.view(np.float64))
 

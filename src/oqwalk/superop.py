@@ -216,9 +216,8 @@ def _left_perron_vectors(adjoints: np.ndarray, lams, n: int) -> np.ndarray:
 #: array (64 maps at n = 8).  Rows are independent, so chunks move no bits.
 _STACK_ENTRIES = 1 << 18
 
-#: What a row of a chunk may raise; the ValueError is the ``argmax`` of an
-#: empty peripheral band (a radius that overflowed to inf).
-_PERRON_ERRORS = (OQWalkError, np.linalg.LinAlgError, ValueError)
+#: What a row of a chunk may raise.
+_PERRON_ERRORS = (OQWalkError, np.linalg.LinAlgError)
 
 
 def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
@@ -241,8 +240,9 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
     # part and insist that it is the positive real point of the circle.
     tol_edge = 1e-9 * np.maximum(radius, 1.0)
     peripheral = moduli >= (radius - tol_edge)[:, None]
-    if not peripheral.any(axis=1).all():  # inf - inf: numpy's own error for one map
-        raise ValueError("attempt to get argmax of an empty sequence")
+    if not peripheral.any(axis=1).all():  # a radius of inf: inf - inf is NaN
+        raise SpectralIndeterminateError(
+            "spectral radius overflows; no eigenvalue lies on the spectral circle")
     lead = np.where(peripheral, es.values.real, -np.inf).argmax(axis=1)
     top = es.values[rows, lead]
     for t, r, edge in zip(top, radius.tolist(), tol_edge.tolist()):

@@ -20,10 +20,11 @@ all trajectories in one real matrix product, which holds row replay only if
 every row gets the same bits at every batch width: OpenBLAS computes a
 one-row product by a matrix-vector routine whose bits differ, so a single
 trajectory runs beside a zero row.  What follows the probabilities (the
-choice of step, the renormalization and the position update) takes one of
-two forms by batch width, vectorized over the rows or, for a few rows, in
-Python scalars, where numpy's per-call cost would dominate; both give each
-row the same bits.
+row totals, the choice of step, the renormalization and the position update)
+takes one of two forms by batch width: vectorized over the K step columns
+with flat gathers or, for a few rows, in Python scalars, where numpy's
+per-call cost would dominate; both add each row's total one step at a time,
+so both give each row the same bits.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr
@@ -88,22 +90,24 @@ def _unravel(initial_state: LatticeState):
 # for all N trajectories at once (128 KiB of draws).
 _BLOCK_DRAWS = 2**14
 
-# Widest batch whose steps choose and renormalize in Python scalars.  Timed
-# with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4) for n = 2, 4 and 8
-# (K = 2) and for K = 9, the scalar tail took 7.5-16 us a step against
-# 21-38 us for the vectorized one at N = 1, and won at every N <= 4 by at
-# least a quarter; its lead was 3-20 % at N = 8, and it mostly lost
-# at N = 12 and always at N = 16.  The scalar cost grows with N * K, so the
-# boundary stays well short of the crossover.
+# Widest batch whose steps choose and renormalize in Python scalars.  Whole
+# steps timed with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4) for
+# n = 2, 4 and 8 and K = 2 and 9: at N <= 2 the scalar tail took 7-16 us a
+# step against 17-35 us with the column tail; at N = 4 it won five of six
+# cases by 21-59 %, at N = 8 it lost five of six, and at N = 12 and 16 it
+# lost every case, by up to 2.5x.  The scalar cost grows with N * K.
 _NARROW = 4
 
 
-def _stop(probs: np.ndarray, totals: np.ndarray, p: int):
+def _stop(probs: np.ndarray, p: int):
     """Raise for step p, whose probabilities failed the drift screen.
 
     A dead row (total <= K 1e-15) always fails the drift screen, so the
     dead-step gate runs only then, and takes precedence; a NaN probability
-    fails the drift screen and passes the dead one.
+    fails the drift screen and passes the dead one.  The drift reported is
+    the largest over all rows, read from the totals both tails screen (the
+    sequential sums that ``np.cumsum`` gives), so the message does not
+    depend on the batch width or the tail.
     """
     dead = (probs <= 1e-15).all(axis=1)
     if dead.any():
@@ -111,7 +115,7 @@ def _stop(probs: np.ndarray, totals: np.ndarray, p: int):
             f"all step probabilities vanished at step {p} for "
             f"{int(dead.sum())} trajectory(ies)"
         )
-    drift_off = float(abs(totals - 1.0).max())
+    drift_off = float(abs(probs.cumsum(axis=1)[:, -1] - 1.0).max())
     raise TraceDriftError(
         f"step probabilities sum to 1 off by {drift_off:.3e} at step {p}"
     )
@@ -128,23 +132,26 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     * the front is one real GEMM of the buffer's interleaved (re, im)
       coordinates with a (2n, 2Kn) matrix built once per call, giving the K
       candidates of every row, then their squared norms ``probs`` (by
-      ``einsum``) and the row totals (by ``sum``).  The buffer never has
-      fewer than two rows because a one-row product goes to gemv, whose bits
-      differ from a row of a wider GEMM;
-    * the tail screens each total for drift from 1 (a failure raises from
-      :func:`_stop`, the one home of the drift and dead-row gates), picks per
-      row the first step s < K-1 whose cumulative probability over the total
-      exceeds the row's draw (else K-1), writes L_s psi / sqrt(probs[s]) back
-      into the buffer and moves the position by s.  Batches of up to
-      ``_NARROW`` rows do this in Python scalars, a row at a time; wider ones
-      with a few numpy calls over all rows.
+      ``einsum``).  The buffer never has fewer than two rows because a
+      one-row product goes to gemv, whose bits differ from a row of a wider
+      GEMM;
+    * the tail adds each row's cumulative probabilities one step at a time
+      (the last is the row total), screens each total for drift from 1 (a
+      failure raises from :func:`_stop`, the one home of the drift and
+      dead-row gates), picks per row the first step s < K-1 whose cumulative
+      probability over the total exceeds the row's draw (else K-1), writes
+      L_s psi / sqrt(probs[s]) back into the buffer and moves the position
+      by s.  Batches of up to ``_NARROW`` rows do this in Python scalars, a
+      row at a time; wider ones with K - 1 adds over the step columns of a
+      (K, N) buffer, one comparison of the draws against the normalized
+      columns, and flat ``take`` gathers at row * K + s.
 
-    The two tails agree bit for bit: the front's operations, whose bits
-    depend on how numpy blocks a reduction, are common, and each tail
-    accumulates the cumulative probabilities sequentially (as
-    ``np.cumsum`` does) and then only compares, divides and takes square
-    roots, which IEEE arithmetic rounds correctly in either form.  So row i
-    of any batch replays the single trajectory of its stream seed.
+    The two tails agree bit for bit: the front is common, and each tail
+    forms the cumulative sums and totals in the same sequential order (not
+    numpy's row sum, which adds blocks of 8 pairwise from K = 8) and then
+    only compares, divides and takes square roots, which IEEE arithmetic
+    rounds correctly in either form.  So row i of any batch replays the
+    single trajectory of its stream seed.
 
     Returns the initial and final positions and, when ``record`` is set, the
     position, vector and step-index histories (otherwise ``None`` for each).
@@ -152,7 +159,6 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     """
     n_traj = len(stream_seeds)
     n, k_steps = model.internal_dim, model.n_steps
-    rows = np.arange(n_traj)
 
     pair_pos, pair_vec, pair_weight = _unravel(initial_state)
     cum_pairs = np.cumsum(pair_weight) / pair_weight.sum()
@@ -195,12 +201,19 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     cand = np.empty((len(buf), 2 * k_steps * n))
     flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
     probs = np.empty((n_traj, k_steps))
-    totals = np.empty(n_traj)
     steps = model.steps_array.astype(np.int64)
     last = k_steps - 1
     narrow = n_traj <= _NARROW
     if narrow:
         xs, steps_list = x.tolist(), steps.tolist()
+    else:
+        # numpy reduces along a short inner axis and gathers by two indices
+        # slowly, so the wide tail runs over the K step columns and gathers
+        # each row's pick at its flat index row * K + s.
+        probs_t, probs_flat = probs.T, probs.reshape(-1)
+        cum = np.empty((k_steps, n_traj))
+        row_offsets = np.arange(0, n_traj * k_steps, k_steps)
+        cand_rows = cand.reshape(-1, 2 * n)
 
     if record:
         pos_hist = np.empty((n_traj, n_steps + 1, model.lattice_dim), dtype=np.int64)
@@ -217,18 +230,17 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
             np.matmul(coords, gemm, out=cand)
             np.einsum("nki,nki->nk", flat, flat, out=probs)
-            probs.sum(axis=1, out=totals)
             if narrow:
-                for i, (ui, pr, total) in enumerate(zip(u.tolist(), probs.tolist(),
-                                                         totals.tolist())):
+                for i, (ui, pr) in enumerate(zip(u.tolist(), probs.tolist())):
+                    # One add at a time, as the wide tail's column adds do;
+                    # not builtin sum() or math.fsum, which compensate (sum()
+                    # from Python 3.12).
+                    cum = list(accumulate(pr))
+                    total = cum[last]
                     if not abs(total - 1.0) <= 1e-9:
-                        _stop(probs, totals, p)
-                    # One add at a time, as np.cumsum does; not builtin sum()
-                    # or math.fsum, which compensate (sum() from Python 3.12).
-                    cum = 0.0
+                        _stop(probs, p)
                     for k in range(last):
-                        cum += pr[k]
-                        if ui < cum / total:
+                        if ui < cum[k] / total:
                             break
                     else:
                         k = last
@@ -240,17 +252,23 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                         idx_hist[i, p - 1] = k
                         pos_hist[i, p] = xi
             else:
+                np.copyto(cum[0], probs_t[0])
+                for k in range(1, k_steps):
+                    np.add(cum[k - 1], probs_t[k], out=cum[k])
+                totals = cum[last]
                 if not abs(totals - 1.0).max() <= 1e-9:
-                    _stop(probs, totals, p)
-                cum = probs.cumsum(axis=1)
-                cum /= totals[:, None]
-                choice = (u[:, None] >= cum).sum(axis=1)
-                np.minimum(choice, last, out=choice)
+                    _stop(probs, p)
+                # cum is monotone in k, so counting the thresholds at or below
+                # u finds the first one above it, never past K-1.
+                ratios = cum[:last]
+                ratios /= totals
+                choice = (u >= ratios).sum(axis=0)
 
-                x += steps[choice]
-                norms = probs[rows, choice]
+                x += steps.take(choice, axis=0)
+                pick = row_offsets + choice
+                norms = probs_flat.take(pick)
                 np.sqrt(norms, out=norms)
-                np.divide(flat[rows, choice], norms[:, None], out=coords[:n_traj])
+                np.divide(cand_rows.take(pick, axis=0), norms[:, None], out=coords[:n_traj])
                 if record:
                     pos_hist[:, p] = x
                     idx_hist[:, p - 1] = choice

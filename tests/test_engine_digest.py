@@ -41,6 +41,9 @@ def models():
     out = {name: builtin(name) for name in BUILTIN_NAMES}
     out["isometry31_n4"] = random_isometry_model(31, n=4)
     out["isometry32_n3_2d"] = random_isometry_model(32, n=3, steps=STEPS_2D)
+    # K = 9 steps: row totals of more than 8 terms, where numpy's row sum
+    # would no longer add one term at a time.
+    out["isometry5_n3_k9"] = random_isometry_model(5, n=3, steps=[(s,) for s in range(-4, 5)])
     return out
 
 
@@ -80,6 +83,7 @@ LAW_DIGESTS = {
     "classical_dilation": "33a66dc7d50e64d05bcd8c287bdd7782da00311517cc76f37549e8140da30bc1",
     "isometry31_n4": "3ec1f9920d85b2eb26ff0f7cc4ae4a93455cd7eae6359b41f28b5a3127af2ca2",
     "isometry32_n3_2d": "0e494a7383af61292bb624482ebb415e826904b81c7dec03af39cba622714d67",
+    "isometry5_n3_k9": "45e511af4f3153bbb131b3f79d7ddb53b06e8586aa3c4f6d6e34a68b7bdff063",
 }
 
 STATE_DIGESTS = {
@@ -90,6 +94,7 @@ STATE_DIGESTS = {
     "classical_dilation": "233e7fbfc47d5c0f9e2350729966ec4d89d6bf464e399205bdefea61ef7b90a5",
     "isometry31_n4": "c35953bd8f0229d37b3c2bc6e3c760d5ab2270667326defff482990ef3890a50",
     "isometry32_n3_2d": "9dcc9e5d3a4b8ca71e95d5cdd1118ec0cb096ca39b036ba0f4947381bbd45aee",
+    "isometry5_n3_k9": "27a1e98b3cac15c667d8fc45aaf00784f376847e4ef841d6a90b44051cb22dc4",
 }
 
 

@@ -214,6 +214,15 @@ def test_periodic_root_is_separated_though_its_modulus_gap_is_zero(periodic_mode
     assert data.separation > 1e-2
 
 
+def test_an_overflowing_radius_is_spectrally_indeterminate():
+    # A finite map whose radius overflows to inf: inf - inf leaves no
+    # eigenvalue on the peripheral band, which is a typed error, not numpy's.
+    with np.errstate(all="ignore"), pytest.raises(
+            SpectralIndeterminateError, match=r"^spectral radius overflows; no eigenvalue "
+                                              r"lies on the spectral circle$"):
+        perron(Superoperator(np.full((4, 4), 1e308, complex), 2))
+
+
 def test_one_perron_triple_costs_one_eigensolve(monkeypatch):
     calls = {"eig": 0, "eigvals": 0}
     for name in calls:

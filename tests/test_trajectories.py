@@ -120,9 +120,9 @@ def test_complex_operator_rows_replay_at_every_batch_width(model):
     # The candidates come from one GEMM over all rows; a lone trajectory must
     # get the bits of a row of a wider product, not those of a matrix-vector
     # product.  Batches up to _NARROW rows choose and renormalize in Python
-    # scalars, wider ones vectorized, so the widths straddle that boundary;
-    # with K = 9 the scalar cumulative sum runs past numpy's 8-way pairwise
-    # block of the row totals.
+    # scalars, wider ones over the step columns, so the widths straddle that
+    # boundary; with K = 9 both tails still add the row totals one step at a
+    # time, where numpy's row sum would add them in 8-way pairwise blocks.
     assert_rows_replay(model, 2024, 40, (2, _NARROW, _NARROW + 1, 64), range(64))
 
 
@@ -394,9 +394,17 @@ def test_a_dead_row_among_live_rows_stops_the_batch(n_traj):
         f"all step probabilities vanished at step 2 for {dying} trajectory(ies)")
 
 
-def test_trace_drift_is_detected_immediately():
-    with pytest.raises(TraceDriftError, match=r"off by 1\.\d+e-03 at step 1$"):
-        sample_trajectory(broken_scaled_model(), 3, stream_seed=0)
+@pytest.mark.parametrize("n_traj", [1, 3, 64], ids=["single", "narrow", "wide"])
+def test_trace_drift_is_detected_immediately(n_traj):
+    # Both tails screen the same sequential row totals and report the largest
+    # drift over all rows, so every width gives one message.
+    model = broken_scaled_model()
+    with pytest.raises(TraceDriftError) as info:
+        if n_traj == 1:
+            sample_trajectory(model, 3, stream_seed=0)
+        else:
+            batch_statistics(model, 3, n_traj, seed=0, mean=[0.0], covariance=[[1.0]])
+    assert str(info.value) == "step probabilities sum to 1 off by 1.334e-03 at step 1"
 
 
 @pytest.mark.parametrize("n_traj", [1, 3, 64], ids=["single", "narrow", "wide"])
