@@ -148,7 +148,7 @@ class LatticeState:
                         f"block at {pos} has negative eigenvalue "
                         f"{report.min_eigenvalue:.3e}"
                     )
-            total += float(np.trace(b).real)
+                total += float(np.trace(b).real)
             clean[pos] = _readonly(b)
         if not clean:
             raise ModelValidationError("lattice state needs at least one site")

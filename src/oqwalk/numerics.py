@@ -272,7 +272,7 @@ def _eigendecompose_stack(stack: np.ndarray) -> EigenSystem:
     tiny = np.finfo(float).tiny
     for x, r in zip(stack, residuals):
         scale = max(frob(x), tiny)
-        if (r > RESIDUAL_TOL * scale).any():
+        if not (r <= RESIDUAL_TOL * scale).all():  # a NaN residual fails too
             raise SingularRestrictionError(
                 f"eigendecomposition residual {r.max():.3e} exceeds "
                 f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"

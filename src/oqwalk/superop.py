@@ -18,6 +18,7 @@ code on a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -126,17 +127,26 @@ def derivative_maps(model: KrausModel, u) -> tuple[Superoperator, Superoperator]
 
 
 def apply_M(model: KrausModel, state: LatticeState) -> LatticeState:
-    """One step of the full lattice walk: mass at site i flows to i + s via L_s."""
-    n = model.internal_dim
+    """One step of the full lattice walk: mass at site i flows to i + s via L_s.
+
+    All K x B sandwiches ``L_s rho_i L_s^dag`` come from one stacked product.
+    Each target site takes its first term as is and adds the rest in (site,
+    step) order, so blocks and their order are bit for bit those of adding
+    the terms one at a time (a first term of -0.0 stays -0.0).
+    """
+    ops = model.operators
+    terms = (ops[:, None] @ np.array(list(state.blocks.values()))[None]
+             @ ops.conj().swapaxes(1, 2)[:, None])
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for pos, block in state.blocks.items():
-        for s, op in zip(model.displacements, model.operators):
-            target = tuple(p + c for p, c in zip(pos, s))
-            contrib = op @ block @ op.conj().T
+    for i, pos in enumerate(state.blocks):
+        for s, step in enumerate(model.displacements):
+            target = tuple(map(add, pos, step))  # Python ints: exact at any size
+            # In place is safe: a target's first term is its own slot of
+            # ``terms``, read nowhere else.
             if target in out:
-                out[target] = out[target] + contrib
+                out[target] += terms[s, i]
             else:
-                out[target] = contrib
+                out[target] = terms[s, i]
     return LatticeState(out, check=False)
 
 

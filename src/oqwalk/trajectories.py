@@ -19,12 +19,17 @@ blocking changes no realization.  Each step forms the candidates L_s psi of
 all trajectories in one real matrix product, which holds row replay only if
 every row gets the same bits at every batch width: OpenBLAS computes a
 one-row product by a matrix-vector routine whose bits differ, so a single
-trajectory runs beside a zero row.  What follows the probabilities (the
-row totals, the choice of step, the renormalization and the position update)
-takes one of two forms by batch width: vectorized over the K step columns
-with flat gathers or, for a few rows, in Python scalars, where numpy's
-per-call cost would dominate; both add each row's total one step at a time,
-so both give each row the same bits.
+trajectory runs beside a zero row.  A recorded run steps inside its own
+history, reading each step's states from one slot and writing the next
+slot, so a single trajectory's zero row is its next, still empty, slot.
+What follows the probabilities (the row totals, the choice of step and the
+renormalization) takes one of two forms by batch width: vectorized over the
+K step columns with flat gathers or, for a few rows, in Python scalars,
+where numpy's per-call cost would dominate; both add each row's total one
+step at a time, so both give each row the same bits.  Wide unrecorded
+batches move their positions every step; the narrow tail keeps its picks
+and adds their steps once per draw block, and a recorded run takes its
+positions as the start plus the int64 cumulative sum of its steps.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -125,26 +130,31 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
     """Trajectory kernel shared by single and batch entry points.
 
-    Evolves one unit vector per trajectory, held in a complex buffer of at
-    least two rows.  A step has a front shared by every batch width and one
-    of two tails:
+    Evolves one unit vector per trajectory in the rows of a complex buffer:
+    unrecorded, max(N, 2) rows whose first N each step rewrites; recorded,
+    the state history itself, P + 1 zero-initialised slots of N rows, where
+    step p reads max(N, 2) rows from slot p - 1 and writes slot p once (a
+    lone trajectory's second row is its next slot, still zero when read).
+    A step has a front shared by every batch width and one of two tails:
 
-    * the front is one real GEMM of the buffer's interleaved (re, im)
+    * the front is one real GEMM of the rows' interleaved (re, im)
       coordinates with a (2n, 2Kn) matrix built once per call, giving the K
       candidates of every row, then their squared norms ``probs`` (by
-      ``einsum``).  The buffer never has fewer than two rows because a
+      ``einsum``).  The product never has fewer than two rows because a
       one-row product goes to gemv, whose bits differ from a row of a wider
       GEMM;
     * the tail adds each row's cumulative probabilities one step at a time
       (the last is the row total), screens each total for drift from 1 (a
       failure raises from :func:`_stop`, the one home of the drift and
       dead-row gates), picks per row the first step s < K-1 whose cumulative
-      probability over the total exceeds the row's draw (else K-1), writes
-      L_s psi / sqrt(probs[s]) back into the buffer and moves the position
-      by s.  Batches of up to ``_NARROW`` rows do this in Python scalars, a
-      row at a time; wider ones with K - 1 adds over the step columns of a
-      (K, N) buffer, one comparison of the draws against the normalized
-      columns, and flat ``take`` gathers at row * K + s.
+      probability over the total exceeds the row's draw (else K-1) and
+      writes L_s psi / sqrt(probs[s]) to the row's next state.  Batches of
+      up to ``_NARROW`` rows do this in Python scalars, a row at a time;
+      wider ones with K - 1 adds over the step columns of a (K, N) buffer,
+      one comparison of the draws against the normalized columns, and flat
+      ``take`` gathers at row * K + s.  Wide unrecorded batches move their
+      positions every step; other runs list their picks and move them once
+      per draw block (narrow) or by one exact int64 ``cumsum`` (recorded).
 
     The two tails agree bit for bit: the front is common, and each tail
     forms the cumulative sums and totals in the same sequential order (not
@@ -154,8 +164,9 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     single trajectory of its stream seed.
 
     Returns the initial and final positions and, when ``record`` is set, the
-    position, vector and step-index histories (otherwise ``None`` for each).
-    Raises :class:`AssumptionError` if a coordinate could reach 2^62.
+    (N, P + 1, d) positions, (N, P + 1, n) states and (N, P) step indices
+    (otherwise ``None`` for each).  Raises :class:`AssumptionError` if a
+    coordinate could reach 2^62.
     """
     n_traj = len(stream_seeds)
     n, k_steps = model.internal_dim, model.n_steps
@@ -164,11 +175,9 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     cum_pairs = np.cumsum(pair_weight) / pair_weight.sum()
     u0 = unit_draws_array(stream_seeds, 0)
     pair = np.minimum(np.searchsorted(cum_pairs, u0, side="right"), len(cum_pairs) - 1)
-    x = pair_pos[pair]
-    x0 = x.copy()
+    x0 = pair_pos[pair]
     # Positions are int64.  Refuse a walk that could leave that range, as the
-    # exact propagator does, rather than wrap in the wide tail or overflow on
-    # converting the narrow tail's Python ints back.
+    # exact propagator does, rather than wrap.
     reach = (max(n_steps, 1) * max(abs(int(c)) for s in model.displacements for c in s)
              + int(np.abs(x0).max()))
     if reach >= 2**62:
@@ -178,11 +187,13 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     # OpenBLAS sends a one-row GEMM to gemv, whose bits differ from the
     # GEMM's; every product of two or more rows gives each row the same bits,
     # with one BLAS thread or more.  So a lone trajectory runs beside a zero
-    # row that no step writes, and row i of a batch replays it bit for bit.
-    buf = np.zeros((max(n_traj, 2), n), dtype=complex)
-    psi = buf[:n_traj]
-    psi[:] = pair_vec[pair]
-    coords = buf.view(float)
+    # row whose candidates nothing reads, and row i of a batch replays it bit
+    # for bit.  Step p reads rows [src, src + rows) and writes [dst, dst + N).
+    rows = max(n_traj, 2)
+    stride = n_traj if record else 0
+    hist = np.zeros(((n_steps + 1) * n_traj if record else rows, n), dtype=complex)
+    hist[:n_traj] = pair_vec[pair]
+    coords = hist.view(float)
 
     # The candidates L_s psi of all rows in one real GEMM: with psi's
     # interleaved (re, im) coordinates as rows, column (s, i, re) of ``gemm``
@@ -198,15 +209,15 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     gemm[:, 0, ..., 1] = ops.imag
     gemm[:, 1, ..., 1] = ops.real
     gemm = gemm.reshape(2 * n, 2 * k_steps * n)
-    cand = np.empty((len(buf), 2 * k_steps * n))
+    cand = np.empty((rows, 2 * k_steps * n))
     flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
     probs = np.empty((n_traj, k_steps))
     steps = model.steps_array.astype(np.int64)
     last = k_steps - 1
     narrow = n_traj <= _NARROW
-    if narrow:
-        xs, steps_list = x.tolist(), steps.tolist()
-    else:
+    x = x0.copy()
+    chosen = []  # the narrow tail's picks, and the wide tail's when recording
+    if not narrow:
         # numpy reduces along a short inner axis and gathers by two indices
         # slowly, so the wide tail runs over the K step columns and gathers
         # each row's pick at its flat index row * K + s.
@@ -215,20 +226,15 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         row_offsets = np.arange(0, n_traj * k_steps, k_steps)
         cand_rows = cand.reshape(-1, 2 * n)
 
-    if record:
-        pos_hist = np.empty((n_traj, n_steps + 1, model.lattice_dim), dtype=np.int64)
-        psi_hist = np.empty((n_traj, n_steps + 1, n), dtype=complex)
-        idx_hist = np.empty((n_traj, n_steps), dtype=np.int64)
-        pos_hist[:, 0] = x
-        psi_hist[:, 0] = psi
-
     block = max(1, _BLOCK_DRAWS // n_traj)
     for start in range(1, n_steps + 1, block):
         stop = min(start + block, n_steps + 1)
         draws = unit_draws_array(np.tile(stream_seeds, stop - start),
                                  np.repeat(np.arange(start, stop, dtype=np.uint64), n_traj))
         for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
-            np.matmul(coords, gemm, out=cand)
+            src = (p - 1) * stride
+            dst = src + stride
+            np.matmul(coords[src:src + rows], gemm, out=cand)
             np.einsum("nki,nki->nk", flat, flat, out=probs)
             if narrow:
                 for i, (ui, pr) in enumerate(zip(u.tolist(), probs.tolist())):
@@ -244,13 +250,8 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                             break
                     else:
                         k = last
-                    np.divide(flat[i, k], math.sqrt(pr[k]), out=coords[i])
-                    xi = xs[i]
-                    for j, sj in enumerate(steps_list[k]):
-                        xi[j] += sj
-                    if record:
-                        idx_hist[i, p - 1] = k
-                        pos_hist[i, p] = xi
+                    np.divide(flat[i, k], math.sqrt(pr[k]), out=coords[dst + i])
+                    chosen.append(k)
             else:
                 np.copyto(cum[0], probs_t[0])
                 for k in range(1, k_steps):
@@ -264,25 +265,27 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                 ratios /= totals
                 choice = (u >= ratios).sum(axis=0)
 
-                x += steps.take(choice, axis=0)
+                if record:
+                    chosen.append(choice)
+                else:
+                    x += steps.take(choice, axis=0)
                 pick = row_offsets + choice
                 norms = probs_flat.take(pick)
                 np.sqrt(norms, out=norms)
-                np.divide(cand_rows.take(pick, axis=0), norms[:, None], out=coords[:n_traj])
-                if record:
-                    pos_hist[:, p] = x
-                    idx_hist[:, p - 1] = choice
-            if record:
-                psi_hist[:, p] = psi
+                np.divide(cand_rows.take(pick, axis=0), norms[:, None],
+                          out=coords[dst:dst + n_traj])
         # Free this block's draws (and the row view into them) before the
         # next block's call allocates its own.
         del draws, u
+        if chosen and not record:  # keep one block of picks, not P of them
+            x += steps[np.array(chosen).reshape(-1, n_traj)].sum(axis=0)
+            chosen.clear()
 
-    if narrow:
-        x = np.array(xs, dtype=np.int64)
-    if record:
-        return x0, x, pos_hist, psi_hist, idx_hist
-    return x0, x, None, None, None
+    if not record:
+        return x0, x, None, None, None
+    idx = np.array(chosen, dtype=np.int64).reshape(n_steps, n_traj).T
+    pos = np.cumsum(np.concatenate([x0[:, None], steps[idx]], axis=1), axis=1)
+    return x0, pos[:, -1], pos, hist.reshape(n_steps + 1, n_traj, n).swapaxes(0, 1), idx
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,11 @@ def sample_trajectory(model: KrausModel, n_steps: int, stream_seed: int,
 
     Note this takes the per-trajectory stream seed; trajectory i of
     :func:`batch_statistics` with root seed r corresponds to
-    ``derive_seed(r, i)``.
+    ``derive_seed(r, i)``.  Zero steps return the start alone; a negative
+    ``n_steps`` raises :class:`AssumptionError`.
     """
+    if n_steps < 0:
+        raise AssumptionError(f"a trajectory needs at least zero steps, got n_steps={n_steps}")
     if initial_state is None:
         initial_state = default_initial_state(model)
     seeds = np.array([stream_seed], dtype=np.uint64)
@@ -446,8 +452,10 @@ def _propagate(model: KrausModel, blocks, p: int) -> tuple[np.ndarray, np.ndarra
 
     The box is sized in Python integers first, which cannot wrap; one of more
     than ``_BOX_LIMIT`` entries, or with a coordinate of 2^62 or more, raises
-    :class:`AssumptionError`.
+    :class:`AssumptionError`, as does a negative p.
     """
+    if p < 0:
+        raise AssumptionError(f"an exact law needs at least zero steps, got p={p}")
     n, order = model.internal_dim, sorted(blocks)
     corners = [(min(c) + p * min(0, *s), max(c) + p * max(0, *s))
                for c, s in zip(zip(*order), zip(*model.displacements))]

@@ -238,7 +238,8 @@ def path_sum_mgf(displacements, operators, blocks, u, p):
 
 # ---------------------------------------------------------------------------
 # Superoperator references: the auxiliary map applied term by term, the
-# weighted map assembled one Kronecker product per term, and the Choi matrix
+# lattice map one sandwich at a time, the weighted map assembled one
+# Kronecker product per term, and the Choi matrix
 # reshuffled out of a column-stacking superoperator matrix.
 # ---------------------------------------------------------------------------
 
@@ -246,6 +247,25 @@ def apply_L(operators, rho):
     """The auxiliary map rho -> sum_s L_s rho L_s^dag, one Kraus term at a time."""
     rho = np.asarray(rho, dtype=complex)
     return sum(op @ rho @ op.conj().T for op in np.asarray(operators, dtype=complex))
+
+
+def apply_M_per_term(displacements, operators, blocks):
+    """One step of the lattice walk, one sandwich L_s rho L_s^dag at a time.
+
+    Sites are visited in the order of ``blocks`` and steps in model order; a
+    target's first term is kept as is and each later one added to it, so the
+    returned {site: block} mapping lists targets in first-reached order.
+    """
+    out = {}
+    for pos, block in blocks.items():
+        for s, op in zip(displacements, operators):
+            target = tuple(p + c for p, c in zip(pos, s))
+            contrib = op @ block @ op.conj().T
+            if target in out:
+                out[target] = out[target] + contrib
+            else:
+                out[target] = contrib
+    return out
 
 
 def kraus_superop(operators, weights=None):

@@ -4,12 +4,14 @@ The benchmark traces entry points by owner and attribute name and calls the
 exact oracles positionally; renaming or re-signing any of them would break
 its runs, not these tests' package.
 """
+import importlib
 import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import oqwalk.superop
 import oqwalk.trajectories
 from oqwalk import batch_statistics, builtin, exact_distribution, mgf_check
 from oqwalk.rng import unit_draws_array
@@ -18,16 +20,37 @@ from oqwalk.trajectories import _engine
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_traced_entry_point_resolves_to_a_callable():
+def bench_module(name):
+    """Import one of the benchmark's modules from ``perfbench/``."""
     sys.path.insert(0, str(BENCH))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    targets = workloads.trace_targets()
+
+
+def test_every_traced_entry_point_resolves_to_a_callable():
+    targets = bench_module("workloads").trace_targets()
     assert targets
     for owner, name, span, _ in targets:
         assert callable(getattr(owner, name, None)), span
+
+
+def test_the_exact_law_reaches_the_traced_apply_M(monkeypatch):
+    # oracle_replay's traced self-check needs superop.apply_M.calls > 0, so
+    # the iterated-map route of the exact law must go through apply_M, as
+    # the benchmark wraps it: in superop and under every name bound to it.
+    spans = bench_module("spans")
+    modules = spans.package_modules("oqwalk")
+    original = oqwalk.superop.apply_M
+    for module in modules:  # monkeypatch restores each binding install replaces
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, original)
+    tracer = spans.Tracer()
+    spans.install(tracer, [(oqwalk.superop, "apply_M", "superop.apply_M", None)], modules)
+    exact_distribution(builtin("std_example"), 5)
+    assert spans.totals(tracer.spans)["superop.apply_M"]["calls"] == 5
 
 
 def test_exact_oracles_run_positionally():

@@ -209,6 +209,14 @@ def test_non_square_eigendecomposition_is_an_assumption_error():
         eigendecompose(np.ones((2, 3)))
 
 
+def test_nan_eigen_residuals_fail_the_gate():
+    # ||A|| overflows, so the bound is inf and every residual NaN: a gate
+    # written as "residual > bound" would let them through.
+    with np.errstate(all="ignore"), pytest.raises(
+            SingularRestrictionError, match=r"^eigendecomposition residual nan"):
+        eigendecompose(np.full((4, 4), 1e308, complex))
+
+
 def test_solve_on_traceless_rejects_a_side_mismatch():
     with pytest.raises(AssumptionError):
         solve_on_traceless(np.eye(9), np.diag([1.0, -1.0]))

@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oqwalk import (
+    BUILTIN_NAMES,
     AssumptionError,
+    SingularRestrictionError,
     SpectralIndeterminateError,
     apply_M,
     build_superop,
@@ -170,6 +172,23 @@ def test_apply_M_moves_mass_where_it_should(classical_model):
     assert sum(np.trace(b).real for b in moved.blocks.values()) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("model", [builtin(name) for name in BUILTIN_NAMES]
+                         + [random_isometry_model(31, n=4),
+                            random_isometry_model(32, n=3, steps=STEPS_2D)],
+                         ids=list(BUILTIN_NAMES) + ["isometry31_n4", "isometry32_n3_2d"])
+def test_stacked_apply_M_equals_the_per_term_loop_bit_for_bit(model):
+    # Compared by bytes, so a -0.0 that came back as +0.0 (a first term added
+    # into zeros) fails, as does any other change of the addition order.
+    state = default_initial_state(model)
+    for p in range(12):
+        want = reference.apply_M_per_term(model.displacements, model.operators,
+                                          state.blocks)
+        state = apply_M(model, state)
+        assert list(state.blocks) == list(want), p
+        for site, block in want.items():
+            assert state.blocks[site].tobytes() == block.tobytes(), (p, site)
+
+
 def test_spectral_radius_is_one_untilted(all_builtins):
     for name, model in all_builtins.items():
         assert spectral_radius(build_superop(model)) == pytest.approx(1.0, abs=1e-12), name
@@ -214,12 +233,13 @@ def test_periodic_root_is_separated_though_its_modulus_gap_is_zero(periodic_mode
     assert data.separation > 1e-2
 
 
-def test_an_overflowing_radius_is_spectrally_indeterminate():
-    # A finite map whose radius overflows to inf: inf - inf leaves no
-    # eigenvalue on the peripheral band, which is a typed error, not numpy's.
+def test_an_overflowing_radius_fails_the_eigendecomposition_gate():
+    # A finite map whose radius overflows to inf: its eigen-residuals are NaN,
+    # which the residual gate refuses with a typed error before any Perron
+    # step reads the spectrum.
     with np.errstate(all="ignore"), pytest.raises(
-            SpectralIndeterminateError, match=r"^spectral radius overflows; no eigenvalue "
-                                              r"lies on the spectral circle$"):
+            SingularRestrictionError, match=r"^eigendecomposition residual nan exceeds "
+                                            r"1\.0e-09 \* \|\|A\|\| = inf$"):
         perron(Superoperator(np.full((4, 4), 1e308, complex), 2))
 
 

@@ -169,6 +169,69 @@ def test_trajectory_record_is_internally_consistent(model):
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("model", [builtin("periodic_example"),
+                                   random_isometry_model(32, n=3, steps=STEPS_2D)],
+                         ids=["periodic_example", "isometry32_n3_2d"])
+def test_zero_and_one_step_trajectories_keep_their_shapes(model):
+    n, d = model.internal_dim, model.lattice_dim
+    for n_steps in (0, 1):
+        tr = sample_trajectory(model, n_steps, stream_seed=6)
+        assert tr.positions.shape == (n_steps + 1, d) and tr.positions.dtype == np.int64
+        assert tr.states.shape == (n_steps + 1, n, n) and tr.states.dtype == complex
+        assert tr.step_indices.shape == (n_steps,) and tr.step_indices.dtype == np.int64
+        # the start: the origin, and a rank-one projector
+        np.testing.assert_array_equal(tr.positions[0], np.zeros(d, dtype=np.int64))
+        np.testing.assert_allclose(tr.states[0] @ tr.states[0], tr.states[0], atol=1e-15)
+        assert np.trace(tr.states[0]).real == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("model,start", [
+    (builtin("std_example"), "two-site"),
+    (random_isometry_model(32, n=3, steps=STEPS_2D), None),
+], ids=["std_example_two_site", "isometry32_n3_2d"])
+def test_positions_are_the_start_plus_the_steps_taken(model, start):
+    if start:
+        start = mixed_two_site_start(model)
+    steps = np.array(model.displacements, dtype=np.int64)
+    for stream_seed in range(4):
+        tr = sample_trajectory(model, 300, stream_seed, initial_state=start)
+        np.testing.assert_array_equal(
+            tr.positions[1:], tr.positions[0] + np.cumsum(steps[tr.step_indices], axis=0))
+
+
+def test_narrow_unrecorded_batches_finish_where_their_rows_replay(std_model):
+    # Batches of up to _NARROW rows keep only their picks and sum the steps
+    # after the loop; the finals must still be each row's own walk.
+    root, n_steps = 19, 120
+    start = mixed_two_site_start(std_model)
+    for n_traj in range(2, _NARROW + 1):
+        batch = batch_statistics(std_model, n_steps, n_traj, seed=root,
+                                 initial_state=start, mean=[0.0], covariance=[[1.0]])
+        for i in range(n_traj):
+            tr = sample_trajectory(std_model, n_steps, derive_seed(root, i),
+                                   initial_state=start)
+            assert np.array_equal(tr.positions[0], batch.initials[i]), (n_traj, i)
+            assert np.array_equal(tr.positions[-1], batch.finals[i]), (n_traj, i)
+
+
+def test_a_negative_horizon_is_an_assumption_error(std_model):
+    with pytest.raises(AssumptionError, match=r"at least zero steps, got n_steps=-1$") as info:
+        sample_trajectory(std_model, -1, stream_seed=0)
+    assert info.value.exit_code == 3
+    with pytest.raises(AssumptionError, match=r"at least zero steps, got p=-1$"):
+        exact_distribution(std_model, -1)
+    with pytest.raises(AssumptionError, match=r"at least zero steps, got p=-1$"):
+        mgf_check(std_model, 0.5, -1)
+
+
+def test_zero_step_oracles_return_the_start(std_model):
+    start = mixed_two_site_start(std_model)
+    dist = exact_distribution(std_model, 0, initial_state=start)
+    assert dist.masses == pytest.approx({(0,): 0.3, (3,): 0.7}, abs=1e-15)
+    assert dist.masses_iterated == pytest.approx(dist.masses, abs=1e-15)
+    assert mgf_check(std_model, 0.5, 0, initial_state=start).path_value == pytest.approx(1.0)
+
+
 def test_initial_site_is_drawn_from_the_initial_state(std_model):
     blocks = {(0,): np.eye(2) / 4, (3,): np.eye(2) / 4}
     start = LatticeState(blocks)
