@@ -171,13 +171,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     model = _resolve_model(args, validate=False)
     report = validate_model(model)
     _emit({
-        "choi_min_eigenvalue": float(report.choi_min_eigenvalue),
+        "choi_min_eigenvalue": _finite_json(report.choi_min_eigenvalue),
         "choi_psd": bool(report.choi_psd),
         "h1_joint_range": bool(report.h1_holds),
         "h2_non_scalar": bool(report.h2_holds),
         "internal_dim": model.internal_dim,
         "lattice_dim": model.lattice_dim,
-        "stochasticity_residual": float(report.residual),
+        "stochasticity_residual": _finite_json(report.residual),
         "valid": bool(report.is_valid),
     })
     return 0 if report.is_valid else 3

@@ -142,13 +142,16 @@ class LatticeState:
                     f"block at {pos} has shape {b.shape}, expected ({dim}, {dim})"
                 )
             if check:
-                report = psd_check((b + b.conj().T) / 2)
+                # Overflowing entries give NaN or inf, which fail the PSD or
+                # the trace gate; numpy need not warn on the way.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    report = psd_check((b + b.conj().T) / 2)
+                    total += float(np.trace(b).real)
                 if not report.is_psd:
                     raise ModelValidationError(
                         f"block at {pos} has negative eigenvalue "
                         f"{report.min_eigenvalue:.3e}"
                     )
-                total += float(np.trace(b).real)
             clean[pos] = _readonly(b)
         if not clean:
             raise ModelValidationError("lattice state needs at least one site")
@@ -185,18 +188,20 @@ class ValidationReport:
 def validate_model(model: KrausModel) -> ValidationReport:
     """Stochasticity residual plus the h1 (joint range) and h2 (non-scalar) probes."""
     n = model.internal_dim
-    residual = model.stochasticity_residual()
-    stacked = np.hstack(list(model.operators))
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    h1 = bool(np.sum(svals > 1e-10) == n)
-    h2 = False
-    for op in model.operators:
-        scalar_part = (np.trace(op) / n) * np.eye(n)
-        if frob(op - scalar_part) > 1e-10:
-            h2 = True
-            break
-    choi = choi_matrix(model.operators)
-    report = psd_check(choi)
+    # Overflowing entries give a NaN or inf residual or Choi eigenvalue, which
+    # fail the stochasticity or PSD gate; numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = model.stochasticity_residual()
+        stacked = np.hstack(list(model.operators))
+        svals = np.linalg.svd(stacked, compute_uv=False)
+        h1 = bool(np.sum(svals > 1e-10) == n)
+        h2 = False
+        for op in model.operators:
+            scalar_part = (np.trace(op) / n) * np.eye(n)
+            if frob(op - scalar_part) > 1e-10:
+                h2 = True
+                break
+        report = psd_check(choi_matrix(model.operators))
     return ValidationReport(
         residual=float(residual),
         h1_holds=h1,

@@ -129,18 +129,41 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     ``DENSE_DIM_LIMIT``, and :class:`SingularRestrictionError` if residuals
     exceed ``RESIDUAL_TOL * ||A||_F`` (which would indicate a defective solve).
     A ``(T, N, N)`` stack gives ``(T, N)`` values and ``(T, N, N)`` vectors,
-    each row what its matrix alone would give (:func:`_eigendecompose_stack`);
+    each row what its matrix alone would give, from one stacked ``eig``;
     there the first matrix to miss the residual bound raises.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise AssumptionError(f"expected a square matrix, got shape {a.shape}")
     check_dense_side(a.shape[-1])
-    es = _eigendecompose_stack(a if a.ndim == 3 else a[None])
-    if a.ndim == 3:
-        return es
     # One matrix is a stack of one, returned without the stack axis.
-    return EigenSystem(values=es.values[0], vectors=es.vectors[0])
+    stack = a if a.ndim == 3 else a[None]
+    values, vectors = np.linalg.eig(stack)
+    rows = np.arange(len(stack))[:, None]
+    order = _sort_order(values)
+    values = values[rows, order]
+    # Gathered as rows of the transpose, so each matrix of eigenvectors is
+    # column-major, as a column gather of one matrix leaves it.
+    vectors = vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
+    # Fix each eigenvector's phase: largest-modulus component made real positive.
+    pivots = vectors[rows, np.abs(vectors).argmax(axis=1), np.arange(stack.shape[2])]
+    moduli = np.abs(pivots)
+    phases = np.ones_like(pivots)
+    nonzero = moduli > 0
+    phases[nonzero] = moduli[nonzero] / pivots[nonzero]
+    vectors = vectors * phases[:, None, :]
+    residuals = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
+    tiny = np.finfo(float).tiny
+    for x, r in zip(stack, residuals):
+        scale = max(frob(x), tiny)
+        if not (r <= RESIDUAL_TOL * scale).all():  # a NaN residual fails too
+            raise SingularRestrictionError(
+                f"eigendecomposition residual {r.max():.3e} exceeds "
+                f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
+            )
+    if a.ndim == 2:
+        values, vectors = values[0], vectors[0]
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def traceless_basis(n: int) -> np.ndarray:
@@ -251,30 +274,3 @@ def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
     tr = np.array([x.trace().real for x in h])
     return (h / tr[:, None, None]).reshape(m.shape)
 
-
-def _eigendecompose_stack(stack: np.ndarray) -> EigenSystem:
-    """:func:`eigendecompose` of a ``(T, N, N)`` stack, with one stacked ``eig``."""
-    values, vectors = np.linalg.eig(stack)
-    rows = np.arange(len(stack))[:, None]
-    order = _sort_order(values)
-    values = values[rows, order]
-    # Gathered as rows of the transpose, so each matrix of eigenvectors is
-    # column-major, as a column gather of one matrix leaves it.
-    vectors = vectors.swapaxes(1, 2)[rows, order].swapaxes(1, 2)
-    # Fix each eigenvector's phase: largest-modulus component made real positive.
-    pivots = vectors[rows, np.abs(vectors).argmax(axis=1), np.arange(stack.shape[2])]
-    moduli = np.abs(pivots)
-    phases = np.ones_like(pivots)
-    nonzero = moduli > 0
-    phases[nonzero] = moduli[nonzero] / pivots[nonzero]
-    vectors = vectors * phases[:, None, :]
-    residuals = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
-    tiny = np.finfo(float).tiny
-    for x, r in zip(stack, residuals):
-        scale = max(frob(x), tiny)
-        if not (r <= RESIDUAL_TOL * scale).all():  # a NaN residual fails too
-            raise SingularRestrictionError(
-                f"eigendecomposition residual {r.max():.3e} exceeds "
-                f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
-            )
-    return EigenSystem(values=values, vectors=vectors)

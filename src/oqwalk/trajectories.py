@@ -26,10 +26,10 @@ What follows the probabilities (the row totals, the choice of step and the
 renormalization) takes one of two forms by batch width: vectorized over the
 K step columns with flat gathers or, for a few rows, in Python scalars,
 where numpy's per-call cost would dominate; both add each row's total one
-step at a time, so both give each row the same bits.  Wide unrecorded
-batches move their positions every step; the narrow tail keeps its picks
-and adds their steps once per draw block, and a recorded run takes its
-positions as the start plus the int64 cumulative sum of its steps.
+step at a time, so both give each row the same bits.  Either tail lists
+its picks: an unrecorded run adds their steps to its positions once per
+draw block, and a recorded run takes its positions as the start plus the
+int64 cumulative sum of its steps.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -152,9 +152,9 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
       up to ``_NARROW`` rows do this in Python scalars, a row at a time;
       wider ones with K - 1 adds over the step columns of a (K, N) buffer,
       one comparison of the draws against the normalized columns, and flat
-      ``take`` gathers at row * K + s.  Wide unrecorded batches move their
-      positions every step; other runs list their picks and move them once
-      per draw block (narrow) or by one exact int64 ``cumsum`` (recorded).
+      ``take`` gathers at row * K + s.  Either tail lists its picks; an
+      unrecorded run moves its positions by them once per draw block, a
+      recorded one by one exact int64 ``cumsum`` after the last step.
 
     The two tails agree bit for bit: the front is common, and each tail
     forms the cumulative sums and totals in the same sequential order (not
@@ -216,7 +216,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     last = k_steps - 1
     narrow = n_traj <= _NARROW
     x = x0.copy()
-    chosen = []  # the narrow tail's picks, and the wide tail's when recording
+    chosen = []  # every step's picks: one int per row (narrow), one array (wide)
     if not narrow:
         # numpy reduces along a short inner axis and gathers by two indices
         # slowly, so the wide tail runs over the K step columns and gathers
@@ -264,11 +264,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                 ratios = cum[:last]
                 ratios /= totals
                 choice = (u >= ratios).sum(axis=0)
-
-                if record:
-                    chosen.append(choice)
-                else:
-                    x += steps.take(choice, axis=0)
+                chosen.append(choice)
                 pick = row_offsets + choice
                 norms = probs_flat.take(pick)
                 np.sqrt(norms, out=norms)
@@ -277,14 +273,14 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         # Free this block's draws (and the row view into them) before the
         # next block's call allocates its own.
         del draws, u
-        if chosen and not record:  # keep one block of picks, not P of them
-            x += steps[np.array(chosen).reshape(-1, n_traj)].sum(axis=0)
+        if not record:  # keep one block of picks, not P of them
+            x += steps.take(np.array(chosen).reshape(-1, n_traj), axis=0).sum(axis=0)
             chosen.clear()
 
     if not record:
         return x0, x, None, None, None
     idx = np.array(chosen, dtype=np.int64).reshape(n_steps, n_traj).T
-    pos = np.cumsum(np.concatenate([x0[:, None], steps[idx]], axis=1), axis=1)
+    pos = np.cumsum(np.concatenate([x0[:, None], steps.take(idx, axis=0)], axis=1), axis=1)
     return x0, pos[:, -1], pos, hist.reshape(n_steps + 1, n_traj, n).swapaxes(0, 1), idx
 
 
@@ -348,15 +344,16 @@ class BatchStatistics:
 
 
 def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
-                     initial_state: LatticeState | None = None,
-                     mean: np.ndarray | None = None,
-                     covariance: np.ndarray | None = None) -> BatchStatistics:
+                     initial_state: LatticeState | None = None, *,
+                     mean: np.ndarray, covariance: np.ndarray) -> BatchStatistics:
     """Run ``n_traj`` trajectories of ``n_steps`` steps from a root seed.
 
-    Drift and covariance for standardization are computed from the model
-    unless passed in (two-level callers may supply closed-form values when the
-    spectral route is degenerate).  Raises :class:`AssumptionError` unless
-    ``n_steps`` and ``n_traj`` are both at least 1.
+    The endpoints are standardized with the drift ``mean`` (d,) and the CLT
+    ``covariance`` (d, d) the caller passes: the spectral values at the
+    invariant state, or a two-level model's closed forms where that route is
+    degenerate (the CLI chooses between them).  Raises
+    :class:`AssumptionError` unless ``n_steps`` and ``n_traj`` are both at
+    least 1.
     """
     if n_traj < 1:
         raise AssumptionError(f"a batch needs at least one trajectory, got n_traj={n_traj}")
@@ -364,15 +361,6 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
         raise AssumptionError(f"a batch needs at least one step, got n_steps={n_steps}")
     if initial_state is None:
         initial_state = default_initial_state(model)
-    if mean is None or covariance is None:
-        from .asymptotics import covariance as cov_fn
-        from .asymptotics import drift as drift_fn
-        from .asymptotics import invariant_state
-        rho = invariant_state(model)
-        if mean is None:
-            mean = drift_fn(model, rho)
-        if covariance is None:
-            covariance = cov_fn(model, rho)
     mean = np.asarray(mean, dtype=float)
     covariance = np.asarray(covariance, dtype=float)
 

@@ -7,16 +7,14 @@ commands on the bundled models and on the seeded benchmark documents
 (``perfbench/docs.py``, seeds 31 and 32: valid n = 4 and n = 8 walks, an
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 ``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
-10^30, ``oracle-check`` and ``rate`` on the 10^30 walk, five commands on
+10^30, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails, ``asymptotics``
 on a 2-D walk, initial-state documents, every range check, argparse errors
-and ``--help``.  The 1e308 walk's numpy warnings print source paths and
-line numbers on stderr, so those records compare only between runs of one
-checkout.
+and ``--help``.
 
 Usage, from the repository root::
 
@@ -102,6 +100,7 @@ EXTRA = (
     # A lattice box too large for the exact propagator.
     "oracle-check --model {docs}/n4_step1e30_31.json -P 5",
     # An entry of 1e308: the stochasticity residual is NaN.
+    "validate --model {docs}/n4_huge_31.json",
     "analyze --model {docs}/n4_huge_31.json",
     "asymptotics --model {docs}/n4_huge_31.json",
     "rate --model {docs}/n4_huge_31.json",

@@ -4,10 +4,18 @@ import pytest
 from hypothesis import settings
 
 from oqwalk import BUILTIN_NAMES, builtin
+from oqwalk.asymptotics import covariance, drift, invariant_state
 
 # Deterministic hypothesis runs: same examples every time, no flaky deadlines.
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
+
+
+def moments(model):
+    """The spectral drift and CLT covariance of ``model`` at its invariant
+    state, as the ``mean`` and ``covariance`` keywords of ``batch_statistics``."""
+    rho = invariant_state(model)
+    return {"mean": drift(model, rho), "covariance": covariance(model, rho)}
 
 
 @pytest.fixture(scope="session")

@@ -218,11 +218,12 @@ def moved_step_document(step, seed=31):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def huge_entry_document(seed=31):
+def huge_entry_document(seed=31, entry=1e308):
     """The seeded n = 4 benchmark document with its first entry's real part
-    set to 1e308: finite, but its stochasticity residual overflows to NaN."""
+    set to ``entry``: finite, but from 1e100 its stochasticity residual
+    overflows, to inf and from 1e200 to NaN."""
     doc = json.loads(bench_document(seed, "n4.json"))
-    doc["steps"][0]["matrix"][0][0]["re"] = 1e308
+    doc["steps"][0]["matrix"][0][0]["re"] = entry
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -28,6 +28,7 @@ from oqwalk import (
     validate_model,
 )
 import reference
+from conftest import moments
 from model_zoo import c2_sample, irreducible_sample
 
 
@@ -125,7 +126,7 @@ def test_criterion_4_clt_normality(std_model, periodic_model, breakdown_model):
     report = []
     for name, model, start in cases:
         batch = batch_statistics(model, 1000, 10000, seed=2026,
-                                 initial_state=start)
+                                 initial_state=start, **moments(model))
         m = float(batch.mean_standardized[0])
         ks = batch.ks_distance
         assert abs(m) <= 0.04, (name, m)

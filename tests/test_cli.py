@@ -505,13 +505,42 @@ def test_an_overflowing_entry_fails_the_stochasticity_gate(command, tmp_path, ca
     # and end in a LinAlgError traceback.
     path = tmp_path / "huge.json"
     path.write_text(huge_entry_document())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([command[0], "--model", str(path), *command[1:]])
+    code = main([command[0], "--model", str(path), *command[1:]])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: stochasticity residual nan exceeds 1e-10\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_overflowing_input_fails_its_gates_without_a_warning(tmp_path, capsys):
+    # Entries whose squares or sums overflow give an inf or NaN residual,
+    # Choi eigenvalue or trace: each command refuses them with exit 3 and
+    # numpy warns nothing on the way, and validate still prints strict JSON.
+    commands = (["validate"], ["analyze"], ["asymptotics"], ["rate"],
+                ["simulate", "-P", "5", "-N", "4"], ["oracle-check", "-P", "3"])
+    model, state = tmp_path / "model.json", tmp_path / "state.json"
+    block = [[{"re": 0.0, "im": 0.0}] * 4 for _ in range(4)]
+    block[0] = [{"re": 1e308, "im": 0.0}] + block[0][1:]
+    state.write_text(json.dumps({"sites": [{"position": [0], "block": block}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (1e100, 1e154, 1e200, 1e308):
+            model.write_text(huge_entry_document(entry=entry))
+            for command in commands:
+                code = main([command[0], "--model", str(model), *command[1:]])
+                out = capsys.readouterr().out
+                assert code == 3, (entry, command)
+                if command[0] == "validate":
+                    doc = json.loads(out, parse_constant=_reject_constant)
+                    assert doc["valid"] is False
+        model.write_text(bench_document(31, "n4.json"))
+        code = main(["simulate", "--model", str(model), "--initial", str(state)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: total trace 1e+308 deviates from 1 beyond 1e-8\n"
 
 
 # -- oracle-check ------------------------------------------------------------------

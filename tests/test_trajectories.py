@@ -29,6 +29,7 @@ from oqwalk import (
 from oqwalk.rng import derive_seed, derive_seeds, unit_draws_array
 from oqwalk.trajectories import _BLOCK_DRAWS, _NARROW, _engine, _unravel
 import reference
+from conftest import moments
 from model_zoo import NN_STEPS, STEPS_2D, broken_scaled_model, random_isometry_model
 
 
@@ -45,12 +46,12 @@ def mixed_two_site_start(model):
 # -- seeding and reproducibility ----------------------------------------------
 
 def test_batches_are_reproducible_and_seed_sensitive(std_model):
-    a = batch_statistics(std_model, 40, 64, seed=123)
-    b = batch_statistics(std_model, 40, 64, seed=123)
+    a = batch_statistics(std_model, 40, 64, seed=123, **moments(std_model))
+    b = batch_statistics(std_model, 40, 64, seed=123, **moments(std_model))
     assert np.array_equal(a.finals, b.finals)
     assert np.array_equal(a.standardized, b.standardized)
     assert a.ks_distance == b.ks_distance
-    c = batch_statistics(std_model, 40, 64, seed=124)
+    c = batch_statistics(std_model, 40, 64, seed=124, **moments(std_model))
     assert not np.array_equal(a.finals, c.finals)
 
 
@@ -59,7 +60,7 @@ def test_batch_rows_replay_as_single_trajectories(std_model):
     seeds = derive_seeds(root, n_traj)
     for start in (None, mixed_two_site_start(std_model)):
         batch = batch_statistics(std_model, n_steps, n_traj, seed=root,
-                                 initial_state=start)
+                                 initial_state=start, **moments(std_model))
         assert np.array_equal(batch.stream_seeds, seeds)
         start = start or default_initial_state(std_model)
         _, _, _, batch_psi, batch_steps = _engine(std_model, start, n_steps,
@@ -86,7 +87,7 @@ def test_rows_replay_across_draw_blocks(std_model):
     seeds = derive_seeds(root, n_traj)
     start = default_initial_state(std_model)
     _, finals, pos, psi, idx = _engine(std_model, start, n_steps, seeds, True)
-    batch = batch_statistics(std_model, n_steps, n_traj, seed=root)
+    batch = batch_statistics(std_model, n_steps, n_traj, seed=root, **moments(std_model))
     assert np.array_equal(batch.finals, finals)
     for i in range(n_traj):
         tr = sample_trajectory(std_model, n_steps, derive_seed(root, i))
@@ -235,7 +236,8 @@ def test_zero_step_oracles_return_the_start(std_model):
 def test_initial_site_is_drawn_from_the_initial_state(std_model):
     blocks = {(0,): np.eye(2) / 4, (3,): np.eye(2) / 4}
     start = LatticeState(blocks)
-    batch = batch_statistics(std_model, 5, 400, seed=7, initial_state=start)
+    batch = batch_statistics(std_model, 5, 400, seed=7, initial_state=start,
+                             **moments(std_model))
     starts = set(int(v) for v in batch.initials[:, 0])
     assert starts == {0, 3}
     frac = float(np.mean(batch.initials[:, 0] == 0))
@@ -361,7 +363,7 @@ def test_sampled_endpoints_match_the_exact_law(classical_model, std_model):
     for model, p_steps, start in ((classical_model, 6, None), (std_model, 5, None),
                                   (std_model, 5, mixed_two_site_start(std_model))):
         batch = batch_statistics(model, p_steps, n_traj, seed=31,
-                                 initial_state=start)
+                                 initial_state=start, **moments(model))
         dist = exact_distribution(model, p_steps, initial_state=start)
         counts = {}
         for v in batch.finals[:, 0]:
@@ -386,7 +388,7 @@ def test_sampled_endpoints_match_the_exact_law_at_long_horizons(
     for model, start in ((std_model, None), (periodic_model, None),
                          (breakdown_model, point_initial_state(breakdown_model, E1))):
         batch = batch_statistics(model, p_steps, n_traj, seed=4242,
-                                 initial_state=start)
+                                 initial_state=start, **moments(model))
         dist = exact_distribution(model, p_steps, initial_state=start)
         ends, counts = np.unique(batch.finals[:, 0], return_counts=True)
         support = sorted({pos[0] for pos in dist.masses} | set(ends.tolist()))
@@ -400,7 +402,7 @@ def test_sampled_endpoints_match_the_exact_law_at_long_horizons(
 
 def test_deterministic_walk_standardizes_to_zero():
     model = builtin("classical_dilation", p=1.0)
-    batch = batch_statistics(model, 20, 50, seed=5)
+    batch = batch_statistics(model, 20, 50, seed=5, **moments(model))
     assert np.all(batch.finals[:, 0] == 20)
     np.testing.assert_array_equal(batch.standardized, 0.0)
     np.testing.assert_array_equal(batch.variance_standardized, 0.0)
@@ -426,7 +428,7 @@ def test_a_batch_of_zero_steps_is_an_assumption_error(std_model):
 
 def test_a_batch_of_negative_steps_is_an_assumption_error(std_model):
     with pytest.raises(AssumptionError, match=r"at least one step, got n_steps=-1$"):
-        batch_statistics(std_model, -1, 16, seed=1)
+        batch_statistics(std_model, -1, 16, seed=1, mean=[0.0], covariance=[[1.0]])
 
 
 def test_vanishing_step_probabilities_are_detected():
@@ -509,13 +511,14 @@ def test_blocks_at_the_positivity_tolerance_are_sampled(std_model):
         mixture = np.einsum("p,pi,pj->ij", weights[mine], vectors[mine],
                             vectors[mine].conj())
         np.testing.assert_allclose(mixture, block, atol=1e-10)
-    batch = batch_statistics(std_model, 10, 200, seed=3, initial_state=start)
+    batch = batch_statistics(std_model, 10, 200, seed=3, initial_state=start,
+                             **moments(std_model))
     assert set(int(v) for v in batch.initials[:, 0]) == {0, 3}
     assert np.all(np.isfinite(batch.standardized))
 
 
 def test_ks_distance_recomputes_from_the_standardized_sample(std_model):
-    batch = batch_statistics(std_model, 200, 400, seed=11)
+    batch = batch_statistics(std_model, 200, 400, seed=11, **moments(std_model))
     zs = np.sort(batch.standardized[:, 0])
     n = len(zs)
     cdf = np.array([reference.normal_cdf(z) for z in zs])
@@ -529,7 +532,7 @@ def test_ks_distance_recomputes_from_the_standardized_sample(std_model):
 # -- CSV output ------------------------------------------------------------------
 
 def test_batch_csv_round_trips(periodic_model):
-    batch = batch_statistics(periodic_model, 12, 8, seed=77)
+    batch = batch_statistics(periodic_model, 12, 8, seed=77, **moments(periodic_model))
     buf = io.StringIO()
     write_batch_csv(batch, buf)
     lines = buf.getvalue().strip().split("\n")
