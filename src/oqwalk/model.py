@@ -121,8 +121,11 @@ class KrausModel:
         return _readonly(kraus_products(self.operators))
 
     def stochasticity_residual(self) -> float:
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return frob(acc - np.eye(self.internal_dim))
+        # Overflowing operators give a NaN or inf residual, which fails the
+        # stochasticity gate; numpy need not warn on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = sum(op.conj().T @ op for op in self.operators)
+            return frob(acc - np.eye(self.internal_dim))
 
 
 class LatticeState:

@@ -46,12 +46,14 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def _mix64_in_place(x: np.ndarray) -> np.ndarray:
+    tmp = np.empty_like(x)
+    shift = np.uint64(33)
     with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(33)
+        x ^= np.right_shift(x, shift, out=tmp)
         x *= np.uint64(_MIX_MUL_1)
-        x ^= x >> np.uint64(33)
+        x ^= np.right_shift(x, shift, out=tmp)
         x *= np.uint64(_MIX_MUL_2)
-        x ^= x >> np.uint64(33)
+        x ^= np.right_shift(x, shift, out=tmp)
     return x
 
 

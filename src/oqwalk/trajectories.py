@@ -22,14 +22,17 @@ one-row product by a matrix-vector routine whose bits differ, so a single
 trajectory runs beside a zero row.  A recorded run steps inside its own
 history, reading each step's states from one slot and writing the next
 slot, so a single trajectory's zero row is its next, still empty, slot.
-What follows the probabilities (the row totals, the choice of step and the
-renormalization) takes one of two forms by batch width: vectorized over the
-K step columns with flat gathers or, for a few rows, in Python scalars,
-where numpy's per-call cost would dominate; both add each row's total one
-step at a time, so both give each row the same bits.  Either tail lists
-its picks: an unrecorded run adds their steps to its positions once per
-draw block, and a recorded run takes its positions as the start plus the
-int64 cumulative sum of its steps.
+What follows the product (the step probabilities, the row totals, the
+choice of step and the renormalization) takes one of two forms by batch
+width: vectorized over the K step columns with flat gathers or, for a few
+rows, in Python scalars, where numpy's per-call cost would dominate.  With
+few enough terms the scalar form adds each squared norm in Python floats,
+in the order of numpy's ``einsum`` kernel where a check at first use finds
+that order, else it calls ``einsum`` as the column form does; both add
+each row's total one step at a time, so both give each row the same bits.
+Either tail lists its picks: an unrecorded run adds their steps to its
+positions once per draw block, and a recorded run takes its positions as
+the start plus the int64 cumulative sum of its steps.
 
 Two exact oracles keep the sampler honest at the horizons it runs at: the
 p-step position law from a windowed array propagator, cross-checked against
@@ -39,6 +42,7 @@ from the same propagator, cross-checked against the tilted map's p-th power.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -96,12 +100,81 @@ def _unravel(initial_state: LatticeState):
 _BLOCK_DRAWS = 2**14
 
 # Widest batch whose steps choose and renormalize in Python scalars.  Whole
-# steps timed with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4) for
-# n = 2, 4 and 8 and K = 2 and 9: at N <= 2 the scalar tail took 7-16 us a
-# step against 17-35 us with the column tail; at N = 4 it won five of six
-# cases by 21-59 %, at N = 8 it lost five of six, and at N = 12 and 16 it
-# lost every case, by up to 2.5x.  The scalar cost grows with N * K.
+# steps timed with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4.6) for
+# n = 2, 4 and 8 and K = 2 and 9, median of three interleaved runs: at
+# N <= 2 the scalar tail took 5-12 us a step against 14-25 us with the
+# column tail; at N = 4 it won all six cases, by 3-41 %, and at N = 8 it
+# lost four of six, by up to 19 %.
 _NARROW = 4
+
+# Most terms N n K whose squared norms a narrow step adds in Python floats
+# rather than with ``einsum``.  The scalar cost grows with N n K and
+# ``einsum``'s hardly: timed with timeit on the same host against ``einsum``
+# and ``tolist`` for N <= 4, n <= 8 and K <= 9, the scalar norms were
+# faster in every case up to 10 terms, in most at 12 to 16 and in none from
+# 18 (at 288 terms, 30 against 3 us).
+_SCALAR_TERMS = 12
+
+
+def _norm_terms(n: int, k_steps: int) -> list[list[tuple[int, int]]]:
+    """Where the scalar tail reads each candidate's terms, in ``einsum``'s order.
+
+    A row of candidates holds K blocks of 2n interleaved (re, im)
+    coordinates.  numpy's float64 ``einsum`` sum-of-products kernel adds a
+    block in two 64-bit lanes, one over the real and one over the imaginary
+    coordinates, each a multiply then an add (no FMA): components 0-3 of a
+    lane are added 3, 2, 1, 0, then 7, 6, 5, 4 and so on, and the n % 4 left
+    over forward; the lanes are added last, real + imag.  Entry s lists, for
+    step s, the (re, im) indices into the row in that order.
+    """
+    head = n - n % 4
+    order = [j for b in range(0, head, 4) for j in (b + 3, b + 2, b + 1, b)]
+    order += range(head, n)
+    return [[(2 * (s * n + j), 2 * (s * n + j) + 1) for j in order]
+            for s in range(k_steps)]
+
+
+def _squared_norms(rows: list[list[float]], terms) -> list[list[float]]:
+    """The K squared candidate norms of each row, in Python floats.
+
+    Adds in the order :func:`_norm_terms` gives, so each value has the bits
+    of ``np.einsum("nki,nki->nk")`` on the same row where numpy's kernel adds
+    as described there (:func:`_einsum_terms` checks that).
+    """
+    out = []
+    for row in rows:
+        norms = []
+        for pairs in terms:
+            re = im = 0.0
+            for a, b in pairs:
+                x, y = row[a], row[b]
+                re += x * x
+                im += y * y
+            norms.append(re + im)
+        out.append(norms)
+    return out
+
+
+@functools.cache
+def _einsum_terms(n: int, k_steps: int):
+    """:func:`_norm_terms` if ``einsum`` adds in their order here, else None.
+
+    Checked once per (n, K) in a process, on 16 rows of candidates whose
+    terms lie within a few binades of each other, each candidate at its own
+    scale over 200 binades, so that another add order shows in the rounding.
+    A kernel that adds otherwise, as one that fuses multiply-add (aarch64
+    NEON) or keeps four lanes, fails the check where its order moves a bit,
+    and the narrow tail then takes its norms from ``einsum``, as the wide
+    tail does.
+    """
+    rng = np.random.default_rng(100 * n + k_steps)
+    shape = (16, k_steps, 2 * n)
+    probe = (rng.standard_normal(shape) * np.exp2(rng.integers(-2, 3, size=shape))
+             * np.exp2(rng.integers(-100, 101, size=(16, k_steps, 1))))
+    terms = _norm_terms(n, k_steps)
+    scalar = np.array(_squared_norms(probe.reshape(16, -1).tolist(), terms))
+    exact = scalar.tobytes() == np.einsum("nki,nki->nk", probe, probe).tobytes()
+    return terms if exact else None
 
 
 def _stop(probs: np.ndarray, p: int):
@@ -139,29 +212,39 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
 
     * the front is one real GEMM of the rows' interleaved (re, im)
       coordinates with a (2n, 2Kn) matrix built once per call, giving the K
-      candidates of every row, then their squared norms ``probs`` (by
-      ``einsum``).  The product never has fewer than two rows because a
-      one-row product goes to gemv, whose bits differ from a row of a wider
-      GEMM;
-    * the tail adds each row's cumulative probabilities one step at a time
-      (the last is the row total), screens each total for drift from 1 (a
-      failure raises from :func:`_stop`, the one home of the drift and
-      dead-row gates), picks per row the first step s < K-1 whose cumulative
-      probability over the total exceeds the row's draw (else K-1) and
-      writes L_s psi / sqrt(probs[s]) to the row's next state.  Batches of
-      up to ``_NARROW`` rows do this in Python scalars, a row at a time;
-      wider ones with K - 1 adds over the step columns of a (K, N) buffer,
-      one comparison of the draws against the normalized columns, and flat
-      ``take`` gathers at row * K + s.  Either tail lists its picks; an
-      unrecorded run moves its positions by them once per draw block, a
-      recorded one by one exact int64 ``cumsum`` after the last step.
+      candidates of every row.  The product never has fewer than two rows
+      because a one-row product goes to gemv, whose bits differ from a row
+      of a wider GEMM;
+    * the tail forms the candidates' squared norms ``probs``, adds each
+      row's cumulative probabilities one step at a time (the last is the
+      row total), screens each total for drift from 1 (a failure raises
+      from :func:`_stop`, the one home of the drift and dead-row gates),
+      picks per row the first step s < K-1 whose cumulative probability
+      over the total exceeds the row's draw (else K-1) and writes
+      L_s psi / sqrt(probs[s]) to the row's next state.  Batches of up to
+      ``_NARROW`` rows do this in Python scalars, a row at a time; at most
+      ``_SCALAR_TERMS`` terms N n K take their norms from one ``tolist`` of
+      the candidates and :func:`_squared_norms`, where
+      :func:`_einsum_terms` finds ``einsum``'s add order, and the others
+      from ``einsum``.  Wider batches use ``einsum`` for the norms, K - 1
+      adds over the step columns of a (K, N) buffer, one comparison of the
+      draws against the normalized columns, and flat ``take`` gathers at
+      row * K + s.  Either tail lists its picks; an unrecorded run moves its
+      positions by them once per draw block, a recorded one by one exact
+      int64 ``cumsum`` after the last step.
 
-    The two tails agree bit for bit: the front is common, and each tail
-    forms the cumulative sums and totals in the same sequential order (not
+    The two tails agree bit for bit: the front is common, the scalar norms
+    add in the order of numpy's float64 ``einsum`` kernel, each tail forms
+    the cumulative sums and totals in the same sequential order (not
     numpy's row sum, which adds blocks of 8 pairwise from K = 8) and then
     only compares, divides and takes square roots, which IEEE arithmetic
     rounds correctly in either form.  So row i of any batch replays the
-    single trajectory of its stream seed.
+    single trajectory of its stream seed.  The scalar order is that of an
+    x86-64 build with two 64-bit lanes and no fused multiply-add (an
+    ``X86_V2`` baseline).  On a build whose kernel fuses (aarch64 NEON) or
+    keeps four lanes, :func:`_einsum_terms` finds another order and every
+    tail takes its norms from ``einsum``, and a tier-1 test that pins the
+    scalar norms to ``einsum`` byte for byte fails, to show it.
 
     Returns the initial and final positions and, when ``record`` is set, the
     (N, P + 1, d) positions, (N, P + 1, n) states and (N, P) step indices
@@ -217,7 +300,12 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     narrow = n_traj <= _NARROW
     x = x0.copy()
     chosen = []  # every step's picks: one int per row (narrow), one array (wide)
-    if not narrow:
+    terms = None  # where set, the narrow tail's norms come from _squared_norms
+    if narrow:
+        if n_traj * n * k_steps <= _SCALAR_TERMS:
+            terms = _einsum_terms(n, k_steps)
+        views = [list(row) for row in flat]
+    else:
         # numpy reduces along a short inner axis and gathers by two indices
         # slowly, so the wide tail runs over the K step columns and gathers
         # each row's pick at its flat index row * K + s.
@@ -235,22 +323,25 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             src = (p - 1) * stride
             dst = src + stride
             np.matmul(coords[src:src + rows], gemm, out=cand)
-            np.einsum("nki,nki->nk", flat, flat, out=probs)
+            if terms is None:
+                np.einsum("nki,nki->nk", flat, flat, out=probs)
             if narrow:
-                for i, (ui, pr) in enumerate(zip(u.tolist(), probs.tolist())):
+                pr_rows = (probs.tolist() if terms is None
+                           else _squared_norms(cand[:n_traj].tolist(), terms))
+                for i, (ui, pr) in enumerate(zip(u.tolist(), pr_rows)):
                     # One add at a time, as the wide tail's column adds do;
                     # not builtin sum() or math.fsum, which compensate (sum()
                     # from Python 3.12).
                     cum = list(accumulate(pr))
                     total = cum[last]
                     if not abs(total - 1.0) <= 1e-9:
-                        _stop(probs, p)
+                        _stop(np.array(pr_rows), p)
                     for k in range(last):
                         if ui < cum[k] / total:
                             break
                     else:
                         k = last
-                    np.divide(flat[i, k], math.sqrt(pr[k]), out=coords[dst + i])
+                    np.divide(views[i][k], math.sqrt(pr[k]), out=coords[dst + i])
                     chosen.append(k)
             else:
                 np.copyto(cum[0], probs_t[0])

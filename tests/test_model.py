@@ -169,7 +169,6 @@ def test_model_from_dict_validates_stochasticity():
     assert model.stochasticity_residual() > 1e-4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_nan_residual_fails_the_stochasticity_gate():
     # 1e308 squared overflows, so the residual is NaN, which no comparison
     # with the tolerance passes

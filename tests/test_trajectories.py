@@ -26,8 +26,17 @@ from oqwalk import (
     sample_trajectory,
     write_batch_csv,
 )
+from oqwalk import trajectories
 from oqwalk.rng import derive_seed, derive_seeds, unit_draws_array
-from oqwalk.trajectories import _BLOCK_DRAWS, _NARROW, _engine, _unravel
+from oqwalk.trajectories import (
+    _BLOCK_DRAWS,
+    _NARROW,
+    _einsum_terms,
+    _engine,
+    _norm_terms,
+    _squared_norms,
+    _unravel,
+)
 import reference
 from conftest import moments
 from model_zoo import NN_STEPS, STEPS_2D, broken_scaled_model, random_isometry_model
@@ -115,16 +124,73 @@ def assert_rows_replay(model, root, n_steps, sizes, rows):
 @pytest.mark.parametrize("model", [random_isometry_model(31, n=4),
                                    random_isometry_model(32, n=3, steps=STEPS_2D),
                                    random_isometry_model(5, n=3,
-                                                         steps=[(s,) for s in range(-4, 5)])],
-                         ids=["isometry31_n4", "isometry32_n3_2d", "isometry5_n3_k9"])
+                                                         steps=[(s,) for s in range(-4, 5)]),
+                                   random_isometry_model(41, n=5),
+                                   random_isometry_model(42, n=8, steps=((1,), (0,), (-1,)))],
+                         ids=["isometry31_n4", "isometry32_n3_2d", "isometry5_n3_k9",
+                              "isometry41_n5", "isometry42_n8_k3"])
 def test_complex_operator_rows_replay_at_every_batch_width(model):
     # The candidates come from one GEMM over all rows; a lone trajectory must
     # get the bits of a row of a wider product, not those of a matrix-vector
     # product.  Batches up to _NARROW rows choose and renormalize in Python
     # scalars, wider ones over the step columns, so the widths straddle that
-    # boundary; with K = 9 both tails still add the row totals one step at a
-    # time, where numpy's row sum would add them in 8-way pairwise blocks.
-    assert_rows_replay(model, 2024, 40, (2, _NARROW, _NARROW + 1, 64), range(64))
+    # boundary; a narrow run of at most _SCALAR_TERMS terms N n K also forms
+    # its squared norms in Python floats (here at N = 1 for n = 3 to 5), the
+    # others with einsum.  With K = 9 both tails still add the row totals one
+    # step at a time, where numpy's row sum would add them in 8-way pairwise
+    # blocks; at n = 5 to 8 each lane of a squared norm adds a reversed run of
+    # four and then the rest forward.
+    assert_rows_replay(model, 2024, 40, (2, 3, _NARROW, _NARROW + 1, 64), range(64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k_steps", [2, 3, 9])
+def test_scalar_squared_norms_have_the_bits_of_einsum(n, k_steps):
+    # Narrow batches of few terms form their step probabilities in Python
+    # floats, the others with einsum; rows replay only if both add in the
+    # same order.  On a numpy build whose einsum fuses multiply-add or keeps
+    # four lanes, the check at first use sends every batch to einsum, so rows
+    # still replay, and this test fails to show that the scalar path is
+    # lost.  Each candidate has its own scale, over 200 binades, and terms
+    # within a few binades of each other, so that the order of the adds
+    # shows in the rounding.
+    rng = np.random.default_rng(1000 * n + k_steps)
+    width = 2 * k_steps * n
+    terms = _norm_terms(n, k_steps)
+    for n_traj in (1, 2, 3, _NARROW):
+        cand = np.zeros((max(n_traj, 2), width))  # N = 1 beside its zero row
+        flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
+        flat[...] = (rng.standard_normal(flat.shape)
+                     * np.exp2(rng.integers(-2, 3, size=flat.shape))
+                     * np.exp2(rng.integers(-100, 101, size=(n_traj, k_steps, 1))))
+        probs = np.empty((n_traj, k_steps))
+        np.einsum("nki,nki->nk", flat, flat, out=probs)
+        scalar = np.array(_squared_norms(cand[:n_traj].tolist(), terms))
+        assert scalar.tobytes() == probs.tobytes(), n_traj
+    assert _einsum_terms(n, k_steps) == terms
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_the_einsum_order_check_refuses_another_order(monkeypatch, n):
+    # From n = 4 the lanes add reversed runs of four; a forward order must
+    # fail the per-process check, which then sends the narrow tail to einsum.
+    monkeypatch.setattr(trajectories, "_norm_terms",
+                        lambda n, k: [[(2 * (s * n + j), 2 * (s * n + j) + 1)
+                                       for j in range(n)] for s in range(k)])
+    assert _einsum_terms.__wrapped__(n, 2) is None
+
+
+def test_narrow_rows_keep_their_bits_with_einsum_norms(monkeypatch, std_model):
+    # Where the order check fails, narrow batches take their squared norms
+    # from einsum; a row keeps every bit.
+    seeds = derive_seeds(9, 3)
+    start = default_initial_state(std_model)
+    runs = [_engine(std_model, start, 300, seeds[:n_traj], True) for n_traj in (1, 3)]
+    monkeypatch.setattr(trajectories, "_einsum_terms", lambda n, k: None)
+    for n_traj, run in zip((1, 3), runs):
+        again = _engine(std_model, start, 300, seeds[:n_traj], True)
+        for a, b in zip(run[2:], again[2:]):
+            assert a.tobytes() == b.tobytes(), n_traj
 
 
 # OpenBLAS splits the rows of a large enough GEMM over its threads; the CI
