@@ -50,7 +50,6 @@ __all__ = [
     "invariant_state",
     "drift",
     "covariance",
-    "covariance_ags",
     "AsymptoticStats",
     "asymptotic_stats",
     "log_lambda",
@@ -191,17 +190,6 @@ def covariance(model: KrausModel, rho: np.ndarray | None = None) -> np.ndarray:
     if rho is None:
         rho = invariant_state(model)
     return _corrector_route(model, rho, _axis_terms(model, rho))[0]
-
-
-def covariance_ags(model: KrausModel, rho: np.ndarray | None = None,
-                   mean: np.ndarray | None = None) -> np.ndarray:
-    """CLT covariance via the adjoint-observable route (independent check):
-    one least-squares solve per axis."""
-    if rho is None:
-        rho = invariant_state(model)
-    if mean is None:
-        mean = drift(model, rho)
-    return _adjoint_route(model, rho, mean, _axis_terms(model, rho))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ Subcommands: validate, analyze, asymptotics, rate, simulate, oracle-check.
 All reports are JSON on stdout (sorted keys, fixed indentation) so repeated
 runs are byte-identical; optional --out writes CSV/JSON artifacts.  The
 argparse parser holds every option and, but for the oracle-check tilts, its
-default; the command bodies read the parsed namespace directly.
+default; the command bodies read the parsed namespace directly and return
+their answer, which ``main`` alone prints and writes.
 
 Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
 
   0  success
-  1  OQWalkError: any other package error
-  2  ModelFormatError: bad document or argument (a missing file exits 2 too)
+  1  OQWalkError: any other package error; also a closed stdout (quietly)
+  2  ModelFormatError: bad document or argument; also an input or output
+     path that cannot be read or written (missing, a directory, a file)
   3  ModelValidationError, AssumptionError; also an invalid model under
      ``validate`` and a failed ``oracle-check``
   4  SpectralIndeterminateError, PositivityError, ConvergenceError,
@@ -21,7 +23,6 @@ Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .model import (
     BUILTIN_NAMES,
+    _json_text,
     _matrix_to_json,
     _read_document,
     _require_stochastic,
@@ -89,12 +91,9 @@ def _law_json(law) -> dict | None:
     return {",".join(str(c) for c in s): float(p) for s, p in sorted(law.items())}
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _csv(header: str, rows) -> str:
+    """CSV text: the header, then one line of ``repr``'d values per row."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -155,22 +154,15 @@ def _resolve_state(args: argparse.Namespace, model):
     return default_initial_state(model)
 
 
-def _out_dir(args: argparse.Namespace) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # --------------------------------------------------------------------------
-# Subcommand bodies.
+# Subcommand bodies: each returns (exit code, report, artifacts); a report is
+# a dict or text, and artifacts map --out file names to a dict or CSV text.
 # --------------------------------------------------------------------------
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace):
     model = _resolve_model(args, validate=False)
     report = validate_model(model)
-    _emit({
+    return 0 if report.is_valid else 3, {
         "choi_min_eigenvalue": _finite_json(report.choi_min_eigenvalue),
         "choi_psd": bool(report.choi_psd),
         "h1_joint_range": bool(report.h1_holds),
@@ -179,11 +171,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "lattice_dim": model.lattice_dim,
         "stochasticity_residual": _finite_json(report.residual),
         "valid": bool(report.is_valid),
-    })
-    return 0 if report.is_valid else 3
+    }, {}
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace):
     model = _resolve_model(args, validate=False)
     validation = validate_model(model)
     _require_stochastic(validation)
@@ -242,7 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             two_level["m_period"] = mcls.m_period
             two_level["reducible_reason"] = mcls.reducible_reason
 
-    _emit({
+    return 0, {
         "auxiliary_map": aux,
         "lattice_walk": lattice,
         "model": {
@@ -258,8 +249,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "stochasticity_residual": float(validation.residual),
             "valid": bool(validation.is_valid),
         },
-    })
-    return 0
+    }, {}
 
 
 def _stats_with_fallback(model, initial_state):
@@ -298,7 +288,7 @@ def _stats_with_fallback(model, initial_state):
         return params.mean, params.covariance, "two-level-closed-form", extra
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
+def _cmd_asymptotics(args: argparse.Namespace):
     model = _resolve_model(args)
     state = _resolve_state(args, model)
     mean, cov, method, extra = _stats_with_fallback(model, state)
@@ -337,21 +327,15 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
         "method": method,
         **extra,
     }
-    _emit(summary)
-
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "asymptotics.json", summary)
-        for curve, raw in zip(curves, lambda_curves):
-            lines = ["u,lambda,log_lambda"]
-            for u, lam, ll in zip(curve["u"], raw.lambda_values, curve["log_lambda"]):
-                lines.append(f"{u!r},{float(lam)!r},{ll!r}")
-            path = out / f"lambda_curve_axis{curve['axis']}.csv"
-            path.write_text("\n".join(lines) + "\n")
-    return 0
+    artifacts = {"asymptotics.json": summary}
+    for curve, raw in zip(curves, lambda_curves):
+        artifacts[f"lambda_curve_axis{curve['axis']}.csv"] = _csv(
+            "u,lambda,log_lambda",
+            zip(curve["u"], raw.lambda_values.tolist(), curve["log_lambda"]))
+    return 0, summary, artifacts
 
 
-def _cmd_rate(args: argparse.Namespace) -> int:
+def _cmd_rate(args: argparse.Namespace):
     model = _resolve_model(args)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
     table = rate_function(
@@ -367,23 +351,18 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         "log_lambda": _vector_json(table.log_lambda),
         "kinks": [float(k) for k in table.kinks],
     }
-    _emit(summary)
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "rate_function.json", summary)
-        lines = ["x,rate,maximizer,finite"]
-        for x, v, u, fin in zip(table.x_grid, table.rate,
-                                table.maximizers, table.finite):
-            lines.append(f"{float(x)!r},{float(v)!r},{float(u)!r},{int(fin)}")
-        (out / "rate_function.csv").write_text("\n".join(lines) + "\n")
-        lines = ["u,log_lambda"]
-        for u, ll in zip(table.u_grid, table.log_lambda):
-            lines.append(f"{float(u)!r},{float(ll)!r}")
-        (out / "log_lambda_window.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    return 0, summary, {
+        "rate_function.json": summary,
+        "rate_function.csv": _csv(
+            "x,rate,maximizer,finite",
+            zip(table.x_grid.tolist(), table.rate.tolist(), table.maximizers.tolist(),
+                map(int, table.finite))),
+        "log_lambda_window.csv": _csv(
+            "u,log_lambda", zip(table.u_grid.tolist(), table.log_lambda.tolist())),
+    }
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace):
     model = _resolve_model(args)
     state = _resolve_state(args, model)
     mean, cov, method, extra = _stats_with_fallback(model, state)
@@ -407,20 +386,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "root_seed": batch.root_seed,
         "variance_standardized": _vector_json(batch.variance_standardized),
     }
-    _emit(summary)
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "summary.json", summary)
-        with open(out / "trajectories.csv", "w", newline="") as fh:
-            write_batch_csv(batch, fh)
-    return 0
+    import io  # loaded at interpreter start-up already
+
+    table = io.StringIO()
+    write_batch_csv(batch, table)
+    return 0, summary, {"summary.json": summary, "trajectories.csv": table.getvalue()}
 
 
-def _cmd_oracle_check(args: argparse.Namespace) -> int:
+def _cmd_oracle_check(args: argparse.Namespace):
     model = _resolve_model(args)
     state = _resolve_state(args, model)
     failures = 0
     checks = []
+    lines = []
 
     for p in range(1, args.steps + 1):
         for u_scalar in args.tilts or _DEFAULT_TILTS:
@@ -433,7 +411,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             ok = gap <= 1e-10
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"
-            print(f"{status} mgf p={p} u={u_scalar} gap={gap:.3e}")
+            lines.append(f"{status} mgf p={p} u={u_scalar} gap={gap:.3e}")
             checks.append({
                 "check": "mgf", "p": p, "u": u_scalar, "gap": float(gap), "ok": ok,
             })
@@ -446,17 +424,14 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             gap, ok = float("nan"), False
         failures += 0 if ok else 1
         status = "ok" if ok else "FAIL"
-        print(f"{status} distribution p={p} tv_gap={gap:.3e}")
+        lines.append(f"{status} distribution p={p} tv_gap={gap:.3e}")
         checks.append({
             "check": "distribution", "p": p, "gap": float(gap), "ok": ok,
         })
 
-    print("PASS" if failures == 0 else f"FAIL ({failures} checks)")
-    out = _out_dir(args)
-    if out is not None:
-        _write_json(out / "oracle_check.json",
-                    {"checks": checks, "failures": failures})
-    return 0 if failures == 0 else 3
+    lines.append("PASS" if failures == 0 else f"FAIL ({failures} checks)")
+    return (0 if failures == 0 else 3, "\n".join(lines) + "\n",
+            {"oracle_check.json": {"checks": checks, "failures": failures}})
 
 
 # --------------------------------------------------------------------------
@@ -522,17 +497,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _text(content) -> str:
+    return content if isinstance(content, str) else _json_text(content)
+
+
 def main(argv=None) -> int:
+    """Run one command: print its report, write its artifacts, map failures
+    to exit codes.  ``--out`` is made before the command runs, and the
+    artifacts are written before the report, so stdout is all or nothing."""
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         _check_args(args)
-        return args.func(args)
+        if out is not None:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        code, report, artifacts = args.func(args)
+        if out is not None:
+            for name, content in artifacts.items():
+                Path(out, name).write_text(_text(content))
+        print(_text(report), end="")
+        sys.stdout.flush()
     except OQWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        # Point fd 1 at the null device so the interpreter's last flush of
+        # the unwritten report stays silent.
+        import os  # loaded at interpreter start-up already
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

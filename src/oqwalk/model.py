@@ -327,14 +327,22 @@ def model_from_dict(obj: dict, validate: bool = True) -> KrausModel:
 
 
 def _read_document(path: str | Path):
-    """Parse a JSON file; syntax errors become :class:`ModelFormatError` with position."""
-    text = Path(path).read_text()
+    """Parse a JSON file; bytes that are not UTF-8 and syntax errors become
+    :class:`ModelFormatError` with position."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _json_text(obj) -> str:
+    """The one JSON text format of reports, artifacts and model documents."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_model(path: str | Path) -> KrausModel:
@@ -343,7 +351,7 @@ def load_model(path: str | Path) -> KrausModel:
 
 
 def dump_model(model: KrausModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(model_to_dict(model)))
 
 
 def state_to_dict(state: LatticeState) -> dict:

@@ -13,8 +13,8 @@ block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails, ``asymptotics``
-on a 2-D walk, initial-state documents, every range check, argparse errors
-and ``--help``.
+on a 2-D walk, initial-state documents, every range check, input and output
+paths that cannot be read or written, argparse errors and ``--help``.
 
 Usage, from the repository root::
 
@@ -146,6 +146,11 @@ EXTRA = (
     "asymptotics --builtin std_example --u-min 1 --u-max 0 --u-points 1",
     "rate --builtin std_example --x-min 1 --x-max 0 --x-points 0",
     "simulate --model {docs}/missing.json -P 0",
+    # Paths that cannot be read or written, and a document that is not UTF-8.
+    "rate --builtin std_example --out {docs}/n4_31.json",
+    "validate --model {docs}",
+    "simulate --builtin std_example -P 5 -N 5 --initial {docs}",
+    "validate --model {docs}/not_utf8.json",
     # argparse errors.
     "",
     "validate",
@@ -189,6 +194,7 @@ def write_documents(directory: Path) -> None:
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])
+    (directory / "not_utf8.json").write_bytes(b'{"operators": "\xff"}')
 
 
 def _sha(data: bytes) -> str:

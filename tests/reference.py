@@ -3,8 +3,7 @@
 Everything here was worked out from scratch (2x2 spectral problems, classical
 generating functions, triangular matrix powers) and deliberately avoids
 importing the package under test, so these numbers can serve as independent
-oracles; the two exceptions at the end, the word-list walk search and the
-secant kink search, say why.
+oracles; the sections at the end that do import it say why.
 Derivation notes are inline where the algebra is not obvious.
 """
 import numpy as np
@@ -567,3 +566,42 @@ def refine_every_triple_curve(model, parameters, direction=None):
         kinks=tuple(kinks),
         degenerate_parameters=tuple(degenerate),
     )
+
+
+# ---------------------------------------------------------------------------
+# The adjoint-observable covariance route on its own.  ``asymptotic_stats``
+# runs both routes and reports their gap; this entry point lets a test
+# compare the corrector route's ``covariance`` with the adjoint route alone.
+# ---------------------------------------------------------------------------
+
+def covariance_ags(model):
+    """CLT covariance via the adjoint-observable route: one least-squares
+    solve per axis."""
+    from oqwalk.asymptotics import _adjoint_route, _axis_terms, drift, invariant_state
+
+    rho = invariant_state(model)
+    return _adjoint_route(model, rho, drift(model, rho), _axis_terms(model, rho))
+
+
+# ---------------------------------------------------------------------------
+# CLT constants from the exact position law.  Started at the invariant state
+# at the origin, E[X_P] = P m exactly and Cov(X_P) = P C + B + O(gap^P), so
+# two horizons past the transient give C = (Cov_P2 - Cov_P1) / (P2 - P1).
+# Only the invariant state and the exact propagator come from the package;
+# neither covariance route is used.
+# ---------------------------------------------------------------------------
+
+def exact_clt_constants(model, p1, p2):
+    """(drift, covariance) from the exact position laws after p1 < p2 steps."""
+    from oqwalk.asymptotics import invariant_state
+    from oqwalk.trajectories import _propagate
+
+    start = {(0,) * model.lattice_dim: invariant_state(model)}
+    means, covariances = [], []
+    for p in (p1, p2):
+        sites, masses = _propagate(model, start, p)
+        mean = masses @ sites
+        centred = sites - mean
+        means.append(mean)
+        covariances.append((masses[:, None] * centred).T @ centred)
+    return means[1] / p2, (covariances[1] - covariances[0]) / (p2 - p1)

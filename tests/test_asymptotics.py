@@ -22,7 +22,6 @@ from oqwalk import (
     builtin,
     c2_parameters,
     covariance,
-    covariance_ags,
     drift,
     invariant_state,
     is_irreducible_L,
@@ -104,7 +103,7 @@ def test_covariance_of_builtins(all_builtins):
 
 def test_both_covariance_routes_agree(all_builtins):
     for name, model in all_builtins.items():
-        gap = np.max(np.abs(covariance(model) - covariance_ags(model)))
+        gap = np.max(np.abs(covariance(model) - reference.covariance_ags(model)))
         assert gap <= 1e-9, (name, gap)
 
 
@@ -162,6 +161,22 @@ def test_covariance_is_the_hessian_of_log_lambda(label):
     assert np.max(np.abs(hessian - np.diag(np.diag(hessian)))) >= 0.01
     np.testing.assert_allclose(stats.covariance, hessian, rtol=0, atol=1e-5)
     np.testing.assert_allclose(stats.covariance_alt, hessian, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("make, p1, p2", [
+    (lambda: builtin("std_example"), 150, 300),
+    (lambda: builtin("periodic_example"), 60, 120),
+    (lambda: random_isometry_model(31, 4), 60, 120),
+    (lambda: random_isometry_model(0, 3, STEPS_2D), 30, 60),
+], ids=["std_example", "periodic_example", "isometry_n4", "isometry_2d"])
+def test_clt_constants_match_the_exact_law(make, p1, p2):
+    # std_example's slow transient needs the longer horizons: at 60/120 its
+    # two-horizon covariance still errs by about 9e-8.
+    model = make()
+    mean, cov = reference.exact_clt_constants(model, p1, p2)
+    stats = asymptotic_stats(model)
+    np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(stats.covariance, cov, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=40)

@@ -606,15 +606,84 @@ def test_oracle_check_refuses_a_lattice_box_beyond_its_bound(where, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: exact propagator box ")
 
 
-# -- console script -----------------------------------------------------------------
+# -- the process boundary -----------------------------------------------------------
 
-def test_module_entry_point_smoke():
+def _assert_one_error_line(argv, code, capsys) -> str:
+    """``main`` exits with ``code``, prints no report and one ``error:`` line."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "Exception ignored" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def test_out_naming_an_existing_file_exits_2_before_the_command_runs(tmp_path, monkeypatch,
+                                                                     capsys):
+    path = tmp_path / "taken"
+    path.write_text("kept\n")
+    monkeypatch.setattr(oqwalk.cli, "rate_function",
+                        lambda *a, **k: pytest.fail("the command ran"))
+    line = _assert_one_error_line(["rate", "--builtin", "std_example", "--out", str(path)],
+                                  2, capsys)
+    assert str(path) in line
+    assert path.read_text() == "kept\n"
+
+
+def test_model_naming_a_directory_exits_2(tmp_path, capsys):
+    _assert_one_error_line(["validate", "--model", str(tmp_path)], 2, capsys)
+
+
+def test_initial_state_naming_a_directory_exits_2(tmp_path, capsys):
+    _assert_one_error_line(["simulate", "--builtin", "std_example", "-P", "5", "-N", "2",
+                            "--initial", str(tmp_path)], 2, capsys)
+
+
+def test_a_model_document_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"operators": "\xff"}')
+    line = _assert_one_error_line(["validate", "--model", str(path)], 2, capsys)
+    assert line == f"error: {path}: not UTF-8 text at byte 15: invalid start byte"
+
+
+def test_a_failing_command_leaves_its_out_directory_empty(tmp_path, capsys):
+    # --out is made before the command runs; nothing is written into it
+    path, out = tmp_path / "pair.json", tmp_path / "made" / "first"
+    dump_model(diagonal_pair_model(5), path)
+    _assert_one_error_line(["simulate", "--model", str(path), "-P", "10", "-N", "4",
+                            "--out", str(out)], 6, capsys)
+    assert list(out.iterdir()) == []
+
+
+def _module_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oqwalk.cli", "validate", "--builtin", "std_example"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_module_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == ""
+
+
+# -- console script -----------------------------------------------------------------
+
+def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "oqwalk.cli", "validate", "--builtin", "antidiag_example"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_module_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["valid"] is True
