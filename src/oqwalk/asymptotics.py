@@ -9,7 +9,7 @@ where the generic spectral route degenerates.
 """
 from __future__ import annotations
 
-import functools
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,7 @@ from .structure import (
 from .superop import (
     SpectralData,
     Superoperator,
+    _PERRON_ERRORS,
     _perron_rows,
     _shifted_map,
     _shifted_maps,
@@ -249,30 +250,25 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     )
 
 
-def _log_lambda_derivatives(model: KrausModel,
-                            u: float) -> tuple[float, float, float] | None:
-    """``(c, c', c'')`` at ``u`` for ``c = log lambda`` on a 1-D walk.
+def _triple_derivatives(model: KrausModel, u: float, shift: float, matrix: np.ndarray,
+                        data: SpectralData) -> tuple[float, float, float] | None:
+    """``(c, c', c'')`` at ``u`` for ``c = log lambda`` on a 1-D walk, from the
+    Perron triple ``data`` of the shifted map ``matrix`` (shift ``shift``).
 
-    One Perron triple of the overflow-free shifted map gives all three: with
-    ``r = vec(rho_u)``, ``l = vec(m_u)`` and ``M'``, ``M''`` the maps that
-    weight each Kraus term by ``s`` and ``s^2``, Hellmann-Feynman gives
+    With ``r = vec(rho_u)``, ``l = vec(m_u)`` and ``M'``, ``M''`` the maps
+    that weight each Kraus term by ``s`` and ``s^2``, Hellmann-Feynman gives
     ``c' = l^dag M' r / lambda``, and ``c'' = (l^dag M'' r + 2 l^dag M' x) /
     lambda - c'^2``, where ``x`` solves the bordered system ``(lambda I - M +
     r l^dag) x = (M' - c' lambda) r`` (the derivative of r with l^dag x = 0).
     The shift rescales M, M' and M'' alike, so it drops out of c' and c''.
 
-    Returns None wherever these formulas cannot be trusted: the Perron data
-    is uncertified, degenerate or within 1e-6 of another eigenvalue, the
-    bordered system is singular, or ``c''`` is not finite and positive.
+    Returns None wherever these formulas cannot be trusted: the triple is
+    degenerate or within 1e-6 of another eigenvalue, the bordered system is
+    singular, or ``c''`` is not finite and positive.
     """
-    steps = model.steps_array[:, 0]
-    shift, shifted = _shifted_map(model, np.array([u]))
-    try:
-        data = perron(shifted)
-    except (SpectralIndeterminateError, PositivityError):
-        return None
     if data.degenerate or data.separation < 1e-6:
         return None
+    steps = model.steps_array[:, 0]
     lam, rho, m = data.lambda_u, data.rho_u, data.m_u
     ops = model.operators
     ops_dag = ops.conj().transpose(0, 2, 1)
@@ -281,7 +277,7 @@ def _log_lambda_derivatives(model: KrausModel,
     paired = np.einsum("ij,sji->s", m, sandwiches).real  # Tr(m L_s rho L_s^dag)
     c1 = float(d1 @ paired) / lam
     rhs = np.einsum("s,sij->ij", d1, sandwiches) - c1 * lam * rho
-    bordered = lam * np.eye(rho.size) - shifted.matrix + np.outer(vec(rho), vec(m).conj())
+    bordered = lam * np.eye(rho.size) - matrix + np.outer(vec(rho), vec(m).conj())
     try:
         x = unvec(np.linalg.solve(bordered, vec(rhs)), rho.shape[0])
     except np.linalg.LinAlgError:
@@ -291,6 +287,23 @@ def _log_lambda_derivatives(model: KrausModel,
     if not (np.isfinite(c2) and c2 > 0):
         return None
     return shift + float(np.log(lam)), c1, c2
+
+
+#: What a Perron extraction may raise where the Newton formulas just decline.
+_DECLINED = (SpectralIndeterminateError, PositivityError)
+
+
+def _log_lambda_derivatives(model: KrausModel,
+                            u: float) -> tuple[float, float, float] | None:
+    """``(c, c', c'')`` at ``u`` from one lone :func:`perron` call on the
+    shifted map (see :func:`_triple_derivatives`), or None where the triple
+    is uncertified or the formulas decline."""
+    shift, shifted = _shifted_map(model, np.array([u]))
+    try:
+        data = perron(shifted)
+    except _DECLINED:
+        return None
+    return _triple_derivatives(model, u, shift, shifted.matrix, data)
 
 
 def log_lambda(model: KrausModel, u) -> float:
@@ -445,6 +458,18 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     map's spectral radius and lists the point as degenerate.  A lambda_u
     beyond the largest double is reported as infinite.
     """
+    return _curve_rows(model, parameters, direction)[0]
+
+
+def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
+        LambdaCurve, np.ndarray, np.ndarray, list[SpectralData | Exception]]:
+    """:func:`lambda_curve`, with the grid's ``(shifts, stack, rows)``.
+
+    ``stack[i]`` is the shifted map at grid point i, ``shifts[i]`` its shift
+    and ``rows[i]`` what :func:`perron` returns or raises on it, so a caller
+    that needs the Perron triple at a grid tilt reads it instead of solving
+    again.
+    """
     n = model.internal_dim
     reducible = _operator_closure(model).dimension != n * n
     ts = np.asarray(parameters, dtype=float)
@@ -457,7 +482,8 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     logs = np.empty(len(ts))
     degenerate: list[float] = []
     shifts, stack = _shifted_maps(model, ts[:, None] * direction)
-    for i, (t, data) in enumerate(zip(ts, _perron_rows(stack, n))):
+    rows = _perron_rows(stack, n)
+    for i, (t, data) in enumerate(zip(ts, rows)):
         if isinstance(data, SpectralData):
             radius, tied = data.lambda_u, data.degenerate
         elif reducible and isinstance(data, SpectralIndeterminateError):
@@ -471,13 +497,14 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
             degenerate.append(float(t))
 
     kinks = _block_crossings(model, ts, direction) if reducible and len(ts) >= 2 else []
-    return LambdaCurve(
+    curve = LambdaCurve(
         parameters=ts,
         lambda_values=lams,
         log_lambda_values=logs,
         kinks=tuple(kinks),
         degenerate_parameters=tuple(degenerate),
     )
+    return curve, shifts, stack, rows
 
 
 @dataclass(frozen=True)
@@ -504,25 +531,31 @@ class RateFunctionTable:
 
 _RATE_SUP_CAP = 1e6
 
+#: A Newton run of :func:`_newton_max`: it yields tilts, is sent the
+#: ``(c, c', c'')`` triple (or None) at each, and returns ``(value, maximizer)``.
+NewtonRun = Generator[float, tuple[float, float, float] | None, tuple[float, float]]
 
-def _newton_max(c, derivatives, x: float, a: float, u: float,
-                b: float) -> tuple[float, float]:
+
+def _newton_max(c, x: float, a: float, u: float, b: float) -> NewtonRun:
     """Solve c'(u) = x by Newton from u, safeguarded inside [a, b].
 
-    A step that leaves the bracket is replaced by bisection; the bracket
-    shrinks by the sign of c' - x, which orders points because c is convex.
-    Where ``derivatives`` declines (a linear block, a degenerate or
-    uncertified Perron triple), the concave objective u x - c(u) is compared
-    at u +- h, h = 1e-3 (b - a), and cannot peak beyond the lower side, kink
-    or not.  Stops at |c' - x| <= 1e-12 max(1, |x|) or a bracket closed to
-    1e-13 relative, with (u, u x - c(u)); raises after 100 steps.
+    A generator: it yields each tilt where it needs ``(c, c', c'')`` and is
+    sent that triple back, so that a caller can run many of them in lockstep
+    and serve each round's tilts together.  A step that leaves the bracket is
+    replaced by bisection; the bracket shrinks by the sign of c' - x, which
+    orders points because c is convex.  Where the triple is None (a linear
+    block, a degenerate or uncertified Perron triple), the concave objective
+    u x - c(u) is compared at u +- h, h = 1e-3 (b - a), and cannot peak
+    beyond the lower side, kink or not.  Stops at |c' - x| <= 1e-12
+    max(1, |x|) or a bracket closed to 1e-13 relative, and returns
+    ``(u x - c(u), u)``; raises after 100 steps.
     """
     tol = 1e-12 * max(1.0, abs(x))
     for _ in range(100):
         if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
             u = (a + b) / 2
-            return u, u * x - c(u)
-        point = derivatives(u)
+            return float(u * x - c(u)), float(u)
+        point = yield u
         if point is None:
             h = 1e-3 * (b - a)
             rising = (u + h) * x - c(u + h) > (u - h) * x - c(u - h)
@@ -532,7 +565,7 @@ def _newton_max(c, derivatives, x: float, a: float, u: float,
         value, slope, curvature = point
         miss = slope - x
         if abs(miss) <= tol:
-            return u, u * x - value
+            return float(u * x - value), float(u)
         if miss < 0:
             a = u
         else:
@@ -543,13 +576,15 @@ def _newton_max(c, derivatives, x: float, a: float, u: float,
 
 
 def _legendre_point(c, x: float, u_lo: float, u_hi: float, points: int,
-                    derivatives, kinks: tuple[KinkRecord, ...]) -> tuple[float, float]:
-    """sup_u (u x - c(u)) by grid bracketing, window growth and refinement.
+                    kinks: tuple[KinkRecord, ...]) -> tuple[float, float] | NewtonRun:
+    """sup_u (u x - c(u)) by grid bracketing and window growth, as the finished
+    ``(value, maximizer)`` or the Newton run that refines it.
 
     Once the grid puts the maximum at an interior point, the maximizer lies
     between its two neighbours.  A kink there whose one-sided log slopes
-    straddle x is the maximizer itself; otherwise :func:`_newton_max`
-    refines inside that bracket.
+    straddle x is the maximizer itself; otherwise the unstarted
+    :func:`_newton_max` run inside that bracket is returned.  A flat
+    objective and a value beyond the cap (infinite) come back finished.
     """
     us = list(np.linspace(u_lo, u_hi, points))
     gs = [u * x - c(u) for u in us]
@@ -564,8 +599,7 @@ def _legendre_point(c, x: float, u_lo: float, u_hi: float, points: int,
             for kink in kinks:
                 if a < kink.u < b and kink.log_slope_left <= x <= kink.log_slope_right:
                     return float(kink.u * x - c(kink.u)), float(kink.u)
-            u_star, val = _newton_max(c, derivatives, x, a, us[i], b)
-            return float(val), float(u_star)
+            return _newton_max(c, x, a, us[i], b)
         # Maximum at the window edge: extend outward by the current width.
         width = us[-1] - us[0]
         if i == 0:
@@ -597,6 +631,16 @@ def rate_function(model: KrausModel, positions,
     u -> +-inf limit ``-log rho(Phi_x)``, with ``Phi_x`` the map of the Kraus
     terms of step x alone, and beyond the steps it is infinite; the maximizer
     there is reported as +-inf.
+
+    The Newton runs of all velocities go in lockstep, one step each per
+    round.  On an irreducible map the tilts a round needs share one stack of
+    shifted maps and one stacked Perron extraction, and a tilt on the window
+    grid reads the row the curve already extracted; the derivative formulas
+    then run row by row.  A reducible map's triple comes from one lone
+    :func:`perron` call per tilt on that tilt's top block, since the rows of
+    different blocks share no stack.  Every row has the bits of a lone
+    extraction, so each velocity gets the value it gets alone.  Where
+    velocities fail, the table raises the error of the first of them.
     """
     if model.lattice_dim != 1:
         raise AssumptionError(
@@ -604,7 +648,7 @@ def rate_function(model: KrausModel, positions,
         )
     xs = np.asarray(positions, dtype=float)
     upper_only = not is_irreducible_L(model).irreducible
-    curve = lambda_curve(model, np.linspace(u_min, u_max, points))
+    curve, shifts, stack, rows = _curve_rows(model, np.linspace(u_min, u_max, points))
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 
@@ -633,28 +677,90 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
-    # c is the largest of the curves of the irreducible blocks (lambda_curve
-    # has certified them), each analytic: Newton uses the top block's triple.
-    blocks = _irreducible_blocks(model) if upper_only else (model,)
+    # c is the largest of the curves of the irreducible blocks (the curve has
+    # certified them), each analytic: Newton uses the top block's triple.
+    if upper_only:
+        blocks = _irreducible_blocks(model)
 
-    @functools.cache
-    def derivatives(u: float):
-        top = blocks[0] if len(blocks) == 1 else max(
-            blocks, key=lambda b: spectral_radius(_shifted_map(b, np.array([u]))[1]))
-        return _log_lambda_derivatives(top, u)
+        def at(u: float):
+            top = max(blocks, key=lambda b: spectral_radius(_shifted_map(b, np.array([u]))[1]))
+            return _log_lambda_derivatives(top, u)
+    else:
+        # The unread rows: the grid's, and those of the round being served.
+        unread = dict(zip(u_grid.tolist(), zip(shifts.tolist(), stack, rows)))
+
+        def at(u: float):
+            shift, matrix, row = unread.pop(u)
+            if isinstance(row, _DECLINED):
+                return None
+            if isinstance(row, Exception):
+                raise row
+            return _triple_derivatives(model, u, shift, matrix, row)
+
+    # What each tilt sends to a Newton run: its triple, None, or its error.
+    derivatives: dict[float, tuple[float, float, float] | None | Exception] = {}
+
+    def serve(tilts: list[float]) -> None:
+        if not upper_only:
+            fresh = [u for u in tilts if u not in unread]
+            if fresh:
+                fresh_shifts, fresh_stack = _shifted_maps(model, np.array(fresh)[:, None])
+                unread.update(zip(fresh, zip(fresh_shifts.tolist(), fresh_stack,
+                                             _perron_rows(fresh_stack, model.internal_dim))))
+        for u in tilts:
+            try:
+                derivatives[u] = at(u)
+            except _PERRON_ERRORS as exc:
+                derivatives[u] = exc
+
+    # Each velocity's (value, maximizer) or error, and the Newton runs
+    # still going with the tilt each waits on.  An error waits here, so that
+    # the table raises the error of its first failing velocity, as one
+    # velocity after another would.
+    outcomes: dict[int, tuple[float, float] | Exception] = {}
+    runs: dict[int, tuple[NewtonRun, float]] = {}
+
+    def resume(j: int, run: NewtonRun, point=None) -> None:
+        try:
+            runs[j] = run, run.send(point)
+        except StopIteration as done:
+            outcomes[j] = done.value
+        except _PERRON_ERRORS as exc:
+            outcomes[j] = exc
+
+    steps = model.steps_array[:, 0]
+    for j, x in enumerate(xs):
+        try:
+            if steps.min() < x < steps.max():
+                found = _legendre_point(c, float(x), u_min, u_max, points, curve.kinks)
+            else:  # u x - c(u) is monotone here
+                edge = (spectral_radius(weighted_superop(model, steps == x))
+                        if steps.min() <= x <= steps.max() else 0.0)
+                found = (-float(np.log(edge)) if edge > 0 else float("inf"),
+                         np.inf if x >= steps.max() else -np.inf)
+        except _PERRON_ERRORS as exc:
+            outcomes[j] = exc
+            break  # the velocities after it cannot be the first to fail
+        if isinstance(found, tuple):
+            outcomes[j] = found
+        else:
+            resume(j, found)
+    while runs:
+        waiting = dict(runs)
+        runs.clear()
+        serve(list(dict.fromkeys(u for _, u in waiting.values() if u not in derivatives)))
+        for j, (run, u) in waiting.items():
+            if isinstance(derivatives[u], Exception):
+                outcomes[j] = derivatives[u]
+            else:
+                resume(j, run, derivatives[u])
 
     values = np.empty(len(xs))
     maximizers = np.empty(len(xs))
-    steps = model.steps_array[:, 0]
     for j, x in enumerate(xs):
-        if steps.min() < x < steps.max():
-            val, u_star = _legendre_point(c, float(x), u_min, u_max, points,
-                                          derivatives, curve.kinks)
-        else:  # u x - c(u) is monotone here
-            edge = (spectral_radius(weighted_superop(model, steps == x))
-                    if steps.min() <= x <= steps.max() else 0.0)
-            val = -float(np.log(edge)) if edge > 0 else float("inf")
-            u_star = np.inf if x >= steps.max() else -np.inf
+        if isinstance(outcomes[j], Exception):
+            raise outcomes[j]
+        val, u_star = outcomes[j]
         if np.isfinite(val) and val < 0:
             if val < -1e-10:
                 raise ConvergenceError(

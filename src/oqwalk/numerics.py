@@ -180,7 +180,8 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` is a superoperator matrix whose restriction to the traceless subspace
     must be invertible (smallest restricted singular value > 1e-12 ||a||); ``b``
-    must be traceless up to 1e-10.  The returned ``x`` has |trace| <= 1e-12 and
+    must be traceless up to 1e-10 max(1, ||b||), a gate that scales with ``b``
+    as its rounding does.  The returned ``x`` has |trace| <= 1e-12 and
     relative residual ||a(x) - b|| <= 1e-10 ||b||.
     """
     a = np.asarray(a, dtype=complex)
@@ -190,8 +191,12 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise AssumptionError(
             f"superoperator shape {a.shape} does not match matrix side {n}")
     tr_b = abs(complex(np.trace(b)))
-    if tr_b > 1e-10:
-        raise TraceGaugeError(f"right-hand side has |trace| = {tr_b:.3e} > 1e-10")
+    norm_b = frob(b)
+    trace_gate = 1e-10 * max(1.0, norm_b)
+    if tr_b > trace_gate:
+        raise TraceGaugeError(
+            f"right-hand side has |trace| = {tr_b:.3e} > 1e-10 * max(1, ||b||) "
+            f"= {trace_gate:.3e}")
     if n == 1:
         # The traceless subspace of 1x1 matrices is {0}.
         return np.zeros((1, 1), dtype=complex)
@@ -206,7 +211,6 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     y = np.linalg.solve(restricted, basis.conj().T @ vec(b))
     x = unvec(basis @ y, n)
-    norm_b = frob(b)
     residual = frob(unvec(a @ vec(x), n) - b)
     if norm_b > 0 and residual > 1e-10 * norm_b:
         raise SingularRestrictionError(

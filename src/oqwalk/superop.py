@@ -226,7 +226,7 @@ def _left_perron_vectors(adjoints: np.ndarray, lams, n: int) -> np.ndarray:
 #: array (64 maps at n = 8).  Rows are independent, so chunks move no bits.
 _STACK_ENTRIES = 1 << 18
 
-#: What a row of a chunk may raise.
+#: What a row of a chunk may raise, and what a rate table holds back per velocity.
 _PERRON_ERRORS = (OQWalkError, np.linalg.LinAlgError)
 
 

@@ -705,10 +705,14 @@ def test_newton_derivatives_at_zero_are_the_clt_constants(name):
 
 def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
                                                                     std_model):
+    # The grid is one stacked extraction of 41 maps, and Newton's first step
+    # reads its row.  Every later round of the table's Newton runs is one
+    # stacked extraction, at most one row per velocity.
     import oqwalk.asymptotics as asymptotics
 
     perrons = _count_calls(monkeypatch, "perron", asymptotics)
     radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
+    triples = _count_calls(monkeypatch, "_triple_derivatives", asymptotics)
     stacked = []
     real_rows = asymptotics._perron_rows
 
@@ -717,14 +721,17 @@ def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
         return real_rows(stack, n)
 
     monkeypatch.setattr(asymptotics, "_perron_rows", rows)
-    for x in np.linspace(-0.9, 0.9, 19):
-        perrons.clear()
-        radii.clear()
-        stacked.clear()
-        rate_function(std_model, [x])
-        assert stacked == [41], x  # the grid, in one stacked call
-        assert 0 < len(perrons) <= 6, x  # then Newton
-        assert radii == [], x  # no bisection fallback
+    xs = np.linspace(-0.9, 0.9, 19)
+    for velocities in [[x] for x in xs] + [xs]:
+        for calls in (perrons, radii, triples, stacked):
+            calls.clear()
+        rate_function(std_model, velocities)
+        assert stacked[0] == 41, velocities  # the grid, in one stacked call
+        assert len(stacked) - 1 <= 6, velocities  # then Newton
+        assert max(stacked[1:], default=1) <= len(velocities), velocities
+        assert len(triples) >= len(velocities), velocities
+        assert perrons == [], velocities  # no lone extraction
+        assert radii == [], velocities  # no bisection fallback
 
 
 @pytest.mark.parametrize("name", ["std_example", "breakdown_example"])
@@ -745,8 +752,10 @@ def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch
 
     model = builtin("breakdown_example")
     curve = lambda_curve(model, np.linspace(-4.0, 4.0, 41))
-    newton, searched = [], []
+    newton, searched, stacked = [], [], []
     real_newton, real_log_lambda = asymptotics._log_lambda_derivatives, asymptotics.log_lambda
+    real_rows = asymptotics._perron_rows
+    perrons = _count_calls(monkeypatch, "perron", asymptotics)
 
     def block_newton(block, u):
         newton.append(block)
@@ -757,13 +766,21 @@ def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch
             searched.append(u)
         return real_log_lambda(m, u)
 
+    def rows(stack, n):
+        stacked.append(len(stack))
+        return real_rows(stack, n)
+
     monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", block_newton)
     monkeypatch.setattr(asymptotics, "log_lambda", whole_curve)
+    monkeypatch.setattr(asymptotics, "_perron_rows", rows)
     table = rate_function(model, [-0.5, 0.0, 0.5])
-    # Newton on the cosh u block for x = -0.5 and 0; x = 0.5 lies between the
-    # kink's slopes 1/3 and 1, so the kink is the maximizer, and the whole
-    # map's curve is read only there, for the value.
+    # Newton on the cosh u block for x = -0.5 and 0, one lone perron call
+    # per tilt on that block: the grid is the only stacked extraction.
+    # x = 0.5 lies between the kink's slopes 1/3 and 1, so the kink is the
+    # maximizer, and the whole map's curve is read only there, for the value.
     assert newton and all(block.internal_dim == 1 for block in newton)
+    assert len(perrons) == len(newton)
+    assert stacked == [41]
     assert searched == [curve.kinks[0].u]
     assert table.maximizers[2] == curve.kinks[0].u
     np.testing.assert_allclose(table.maximizers[:2], [np.arctanh(-0.5), 0.0],
@@ -815,9 +832,72 @@ def test_bisection_fallback_matches_the_newton_rates(monkeypatch, std_model):
 
     xs = np.linspace(-0.9, 0.9, 19)
     newton = rate_function(std_model, xs)
-    monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", lambda model, u: None)
+    monkeypatch.setattr(asymptotics, "_triple_derivatives", lambda *args: None)
+    searched = _count_calls(monkeypatch, "log_lambda", asymptotics)
     bisected = rate_function(std_model, xs)
+    assert searched  # the fallback compared the objective off the grid
     np.testing.assert_allclose(bisected.rate, newton.rate, rtol=0, atol=1e-12)
+
+
+_ROW_MODELS = {
+    **{name: functools.partial(builtin, name) for name in BUILTIN_NAMES},
+    "isometry_n3": lambda: random_isometry_model(5, n=3),
+    "isometry_n4": lambda: random_isometry_model(6, n=4),
+    "three_level_two_block": three_level_two_block_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_MODELS))
+def test_each_velocity_of_a_table_has_the_bytes_it_gets_alone(name):
+    # The velocities' Newton runs share stacked extractions; none moves a bit
+    # of another's row.
+    model = _ROW_MODELS[name]()
+    xs = np.append(np.linspace(-1.0, 1.0, 11), [0.33, 1.5])
+    table = rate_function(model, xs)
+    for j, x in enumerate(xs):
+        alone = rate_function(model, [x])
+        assert table.rate[j].tobytes() == alone.rate[0].tobytes(), x
+        assert table.maximizers[j].tobytes() == alone.maximizers[0].tobytes(), x
+
+
+def _newton_failing_after(real, steps):
+    """``_newton_max`` whose run for each velocity in ``steps`` raises after
+    that many Newton steps."""
+    def newton(c, x, a, u, b):
+        run = real(c, x, a, u, b)
+        if x not in steps:
+            return (yield from run)
+        point = None
+        for _ in range(steps[x]):
+            point = yield run.send(point)
+        raise ConvergenceError(f"velocity {x} failed")
+    return newton
+
+
+def test_a_table_raises_the_error_of_its_first_failing_velocity(monkeypatch, std_model):
+    import oqwalk.asymptotics as asymptotics
+
+    monkeypatch.setattr(asymptotics, "_newton_max",
+                        _newton_failing_after(asymptotics._newton_max, {0.2: 3, 0.5: 1}))
+    # 0.5 fails two rounds before 0.2 does; the lower index raises either way.
+    with pytest.raises(ConvergenceError, match=r"^velocity 0\.2 failed$"):
+        rate_function(std_model, [-0.3, 0.2, 0.5])
+    with pytest.raises(ConvergenceError, match=r"^velocity 0\.5 failed$"):
+        rate_function(std_model, [0.5, -0.3, 0.2])
+
+    # A velocity whose bracketing fails waits for the Newton runs before it.
+    real_point = asymptotics._legendre_point
+
+    def bracketing(c, x, *args):
+        if x == -0.3:
+            raise ConvergenceError("velocity -0.3 did not localize")
+        return real_point(c, x, *args)
+
+    monkeypatch.setattr(asymptotics, "_legendre_point", bracketing)
+    with pytest.raises(ConvergenceError, match=r"^velocity 0\.2 failed$"):
+        rate_function(std_model, [0.2, -0.3, 0.5])
+    with pytest.raises(ConvergenceError, match=r"^velocity -0\.3 did not localize$"):
+        rate_function(std_model, [-0.3, 0.2, 0.5])
 
 
 def test_boundary_velocities_take_the_closed_form(monkeypatch, periodic_model):

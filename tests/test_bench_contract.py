@@ -13,7 +13,7 @@ import numpy as np
 
 import oqwalk.superop
 import oqwalk.trajectories
-from oqwalk import batch_statistics, builtin, exact_distribution, mgf_check
+from oqwalk import batch_statistics, builtin, exact_distribution, mgf_check, rate_function
 from oqwalk.rng import unit_draws_array
 from oqwalk.trajectories import _engine
 
@@ -51,6 +51,25 @@ def test_the_exact_law_reaches_the_traced_apply_M(monkeypatch):
     spans.install(tracer, [(oqwalk.superop, "apply_M", "superop.apply_M", None)], modules)
     exact_distribution(builtin("std_example"), 5)
     assert spans.totals(tracer.spans)["superop.apply_M"]["calls"] == 5
+
+
+def test_a_reducible_rate_table_reaches_the_traced_perron(monkeypatch):
+    # spectral's traced self-check needs superop.perron.calls > 0.  Grids and
+    # irreducible tables take stacked extractions, so that count comes from
+    # the lone block-Newton steps of a reducible table, which must go through
+    # perron as the benchmark wraps it: in superop and under every name bound
+    # to it.
+    spans = bench_module("spans")
+    modules = spans.package_modules("oqwalk")
+    original = oqwalk.superop.perron
+    for module in modules:  # monkeypatch restores each binding install replaces
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, original)
+    tracer = spans.Tracer()
+    spans.install(tracer, [(oqwalk.superop, "perron", "superop.perron", None)], modules)
+    rate_function(builtin("breakdown_example"), [-0.5, 0.0, 0.5])
+    assert spans.totals(tracer.spans)["superop.perron"]["calls"] > 0
 
 
 def test_exact_oracles_run_positionally():

@@ -255,6 +255,19 @@ def test_rate_on_a_step_of_ten_to_the_thirty_warns_nothing(tmp_path, capsys):
     json.loads(captured.out, parse_constant=lambda name: pytest.fail(name))
 
 
+def test_asymptotics_and_simulate_answer_a_step_of_ten_to_the_thirty(tmp_path, capsys):
+    # The corrector's right-hand side there has |trace| about 8e13, 1e-16 of
+    # its norm; a trace gate fixed at 1e-10 made both commands exit 4.
+    path = tmp_path / "step1e30.json"
+    path.write_text(moved_step_document(10**30))
+    doc = run_json(capsys, ["asymptotics", "--model", str(path)])
+    assert doc["drift"][0] == pytest.approx(6.915771041501843e29, rel=1e-12)
+    (cov,), (cov_alt,) = doc["covariance"], doc["covariance_alt"]
+    assert cov[0] == pytest.approx(cov_alt[0], rel=1e-12)
+    assert main(["simulate", "--model", str(path)]) == 3
+    assert "positions must stay below 2^62" in capsys.readouterr().err
+
+
 def test_rate_answers_a_direct_sum_with_different_block_drifts(tmp_path, capsys):
     # Both summands' radii are 1 at u = 0, a kink whose one-sided slopes are
     # the drifts -0.4 and 0: the rate vanishes between them, and a search

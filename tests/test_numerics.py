@@ -1,4 +1,5 @@
 """Vectorization conventions, spectral helpers, and the traceless solver."""
+import re
 import subprocess
 import sys
 
@@ -225,6 +226,23 @@ def test_solve_on_traceless_rejects_a_side_mismatch():
 def test_solve_on_traceless_rejects_traced_rhs():
     with pytest.raises(TraceGaugeError):
         solve_on_traceless(np.eye(4), np.eye(2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e20])
+def test_the_trace_gate_of_solve_on_traceless_scales_with_the_right_hand_side(scale):
+    # |tr b| may reach 1e-10 ||b|| when ||b|| >= 1: 0.5 of that passes, 2 of it fails.
+    a = np.eye(4)
+    gate = 1e-10 * np.linalg.norm(np.diag([scale, -scale]))
+    b = np.diag([scale, -scale + 0.5 * gate])
+    x = solve_on_traceless(a, b)  # the traceless part of b
+    np.testing.assert_allclose(x, b - np.trace(b) / 2 * np.eye(2), rtol=0, atol=1e-12 * scale)
+    with pytest.raises(TraceGaugeError, match=re.escape(f"* max(1, ||b||) = {gate:.3e}")):
+        solve_on_traceless(a, np.diag([scale, -scale + 2 * gate]))
+
+
+def test_the_trace_gate_of_solve_on_traceless_keeps_its_floor_for_small_right_hand_sides():
+    with pytest.raises(TraceGaugeError, match=r"= 2\.000e-10 > .* = 1\.000e-10$"):
+        solve_on_traceless(np.eye(4), np.diag([1e-3, -1e-3 + 2e-10]))
 
 
 def test_solve_on_traceless_rejects_singular_restriction():
