@@ -182,7 +182,8 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     must be invertible (smallest restricted singular value > 1e-12 ||a||); ``b``
     must be traceless up to 1e-10 max(1, ||b||), a gate that scales with ``b``
     as its rounding does.  The returned ``x`` has |trace| <= 1e-12 and
-    relative residual ||a(x) - b|| <= 1e-10 ||b||.
+    residual ||a(x) - b_0|| <= 1e-10 ||b||, where b_0 = b - (tr b / n) I is
+    the traceless part of ``b``, the part a traceless ``x`` can reach.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -211,7 +212,9 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     y = np.linalg.solve(restricted, basis.conj().T @ vec(b))
     x = unvec(basis @ y, n)
-    residual = frob(unvec(a @ vec(x), n) - b)
+    # A traceless x reaches only b's traceless part; the trace the gate
+    # above let through is no residual of the solve.
+    residual = frob(unvec(a @ vec(x), n) - (b - np.trace(b) / n * np.eye(n)))
     if norm_b > 0 and residual > 1e-10 * norm_b:
         raise SingularRestrictionError(
             f"traceless solve residual {residual:.3e} exceeds 1e-10 * ||b||"

@@ -25,11 +25,13 @@ slot, so a single trajectory's zero row is its next, still empty, slot.
 What follows the product (the step probabilities, the row totals, the
 choice of step and the renormalization) takes one of two forms by batch
 width: vectorized over the K step columns with flat gathers or, for a few
-rows, in Python scalars, where numpy's per-call cost would dominate.  With
-few enough terms the scalar form adds each squared norm in Python floats,
-in the order of numpy's ``einsum`` kernel where a check at first use finds
-that order, else it calls ``einsum`` as the column form does; both add
-each row's total one step at a time, so both give each row the same bits.
+rows, in Python scalars, where numpy's per-call cost would dominate.  The
+scalar form runs in its own loop over each draw block, and a lone
+trajectory steps there without a loop over rows.  With few enough terms
+the scalar form adds each squared norm in Python floats, in the order of
+numpy's ``einsum`` kernel where a check at first use finds that order,
+else it calls ``einsum`` as the column form does; both add each row's
+total one step at a time, so both give each row the same bits.
 Either tail lists its picks: an unrecorded run adds their steps to its
 positions once per draw block, and a recorded run takes its positions as
 the start plus the int64 cumulative sum of its steps.
@@ -99,12 +101,13 @@ def _unravel(initial_state: LatticeState):
 # for all N trajectories at once (128 KiB of draws).
 _BLOCK_DRAWS = 2**14
 
-# Widest batch whose steps choose and renormalize in Python scalars.  Whole
-# steps timed with one BLAS thread on a 2-vCPU x86-64 host (numpy 2.4.6) for
-# n = 2, 4 and 8 and K = 2 and 9, median of three interleaved runs: at
-# N <= 2 the scalar tail took 5-12 us a step against 14-25 us with the
-# column tail; at N = 4 it won all six cases, by 3-41 %, and at N = 8 it
-# lost four of six, by up to 19 %.
+# Widest batch whose steps choose and renormalize in Python scalars
+# (:func:`_narrow_block`).  Whole unrecorded steps timed in process with one
+# BLAS thread on a 2-vCPU x86-64 host (numpy 2.4.6) for n = 2, 4 and 8 and
+# K = 2 and 9, median of seven interleaved runs: the scalar tail took 0.37 to
+# 0.47 of the column tail's time at N = 2 and 0.53 to 0.67 at N = 4.  It
+# also won every case at N = 5 and 6 (0.63 to 0.85) and lost two of six at
+# N = 8 (up to 1.10); no workload runs those widths, so the bound stays.
 _NARROW = 4
 
 # Most terms N n K whose squared norms a narrow step adds in Python floats
@@ -199,6 +202,81 @@ def _stop(probs: np.ndarray, p: int):
     )
 
 
+def _narrow_block(draws: np.ndarray, first: int, coords: np.ndarray, gemm: np.ndarray,
+                  cand: np.ndarray, probs: np.ndarray, terms, stride: int,
+                  chosen: list) -> None:
+    """Steps first, first + 1, ... of a batch of at most ``_NARROW`` rows.
+
+    ``draws`` is the block's flat array of draws, N a step, which the steps
+    read as Python floats through one ``memoryview``; each step appends its
+    N picks to ``chosen``.  The other arguments are :func:`_engine`'s
+    buffers, and ``terms`` is :func:`_einsum_terms`'s answer, or None where
+    the norms come from ``einsum``.  The candidates come from ``np.dot``,
+    which makes the GEMM call ``np.matmul`` makes on these C-contiguous
+    operands of two or more rows, at less cost per call on a few rows (the
+    wide tail keeps ``np.matmul``, which costs less on many).  A lone
+    trajectory steps without the row loop of wider batches.
+    """
+    n_traj, k_steps = probs.shape
+    rows, last = len(cand), k_steps - 1
+    head = cand[:n_traj]
+    flat = head.reshape(n_traj, k_steps, -1)
+    views = [list(row) for row in flat]  # views[i][s]: row i's L_s psi
+    dot, divide, einsum, norms = np.dot, np.divide, np.einsum, _squared_norms
+    sqrt, append = math.sqrt, chosen.append
+    us = iter(memoryview(draws))
+    if n_traj == 1:
+        # No row loop: oracle_replay's single walks read 5 % lower wall_norm
+        # than through the loop below (2-vCPU x86-64, 10 pairs).
+        view = views[0]
+        for p, u in enumerate(us, first):
+            src = (p - 1) * stride
+            dot(coords[src:src + rows], gemm, cand)
+            if terms is None:
+                einsum("nki,nki->nk", flat, flat, out=probs)
+                pr = probs.tolist()[0]
+            else:
+                pr = norms(head.tolist(), terms)[0]
+            # One add at a time, as the wide tail's column adds do; not
+            # builtin sum() or math.fsum, which compensate (sum() from
+            # Python 3.12).
+            cum = list(accumulate(pr))
+            total = cum[last]
+            if not abs(total - 1.0) <= 1e-9:
+                _stop(np.array([pr]), p)
+            for k in range(last):
+                if u < cum[k] / total:
+                    break
+            else:
+                k = last
+            divide(view[k], sqrt(pr[k]), coords[src + stride])
+            append(k)
+        return
+    for p in range(first, first + len(draws) // n_traj):
+        src = (p - 1) * stride
+        dst = src + stride
+        dot(coords[src:src + rows], gemm, cand)
+        if terms is None:
+            einsum("nki,nki->nk", flat, flat, out=probs)
+            pr_rows = probs.tolist()
+        else:
+            pr_rows = norms(head.tolist(), terms)
+        # pr_rows comes first, so zip stops before it takes the next step's
+        # first draw.
+        for i, (pr, u) in enumerate(zip(pr_rows, us)):
+            cum = list(accumulate(pr))
+            total = cum[last]
+            if not abs(total - 1.0) <= 1e-9:
+                _stop(np.array(pr_rows), p)
+            for k in range(last):
+                if u < cum[k] / total:
+                    break
+            else:
+                k = last
+            divide(views[i][k], sqrt(pr[k]), coords[dst + i])
+            append(k)
+
+
 def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
             stream_seeds: np.ndarray, record: bool):
     """Trajectory kernel shared by single and batch entry points.
@@ -222,7 +300,9 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
       picks per row the first step s < K-1 whose cumulative probability
       over the total exceeds the row's draw (else K-1) and writes
       L_s psi / sqrt(probs[s]) to the row's next state.  Batches of up to
-      ``_NARROW`` rows do this in Python scalars, a row at a time; at most
+      ``_NARROW`` rows run their steps in :func:`_narrow_block`, once per
+      draw block, in Python scalars and a row at a time (a lone trajectory
+      without the row loop), with ``np.dot`` for the front's GEMM; at most
       ``_SCALAR_TERMS`` terms N n K take their norms from one ``tolist`` of
       the candidates and :func:`_squared_norms`, where
       :func:`_einsum_terms` finds ``einsum``'s add order, and the others
@@ -233,10 +313,12 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
       positions by them once per draw block, a recorded one by one exact
       int64 ``cumsum`` after the last step.
 
-    The two tails agree bit for bit: the front is common, the scalar norms
-    add in the order of numpy's float64 ``einsum`` kernel, each tail forms
-    the cumulative sums and totals in the same sequential order (not
-    numpy's row sum, which adds blocks of 8 pairwise from K = 8) and then
+    The two tails agree bit for bit: the front is the same GEMM (``np.dot``
+    and ``np.matmul`` make one call on these operands, and a tier-1 test
+    pins their bytes on the narrow shapes), the scalar norms add in the
+    order of numpy's float64 ``einsum`` kernel, each tail forms the
+    cumulative sums and totals in the same sequential order (not numpy's
+    row sum, which adds blocks of 8 pairwise from K = 8) and then
     only compares, divides and takes square roots, which IEEE arithmetic
     rounds correctly in either form.  So row i of any batch replays the
     single trajectory of its stream seed.  The scalar order is that of an
@@ -293,23 +375,21 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
     gemm[:, 1, ..., 1] = ops.real
     gemm = gemm.reshape(2 * n, 2 * k_steps * n)
     cand = np.empty((rows, 2 * k_steps * n))
-    flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
     probs = np.empty((n_traj, k_steps))
     steps = model.steps_array.astype(np.int64)
-    last = k_steps - 1
     narrow = n_traj <= _NARROW
     x = x0.copy()
     chosen = []  # every step's picks: one int per row (narrow), one array (wide)
-    terms = None  # where set, the narrow tail's norms come from _squared_norms
     if narrow:
-        if n_traj * n * k_steps <= _SCALAR_TERMS:
-            terms = _einsum_terms(n, k_steps)
-        views = [list(row) for row in flat]
+        terms = (_einsum_terms(n, k_steps) if n_traj * n * k_steps <= _SCALAR_TERMS
+                 else None)
     else:
         # numpy reduces along a short inner axis and gathers by two indices
         # slowly, so the wide tail runs over the K step columns and gathers
         # each row's pick at its flat index row * K + s.
+        flat = cand[:n_traj].reshape(n_traj, k_steps, 2 * n)
         probs_t, probs_flat = probs.T, probs.reshape(-1)
+        last = k_steps - 1
         cum = np.empty((k_steps, n_traj))
         row_offsets = np.arange(0, n_traj * k_steps, k_steps)
         cand_rows = cand.reshape(-1, 2 * n)
@@ -319,31 +399,17 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
         stop = min(start + block, n_steps + 1)
         draws = unit_draws_array(np.tile(stream_seeds, stop - start),
                                  np.repeat(np.arange(start, stop, dtype=np.uint64), n_traj))
-        for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
-            src = (p - 1) * stride
-            dst = src + stride
-            np.matmul(coords[src:src + rows], gemm, out=cand)
-            if terms is None:
+        if narrow:
+            _narrow_block(draws, start, coords, gemm, cand, probs, terms,
+                          stride, chosen)
+        else:
+            for p, u in zip(range(start, stop), draws.reshape(-1, n_traj)):
+                src = (p - 1) * stride
+                dst = src + stride
+                # Not np.dot: same GEMM, but at 2048 rows it took 7.4 us a
+                # call against 5.6 us, and sampler's wall_norm rose 5 %.
+                np.matmul(coords[src:src + rows], gemm, out=cand)
                 np.einsum("nki,nki->nk", flat, flat, out=probs)
-            if narrow:
-                pr_rows = (probs.tolist() if terms is None
-                           else _squared_norms(cand[:n_traj].tolist(), terms))
-                for i, (ui, pr) in enumerate(zip(u.tolist(), pr_rows)):
-                    # One add at a time, as the wide tail's column adds do;
-                    # not builtin sum() or math.fsum, which compensate (sum()
-                    # from Python 3.12).
-                    cum = list(accumulate(pr))
-                    total = cum[last]
-                    if not abs(total - 1.0) <= 1e-9:
-                        _stop(np.array(pr_rows), p)
-                    for k in range(last):
-                        if ui < cum[k] / total:
-                            break
-                    else:
-                        k = last
-                    np.divide(views[i][k], math.sqrt(pr[k]), out=coords[dst + i])
-                    chosen.append(k)
-            else:
                 np.copyto(cum[0], probs_t[0])
                 for k in range(1, k_steps):
                     np.add(cum[k - 1], probs_t[k], out=cum[k])
@@ -361,9 +427,10 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                 np.sqrt(norms, out=norms)
                 np.divide(cand_rows.take(pick, axis=0), norms[:, None],
                           out=coords[dst:dst + n_traj])
-        # Free this block's draws (and the row view into them) before the
-        # next block's call allocates its own.
-        del draws, u
+            del u
+        # Free this block's draws (and the wide tail's row view into them)
+        # before the next block's call allocates its own.
+        del draws
         if not record:  # keep one block of picks, not P of them
             x += steps.take(np.array(chosen).reshape(-1, n_traj), axis=0).sum(axis=0)
             chosen.clear()

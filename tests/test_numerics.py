@@ -245,10 +245,32 @@ def test_the_trace_gate_of_solve_on_traceless_keeps_its_floor_for_small_right_ha
         solve_on_traceless(np.eye(4), np.diag([1e-3, -1e-3 + 2e-10]))
 
 
-def test_solve_on_traceless_rejects_singular_restriction():
+def test_a_near_traceless_right_hand_side_under_the_trace_gate_is_solved():
+    # ||b|| < 1, so |tr b| = 5e-11 passes the 1e-10 floor of the trace gate;
+    # that trace is no residual of the solve, which meets b's traceless part.
+    b = np.diag([1e-3, -1e-3 + 5e-11])
+    x = solve_on_traceless(np.eye(4), b)
+    np.testing.assert_allclose(x, b - np.trace(b) / 2 * np.eye(2), rtol=0, atol=1e-18)
+
+
+@pytest.mark.parametrize("b", [np.diag([1.0, -1.0]), np.diag([1e-3, -1e-3 + 5e-11])],
+                         ids=["traceless", "near_traceless"])
+def test_solve_on_traceless_rejects_singular_restriction(b):
     # Id - Id vanishes on the traceless subspace
-    with pytest.raises(SingularRestrictionError):
-        solve_on_traceless(np.zeros((4, 4)), np.diag([1.0, -1.0]))
+    with pytest.raises(SingularRestrictionError, match="restriction to the traceless"):
+        solve_on_traceless(np.zeros((4, 4)), b)
+
+
+@pytest.mark.parametrize("b", [np.diag([1.0, -1.0]), np.diag([1e-3, -1e-3 + 5e-11])],
+                         ids=["traceless", "near_traceless"])
+def test_solve_on_traceless_rejects_a_map_that_gives_traceless_matrices_a_trace(b):
+    # a = Id + |vec I><z| restricts to the identity on the traceless subspace,
+    # so x is b's traceless part, but a(x) gains <z, x> I: only the residual
+    # gate sees it.
+    z = vec(np.diag([1.0, -1.0])) / np.sqrt(2)
+    a = np.eye(4) + np.outer(vec(np.eye(2)), z.conj())
+    with pytest.raises(SingularRestrictionError, match="traceless solve residual"):
+        solve_on_traceless(a, b)
 
 
 def test_psd_check_flags_a_small_negative_eigenvalue():

@@ -17,6 +17,7 @@ from oqwalk import (
     StandardizationError,
     TraceDriftError,
     batch_statistics,
+    build_superop,
     builtin,
     default_initial_state,
     exact_distribution,
@@ -168,6 +169,25 @@ def test_scalar_squared_norms_have_the_bits_of_einsum(n, k_steps):
         scalar = np.array(_squared_norms(cand[:n_traj].tolist(), terms))
         assert scalar.tobytes() == probs.tobytes(), n_traj
     assert _einsum_terms(n, k_steps) == terms
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("k_steps", [1, 2, 9])
+def test_dot_and_matmul_give_the_narrow_front_the_same_bits(n, k_steps):
+    # Narrow batches form their candidates with np.dot, wide ones with
+    # np.matmul; rows replay only if both make the same GEMM.  The operands
+    # are shaped as the engine's: 2 to _NARROW rows of a state history's
+    # interleaved coordinates, times the (2n, 2Kn) real operator matrix.
+    rng = np.random.default_rng(100 * n + k_steps)
+    gemm = rng.standard_normal((2 * n, 2 * k_steps * n))
+    hist = (rng.standard_normal((3 + _NARROW, 2 * n))
+            * np.exp2(rng.integers(-40, 41, size=(1, 2 * n))))
+    for rows in range(2, _NARROW + 1):
+        for src in (0, 3):
+            by_dot, by_matmul = np.empty((2, rows, 2 * k_steps * n))
+            np.dot(hist[src:src + rows], gemm, by_dot)
+            np.matmul(hist[src:src + rows], gemm, out=by_matmul)
+            assert by_dot.tobytes() == by_matmul.tobytes(), (rows, src)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -462,6 +482,38 @@ def test_sampled_endpoints_match_the_exact_law_at_long_horizons(
         sampled = dict(zip(ends.tolist(), counts.tolist()))
         f_sample = np.cumsum([sampled.get(x, 0) for x in support]) / n_traj
         assert np.max(np.abs(f_sample - f_exact)) <= eps
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default_start", "pure_start"])
+@pytest.mark.parametrize("model", [builtin("std_example"), random_isometry_model(31, n=4)],
+                         ids=["std_example", "isometry31_n4"])
+def test_recorded_states_average_to_the_exact_state_law(model, pure):
+    """Averaged over trajectories, the projector recorded after p steps is
+    Phi^p(rho_0), rho_0 the summed blocks of the start.
+
+    Each entry of a projector onto a unit vector has real and imaginary parts
+    in an interval of length 1 ([0, 1] on the diagonal, [-1/2, 1/2] off it),
+    so Hoeffding's bound holds each of the n^2 real parameters of the mean
+    at each horizon within t of its exact value, with false-alarm
+    probability at most 1e-6 per case by the union bound.  The pure start
+    |e_0><e_0| is there for power: from the maximally mixed default start,
+    an engine that records the wrong unit vector (another step's candidate
+    over its own norm) moves the std_example mean by under 0.01."""
+    n_traj, horizons = 1000, (1, 7, 40)
+    n = model.internal_dim
+    start = (point_initial_state(model, np.diag(np.eye(n)[0])) if pure
+             else default_initial_state(model))
+    rho0 = sum(start.blocks.values())
+    superop = build_superop(model)
+    exact = np.array([superop.power_apply(rho0, p) for p in horizons])
+    runs = (sample_trajectory(model, max(horizons), s, initial_state=start)
+            for s in derive_seeds(20260, n_traj))
+    mean = sum(run.states[list(horizons)] for run in runs) / n_traj
+    t = np.sqrt(np.log(2 * len(horizons) * n * n / 1e-6) / (2 * n_traj))
+    upper = np.triu_indices(n)
+    gap = mean[:, upper[0], upper[1]] - exact[:, upper[0], upper[1]]
+    assert np.abs(gap.real).max() <= t
+    assert np.abs(gap.imag).max() <= t
 
 
 # -- standardization and failure modes ----------------------------------------------
