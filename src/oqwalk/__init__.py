@@ -6,177 +6,18 @@ Model definition and validation, structural analysis of the auxiliary map
 function), and seeded quantum-trajectory simulation with exact small-horizon
 cross-checks.
 """
-from .asymptotics import (
-    AsymptoticStats,
-    C2Parameters,
-    KinkRecord,
-    LambdaCurve,
-    RateFunctionTable,
-    asymptotic_stats,
-    c2_parameters,
-    covariance,
-    drift,
-    invariant_state,
-    lambda_curve,
-    log_lambda,
-    rate_function,
-)
-from .errors import (
-    AssumptionError,
-    ConvergenceError,
-    DegenerateStepError,
-    HermiticityError,
-    ModelFormatError,
-    ModelValidationError,
-    MultiplicityError,
-    OQWalkError,
-    PositivityError,
-    SingularRestrictionError,
-    SpectralIndeterminateError,
-    StandardizationError,
-    TraceDriftError,
-    TraceGaugeError,
-)
-from .model import (
-    BUILTIN_NAMES,
-    KrausModel,
-    LatticeState,
-    ValidationReport,
-    builtin,
-    default_initial_state,
-    dump_model,
-    load_initial_state,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    point_initial_state,
-    random_initial_state,
-    state_from_dict,
-    state_to_dict,
-    validate_model,
-)
-from .rng import derive_seed, derive_seeds, mix64, unit_draw
-from .structure import (
-    AlgebraClosure,
-    BNDecomposition,
-    C2Classification,
-    C2MClassification,
-    IrreducibilityReport,
-    MIrreducibility,
-    PeriodData,
-    RegularityReport,
-    algebra_closure,
-    bn_decomposition,
-    c2_m_classifier,
-    classify_c2,
-    is_irreducible_L,
-    is_irreducible_M,
-    is_regular,
-    period,
-)
-from .superop import (
-    SpectralData,
-    Superoperator,
-    apply_M,
-    build_superop,
-    derivative_maps,
-    perron,
-    spectral_radius,
-    weighted_superop,
-)
-from .trajectories import (
-    BatchStatistics,
-    ExactDistribution,
-    MgfReport,
-    Trajectory,
-    batch_statistics,
-    exact_distribution,
-    mgf_check,
-    sample_trajectory,
-    write_batch_csv,
-)
+from . import asymptotics, errors, model, rng, structure, superop, trajectories
+from .asymptotics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .structure import *  # noqa: F403
+from .superop import *  # noqa: F403
+from .trajectories import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraClosure",
-    "AssumptionError",
-    "AsymptoticStats",
-    "BatchStatistics",
-    "BNDecomposition",
-    "BUILTIN_NAMES",
-    "builtin",
-    "C2Classification",
-    "C2MClassification",
-    "C2Parameters",
-    "ConvergenceError",
-    "DegenerateStepError",
-    "ExactDistribution",
-    "HermiticityError",
-    "IrreducibilityReport",
-    "KinkRecord",
-    "KrausModel",
-    "LambdaCurve",
-    "LatticeState",
-    "MgfReport",
-    "MIrreducibility",
-    "ModelFormatError",
-    "ModelValidationError",
-    "MultiplicityError",
-    "OQWalkError",
-    "PeriodData",
-    "PositivityError",
-    "RateFunctionTable",
-    "RegularityReport",
-    "SingularRestrictionError",
-    "SpectralData",
-    "SpectralIndeterminateError",
-    "StandardizationError",
-    "Superoperator",
-    "TraceDriftError",
-    "TraceGaugeError",
-    "Trajectory",
-    "ValidationReport",
-    "algebra_closure",
-    "apply_M",
-    "asymptotic_stats",
-    "batch_statistics",
-    "bn_decomposition",
-    "build_superop",
-    "c2_m_classifier",
-    "c2_parameters",
-    "classify_c2",
-    "covariance",
-    "default_initial_state",
-    "derivative_maps",
-    "derive_seed",
-    "derive_seeds",
-    "drift",
-    "dump_model",
-    "exact_distribution",
-    "invariant_state",
-    "is_irreducible_L",
-    "is_irreducible_M",
-    "is_regular",
-    "lambda_curve",
-    "load_initial_state",
-    "load_model",
-    "log_lambda",
-    "mgf_check",
-    "mix64",
-    "model_from_dict",
-    "model_to_dict",
-    "perron",
-    "period",
-    "point_initial_state",
-    "random_initial_state",
-    "rate_function",
-    "sample_trajectory",
-    "spectral_radius",
-    "state_from_dict",
-    "state_to_dict",
-    "unit_draw",
-    "validate_model",
-    "weighted_superop",
-    "write_batch_csv",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = [name for module in (asymptotics, errors, model, rng, structure, superop,
+                               trajectories)
+           for name in module.__all__]

@@ -216,7 +216,8 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     The axis maps are built once and serve both routes and the corrector
     residual check.  ``route_gap`` is the max-abs difference of the two
     covariance routes; ``drift_fd_gap`` compares the drift against central
-    differences of log lambda_u at h = 1e-5.
+    differences of log lambda_u at h = 1e-5 / max |s_i| over the steps, so
+    that the tilt h * s stays small on walks with long steps.
     """
     rho = invariant_state(model)
     mean = drift(model, rho)
@@ -235,7 +236,7 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
         defect = (eta - build_superop(model).apply(eta)) - (d1_rho[i] - lam1[i] * rho)
         eta_residual = max(eta_residual, float(np.linalg.norm(defect)))
 
-    h = 1e-5
+    h = 1e-5 / max(1, *(abs(c) for s in model.displacements for c in s))
     fd = np.array([(log_lambda(model, h * e) - log_lambda(model, -h * e)) / (2 * h)
                    for e in np.eye(model.lattice_dim)])
     drift_fd_gap = float(np.max(np.abs(fd - mean)))
@@ -349,6 +350,12 @@ class LambdaCurve:
 _KINK_JUMP_TOL = 1e-3
 
 
+def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> int:
+    """Index of the irreducible block on top at tilt ``u``: the largest
+    spectral radius of the blocks' shifted maps, the first of equal ones."""
+    return int(np.argmax([spectral_radius(_shifted_map(b, u)[1]) for b in blocks]))
+
+
 def _block_crossings(model: KrausModel, ts: np.ndarray,
                      direction: np.ndarray) -> list[KinkRecord]:
     """The kinks of a reducible curve: where its top irreducible block changes.
@@ -374,9 +381,6 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
     def radius(block: KrausModel, t: float) -> float:
         return spectral_radius(_shifted_map(block, t * direction)[1])
 
-    def top(t: float) -> int:
-        return int(np.argmax([radius(block, t) for block in blocks]))
-
     def log_slope(block: KrausModel, t: float) -> float:
         h = 1e-5
         return (log_lambda(block, (t + h) * direction)
@@ -396,7 +400,7 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
             else:
                 hi = mid
         u0 = float((lo + hi) / 2)
-        c = top(u0) if len(blocks) > 2 else a
+        c = _top_block(blocks, u0 * direction) if len(blocks) > 2 else a
         if wide and c not in (a, b):
             return crossings(t0, i, u0, c) + crossings(u0, c, t1, j)
         with np.errstate(over="ignore"):
@@ -415,7 +419,7 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
             slope_jump=sr - sl if lam0 < np.inf else np.inf,
         )]
 
-    tops = [top(t) for t in ts]
+    tops = [_top_block(blocks, t * direction) for t in ts]
     kinks: list[KinkRecord] = []
     for k in range(len(ts) - 1):
         if tops[k] != tops[k + 1]:
@@ -683,8 +687,7 @@ def rate_function(model: KrausModel, positions,
         blocks = _irreducible_blocks(model)
 
         def at(u: float):
-            top = max(blocks, key=lambda b: spectral_radius(_shifted_map(b, np.array([u]))[1]))
-            return _log_lambda_derivatives(top, u)
+            return _log_lambda_derivatives(blocks[_top_block(blocks, np.array([u]))], u)
     else:
         # The unread rows: the grid's, and those of the round being served.
         unread = dict(zip(u_grid.tolist(), zip(shifts.tolist(), stack, rows)))

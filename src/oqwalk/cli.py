@@ -5,7 +5,8 @@ All reports are JSON on stdout (sorted keys, fixed indentation) so repeated
 runs are byte-identical; optional --out writes CSV/JSON artifacts.  The
 argparse parser holds every option and, but for the oracle-check tilts, its
 default; the command bodies read the parsed namespace directly and return
-their answer, which ``main`` alone prints and writes.
+their answer as raw values, which ``main`` alone encodes (``model._json_text``
+writes a non-finite number as null), prints and writes.
 
 Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
 
@@ -23,6 +24,7 @@ Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -44,8 +46,8 @@ from .errors import (
 )
 from .model import (
     BUILTIN_NAMES,
+    _csv,
     _json_text,
-    _matrix_to_json,
     _read_document,
     _require_stochastic,
     builtin,
@@ -72,28 +74,10 @@ from .trajectories import (
 )
 
 
-def _vector_json(v) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float)]
-
-
-def _finite_json(x) -> float | None:
-    """A float, or null where it is infinite or NaN (JSON has neither)."""
-    return float(x) if np.isfinite(x) else None
-
-
-def _real_matrix_json(m) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
 def _law_json(law) -> dict | None:
     if law is None:
         return None
-    return {",".join(str(c) for c in s): float(p) for s, p in sorted(law.items())}
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text: the header, then one line of ``repr``'d values per row."""
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    return {",".join(str(c) for c in s): p for s, p in law.items()}
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -124,6 +108,12 @@ def _check_args(args: argparse.Namespace) -> None:
     if "trajectories" in given and args.trajectories < 1:
         raise ModelFormatError(
             f"trajectory count must be >= 1, got {args.trajectories}")
+    for name in ("u_min", "u_max", "x_min", "x_max"):
+        if name in given and not math.isfinite(given[name]):
+            raise ModelFormatError(f"{name} must be finite, got {given[name]}")
+    for u in given.get("tilts") or ():
+        if not math.isfinite(u):
+            raise ModelFormatError(f"tilt must be finite, got {u}")
     if "u_min" in given and not args.u_min < args.u_max:
         raise ModelFormatError(
             f"need u_min < u_max, got [{args.u_min}, {args.u_max}]")
@@ -163,14 +153,14 @@ def _cmd_validate(args: argparse.Namespace):
     model = _resolve_model(args, validate=False)
     report = validate_model(model)
     return 0 if report.is_valid else 3, {
-        "choi_min_eigenvalue": _finite_json(report.choi_min_eigenvalue),
-        "choi_psd": bool(report.choi_psd),
-        "h1_joint_range": bool(report.h1_holds),
-        "h2_non_scalar": bool(report.h2_holds),
+        "choi_min_eigenvalue": report.choi_min_eigenvalue,
+        "choi_psd": report.choi_psd,
+        "h1_joint_range": report.h1_holds,
+        "h2_non_scalar": report.h2_holds,
         "internal_dim": model.internal_dim,
         "lattice_dim": model.lattice_dim,
-        "stochasticity_residual": _finite_json(report.residual),
-        "valid": bool(report.is_valid),
+        "stochasticity_residual": report.residual,
+        "valid": report.is_valid,
     }, {}
 
 
@@ -181,13 +171,10 @@ def _cmd_analyze(args: argparse.Namespace):
 
     irr = is_irreducible_L(model)
     aux: dict = {
-        "irreducible": bool(irr.irreducible),
+        "irreducible": irr.irreducible,
         "closure_dimension": irr.closure_dimension,
         "fixed_point_count": irr.fixed_point_count,
-        "min_fixed_eigenvalue": (
-            None if irr.min_fixed_eigenvalue is None
-            else float(irr.min_fixed_eigenvalue)
-        ),
+        "min_fixed_eigenvalue": irr.min_fixed_eigenvalue,
         "period": None,
         "projections": None,
         "regular": None,
@@ -197,20 +184,20 @@ def _cmd_analyze(args: argparse.Namespace):
         pd = period(model)
         reg = is_regular(model)
         aux["period"] = pd.period
-        aux["projections"] = [_matrix_to_json(p) for p in pd.projections]
-        aux["regular"] = bool(reg.regular)
+        aux["projections"] = pd.projections
+        aux["regular"] = reg.regular
         aux["positivity_onset"] = reg.onset_estimate
     bn = bn_decomposition(model)
     aux["recurrent_dimension"] = bn.recurrent_dimension
     aux["decaying_dimension"] = bn.decaying_dimension
-    aux["recurrent_basis"] = _matrix_to_json(bn.recurrent_basis)
+    aux["recurrent_basis"] = bn.recurrent_basis
 
     mirr = is_irreducible_M(model)
     lattice = {
         "verdict": mirr.verdict,
         "closure_dimension": mirr.closure_dimension,
         "max_length_used": mirr.max_length_used,
-        "witness": None if mirr.witness is None else _matrix_to_json(mirr.witness),
+        "witness": mirr.witness,
     }
 
     two_level = None
@@ -219,7 +206,7 @@ def _cmd_analyze(args: argparse.Namespace):
             cls = classify_c2(model)
             two_level = {
                 "situation": cls.situation,
-                "rays": [_matrix_to_json(r.reshape(-1, 1)) for r in cls.rays],
+                "rays": [r.reshape(-1, 1) for r in cls.rays],
                 "m_irreducible": None,
                 "m_period": None,
                 "reducible_reason": None,
@@ -229,7 +216,7 @@ def _cmd_analyze(args: argparse.Namespace):
         if (two_level is not None and model.lattice_dim == 1
                 and set(model.displacements) == {(1,), (-1,)}):
             mcls = c2_m_classifier(model)
-            two_level["m_irreducible"] = bool(mcls.m_irreducible)
+            two_level["m_irreducible"] = mcls.m_irreducible
             two_level["m_period"] = mcls.m_period
             two_level["reducible_reason"] = mcls.reducible_reason
 
@@ -243,11 +230,11 @@ def _cmd_analyze(args: argparse.Namespace):
         },
         "two_level": two_level,
         "validation": {
-            "choi_min_eigenvalue": float(validation.choi_min_eigenvalue),
-            "h1_joint_range": bool(validation.h1_holds),
-            "h2_non_scalar": bool(validation.h2_holds),
-            "stochasticity_residual": float(validation.residual),
-            "valid": bool(validation.is_valid),
+            "choi_min_eigenvalue": validation.choi_min_eigenvalue,
+            "h1_joint_range": validation.h1_holds,
+            "h2_non_scalar": validation.h2_holds,
+            "stochasticity_residual": validation.residual,
+            "valid": validation.is_valid,
         },
     }, {}
 
@@ -264,12 +251,9 @@ def _stats_with_fallback(model, initial_state):
             stats.covariance,
             "spectral",
             {
-                "covariance_alt": _real_matrix_json(stats.covariance_alt),
-                "eta_basis": [_matrix_to_json(e) for e in stats.eta_basis],
-                "method_residuals": {
-                    k: float(v)
-                    for k, v in sorted(stats.method_residuals.items())
-                },
+                "covariance_alt": stats.covariance_alt,
+                "eta_basis": stats.eta_basis,
+                "method_residuals": stats.method_residuals,
             },
         )
     except MultiplicityError:
@@ -278,12 +262,10 @@ def _stats_with_fallback(model, initial_state):
         params = c2_parameters(model, initial_state)
         extra = {
             "situation": params.situation,
-            "periodic": bool(params.periodic),
+            "periodic": params.periodic,
             "law_a": _law_json(params.law_a),
             "law_b": _law_json(params.law_b),
-            "weight_first": (
-                None if params.weight_first is None else float(params.weight_first)
-            ),
+            "weight_first": params.weight_first,
         }
         return params.mean, params.covariance, "two-level-closed-form", extra
 
@@ -295,44 +277,32 @@ def _cmd_asymptotics(args: argparse.Namespace):
 
     us = np.linspace(args.u_min, args.u_max, args.u_points)
     curves = []
-    lambda_curves = []
+    tables = {}
     for axis in range(model.lattice_dim):
         direction = np.zeros(model.lattice_dim)
         direction[axis] = 1.0
         curve = lambda_curve(model, us, direction)
-        lambda_curves.append(curve)
         curves.append({
             "axis": axis,
-            "u": _vector_json(curve.parameters),
-            "lambda": [_finite_json(v) for v in curve.lambda_values],
-            "log_lambda": _vector_json(curve.log_lambda_values),
-            "degenerate_u": _vector_json(curve.degenerate_parameters),
-            "kinks": [
-                {
-                    "u": k.u,
-                    "lambda_slope_left": _finite_json(k.lambda_slope_left),
-                    "lambda_slope_right": _finite_json(k.lambda_slope_right),
-                    "log_slope_left": k.log_slope_left,
-                    "log_slope_right": k.log_slope_right,
-                    "slope_jump": _finite_json(k.slope_jump),
-                }
-                for k in curve.kinks
-            ],
+            "u": curve.parameters,
+            "lambda": curve.lambda_values,
+            "log_lambda": curve.log_lambda_values,
+            "degenerate_u": curve.degenerate_parameters,
+            "kinks": [vars(k) for k in curve.kinks],  # a KinkRecord's fields
         })
+        tables[f"lambda_curve_axis{axis}.csv"] = _csv(
+            "u,lambda,log_lambda",
+            zip(curve.parameters.tolist(), curve.lambda_values.tolist(),
+                curve.log_lambda_values.tolist()))
 
     summary = {
-        "covariance": None if cov is None else _real_matrix_json(cov),
-        "drift": _vector_json(mean),
+        "covariance": cov,
+        "drift": mean,
         "lambda_curves": curves,
         "method": method,
         **extra,
     }
-    artifacts = {"asymptotics.json": summary}
-    for curve, raw in zip(curves, lambda_curves):
-        artifacts[f"lambda_curve_axis{curve['axis']}.csv"] = _csv(
-            "u,lambda,log_lambda",
-            zip(curve["u"], raw.lambda_values.tolist(), curve["log_lambda"]))
-    return 0, summary, artifacts
+    return 0, summary, {"asymptotics.json": summary, **tables}
 
 
 def _cmd_rate(args: argparse.Namespace):
@@ -342,14 +312,14 @@ def _cmd_rate(args: argparse.Namespace):
         model, xs, u_min=args.u_min, u_max=args.u_max, points=args.u_points,
     )
     summary = {
-        "x_grid": _vector_json(table.x_grid),
-        "rate": [_finite_json(v) for v in table.rate],
-        "maximizers": [_finite_json(u) for u in table.maximizers],
-        "finite": [bool(b) for b in table.finite],
-        "upper_bound_only": bool(table.upper_bound_only),
-        "u_grid": _vector_json(table.u_grid),
-        "log_lambda": _vector_json(table.log_lambda),
-        "kinks": [float(k) for k in table.kinks],
+        "x_grid": table.x_grid,
+        "rate": table.rate,
+        "maximizers": table.maximizers,
+        "finite": table.finite,
+        "upper_bound_only": table.upper_bound_only,
+        "u_grid": table.u_grid,
+        "log_lambda": table.log_lambda,
+        "kinks": table.kinks,
     }
     return 0, summary, {
         "rate_function.json": summary,
@@ -376,15 +346,15 @@ def _cmd_simulate(args: argparse.Namespace):
         initial_state=state, mean=mean, covariance=cov,
     )
     summary = {
-        "covariance": _real_matrix_json(cov),
-        "drift": _vector_json(mean),
-        "ks_distance": float(batch.ks_distance),
-        "mean_standardized": _vector_json(batch.mean_standardized),
+        "covariance": cov,
+        "drift": mean,
+        "ks_distance": batch.ks_distance,
+        "mean_standardized": batch.mean_standardized,
         "method": method,
         "n_steps": batch.n_steps,
         "n_traj": batch.n_traj,
         "root_seed": batch.root_seed,
-        "variance_standardized": _vector_json(batch.variance_standardized),
+        "variance_standardized": batch.variance_standardized,
     }
     import io  # loaded at interpreter start-up already
 
@@ -413,7 +383,7 @@ def _cmd_oracle_check(args: argparse.Namespace):
             status = "ok" if ok else "FAIL"
             lines.append(f"{status} mgf p={p} u={u_scalar} gap={gap:.3e}")
             checks.append({
-                "check": "mgf", "p": p, "u": u_scalar, "gap": float(gap), "ok": ok,
+                "check": "mgf", "p": p, "u": u_scalar, "gap": gap, "ok": ok,
             })
 
     for p in range(1, min(args.steps, 10) + 1):
@@ -426,7 +396,7 @@ def _cmd_oracle_check(args: argparse.Namespace):
         status = "ok" if ok else "FAIL"
         lines.append(f"{status} distribution p={p} tv_gap={gap:.3e}")
         checks.append({
-            "check": "distribution", "p": p, "gap": float(gap), "ok": ok,
+            "check": "distribution", "p": p, "gap": gap, "ok": ok,
         })
 
     lines.append("PASS" if failures == 0 else f"FAIL ({failures} checks)")
@@ -512,10 +482,12 @@ def main(argv=None) -> int:
         if out is not None:
             Path(out).mkdir(parents=True, exist_ok=True)
         code, report, artifacts = args.func(args)
+        text = _text(report)
         if out is not None:
             for name, content in artifacts.items():
-                Path(out, name).write_text(_text(content))
-        print(_text(report), end="")
+                # The report is often an artifact too: encode it once.
+                Path(out, name).write_text(text if content is report else _text(content))
+        print(text, end="")
         sys.stdout.flush()
     except OQWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,23 @@ Each class carries the CLI's process exit code for it as ``exit_code``; the
 table of codes is in ``oqwalk.cli``.
 """
 
+__all__ = [
+    "OQWalkError",
+    "ModelFormatError",
+    "ModelValidationError",
+    "AssumptionError",
+    "HermiticityError",
+    "TraceGaugeError",
+    "SingularRestrictionError",
+    "SpectralIndeterminateError",
+    "PositivityError",
+    "MultiplicityError",
+    "ConvergenceError",
+    "DegenerateStepError",
+    "TraceDriftError",
+    "StandardizationError",
+]
+
 
 class OQWalkError(Exception):
     """Base class for every error raised by this package."""

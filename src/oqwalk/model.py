@@ -9,6 +9,7 @@ site ``i`` is the trace of its block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from pathlib import Path
@@ -223,16 +224,40 @@ def _require_stochastic(report: ValidationReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  Complex numbers are {"re": float, "im": float} objects;
+# JSON and CSV text.  Complex numbers are {"re": float, "im": float} objects;
 # matrices are row-major nested lists; nothing is normalized on load.
 # ---------------------------------------------------------------------------
 
-def _c_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+def _jsonable(obj):
+    """``obj`` in JSON's data model: arrays become (nested) lists, complex
+    numbers ``{"re", "im"}`` objects, numpy scalars Python scalars, and every
+    float that is not finite ``None`` (JSON has no NaN or infinity).  An
+    array's dtype decides: a complex array writes objects even where its
+    imaginary parts are zero."""
+    if isinstance(obj, float):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, np.generic):
+        return _jsonable(obj.item())
+    return obj
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_c_to_json(z) for z in row] for row in np.asarray(m, dtype=complex)]
+def _json_text(obj) -> str:
+    """The one JSON text format of reports, artifacts and model documents."""
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """The one CSV text format: the header, then one line of ``repr``'d values
+    per row."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _expect_key(obj: dict, key: str, path: str):
@@ -292,7 +317,7 @@ def model_to_dict(model: KrausModel) -> dict:
         "lattice_dim": model.lattice_dim,
         "internal_dim": model.internal_dim,
         "steps": [
-            {"displacement": list(s), "matrix": _matrix_to_json(op)}
+            {"displacement": list(s), "matrix": _jsonable(op)}
             for s, op in zip(model.displacements, model.operators)
         ],
     }
@@ -340,11 +365,6 @@ def _read_document(path: str | Path):
         ) from exc
 
 
-def _json_text(obj) -> str:
-    """The one JSON text format of reports, artifacts and model documents."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def load_model(path: str | Path) -> KrausModel:
     """Load and validate a model document; parse errors carry line/field context."""
     return model_from_dict(_read_document(path))
@@ -357,7 +377,7 @@ def dump_model(model: KrausModel, path: str | Path) -> None:
 def state_to_dict(state: LatticeState) -> dict:
     return {
         "sites": [
-            {"position": list(pos), "block": _matrix_to_json(state.blocks[pos])}
+            {"position": list(pos), "block": _jsonable(state.blocks[pos])}
             for pos in state.positions
         ]
     }

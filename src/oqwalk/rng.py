@@ -23,6 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "mix64",
+    "derive_seed",
+    "derive_seeds",
+    "unit_draw",
+]
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xFF51AFD7ED558CCD

@@ -43,7 +43,6 @@ from the same propagator, cross-checked against the tilted map's p-th power.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from .errors import (
     StandardizationError,
     TraceDriftError,
 )
-from .model import KrausModel, LatticeState, default_initial_state
+from .model import KrausModel, LatticeState, _csv, default_initial_state
 from .rng import derive_seeds, unit_draws_array
 from .superop import _shifted_map, apply_M
 
@@ -561,18 +560,11 @@ def batch_statistics(model: KrausModel, n_steps: int, n_traj: int, seed: int,
 def write_batch_csv(batch: BatchStatistics, fileobj) -> None:
     """Write per-trajectory rows: index, seed, final position, standardized."""
     d = batch.finals.shape[1]
-    writer = csv.writer(fileobj, lineterminator="\n")
-    header = (
-        ["index", "seed"]
-        + [f"x_final_{i}" for i in range(d)]
-        + [f"standardized_{i}" for i in range(d)]
-    )
-    writer.writerow(header)
-    for i in range(batch.n_traj):
-        row = [str(i), str(int(batch.stream_seeds[i]))]
-        row += [str(int(val)) for val in batch.finals[i]]
-        row += [repr(float(val)) for val in batch.standardized[i]]
-        writer.writerow(row)
+    header = ",".join(["index", "seed", *(f"x_final_{i}" for i in range(d)),
+                       *(f"standardized_{i}" for i in range(d))])
+    rows = zip(range(batch.n_traj), batch.stream_seeds.tolist(),
+               batch.finals.tolist(), batch.standardized.tolist())
+    fileobj.write(_csv(header, ([i, seed, *x, *z] for i, seed, x, z in rows)))
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,12 @@ it, ``rate`` on a three-level direct sum whose blocks have different drifts,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails, ``asymptotics``
 on a 2-D walk, initial-state documents, every range check, input and output
-paths that cannot be read or written, argparse errors and ``--help``.
+paths that cannot be read or written, non-finite numeric arguments,
+an ``oracle-check`` whose moments underflow, argparse errors and ``--help``.
+
+Every ``.json`` artifact and every stdout that parses as JSON must be
+standard JSON: a ``NaN`` or ``Infinity`` token stops the sweep with the
+invocation's name.
 
 Usage, from the repository root::
 
@@ -146,6 +151,13 @@ EXTRA = (
     "asymptotics --builtin std_example --u-min 1 --u-max 0 --u-points 1",
     "rate --builtin std_example --x-min 1 --x-max 0 --x-points 0",
     "simulate --model {docs}/missing.json -P 0",
+    # Non-finite numbers, which argparse's float accepts.
+    "asymptotics --builtin std_example --u-min -1 --u-max inf --u-points 3",
+    "rate --builtin std_example --u-min=-1 --u-max=inf",
+    "rate --builtin std_example --x-max=inf --x-points 3",
+    "oracle-check --builtin std_example -P 2 -u inf",
+    # Both scaled moments underflow from p = 103 on: 13 gaps written as null.
+    "oracle-check --builtin classical_dilation --p 0.001 -P 115 -u 50 --out {out}",
     # Paths that cannot be read or written, and a document that is not UTF-8.
     "rate --builtin std_example --out {docs}/n4_31.json",
     "validate --model {docs}",
@@ -201,6 +213,26 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _NonStandardJSON(Exception):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token; not a ``ValueError``,
+    so that it passes through ``json.loads``."""
+
+
+def _refuse_constant(name: str):
+    raise _NonStandardJSON(name)
+
+
+def _require_standard_json(template: str, what: str, text: str) -> None:
+    """Stop the sweep if ``text`` holds a non-standard JSON constant; text
+    that is not JSON at all (help, ``oracle-check`` lines, nothing) passes."""
+    try:
+        json.loads(text, parse_constant=_refuse_constant)
+    except _NonStandardJSON as exc:
+        sys.exit(f"oqwalk {template}: {what} holds non-standard JSON ({exc})")
+    except json.JSONDecodeError:
+        pass
+
+
 def run_one(template: str, doc_dir: Path, work: Path) -> dict:
     """Run one invocation; its ``--out`` directory is a fresh one under ``work``."""
     out_dir = Path(tempfile.mkdtemp(dir=work))
@@ -224,8 +256,14 @@ def run_one(template: str, doc_dir: Path, work: Path) -> dict:
             text = text.replace(path, key)
         return text.encode()
 
-    files = {p.relative_to(out_dir).as_posix(): _sha(clean(p.read_text()))
-             for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    _require_standard_json(template, "stdout", stdout.getvalue())
+    files = {}
+    for p in sorted(out_dir.rglob("*")):
+        if p.is_file():
+            name, text = p.relative_to(out_dir).as_posix(), p.read_text()
+            if p.suffix == ".json":
+                _require_standard_json(template, name, text)
+            files[name] = _sha(clean(text))
     return {"exit": code, "stdout": _sha(clean(stdout.getvalue())),
             "stderr": _sha(clean(stderr.getvalue())), "files": files}
 

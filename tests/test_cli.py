@@ -264,6 +264,9 @@ def test_asymptotics_and_simulate_answer_a_step_of_ten_to_the_thirty(tmp_path, c
     assert doc["drift"][0] == pytest.approx(6.915771041501843e29, rel=1e-12)
     (cov,), (cov_alt,) = doc["covariance"], doc["covariance_alt"]
     assert cov[0] == pytest.approx(cov_alt[0], rel=1e-12)
+    # The finite-difference step is scaled by the longest step; at h = 1e-5
+    # the gap read 28 % of the drift.
+    assert doc["method_residuals"]["drift_fd_gap"] <= 1e-9 * doc["drift"][0]
     assert main(["simulate", "--model", str(path)]) == 3
     assert "positions must stay below 2^62" in capsys.readouterr().err
 
@@ -370,6 +373,14 @@ def test_simulate_rejects_nonpositive_step_counts(capsys):
     (["simulate", "-P", "0", "-N", "0", "--seed", "-1"], "step count must be >= 1, got 0"),
     (["rate", "--u-min", "2", "--u-max", "1", "--u-points", "2", "--x-points", "0"],
      "need u_min < u_max, got [2.0, 1.0]"),
+    # non-finite numbers, which argparse's float accepts
+    (["asymptotics", "--u-min", "-1", "--u-max", "inf", "--u-points", "3"],
+     "u_max must be finite, got inf"),
+    (["rate", "--u-min=-1", "--u-max=inf"], "u_max must be finite, got inf"),
+    (["rate", "--x-max=inf", "--x-points", "3"], "x_max must be finite, got inf"),
+    (["rate", "--x-min=-inf"], "x_min must be finite, got -inf"),
+    (["asymptotics", "--u-min", "nan"], "u_min must be finite, got nan"),
+    (["oracle-check", "-P", "2", "-u", "inf"], "tilt must be finite, got inf"),
 ])
 def test_out_of_range_arguments_are_format_errors(argv, message, capsys):
     assert main([argv[0], "--builtin", "std_example", *argv[1:]]) == 2
@@ -588,6 +599,19 @@ def test_oracle_check_fails_an_underflowing_moment_check(capsys):
     assert lines[0].startswith("ok mgf p=1 ")
     assert "FAIL mgf p=160 u=40.0 gap=nan" in lines
     assert lines[-1] == "FAIL (7 checks)"
+
+
+def test_oracle_check_writes_an_underflowed_gap_as_null(tmp_path, capsys):
+    # From p = 103 on both scaled moments underflow, and the gap is NaN.
+    out = tmp_path / "oracle"
+    code = main(["oracle-check", "--builtin", "classical_dilation", "--p", "0.001",
+                 "-P", "115", "-u", "50", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out.endswith("FAIL (13 checks)\n")
+    text = (out / "oracle_check.json").read_text()
+    report = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    assert text.count('"gap": null') == 13
+    assert [c["p"] for c in report["checks"] if c["gap"] is None] == list(range(103, 116))
 
 
 def test_oracle_check_writes_its_report(tmp_path, capsys):

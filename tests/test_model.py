@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oqwalk
 from oqwalk import (
     BUILTIN_NAMES,
     KrausModel,
@@ -25,6 +26,7 @@ from oqwalk import (
     state_to_dict,
     validate_model,
 )
+from oqwalk.model import _json_text
 from model_zoo import (
     NN_STEPS,
     broken_scaled_model,
@@ -178,6 +180,24 @@ def test_a_nan_residual_fails_the_stochasticity_gate():
         model_from_dict(obj)
 
 
+def test_json_codec_writes_numpy_values_as_standard_json():
+    text = _json_text({
+        "floats": [float("nan"), np.inf, -np.inf, np.float64(0.5)],
+        "flags": [np.bool_(True), np.bool_(False)],
+        "count": np.int64(7),
+        "real": np.array([[1.0, np.nan], [-np.inf, 2.5]]),
+        "complex": np.array([1 + 2j, np.inf - 0.5j]),
+    })
+    assert json.loads(text, parse_constant=lambda name: pytest.fail(name)) == {
+        "floats": [None, None, None, 0.5],
+        "flags": [True, False],
+        "count": 7,
+        "real": [[1.0, None], [None, 2.5]],
+        "complex": [{"re": 1.0, "im": 2.0}, {"re": None, "im": -0.5}],
+    }
+    assert '"count": 7,' in text and '"flags": [\n    true,' in text
+
+
 def test_complex_entries_use_re_im_objects(std_model):
     obj = model_to_dict(std_model)
     entry = obj["steps"][0]["matrix"][0][0]
@@ -292,3 +312,18 @@ def test_builtins_match_their_published_entries(std_model, periodic_model):
         [[0, s3 / 2], [1 / np.sqrt(2), 0]],
         atol=1e-15,
     )
+
+
+# ---------------------------------------------------------------------------
+# Package
+# ---------------------------------------------------------------------------
+
+def test_package_names_are_the_union_of_the_module_lists():
+    modules = (oqwalk.asymptotics, oqwalk.errors, oqwalk.model, oqwalk.rng,
+               oqwalk.structure, oqwalk.superop, oqwalk.trajectories)
+    names = oqwalk.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(oqwalk, name) is getattr(module, name), name
