@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DERIVED_POSITIVITY_TOL, PROJECTION_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -177,7 +178,7 @@ def _covariance_from_terms(axes, g, what: str) -> np.ndarray:
         c[i, i] = (second[i, i] + 2 * g[i][i]) - lam1[i]**2
         for j in range(i):
             c[i, j] = c[j, i] = (second[i, j] + (g[i][j] + g[j][i])) - lam1[i] * lam1[j]
-    report = psd_check(c.astype(complex), tol=1e-8)
+    report = psd_check(c.astype(complex), DERIVED_POSITIVITY_TOL)
     if not report.is_psd:
         raise PositivityError(
             f"{what} is not positive semidefinite "
@@ -347,7 +348,18 @@ class LambdaCurve:
     degenerate_parameters: tuple[float, ...]
 
 
-_KINK_JUMP_TOL = 1e-3
+def _closed(a: float, b: float) -> bool:
+    """Is the bracket [a, b] closed to 1e-13 relative?  A NaN one is, so a
+    bisection on it stops."""
+    return not b - a > 1e-13 * max(1.0, abs(a), abs(b))
+
+
+def _convex(values: np.ndarray) -> bool:
+    """Are equally spaced samples convex to rounding, no second difference
+    below -1e-8 max(1, max |values|)?  Fewer than three samples, or NaN, pass."""
+    second = values[2:] - 2 * values[1:-1] + values[:-2]
+    return not (second.size
+                and np.min(second) < -1e-8 * max(1.0, float(np.max(np.abs(values)))))
 
 
 def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> int:
@@ -386,14 +398,11 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
         return (log_lambda(block, (t + h) * direction)
                 - log_lambda(block, (t - h) * direction)) / (2 * h)
 
-    def open_cell(lo: float, hi: float) -> bool:
-        return hi - lo > 1e-13 * max(1.0, abs(lo), abs(hi))
-
     def crossings(t0: float, i: int, t1: float, j: int) -> list[KinkRecord]:
         """The kinks between grid-ordered ends t0 (top block i) and t1 (top j)."""
         lo, hi, a, b = (t0, t1, i, j) if t0 < t1 else (t1, t0, j, i)
-        wide = open_cell(lo, hi)
-        while open_cell(lo, hi):
+        wide = not _closed(lo, hi)
+        while not _closed(lo, hi):
             mid = (lo + hi) / 2
             if radius(blocks[a], mid) >= radius(blocks[b], mid):
                 lo = mid
@@ -407,7 +416,7 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
             log_lam0 = log_lambda(blocks[a], u0 * direction)
             lam0, inv_lam0 = float(np.exp(log_lam0)), float(np.exp(-log_lam0))
         left, right = log_slope(blocks[a], u0), log_slope(blocks[b], u0)
-        if right - left <= _KINK_JUMP_TOL * max(inv_lam0, abs(left), abs(right)):
+        if right - left <= 1e-3 * max(inv_lam0, abs(left), abs(right)):
             return []
         sl, sr = lam0 * left, lam0 * right
         return [KinkRecord(
@@ -556,7 +565,7 @@ def _newton_max(c, x: float, a: float, u: float, b: float) -> NewtonRun:
     """
     tol = 1e-12 * max(1.0, abs(x))
     for _ in range(100):
-        if b - a <= 1e-13 * max(1.0, abs(a), abs(b)):
+        if _closed(a, b):
             u = (a + b) / 2
             return float(u * x - c(u)), float(u)
         point = yield u
@@ -671,11 +680,8 @@ def rate_function(model: KrausModel, positions,
             "trace preserving to tolerance"
         )
 
-    # c is a limit of convex functions, so its sampled second differences
-    # may dip below zero only by rounding.
-    second_c = log_grid[2:] - 2 * log_grid[1:-1] + log_grid[:-2]
-    if second_c.size and np.min(second_c) < -1e-8 * max(
-            1.0, float(np.max(np.abs(log_grid)))):
+    # c is a limit of convex functions.
+    if not _convex(log_grid):
         raise ConvergenceError(
             "log lambda_u sampled on the window is not convex; tilted "
             "spectral data is unreliable here"
@@ -775,11 +781,8 @@ def rate_function(model: KrausModel, positions,
     finite = np.isfinite(values)
 
     # Convexity sanity on the finite part (equally spaced grids only).
-    fin = values[finite]
-    if len(fin) >= 3 and len(set(np.round(np.diff(xs), 12))) == 1:
-        second = fin[2:] - 2 * fin[1:-1] + fin[:-2]
-        if np.min(second) < -1e-8 * max(1.0, np.max(np.abs(fin))):
-            raise ConvergenceError("rate-function values violate convexity")
+    if len(set(np.round(np.diff(xs), 12))) == 1 and not _convex(values[finite]):
+        raise ConvergenceError("rate-function values violate convexity")
     return RateFunctionTable(
         x_grid=xs,
         rate=values,
@@ -854,23 +857,15 @@ def c2_parameters(model: KrausModel,
             )
         f1 = _projection_ray(pd.projections[0])
         f2 = _projection_ray(pd.projections[1])
-        law_a = {
-            s: float(abs(f2.conj() @ op @ f1) ** 2)
-            for s, op in zip(model.displacements, model.operators)
-        }
-        law_b = {
-            s: float(abs(f1.conj() @ op @ f2) ** 2)
-            for s, op in zip(model.displacements, model.operators)
-        }
+        terms = list(zip(model.displacements, model.operators))
+        law_a = {s: float(abs(f2.conj() @ op @ f1) ** 2) for s, op in terms}
+        law_b = {s: float(abs(f1.conj() @ op @ f2) ** 2) for s, op in terms}
         ma, va = _law_moments(law_a, d)
         mb, vb = _law_moments(law_b, d)
         return C2Parameters(1, True, (ma + mb) / 2, (va + vb) / 2, law_a, law_b, None)
 
     if cls.situation == 2:
-        law_a = {
-            s: float(abs(a) ** 2)
-            for s, a in zip(model.displacements, cls.alpha)
-        }
+        law_a = {s: float(abs(a) ** 2) for s, a in zip(model.displacements, cls.alpha)}
         mean, cov = _law_moments(law_a, d)
         return C2Parameters(2, False, mean, cov, law_a, None, None)
 
@@ -882,9 +877,8 @@ def c2_parameters(model: KrausModel,
     if initial_state is None:
         initial_state = default_initial_state(model)
     ray = cls.rays[0]
-    weight = 0.0
-    for block in initial_state.blocks.values():
-        weight += float((ray.conj() @ block @ ray).real)
+    weight = sum(float((ray.conj() @ block @ ray).real)
+                 for block in initial_state.blocks.values())
     mean = weight * ma + (1 - weight) * mb
     if (np.allclose(ma, mb, atol=1e-12)
             or weight <= 1e-12 or weight >= 1 - 1e-12):
@@ -898,6 +892,6 @@ def c2_parameters(model: KrausModel,
 
 def _projection_ray(p: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(p)
-    if abs(vals[-1] - 1.0) > 1e-8 or int(np.sum(vals > 0.5)) != 1:
+    if abs(vals[-1] - 1.0) > PROJECTION_TOL or int(np.sum(vals > 0.5)) != 1:
         raise AssumptionError("cyclic projection is not rank one")
     return vecs[:, -1]

@@ -36,6 +36,7 @@ from .asymptotics import (
     lambda_curve,
     rate_function,
 )
+from .config import ORACLE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -128,6 +129,8 @@ def _check_args(args: argparse.Namespace) -> None:
             f"velocity grid needs at least 1 point, got {args.x_points}")
     if "seed" in given and not 0 <= args.seed <= 2**64 - 1:
         raise ModelFormatError(f"seed must fit in 64 bits, got {args.seed}")
+    if args.bias is not None and args.builtin != "classical_dilation":
+        raise ModelFormatError("--p applies to --builtin classical_dilation only")
 
 
 def _resolve_model(args: argparse.Namespace, validate: bool = True):
@@ -366,10 +369,7 @@ def _cmd_simulate(args: argparse.Namespace):
 def _cmd_oracle_check(args: argparse.Namespace):
     model = _resolve_model(args)
     state = _resolve_state(args, model)
-    failures = 0
-    checks = []
-    lines = []
-
+    checks, lines = [], []
     for p in range(1, args.steps + 1):
         for u_scalar in args.tilts or _DEFAULT_TILTS:
             u = np.zeros(model.lattice_dim)
@@ -378,27 +378,17 @@ def _cmd_oracle_check(args: argparse.Namespace):
                 gap = mgf_check(model, u, p, initial_state=state).relative_gap
             except ConvergenceError:  # both scaled moments underflowed
                 gap = float("nan")
-            ok = gap <= 1e-10
-            failures += 0 if ok else 1
-            status = "ok" if ok else "FAIL"
-            lines.append(f"{status} mgf p={p} u={u_scalar} gap={gap:.3e}")
-            checks.append({
-                "check": "mgf", "p": p, "u": u_scalar, "gap": gap, "ok": ok,
-            })
-
+            ok = gap <= ORACLE_TOL
+            lines.append(f"{'ok' if ok else 'FAIL'} mgf p={p} u={u_scalar} gap={gap:.3e}")
+            checks.append({"check": "mgf", "p": p, "u": u_scalar, "gap": gap, "ok": ok})
     for p in range(1, min(args.steps, 10) + 1):
-        try:
-            dist = exact_distribution(model, p, initial_state=state)
-            gap, ok = dist.tv_gap, dist.tv_gap <= 1e-10
+        try:  # raises wherever the two routes' gap misses ORACLE_TOL
+            gap, ok = exact_distribution(model, p, initial_state=state).tv_gap, True
         except ConvergenceError:
             gap, ok = float("nan"), False
-        failures += 0 if ok else 1
-        status = "ok" if ok else "FAIL"
-        lines.append(f"{status} distribution p={p} tv_gap={gap:.3e}")
-        checks.append({
-            "check": "distribution", "p": p, "gap": gap, "ok": ok,
-        })
-
+        lines.append(f"{'ok' if ok else 'FAIL'} distribution p={p} tv_gap={gap:.3e}")
+        checks.append({"check": "distribution", "p": p, "gap": gap, "ok": ok})
+    failures = sum(not check["ok"] for check in checks)
     lines.append("PASS" if failures == 0 else f"FAIL ({failures} checks)")
     return (0 if failures == 0 else 3, "\n".join(lines) + "\n",
             {"oracle_check.json": {"checks": checks, "failures": failures}})

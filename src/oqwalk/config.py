@@ -1,17 +1,41 @@
-"""Numerical thresholds shared by more than one gate.
+"""The one table of named numerical thresholds.
 
-Each gate reads the constant it needs directly. A threshold that only one
-function uses stays a literal in that function. A threshold that callers
-really vary is a parameter of that call, e.g. ``psd_check(tol=...)``.
+A threshold is named here when two or more sites decide the same question
+with it, so they cannot drift apart; a threshold of one site stays a literal
+there, and a comparison that repeats whole is one predicate.  Gates read
+these names directly.
 """
 
-#: Smallest eigenvalue ``psd_check`` accepts by default, as ``-POSITIVITY_TOL``.
-#: It gates the Choi matrix in ``validate_model`` and lattice-state blocks.
+#: Least eigenvalue of a PSD input: the Choi matrix, each ``LatticeState`` block.
 POSITIVITY_TOL = 1e-10
+
+#: Least eigenvalue of a computed PSD matrix: ``project_to_state``'s clip and
+#: the CLT covariance.
+DERIVED_POSITIVITY_TOL = 1e-8
 
 #: Relative eigen-residual bound of ``eigendecompose`` and ``perron``.
 RESIDUAL_TOL = 1e-9
 
-#: Largest stochasticity residual ``||sum_s L_s^dag L_s - Id||_F`` a valid
-#: model may have (``ValidationReport.is_valid`` and ``model_from_dict``).
+#: Largest stochasticity residual of a valid model (``is_valid``, ``model_from_dict``).
 STOCHASTICITY_TOL = 1e-10
+
+#: Distance of an untilted eigenvalue to 1 or to a root of unity: the fixed
+#: points, the peripheral spectrum and the primitive root of ``period``.
+UNIT_CIRCLE_TOL = 1e-8
+
+#: Least eigenvalue of a strictly positive trace-one state: the faithful fixed
+#: point of ``is_irreducible_L``, the positivity onset of ``is_regular``.
+FAITHFUL_TOL = 1e-8
+
+#: Largest residual of a synthesized projection (``period``, ``c2_parameters``)
+#: and of the recurrent subspace's invariance (``bn_decomposition``).
+PROJECTION_TOL = 1e-8
+
+#: Relative norm below which a candidate adds no direction to an operator span.
+SPAN_TOL = 1e-9
+
+#: Largest drift from 1 of a step's probability total, alike in both engine tails.
+DRIFT_TOL = 1e-9
+
+#: Largest gap between two exact oracle routes (``exact_distribution``, ``oracle-check``).
+ORACLE_TOL = 1e-10

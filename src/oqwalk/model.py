@@ -17,9 +17,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import STOCHASTICITY_TOL
+from .config import POSITIVITY_TOL, STOCHASTICITY_TOL
 from .errors import ModelFormatError, ModelValidationError
-from .numerics import choi_matrix, frob, kraus_products, psd_check
+from .numerics import _nonscalar, choi_matrix, frob, kraus_products, psd_check
 from .rng import MASK64, unit_draw
 
 __all__ = [
@@ -146,10 +146,13 @@ class LatticeState:
                     f"block at {pos} has shape {b.shape}, expected ({dim}, {dim})"
                 )
             if check:
+                # psd_check passes a NaN block, so finiteness comes first.
+                if not np.isfinite(b).all():
+                    raise ModelValidationError(f"block at {pos} has a non-finite entry")
                 # Overflowing entries give NaN or inf, which fail the PSD or
                 # the trace gate; numpy need not warn on the way.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    report = psd_check((b + b.conj().T) / 2)
+                    report = psd_check((b + b.conj().T) / 2, POSITIVITY_TOL)
                     total += float(np.trace(b).real)
                 if not report.is_psd:
                     raise ModelValidationError(
@@ -199,13 +202,8 @@ def validate_model(model: KrausModel) -> ValidationReport:
         stacked = np.hstack(list(model.operators))
         svals = np.linalg.svd(stacked, compute_uv=False)
         h1 = bool(np.sum(svals > 1e-10) == n)
-        h2 = False
-        for op in model.operators:
-            scalar_part = (np.trace(op) / n) * np.eye(n)
-            if frob(op - scalar_part) > 1e-10:
-                h2 = True
-                break
-        report = psd_check(choi_matrix(model.operators))
+        h2 = any(_nonscalar(op) for op in model.operators)
+        report = psd_check(choi_matrix(model.operators), POSITIVITY_TOL)
     return ValidationReport(
         residual=float(residual),
         h1_holds=h1,

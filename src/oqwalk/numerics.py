@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import POSITIVITY_TOL, RESIDUAL_TOL
+from .config import DERIVED_POSITIVITY_TOL, RESIDUAL_TOL
 from .errors import (
     AssumptionError,
     HermiticityError,
@@ -70,6 +70,12 @@ def unvec(vector: np.ndarray, n: int | None = None) -> np.ndarray:
 
 def frob(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix))
+
+
+def _nonscalar(op: np.ndarray) -> bool:
+    """Is ``op`` farther than 1e-10 from (tr op / n) I?  NaN counts as scalar."""
+    n = op.shape[0]
+    return frob(op - (np.trace(op) / n) * np.eye(n)) > 1e-10
 
 
 def kraus_products(operators: np.ndarray) -> np.ndarray:
@@ -230,12 +236,12 @@ class PsdReport:
     min_eigenvalue: float
 
 
-def psd_check(matrix: np.ndarray, tol: float = POSITIVITY_TOL) -> PsdReport:
+def psd_check(matrix: np.ndarray, tol: float) -> PsdReport:
     """Check positive semidefiniteness of a Hermitian matrix.
 
-    The matrix must be Hermitian within ``tol`` relative to its norm (raises
-    :class:`HermiticityError` otherwise); ``is_psd`` holds iff the minimum
-    eigenvalue is >= ``-tol``.
+    The matrix must be Hermitian within ``tol`` (a ``config`` name) relative
+    to its norm (raises :class:`HermiticityError` otherwise); ``is_psd``
+    holds iff the minimum eigenvalue is >= ``-tol``.
     """
     m = np.asarray(matrix, dtype=complex)
     defect = frob(m - m.conj().T)
@@ -253,10 +259,11 @@ def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
     """Turn an approximately-PSD eigenvector matrix into a bona fide density matrix.
 
     Hermitizes, flips the overall sign so the trace is positive, clips
-    eigenvalues in ``[-1e-8, 0)`` to zero (raising :class:`PositivityError`
-    below ``-1e-8``), and renormalizes to unit trace.  A ``(T, n, n)`` stack
-    is projected matrix by matrix with one stacked ``eigh``; the error
-    raised is that of the first matrix to fail the earliest check.
+    eigenvalues in ``[-DERIVED_POSITIVITY_TOL, 0)`` to zero (raising
+    :class:`PositivityError` below it), and renormalizes to unit trace.  A
+    ``(T, n, n)`` stack is projected matrix by matrix with one stacked
+    ``eigh``; the error raised is that of the first matrix to fail the
+    earliest check.
     """
     m = np.asarray(matrix, dtype=complex)
     stack = m.reshape((-1,) + m.shape[-2:])
@@ -272,10 +279,9 @@ def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
     h = h / tr[:, None, None]
     w, v = np.linalg.eigh(h)
     for low in w[:, 0].tolist():
-        if low < -1e-8:
-            raise PositivityError(
-                f"{what} eigenvector has negative part {low:.3e} beyond 1.0e-08"
-            )
+        if low < -DERIVED_POSITIVITY_TOL:
+            raise PositivityError(f"{what} eigenvector has negative part {low:.3e} "
+                                  f"beyond {DERIVED_POSITIVITY_TOL:.1e}")
     w = np.where(w < 0, 0.0, w)
     h = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)
     tr = np.array([x.trace().real for x in h])

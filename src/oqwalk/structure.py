@@ -15,13 +15,14 @@ from math import gcd
 
 import numpy as np
 
+from .config import FAITHFUL_TOL, PROJECTION_TOL, SPAN_TOL, UNIT_CIRCLE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
     SpectralIndeterminateError,
 )
 from .model import KrausModel, _kept, validate_model
-from .numerics import EigenSystem, eigendecompose, frob, unvec, vec
+from .numerics import EigenSystem, _nonscalar, eigendecompose, frob, unvec, vec
 from .superop import build_superop
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
     "C2MClassification",
     "c2_m_classifier",
 ]
-
-# Relative tolerance for "this candidate adds a new direction" during
-# Gram-Schmidt growth of operator spans.
-_SPAN_TOL = 1e-9
 
 
 class _OperatorSpan:
@@ -77,7 +74,7 @@ class _OperatorSpan:
             return False
         v = vec(candidate)
         norm0 = np.linalg.norm(v)
-        if norm0 <= _SPAN_TOL:
+        if norm0 <= SPAN_TOL:
             return False
         # Two rounds of projection: classical Gram-Schmidt done twice is
         # numerically equivalent to the modified variant.
@@ -85,7 +82,7 @@ class _OperatorSpan:
         for _ in range(2):
             v = v - (basis @ v.conj()).conj() @ basis
         norm1 = np.linalg.norm(v)
-        if norm1 <= _SPAN_TOL * norm0:
+        if norm1 <= SPAN_TOL * norm0:
             return False
         self._rows[self._count] = v / norm1
         self._count += 1
@@ -116,7 +113,7 @@ def algebra_closure(operators) -> AlgebraClosure:
     if not gens:
         raise ValueError("algebra_closure needs at least one generator")
     n = gens[0].shape[0]
-    gens = [g for g in gens if frob(g) > _SPAN_TOL]
+    gens = [g for g in gens if frob(g) > SPAN_TOL]
     span = _OperatorSpan(n, gens)
 
     rounds = 0
@@ -171,8 +168,8 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
     read-only."""
     es = eigendecompose(build_superop(model).matrix)
     dist = np.abs(es.values - 1.0)
-    fixed = np.flatnonzero(dist <= 1e-8)
-    ambiguous = np.flatnonzero((dist > 1e-8) & (dist < 1e-7))
+    fixed = np.flatnonzero(dist <= UNIT_CIRCLE_TOL)
+    ambiguous = np.flatnonzero((dist > UNIT_CIRCLE_TOL) & (dist < 1e-7))
     if ambiguous.size:
         raise SpectralIndeterminateError(
             "eigenvalues sit inside the fixed-point decision band (1e-8, 1e-7); "
@@ -211,12 +208,12 @@ def is_irreducible_L(model: KrausModel) -> IrreducibilityReport:
     route_a = closure.dimension == n * n
 
     count, min_eig = int(fp.fixed.size), fp.min_eigenvalue
-    if count == 1 and min_eig is not None and abs(min_eig - 1e-8) < 1e-9:
+    if count == 1 and min_eig is not None and abs(min_eig - FAITHFUL_TOL) < 1e-9:
         raise SpectralIndeterminateError(
             f"fixed-point minimum eigenvalue {min_eig:.3e} sits on the "
             "faithfulness threshold"
         )
-    route_b = count == 1 and min_eig is not None and min_eig > 1e-8
+    route_b = count == 1 and min_eig is not None and min_eig > FAITHFUL_TOL
 
     if route_a != route_b:
         raise SpectralIndeterminateError(
@@ -263,15 +260,15 @@ def _peripheral_count(model: KrausModel) -> int:
     unity or the spectrum is rejected."""
     es = _fixed_point_data(model).eigensystem
     mods = np.abs(es.values)
-    if mods[0] > 1 + 1e-8:
+    if mods[0] > 1 + UNIT_CIRCLE_TOL:
         raise SpectralIndeterminateError(
             f"trace-preserving map has spectral radius {mods[0]:.12f} > 1"
         )
-    peripheral = np.flatnonzero(mods >= 1 - 1e-8)
+    peripheral = np.flatnonzero(mods >= 1 - UNIT_CIRCLE_TOL)
     d = int(peripheral.size)
     for j in range(d):
         root = np.exp(2j * np.pi * j / d)
-        hits = np.abs(es.values[peripheral] - root) <= 1e-8
+        hits = np.abs(es.values[peripheral] - root) <= UNIT_CIRCLE_TOL
         if int(hits.sum()) != 1:
             raise SpectralIndeterminateError(
                 f"peripheral spectrum is not the set of {d}-th roots of unity"
@@ -299,7 +296,7 @@ def period(model: KrausModel) -> PeriodData:
     es_adj = eigendecompose(build_superop(model).matrix.conj().T)
     root = np.exp(2j * np.pi / d)
     idx = int(np.argmin(np.abs(es_adj.values - root)))
-    if abs(es_adj.values[idx] - root) > 1e-8:
+    if abs(es_adj.values[idx] - root) > UNIT_CIRCLE_TOL:
         raise SpectralIndeterminateError("adjoint spectrum misses the primitive root")
     z = unvec(es_adj.vectors[:, idx], n)
     zd = np.linalg.matrix_power(z, d)
@@ -320,13 +317,12 @@ def period(model: KrausModel) -> PeriodData:
         for j in range(d)
     ]
 
-    total = sum(projections)
-    if frob(total - np.eye(n)) > 1e-8:
+    if frob(sum(projections) - np.eye(n)) > PROJECTION_TOL:
         raise SpectralIndeterminateError("cyclic projections do not resolve the identity")
 
     res = max(frob(projections[j] @ op - op @ projections[j - 1]) / max(frob(op), 1e-30)
               for op in model.operators for j in range(d))
-    if res > 1e-8:
+    if res > PROJECTION_TOL:
         raise SpectralIndeterminateError(
             f"cyclic shift relation fails (residual {res:.3e})")
 
@@ -337,7 +333,7 @@ def period(model: KrausModel) -> PeriodData:
     j_star = max(range(d), key=lambda j: keys[j])
     projections = [projections[(j + j_star) % d] for j in range(d)]
     for p in projections:
-        if frob(p @ p - p) > 1e-8 or frob(p - p.conj().T) > 1e-8:
+        if frob(p @ p - p) > PROJECTION_TOL or frob(p - p.conj().T) > PROJECTION_TOL:
             raise SpectralIndeterminateError("synthesized projection is not orthogonal")
     return PeriodData(d, tuple(projections), res)
 
@@ -356,7 +352,7 @@ def is_regular(model: KrausModel) -> RegularityReport:
 
     For regular maps, also probes the smallest power N <= 4 n^2 at which the
     map sends 200 reproducibly-seeded random pure states to strictly positive
-    matrices (minimum eigenvalue above 1e-8).
+    matrices (minimum eigenvalue above ``FAITHFUL_TOL``).
     """
     if not is_irreducible_L(model).irreducible:
         return RegularityReport(regular=False, period=None, onset_estimate=None)
@@ -377,7 +373,7 @@ def is_regular(model: KrausModel) -> RegularityReport:
         power = matrix @ power
         outs = (pure @ power.T).reshape(-1, n, n).transpose(0, 2, 1)
         outs = (outs + outs.conj().transpose(0, 2, 1)) / 2
-        if np.linalg.eigvalsh(outs)[:, 0].min() > 1e-8:
+        if np.linalg.eigvalsh(outs)[:, 0].min() > FAITHFUL_TOL:
             onset = n_pow
             break
     return RegularityReport(regular=True, period=1, onset_estimate=onset)
@@ -397,9 +393,6 @@ class BNDecomposition:
     recurrent_basis: np.ndarray
     decaying_basis: np.ndarray
     limit_state: np.ndarray
-
-
-_BN_RANK_TOL = 1e-9
 
 
 def bn_decomposition(model: KrausModel) -> BNDecomposition:
@@ -428,7 +421,7 @@ def bn_decomposition(model: KrausModel) -> BNDecomposition:
         limit = (limit + limit.conj().T) / 2
 
     vals, vecs = np.linalg.eigh(limit)
-    keep = vecs[:, vals > _BN_RANK_TOL]
+    keep = vecs[:, vals > 1e-9]
     p_r = keep @ keep.conj().T
     rank = keep.shape[1]
 
@@ -436,7 +429,7 @@ def bn_decomposition(model: KrausModel) -> BNDecomposition:
     eye = np.eye(n)
     for op in model.operators:
         leak = frob((eye - p_r) @ op @ p_r) / max(frob(op), 1e-30)
-        if leak > 1e-8:
+        if leak > PROJECTION_TOL:
             raise SpectralIndeterminateError(
                 f"recurrent subspace leaks under a Kraus operator "
                 f"(relative leakage {leak:.3e})"
@@ -522,62 +515,48 @@ def classify_c2(model: KrausModel) -> C2Classification:
             "jointly span and are not all scalar"
         )
 
-    non_scalar = [
-        op for op in model.operators
-        if frob(op - (np.trace(op) / 2) * np.eye(2)) > 1e-10
-    ]
-    candidates = _ray_candidates(non_scalar[0])
+    candidates = _ray_candidates(next(op for op in model.operators if _nonscalar(op)))
     rays = [v for v in candidates
             if all(_ray_member(op @ v, v, frob(op)) for op in model.operators)]
 
     if not rays:
         return C2Classification(1, (), None, None, None, None)
-
-    ops = model.operators
-    if len(rays) == 1:
-        e1 = rays[0]
-        e2 = np.array([-np.conj(e1[1]), np.conj(e1[0])])
-        basis = np.column_stack([e1, e2])
-        alpha = np.array([e1.conj() @ op @ e1 for op in ops])
-        gamma = np.array([e1.conj() @ op @ e2 for op in ops])
-        beta = np.array([e2.conj() @ op @ e2 for op in ops])
-        lower = max(abs(e2.conj() @ op @ e1) for op in ops)
-        checks = (
-            lower,
-            abs(np.sum(np.abs(alpha) ** 2) - 1.0),
-            abs(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(gamma) ** 2) - 1.0),
-            abs(np.vdot(alpha, gamma)),
-        )
-        if max(checks) > 1e-8:
-            raise AssumptionError(
-                "triangular normal form violates its stochasticity identities; "
-                f"worst deviation {max(checks):.3e}"
-            )
-        return C2Classification(2, (e1,), basis, alpha, beta, gamma)
-
-    e1, e2 = rays[0], rays[1]
-    if abs(np.vdot(e1, e2)) > 1e-8:
+    if len(rays) > 1 and abs(np.vdot(rays[0], rays[1])) > 1e-8:
         raise AssumptionError(
             "two common rays are not orthogonal; inconsistent with a "
             "non-scalar stochastic family"
         )
-    basis = np.column_stack([e1, e2])
-    alpha = np.array([e1.conj() @ op @ e1 for op in ops])
-    beta = np.array([e2.conj() @ op @ e2 for op in ops])
-    off = max(
-        max(abs(e1.conj() @ op @ e2), abs(e2.conj() @ op @ e1)) for op in ops
-    )
-    norm_checks = (
-        off,
-        abs(np.sum(np.abs(alpha) ** 2) - 1.0),
-        abs(np.sum(np.abs(beta) ** 2) - 1.0),
-    )
-    if max(norm_checks) > 1e-8:
+    basis, alpha, beta, gamma = _normal_form(model.operators, rays)
+    if len(rays) == 1:
+        return C2Classification(2, (rays[0],), basis, alpha, beta, gamma)
+    return C2Classification(3, (rays[0], rays[1]), basis, alpha, beta, None)
+
+
+def _normal_form(ops: np.ndarray, rays: list[np.ndarray]):
+    """``(basis, alpha, beta, gamma)`` of the operators in the basis of the
+    common rays, a lone ray completed by its orthogonal partner, checked
+    against the stochasticity identities of the triangular (one ray) or the
+    diagonal (two rays) normal form."""
+    e1 = rays[0]
+    e2 = rays[1] if len(rays) > 1 else np.array([-np.conj(e1[1]), np.conj(e1[0])])
+    alpha, beta, gamma = (np.array([a.conj() @ op @ b for op in ops])
+                          for a, b in ((e1, e1), (e2, e2), (e1, e2)))
+    lower = max(abs(e2.conj() @ op @ e1) for op in ops)
+    alpha_norm = abs(np.sum(np.abs(alpha) ** 2) - 1.0)
+    if len(rays) == 1:
+        form, checks = "triangular", (
+            lower, alpha_norm,
+            abs(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(gamma) ** 2) - 1.0),
+            abs(np.vdot(alpha, gamma)))
+    else:
+        form, checks = "diagonal", (max(max(abs(g) for g in gamma), lower), alpha_norm,
+                                    abs(np.sum(np.abs(beta) ** 2) - 1.0))
+    if max(checks) > 1e-8:
         raise AssumptionError(
-            "diagonal normal form violates its stochasticity identities; "
-            f"worst deviation {max(norm_checks):.3e}"
+            f"{form} normal form violates its stochasticity identities; "
+            f"worst deviation {max(checks):.3e}"
         )
-    return C2Classification(3, (e1, e2), basis, alpha, beta, None)
+    return np.column_stack([e1, e2]), alpha, beta, gamma
 
 
 # --------------------------------------------------------------------------

@@ -342,6 +342,6 @@ def perron(superoperator: Superoperator) -> SpectralData:
     sits at the spectral radius (not a CP map, or hopeless noise), when either
     Perron vector misses its residual bound, or when the two pair to zero; and
     :class:`PositivityError` via state projection when the eigenvector has
-    negative parts beyond 1e-8.
+    negative parts beyond ``DERIVED_POSITIVITY_TOL``.
     """
     return _perron_stack(np.asarray(superoperator.matrix)[None], superoperator.dim)[0]

@@ -51,6 +51,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import ndtr
 
+from .config import DRIFT_TOL, ORACLE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -222,7 +223,7 @@ def _narrow_block(draws: np.ndarray, first: int, coords: np.ndarray, gemm: np.nd
     flat = head.reshape(n_traj, k_steps, -1)
     views = [list(row) for row in flat]  # views[i][s]: row i's L_s psi
     dot, divide, einsum, norms = np.dot, np.divide, np.einsum, _squared_norms
-    sqrt, append = math.sqrt, chosen.append
+    sqrt, append, drift_tol = math.sqrt, chosen.append, DRIFT_TOL
     us = iter(memoryview(draws))
     if n_traj == 1:
         # No row loop: oracle_replay's single walks read 5 % lower wall_norm
@@ -241,7 +242,7 @@ def _narrow_block(draws: np.ndarray, first: int, coords: np.ndarray, gemm: np.nd
             # Python 3.12).
             cum = list(accumulate(pr))
             total = cum[last]
-            if not abs(total - 1.0) <= 1e-9:
+            if not abs(total - 1.0) <= drift_tol:
                 _stop(np.array([pr]), p)
             for k in range(last):
                 if u < cum[k] / total:
@@ -265,7 +266,7 @@ def _narrow_block(draws: np.ndarray, first: int, coords: np.ndarray, gemm: np.nd
         for i, (pr, u) in enumerate(zip(pr_rows, us)):
             cum = list(accumulate(pr))
             total = cum[last]
-            if not abs(total - 1.0) <= 1e-9:
+            if not abs(total - 1.0) <= drift_tol:
                 _stop(np.array(pr_rows), p)
             for k in range(last):
                 if u < cum[k] / total:
@@ -413,7 +414,7 @@ def _engine(model: KrausModel, initial_state: LatticeState, n_steps: int,
                 for k in range(1, k_steps):
                     np.add(cum[k - 1], probs_t[k], out=cum[k])
                 totals = cum[last]
-                if not abs(totals - 1.0).max() <= 1e-9:
+                if not abs(totals - 1.0).max() <= DRIFT_TOL:
                     _stop(probs, p)
                 # cum is monotone in k, so counting the thresholds at or below
                 # u finds the first one above it, never past K-1.
@@ -664,12 +665,12 @@ def exact_distribution(model: KrausModel, p: int,
 
     keys = set(masses) | set(masses_iter)
     tv = 0.5 * sum(abs(masses.get(k, 0.0) - masses_iter.get(k, 0.0)) for k in keys)
-    if tv > 1e-10:
+    if not tv <= ORACLE_TOL:
         raise ConvergenceError(
             f"propagated and iterated-map distributions disagree (TV {tv:.3e})"
         )
     total = sum(masses.values())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= ORACLE_TOL:
         raise ConvergenceError(
             f"propagated distribution has total mass {total!r}, expected 1"
         )

@@ -13,7 +13,8 @@ block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails, ``asymptotics``
-on a 2-D walk, initial-state documents, every range check, input and output
+on a 2-D walk, initial-state documents (one with a NaN entry), every range
+check, ``--p`` on a model other than ``classical_dilation``, input and output
 paths that cannot be read or written, non-finite numeric arguments,
 an ``oracle-check`` whose moments underflow, argparse errors and ``--help``.
 
@@ -163,6 +164,10 @@ EXTRA = (
     "validate --model {docs}",
     "simulate --builtin std_example -P 5 -N 5 --initial {docs}",
     "validate --model {docs}/not_utf8.json",
+    # A NaN block entry, and --p on a model other than classical_dilation.
+    "simulate --builtin std_example -P 5 -N 2 --initial {docs}/nan_state.json",
+    "validate --builtin std_example --p 0.3",
+    "validate --model {docs}/n4_31.json --p 0.3",
     # argparse errors.
     "",
     "validate",
@@ -207,6 +212,10 @@ def write_documents(directory: Path) -> None:
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])
     (directory / "not_utf8.json").write_bytes(b'{"operators": "\xff"}')
+    zero, one = {"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}
+    nan = {"re": float("nan"), "im": 0.0}
+    (directory / "nan_state.json").write_text(json.dumps(
+        {"sites": [{"position": [0], "block": [[nan, zero], [zero, one]]}]}))
 
 
 def _sha(data: bytes) -> str:

@@ -375,6 +375,9 @@ def enumerated_walk_irreducibility(model, max_length=None):
 
 KINK_BRACKET_WIDTH = 1e-7
 KINK_SLOPE_OFFSET = 1e-4
+# The slope jump, relative to the slopes' scale, below which
+# ``asymptotics._block_crossings`` drops a crossing.
+KINK_JUMP = 1e-3
 
 
 def refine_kink(f, a, m, b, fa, fm, fb):
@@ -523,7 +526,7 @@ def per_point_curve(model, parameters, direction=None):
 
 def refine_every_triple_curve(model, parameters, direction=None):
     """``lambda_curve`` on a reducible model, refining every interior triple."""
-    from oqwalk.asymptotics import _KINK_JUMP_TOL, KinkRecord, LambdaCurve
+    from oqwalk.asymptotics import KinkRecord, LambdaCurve
 
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
@@ -540,10 +543,10 @@ def refine_every_triple_curve(model, parameters, direction=None):
         sl = (fm - fa) / (m - a)
         sr = (fb - fm) / (b - m)
         scale = max(1.0, abs(sl), abs(sr))
-        if abs(sr - sl) <= _KINK_JUMP_TOL * scale:
+        if abs(sr - sl) <= KINK_JUMP * scale:
             continue
         u0, jump = refine_kink(f, a, m, b, fa, fm, fb)
-        if jump <= _KINK_JUMP_TOL * scale:
+        if jump <= KINK_JUMP * scale:
             continue  # curvature masquerading as a kink
         if any(abs(u0 - k.u) < (b - a) / 2 for k in kinks):
             continue
@@ -605,3 +608,19 @@ def exact_clt_constants(model, p1, p2):
         means.append(mean)
         covariances.append((masses[:, None] * centred).T @ centred)
     return means[1] / p2, (covariances[1] - covariances[0]) / (p2 - p1)
+
+
+def clt_kolmogorov_distance(model, p, mean, variance, offset=0.5):
+    """Kolmogorov distance D_p between the exact law of a 1-D walk after p
+    steps, started at the invariant state at the origin, and N(p m, p C).
+
+    The normal CDF is read at each reached site x plus ``offset``, a
+    continuity correction.  The paper's CLT converges at rate 1/sqrt(p), so
+    D_p sqrt(p) levels off with the true (m, C), and drifts with a wrong C.
+    """
+    from oqwalk.asymptotics import invariant_state
+    from oqwalk.trajectories import _propagate
+
+    sites, masses = _propagate(model, {(0,): invariant_state(model)}, p)
+    gauss = normal_cdf((sites[:, 0] + offset - p * mean) / np.sqrt(p * variance))
+    return float(np.max(np.abs(np.cumsum(masses) - gauss)))

@@ -34,7 +34,6 @@ from oqwalk import (
     rate_function,
 )
 from oqwalk.asymptotics import (
-    _KINK_JUMP_TOL,
     _block_crossings,
     _log_lambda_derivatives,
 )
@@ -177,6 +176,22 @@ def test_clt_constants_match_the_exact_law(make, p1, p2):
     stats = asymptotic_stats(model)
     np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-10)
     np.testing.assert_allclose(stats.covariance, cov, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("make, offset", [
+    (lambda: builtin("std_example"), 0.5),
+    (lambda: builtin("periodic_example"), 1.0),
+    (lambda: random_isometry_model(31, 4), 0.5),
+], ids=["std_example", "periodic_example", "isometry_n4"])
+def test_clt_distance_falls_at_the_rate_one_over_root_p(make, offset):
+    # D_P sqrt(P) stays within 0.2 % over P = 250..1000 with the package's
+    # (m, C); with C scaled by 1.01 it moves 3 % (36 % on periodic_example).
+    model = make()
+    stats = asymptotic_stats(model)
+    scaled = [reference.clt_kolmogorov_distance(
+        model, p, float(stats.mean[0]), float(stats.covariance[0, 0]), offset) * np.sqrt(p)
+        for p in (250, 500, 1000)]
+    assert max(scaled) / min(scaled) <= 1.01
 
 
 @settings(max_examples=40)
@@ -323,7 +338,7 @@ def _assert_confirmed_by_secants(model, kink):
     u0, h = kink.u, reference.KINK_SLOPE_OFFSET
     left = (f(u0 - h) - f(u0 - 2 * h)) / h
     right = (f(u0 + 2 * h) - f(u0 + h)) / h
-    assert right - left > _KINK_JUMP_TOL * max(1.0, abs(left), abs(right))
+    assert right - left > reference.KINK_JUMP * max(1.0, abs(left), abs(right))
     assert kink.log_slope_left == pytest.approx(left / f(u0), abs=1e-3)
     assert kink.log_slope_right == pytest.approx(right / f(u0), abs=1e-3)
 

@@ -684,6 +684,28 @@ def test_a_model_document_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
     assert line == f"error: {path}: not UTF-8 text at byte 15: invalid start byte"
 
 
+def test_an_initial_state_with_a_nan_entry_exits_3(tmp_path, capsys):
+    # json.loads reads the NaN token, and a NaN total passes the trace gate.
+    zero = {"re": 0.0, "im": 0.0}
+    block = [[{"re": float("nan"), "im": 0.0}, zero], [zero, {"re": 1.0, "im": 0.0}]]
+    state = tmp_path / "nan.json"
+    state.write_text(json.dumps({"sites": [{"position": [0], "block": block}]}))
+    line = _assert_one_error_line(["simulate", "--builtin", "std_example", "-P", "5",
+                                   "-N", "2", "--initial", str(state)], 3, capsys)
+    assert line == "error: block at (0,) has a non-finite entry"
+
+
+@pytest.mark.parametrize("source", ["builtin", "model"])
+def test_p_is_refused_unless_the_model_is_classical_dilation(source, tmp_path, capsys):
+    if source == "builtin":
+        argv = ["--builtin", "std_example"]
+    else:
+        dump_model(oqwalk.model.builtin("classical_dilation"), tmp_path / "model.json")
+        argv = ["--model", str(tmp_path / "model.json")]
+    line = _assert_one_error_line(["validate", *argv, "--p", "0.3"], 2, capsys)
+    assert line == "error: --p applies to --builtin classical_dilation only"
+
+
 def test_a_failing_command_leaves_its_out_directory_empty(tmp_path, capsys):
     # --out is made before the command runs; nothing is written into it
     path, out = tmp_path / "pair.json", tmp_path / "made" / "first"

@@ -255,6 +255,16 @@ def test_lattice_state_rejects_negative_blocks():
         LatticeState({(0,): np.diag([1.5, -0.5])})
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_lattice_state_rejects_a_non_finite_entry(entry):
+    # psd_check alone passes a NaN block (minimum eigenvalue 0), and a NaN
+    # total passes the trace gate.
+    block = np.array([[entry, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ModelValidationError, match=r"block at \(0,\) has a non-finite entry"):
+        LatticeState({(0,): block})
+    assert LatticeState({(0,): block}, check=False).blocks[(0,)][1, 1] == 1.0
+
+
 def test_default_initial_state_is_maximally_mixed(periodic_model):
     state = default_initial_state(periodic_model)
     assert state.positions == [(0,)]

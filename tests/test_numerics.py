@@ -16,6 +16,7 @@ from oqwalk import (
     TraceGaugeError,
     builtin,
 )
+from oqwalk.config import POSITIVITY_TOL
 from oqwalk.numerics import (
     choi_matrix,
     eigendecompose,
@@ -274,15 +275,15 @@ def test_solve_on_traceless_rejects_a_map_that_gives_traceless_matrices_a_trace(
 
 
 def test_psd_check_flags_a_small_negative_eigenvalue():
-    report = psd_check(np.diag([1.0, -1e-6]))
+    report = psd_check(np.diag([1.0, -1e-6]), POSITIVITY_TOL)
     assert not report.is_psd
     assert report.min_eigenvalue == pytest.approx(-1e-6)
-    assert psd_check(np.diag([1.0, 0.0])).is_psd
+    assert psd_check(np.diag([1.0, 0.0]), POSITIVITY_TOL).is_psd
 
 
 def test_psd_check_rejects_non_hermitian_input():
     with pytest.raises(HermiticityError):
-        psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]), POSITIVITY_TOL)
 
 
 def test_project_to_state_clips_and_normalizes():
