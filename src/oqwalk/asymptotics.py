@@ -25,7 +25,14 @@ from .errors import (
     TraceGaugeError,
 )
 from .model import KrausModel, LatticeState, default_initial_state
-from .numerics import project_to_state, psd_check, solve_on_traceless, unvec, vec
+from .numerics import (
+    _trace_drifted,
+    project_to_state,
+    psd_check,
+    solve_on_traceless,
+    unvec,
+    vec,
+)
 from .structure import (
     _fixed_point_data,
     _irreducible_blocks,
@@ -230,7 +237,7 @@ def asymptotic_stats(model: KrausModel) -> AsymptoticStats:
     eta_residual = 0.0
     _, d1_rho, lam1, _ = axes
     for i, eta in enumerate(etas):
-        if abs(np.trace(eta)) > 1e-12:
+        if _trace_drifted(eta):
             raise TraceGaugeError(
                 f"corrector along axis {i} has trace {np.trace(eta):.3e}"
             )

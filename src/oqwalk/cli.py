@@ -24,6 +24,7 @@ Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -464,7 +465,15 @@ def _text(content) -> str:
 def main(argv=None) -> int:
     """Run one command: print its report, write its artifacts, map failures
     to exit codes.  ``--out`` is made before the command runs, and the
-    artifacts are written before the report, so stdout is all or nothing."""
+    artifacts are written before the report, so stdout is all or nothing.
+
+    Run as the program (``argv`` None, as ``python -m oqwalk.cli`` and the
+    ``oqwalk`` console script call it), it first freezes the objects the
+    imports made, so that no garbage collection walks them again, the one at
+    interpreter exit included.  An in-process ``main(argv)`` leaves the
+    collector as it finds it."""
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:

@@ -78,6 +78,11 @@ def _nonscalar(op: np.ndarray) -> bool:
     return frob(op - (np.trace(op) / n) * np.eye(n)) > 1e-10
 
 
+def _trace_drifted(x: np.ndarray) -> bool:
+    """Is |tr x| above max(1e-12, 1e-12 ||x||)?  NaN counts as traceless."""
+    return abs(complex(np.trace(x))) > max(1e-12, 1e-12 * frob(x))
+
+
 def kraus_products(operators: np.ndarray) -> np.ndarray:
     """Stack of the Kraus-term superoperators ``kron(conj(L_k), L_k)``.
 
@@ -187,9 +192,10 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` is a superoperator matrix whose restriction to the traceless subspace
     must be invertible (smallest restricted singular value > 1e-12 ||a||); ``b``
     must be traceless up to 1e-10 max(1, ||b||), a gate that scales with ``b``
-    as its rounding does.  The returned ``x`` has |trace| <= 1e-12 and
-    residual ||a(x) - b_0|| <= 1e-10 ||b||, where b_0 = b - (tr b / n) I is
-    the traceless part of ``b``, the part a traceless ``x`` can reach.
+    as its rounding does.  The returned ``x`` has |trace| <= max(1e-12,
+    1e-12 ||x||) (``_trace_drifted``) and residual ||a(x) - b_0|| <= 1e-10
+    ||b||, where b_0 = b - (tr b / n) I is the traceless part of ``b``, the
+    part a traceless ``x`` can reach.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -225,7 +231,7 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularRestrictionError(
             f"traceless solve residual {residual:.3e} exceeds 1e-10 * ||b||"
         )
-    if abs(complex(np.trace(x))) > max(1e-12, 1e-12 * frob(x)):
+    if _trace_drifted(x):
         raise TraceGaugeError("solution drifted off the traceless gauge")
     return x
 
@@ -280,7 +286,7 @@ def project_to_state(matrix: np.ndarray, what: str = "state") -> np.ndarray:
     w, v = np.linalg.eigh(h)
     for low in w[:, 0].tolist():
         if low < -DERIVED_POSITIVITY_TOL:
-            raise PositivityError(f"{what} eigenvector has negative part {low:.3e} "
+            raise PositivityError(f"{what} has negative part {low:.3e} "
                                   f"beyond {DERIVED_POSITIVITY_TOL:.1e}")
     w = np.where(w < 0, 0.0, w)
     h = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2)

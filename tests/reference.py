@@ -433,7 +433,7 @@ def perron_per_matrix(matrix, n):
             raise PositivityError(f"leading eigenvector has non-positive trace {tr:.3e}")
         w, v = np.linalg.eigh(h / tr)
         if w[0] < -1e-8:
-            raise PositivityError(f"leading eigenvector eigenvector has negative part "
+            raise PositivityError(f"leading eigenvector has negative part "
                                   f"{w[0]:.3e} beyond 1.0e-08")
         h = (v * np.where(w < 0, 0.0, w)[None, :]) @ v.conj().T
         return h / float(np.trace(h).real)

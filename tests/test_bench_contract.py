@@ -4,13 +4,16 @@ The benchmark traces entry points by owner and attribute name and calls the
 exact oracles positionally; renaming or re-signing any of them would break
 its runs, not these tests' package.
 """
+import gc
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import oqwalk.cli
 import oqwalk.superop
 import oqwalk.trajectories
 from oqwalk import batch_statistics, builtin, exact_distribution, mgf_check, rate_function
@@ -107,3 +110,21 @@ def test_amount_lambdas_read_the_positional_parameters():
     assert names(_engine) == ["model", "initial_state", "n_steps",
                               "stream_seeds", "record"]
     assert names(unit_draws_array) == ["seeds", "k"]
+
+
+def test_only_the_program_freezes_the_import_heap(capsys):
+    # perfbench's traced cli_session round calls main(argv) in one process,
+    # 17 times; its collector must stay as it was.  The program (argv read
+    # from sys.argv) freezes what the imports made.
+    src = str(Path(oqwalk.cli.__file__).parents[1])
+    program = (f"import gc, sys; sys.path.insert(0, {src!r}); import oqwalk.cli; "
+               "before = gc.get_freeze_count(); "
+               "sys.argv = ['oqwalk', 'validate', '--builtin', 'std_example']; "
+               "code = oqwalk.cli.main(); "
+               "print(before, gc.get_freeze_count(), code, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    before, after, code = map(int, proc.stderr.split())
+    assert (before, code) == (0, 0) and after > 0
+    frozen = gc.get_freeze_count()
+    assert oqwalk.cli.main(["validate", "--builtin", "std_example"]) == 0
+    assert gc.get_freeze_count() == frozen

@@ -271,6 +271,18 @@ def test_asymptotics_and_simulate_answer_a_step_of_ten_to_the_thirty(tmp_path, c
     assert "positions must stay below 2^62" in capsys.readouterr().err
 
 
+def test_asymptotics_and_simulate_answer_a_step_of_ten_to_the_twelve(tmp_path, capsys):
+    # The corrector there has norm 3.1e11 and trace 2.3e-5, 7e-17 of its
+    # norm; an absolute 1e-12 trace check made both commands exit 4.
+    path = tmp_path / "step1e12.json"
+    path.write_text(moved_step_document(10**12))
+    doc = run_json(capsys, ["asymptotics", "--model", str(path)])
+    (cov,), (cov_alt,) = doc["covariance"], doc["covariance_alt"]
+    assert cov[0] == pytest.approx(cov_alt[0], rel=1e-12)
+    doc = run_json(capsys, ["simulate", "--model", str(path), "-P", "10", "-N", "4"])
+    assert doc["n_steps"] == 10 and doc["n_traj"] == 4
+
+
 def test_rate_answers_a_direct_sum_with_different_block_drifts(tmp_path, capsys):
     # Both summands' radii are 1 at u = 0, a kink whose one-sided slopes are
     # the drifts -0.4 and 0: the rate vanishes between them, and a search
@@ -738,6 +750,30 @@ def test_a_closed_stdout_exits_1_quietly():
 
 
 # -- console script -----------------------------------------------------------------
+
+PROGRAM_CALLS = {
+    **{command: ([command, "--builtin", "std_example"], 0)
+       for command in ("validate", "analyze", "asymptotics", "rate", "simulate",
+                       "oracle-check")},
+    "missing-model": (["validate", "--model", "/nonexistent/model.json"], 2),
+    "bias-out-of-range": (["validate", "--builtin", "classical_dilation", "--p", "1.5"], 3),
+}
+
+
+@pytest.mark.parametrize("argv, expect", PROGRAM_CALLS.values(), ids=PROGRAM_CALLS)
+def test_the_program_answers_as_main_argv_does(argv, expect, capsys):
+    # The program freezes its import heap and main(argv) does not; the bytes
+    # each prints, and the exit code, must not tell the two apart.
+    proc = subprocess.run([sys.executable, "-m", "oqwalk.cli", *argv],
+                          capture_output=True, env=_module_env())
+    code = main(argv)
+    captured = capsys.readouterr()
+    stderr = proc.stderr.decode()
+    assert code == expect
+    assert (proc.returncode, proc.stdout, stderr) == (code, captured.out.encode(),
+                                                      captured.err)
+    assert "Traceback" not in stderr and not re.search(r"\w+Warning\b", stderr)
+
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(

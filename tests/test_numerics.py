@@ -18,6 +18,7 @@ from oqwalk import (
 )
 from oqwalk.config import POSITIVITY_TOL
 from oqwalk.numerics import (
+    _trace_drifted,
     choi_matrix,
     eigendecompose,
     frob,
@@ -254,6 +255,19 @@ def test_a_near_traceless_right_hand_side_under_the_trace_gate_is_solved():
     np.testing.assert_allclose(x, b - np.trace(b) / 2 * np.eye(2), rtol=0, atol=1e-18)
 
 
+@pytest.mark.parametrize("x, drifted", [
+    (np.diag([3e11, -3e11, 2.3e-5]), False),  # 5e-17 of ||x||
+    (np.diag([3e11, -3e11, 1.0]), True),  # 2.4e-12 of ||x||
+    (np.diag([1e-3, -1e-3, 5e-13]), False),  # under the 1e-12 floor
+    (np.diag([1e-3, -1e-3, 2e-12]), True),
+    (np.diag([np.nan, 0.0]), False),
+])
+def test_the_traceless_predicate_scales_with_the_matrix(x, drifted):
+    # solve_on_traceless and asymptotic_stats's corrector check both decide
+    # with it; an absolute 1e-12 in the latter refused the 10^12-step walk.
+    assert _trace_drifted(x) is drifted
+
+
 @pytest.mark.parametrize("b", [np.diag([1.0, -1.0]), np.diag([1e-3, -1e-3 + 5e-11])],
                          ids=["traceless", "near_traceless"])
 def test_solve_on_traceless_rejects_singular_restriction(b):
@@ -297,6 +311,10 @@ def test_project_to_state_fixes_global_sign():
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
-def test_project_to_state_rejects_genuine_negativity():
-    with pytest.raises(PositivityError):
-        project_to_state(np.diag([1.0, -0.5]))
+@pytest.mark.parametrize("what", ["state", "leading eigenvector", "invariant state"])
+def test_project_to_state_rejects_genuine_negativity(what):
+    # superop and asymptotics pass the last two names; the message once read
+    # "leading eigenvector eigenvector has negative part".
+    with pytest.raises(PositivityError) as info:
+        project_to_state(np.diag([1.0, -0.5]), what=what)
+    assert str(info.value) == f"{what} has negative part -1.000e+00 beyond 1.0e-08"
