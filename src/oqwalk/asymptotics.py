@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DERIVED_POSITIVITY_TOL, PROJECTION_TOL
+from .config import DERIVED_POSITIVITY_TOL, PROJECTION_TOL, RADIUS_TIE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -43,7 +43,6 @@ from .structure import (
 )
 from .superop import (
     SpectralData,
-    Superoperator,
     _PERRON_ERRORS,
     _perron_rows,
     _shifted_map,
@@ -315,14 +314,43 @@ def _log_lambda_derivatives(model: KrausModel,
     return _triple_derivatives(model, u, shift, shifted.matrix, data)
 
 
-def log_lambda(model: KrausModel, u) -> float:
-    """log of the leading tilted eigenvalue, stable for large tilts."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    shift, shifted = _shifted_map(model, u)
-    radius = spectral_radius(shifted)
-    if radius <= 0:
+def _certified_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
+    """The irreducible blocks of a composition series of the Kraus family, or
+    None when the operators generate the full matrix algebra."""
+    if _operator_closure(model).dimension == model.internal_dim ** 2:
+        return None
+    blocks = _irreducible_blocks(model)
+    if blocks is None:
+        raise SpectralIndeterminateError(
+            "no composition series of the Kraus family could be certified; "
+            "the tilted curve cannot be taken block by block"
+        )
+    return blocks
+
+
+def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> tuple[int, float, bool]:
+    """``(top, log lambda_u, tied)`` at ``u``: each block's shifted map shares
+    the whole map's shift, so ``top`` indexes the largest block radius r (the
+    first of equal ones), log lambda_u is the shift plus log r, and ``tied``
+    says a second radius lies within 1e-9 max(r, 1) of r, as in :func:`perron`.
+    """
+    shifted = [_shifted_map(b, u) for b in blocks]
+    radii = [spectral_radius(m) for _, m in shifted]
+    top = int(np.argmax(radii))
+    r = radii[top]
+    if r <= 0:
         raise ConvergenceError("tilted map has zero spectral radius")
-    return shift + float(np.log(radius))
+    tied = sum(r - x <= RADIUS_TIE_TOL * max(r, 1.0) for x in radii) > 1
+    return top, shifted[top][0] + float(np.log(r)), tied
+
+
+def log_lambda(model: KrausModel, u) -> float:
+    """log of the leading tilted eigenvalue, stable for large tilts; on a
+    reducible map the largest of its irreducible blocks' values, as in
+    :func:`lambda_curve`."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    blocks = _certified_blocks(model)
+    return _top_block((model,) if blocks is None else blocks, u)[1]
 
 
 @dataclass(frozen=True)
@@ -369,18 +397,12 @@ def _convex(values: np.ndarray) -> bool:
                 and np.min(second) < -1e-8 * max(1.0, float(np.max(np.abs(values)))))
 
 
-def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> int:
-    """Index of the irreducible block on top at tilt ``u``: the largest
-    spectral radius of the blocks' shifted maps, the first of equal ones."""
-    return int(np.argmax([spectral_radius(_shifted_map(b, u)[1]) for b in blocks]))
-
-
-def _block_crossings(model: KrausModel, ts: np.ndarray,
-                     direction: np.ndarray) -> list[KinkRecord]:
+def _block_crossings(blocks: tuple[KrausModel, ...], ts: np.ndarray, direction: np.ndarray,
+                     tops: list[int]) -> list[KinkRecord]:
     """The kinks of a reducible curve: where its top irreducible block changes.
 
-    Each block's shifted map shares the whole map's shift, so the block radii
-    at a tilt compare directly.  In every grid cell whose two ends have
+    ``tops[k]`` is the top block at grid point ``ts[k]`` (see
+    :func:`_top_block`).  In every grid cell whose two ends have
     different top blocks a and b, bisection on "radius of a >= radius of b"
     closes in on their crossing to 1e-13 relative.  If a third block is on
     top there, the top went a -> c -> b inside the cell, and each half of the
@@ -390,20 +412,11 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
     max(1 / lambda, |left|, |right|): the lambda-slope gate divided by
     lambda, which stays finite where lambda overflows.
     """
-    blocks = _irreducible_blocks(model)
-    if blocks is None:
-        raise SpectralIndeterminateError(
-            "no composition series of the Kraus family could be certified; "
-            "the tilted curve's kinks cannot be located"
-        )
-
-    def radius(block: KrausModel, t: float) -> float:
-        return spectral_radius(_shifted_map(block, t * direction)[1])
+    def log_lam(block: KrausModel, t: float) -> float:
+        return _top_block((block,), t * direction)[1]
 
     def log_slope(block: KrausModel, t: float) -> float:
-        h = 1e-5
-        return (log_lambda(block, (t + h) * direction)
-                - log_lambda(block, (t - h) * direction)) / (2 * h)
+        return (log_lam(block, t + 1e-5) - log_lam(block, t - 1e-5)) / 2e-5
 
     def crossings(t0: float, i: int, t1: float, j: int) -> list[KinkRecord]:
         """The kinks between grid-ordered ends t0 (top block i) and t1 (top j)."""
@@ -411,16 +424,16 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
         wide = not _closed(lo, hi)
         while not _closed(lo, hi):
             mid = (lo + hi) / 2
-            if radius(blocks[a], mid) >= radius(blocks[b], mid):
+            if _top_block((blocks[a], blocks[b]), mid * direction)[0] == 0:
                 lo = mid
             else:
                 hi = mid
         u0 = float((lo + hi) / 2)
-        c = _top_block(blocks, u0 * direction) if len(blocks) > 2 else a
+        c = _top_block(blocks, u0 * direction)[0] if len(blocks) > 2 else a
         if wide and c not in (a, b):
             return crossings(t0, i, u0, c) + crossings(u0, c, t1, j)
         with np.errstate(over="ignore"):
-            log_lam0 = log_lambda(blocks[a], u0 * direction)
+            log_lam0 = log_lam(blocks[a], u0)
             lam0, inv_lam0 = float(np.exp(log_lam0)), float(np.exp(-log_lam0))
         left, right = log_slope(blocks[a], u0), log_slope(blocks[b], u0)
         if right - left <= 1e-3 * max(inv_lam0, abs(left), abs(right)):
@@ -435,7 +448,6 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
             slope_jump=sr - sl if lam0 < np.inf else np.inf,
         )]
 
-    tops = [_top_block(blocks, t * direction) for t in ts]
     kinks: list[KinkRecord] = []
     for k in range(len(ts) - 1):
         if tops[k] != tops[k + 1]:
@@ -446,85 +458,73 @@ def _block_crossings(model: KrausModel, ts: np.ndarray,
 def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
-    The grid's rescaled maps (rescaled so large tilts cannot overflow) are
-    built as one stack and go through one stacked Perron extraction: one
-    ``eig``, one projection ``eigh`` and two left solves for the whole grid,
-    in chunks of a fixed size.  Each point gets exactly the triple, or the
-    error, that :func:`perron` gives on its map alone, and the points are
-    read in grid order, so the first failing point raises.
-
-    Kinks are looked for only when the Kraus operators do not generate the
-    full matrix algebra: tilting rescales each operator by a positive
-    scalar, so with a full algebra every tilted map is irreducible, its
-    spectral radius is a simple eigenvalue, and lambda_u is real-analytic
-    with no kink to find.
+    When the Kraus operators generate the full matrix algebra, the grid's
+    rescaled maps (rescaled so large tilts cannot overflow) are built as one
+    stack and go through one stacked Perron extraction: one ``eig``, one
+    projection ``eigh`` and two left solves for the whole grid, in chunks of
+    a fixed size.  Each point gets exactly the triple, or the error, that
+    :func:`perron` gives on its map alone, and the points are read in grid
+    order, so the first failing point raises.  Tilting rescales each
+    operator by a positive scalar, so with a full algebra every tilted map
+    is irreducible, its spectral radius is a simple eigenvalue, and lambda_u
+    is real-analytic with no kink to find.
 
     Otherwise the same argument applies block by block.  The invariant
     subspaces of the operators do not depend on the tilt, so in a basis
     adapted to a composition series of the family every tilted map is block
     triangular, and lambda_u is the largest of the irreducible diagonal
-    blocks' radii, each real-analytic.  A kink is therefore a point where one
-    block overtakes another: each grid cell whose ends have different top
-    blocks is bisected to the crossing of those two blocks (and split there
-    when a third block is on top), and the kink is reported with each
-    block's own slope there (see :func:`_block_crossings`).
-    The one blind spot is a double crossing inside a single grid cell, where
-    another block rises to the top and falls back between grid points.  A
-    family whose composition series cannot be certified raises
-    :class:`SpectralIndeterminateError`.
-
-    At a grid point on a crossing two block roots can meet in a Jordan
-    block, where no Perron pair exists: there a reducible model takes the
-    map's spectral radius and lists the point as degenerate.  A lambda_u
-    beyond the largest double is reported as infinite.
+    blocks' radii, each real-analytic.  Each grid point takes that largest
+    radius, and is degenerate where a second block ties it (see
+    :func:`_top_block`); the whole map is never solved, so no basis makes
+    its zeros matter.  A kink is a point where one block overtakes another,
+    found by bisecting each grid cell whose ends have different top blocks
+    (see :func:`_block_crossings`); the one blind spot is a double crossing
+    inside one cell.  A family whose composition series cannot be certified
+    raises :class:`SpectralIndeterminateError`.  A lambda_u beyond the
+    largest double is reported as infinite.
     """
     return _curve_rows(model, parameters, direction)[0]
 
 
 def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
-        LambdaCurve, np.ndarray, np.ndarray, list[SpectralData | Exception]]:
-    """:func:`lambda_curve`, with the grid's ``(shifts, stack, rows)``.
+        LambdaCurve, tuple[KrausModel, ...] | None, list[tuple[float, np.ndarray, SpectralData]]]:
+    """:func:`lambda_curve`, with the ``(blocks, rows)`` a rate table reads again.
 
-    ``stack[i]`` is the shifted map at grid point i, ``shifts[i]`` its shift
-    and ``rows[i]`` what :func:`perron` returns or raises on it, so a caller
-    that needs the Perron triple at a grid tilt reads it instead of solving
-    again.
+    On a reducible map ``blocks`` are its certified irreducible blocks and
+    there are no rows.  On an irreducible one ``blocks`` is None and
+    ``rows[i]`` is ``(shift, matrix, triple)`` at grid point i: the shifted
+    map, its shift and its :func:`perron` triple, so a caller that needs the
+    triple at a grid tilt reads it instead of solving again.
     """
-    n = model.internal_dim
-    reducible = _operator_closure(model).dimension != n * n
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
         direction = np.zeros(model.lattice_dim)
         direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
 
-    lams = np.empty(len(ts))
-    logs = np.empty(len(ts))
-    degenerate: list[float] = []
-    shifts, stack = _shifted_maps(model, ts[:, None] * direction)
-    rows = _perron_rows(stack, n)
-    for i, (t, data) in enumerate(zip(ts, rows)):
-        if isinstance(data, SpectralData):
-            radius, tied = data.lambda_u, data.degenerate
-        elif reducible and isinstance(data, SpectralIndeterminateError):
-            radius, tied = spectral_radius(Superoperator(stack[i], n)), True
-        else:
-            raise data
-        logs[i] = float(shifts[i]) + float(np.log(radius))
-        with np.errstate(over="ignore"):
-            lams[i] = float(np.exp(logs[i]))
-        if tied:
-            degenerate.append(float(t))
+    blocks, rows = _certified_blocks(model), []
+    if blocks is not None:
+        points = [_top_block(blocks, t * direction) for t in ts]
+    else:
+        shifts, stack = _shifted_maps(model, ts[:, None] * direction)
+        rows = list(zip(shifts.tolist(), stack, _perron_rows(stack, model.internal_dim)))
+        for *_, data in rows:
+            if not isinstance(data, SpectralData):
+                raise data
+        points = [(0, shift + float(np.log(d.lambda_u)), d.degenerate) for shift, _, d in rows]
 
-    kinks = _block_crossings(model, ts, direction) if reducible and len(ts) >= 2 else []
+    logs = np.array([log for _, log, _ in points], dtype=float)
+    with np.errstate(over="ignore"):
+        lams = np.array([float(np.exp(log)) for log in logs], dtype=float)
+    kinks = _block_crossings(blocks, ts, direction, [p[0] for p in points]) if blocks else []
     curve = LambdaCurve(
         parameters=ts,
         lambda_values=lams,
         log_lambda_values=logs,
         kinks=tuple(kinks),
-        degenerate_parameters=tuple(degenerate),
+        degenerate_parameters=tuple(float(t) for t, (_, _, tied) in zip(ts, points) if tied),
     )
-    return curve, shifts, stack, rows
+    return curve, blocks, rows
 
 
 @dataclass(frozen=True)
@@ -641,26 +641,26 @@ def rate_function(model: KrausModel, positions,
                   points: int = 41) -> RateFunctionTable:
     """Large-deviation rate function on a grid of velocities (1-D walks only).
 
-    ``log lambda_u`` is sampled on ``points`` tilts in ``[u_min, u_max]``, and
-    the window grows outward while a maximum sits at its edge.  Between the
-    grid neighbours the maximizer is a kink whose one-sided slopes straddle
-    x, or Newton steps on ``(log lambda)'(u) = x`` with the Perron triple of
-    the top irreducible block (the whole map if irreducible) refine it, with
-    bisection on the objective where that triple declines (see
-    :func:`_legendre_point`).  At an extreme step x the supremum is the
-    u -> +-inf limit ``-log rho(Phi_x)``, with ``Phi_x`` the map of the Kraus
-    terms of step x alone, and beyond the steps it is infinite; the maximizer
-    there is reported as +-inf.
+    ``log lambda_u`` (on a reducible map the largest of its irreducible
+    blocks' values, as in :func:`lambda_curve`) is sampled on ``points``
+    tilts in ``[u_min, u_max]``, and the window grows outward while a maximum
+    sits at its edge.  Between the grid neighbours the maximizer is a kink
+    whose one-sided slopes straddle x, or Newton steps on ``(log lambda)'(u)
+    = x`` with the Perron triple of the top block (the whole map if
+    irreducible) refine it, with bisection on the objective where that
+    triple declines (see :func:`_legendre_point`).  At an extreme step x the
+    supremum is the u -> +-inf limit ``-log rho(Phi_x)``, with ``Phi_x`` the
+    map of the Kraus terms of step x alone, and beyond the steps it is
+    infinite; the maximizer there is reported as +-inf.
 
     The Newton runs of all velocities go in lockstep, one step each per
     round.  On an irreducible map the tilts a round needs share one stack of
     shifted maps and one stacked Perron extraction, and a tilt on the window
     grid reads the row the curve already extracted; the derivative formulas
     then run row by row.  A reducible map's triple comes from one lone
-    :func:`perron` call per tilt on that tilt's top block, since the rows of
-    different blocks share no stack.  Every row has the bits of a lone
-    extraction, so each velocity gets the value it gets alone.  Where
-    velocities fail, the table raises the error of the first of them.
+    :func:`perron` call per tilt on that tilt's top block.  Every row has
+    the bits of a lone extraction, so each velocity gets the value it gets
+    alone.  Where velocities fail, the table raises the error of the first.
     """
     if model.lattice_dim != 1:
         raise AssumptionError(
@@ -668,13 +668,11 @@ def rate_function(model: KrausModel, positions,
         )
     xs = np.asarray(positions, dtype=float)
     upper_only = not is_irreducible_L(model).irreducible
-    curve, shifts, stack, rows = _curve_rows(model, np.linspace(u_min, u_max, points))
+    curve, blocks, rows = _curve_rows(model, np.linspace(u_min, u_max, points))
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 
-    cache: dict[float, float] = {
-        float(u): float(v) for u, v in zip(u_grid, log_grid)
-    }
+    cache: dict[float, float] = {float(u): float(v) for u, v in zip(u_grid, log_grid)}
 
     def c(u: float) -> float:
         if u not in cache:
@@ -694,16 +692,14 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
-    # c is the largest of the curves of the irreducible blocks (the curve has
-    # certified them), each analytic: Newton uses the top block's triple.
-    if upper_only:
-        blocks = _irreducible_blocks(model)
-
+    # On a reducible map c is the largest of the irreducible blocks' curves,
+    # each analytic: Newton uses the top block's triple.
+    if blocks is not None:
         def at(u: float):
-            return _log_lambda_derivatives(blocks[_top_block(blocks, np.array([u]))], u)
+            return _log_lambda_derivatives(blocks[_top_block(blocks, np.array([u]))[0]], u)
     else:
         # The unread rows: the grid's, and those of the round being served.
-        unread = dict(zip(u_grid.tolist(), zip(shifts.tolist(), stack, rows)))
+        unread = dict(zip(u_grid.tolist(), rows))
 
         def at(u: float):
             shift, matrix, row = unread.pop(u)
@@ -717,7 +713,7 @@ def rate_function(model: KrausModel, positions,
     derivatives: dict[float, tuple[float, float, float] | None | Exception] = {}
 
     def serve(tilts: list[float]) -> None:
-        if not upper_only:
+        if blocks is None:
             fresh = [u for u in tilts if u not in unread]
             if fresh:
                 fresh_shifts, fresh_stack = _shifted_maps(model, np.array(fresh)[:, None])

@@ -13,6 +13,10 @@ POSITIVITY_TOL = 1e-10
 #: the CLT covariance.
 DERIVED_POSITIVITY_TOL = 1e-8
 
+#: Distance to a radius r, over max(r, 1), of a tie: ``perron``'s peripheral
+#: eigenvalues and degenerate root, a second block's radius on a reducible curve.
+RADIUS_TIE_TOL = 1e-9
+
 #: Relative eigen-residual bound of ``eigendecompose`` and ``perron``.
 RESIDUAL_TOL = 1e-9
 

@@ -22,7 +22,7 @@ from operator import add
 
 import numpy as np
 
-from .config import RESIDUAL_TOL
+from .config import RADIUS_TIE_TOL, RESIDUAL_TOL
 from .errors import AssumptionError, OQWalkError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState, _kept
 from .numerics import (
@@ -248,7 +248,7 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
     # pair for a 2-periodic map), so the modulus sort alone cannot be trusted
     # to put the Perron root first: take the peripheral one of largest real
     # part and insist that it is the positive real point of the circle.
-    tol_edge = 1e-9 * np.maximum(radius, 1.0)
+    tol_edge = RADIUS_TIE_TOL * np.maximum(radius, 1.0)
     peripheral = moduli >= (radius - tol_edge)[:, None]
     if not peripheral.any(axis=1).all():  # a radius of inf: inf - inf is NaN
         raise SpectralIndeterminateError(

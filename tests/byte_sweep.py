@@ -11,6 +11,8 @@ n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
+``rate`` and ``asymptotics`` on ``breakdown_example`` and on a diagonal pair
+whose blocks tie at every tilt, each written in a rotated internal basis,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails, ``asymptotics``
 on a 2-D walk, initial-state documents (one with a NaN entry), every range
@@ -53,12 +55,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import docs  # noqa: E402  (perfbench/docs.py: the seeded model documents)
 
 import oqwalk.cli  # noqa: E402
-from oqwalk import dump_model  # noqa: E402
+from oqwalk import builtin, dump_model  # noqa: E402
 from model_zoo import (  # noqa: E402
     STEPS_2D,
     huge_entry_document,
     moved_step_document,
+    equal_modulus_diagonal_model,
     random_isometry_model,
+    rotated,
     three_level_two_block_model,
 )
 
@@ -124,6 +128,11 @@ EXTRA = (
     "rate --model {docs}/n4_step1e30_31.json",
     # A direct sum whose blocks have different drifts: a kink at u = 0.
     "rate --model {docs}/three_level.json",
+    # Reducible walks out of the basis that makes their zeros exact.
+    "rate --model {docs}/rotated_equal_modulus.json",
+    "asymptotics --model {docs}/rotated_equal_modulus.json",
+    "rate --model {docs}/rotated_breakdown.json",
+    "asymptotics --model {docs}/rotated_breakdown.json",
     # Tilt windows where the Perron extraction fails on a valid model.
     "asymptotics --builtin std_example --u-min=-15 --u-max=15",
     "asymptotics --builtin std_example --u-min=-17 --u-max=17",
@@ -207,6 +216,9 @@ def write_documents(directory: Path) -> None:
         (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
     (directory / "n4_huge_31.json").write_text(huge_entry_document())
     dump_model(three_level_two_block_model(), directory / "three_level.json")
+    for name, model in (("equal_modulus", equal_modulus_diagonal_model()),
+                        ("breakdown", builtin("breakdown_example"))):
+        dump_model(rotated(model, 1), directory / f"rotated_{name}.json")
     dump_model(random_isometry_model(3, n=2, steps=STEPS_2D), directory / "isometry_2d.json")
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)

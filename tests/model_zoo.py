@@ -195,6 +195,17 @@ def equal_modulus_diagonal_model():
     return KrausModel(1, 2, NN_STEPS, ops)
 
 
+def rotated(model, seed):
+    """``model`` in another internal basis: each L_s becomes U L_s U^dag, for
+    a Haar-random unitary U drawn from ``seed``.  It is the same walk."""
+    rng = np.random.default_rng(seed)
+    n = model.internal_dim
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return KrausModel(model.lattice_dim, n, model.displacements,
+                      u @ model.operators @ u.conj().T)
+
+
 def bench_document(seed, name):
     """Text of one seeded benchmark document (``perfbench/docs.py``)."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"

@@ -18,16 +18,18 @@ import oqwalk.model
 import oqwalk.numerics
 import oqwalk.structure
 import oqwalk.superop
-from oqwalk import ModelValidationError, dump_model, load_model
+from oqwalk import ModelValidationError, dump_model, load_model, rate_function
 from oqwalk.cli import main
 from oqwalk.superop import build_superop
 from model_zoo import (
     bench_document,
     broken_scaled_model,
     diagonal_pair_model,
+    equal_modulus_diagonal_model,
     huge_entry_document,
     moved_step_document,
     random_isometry_model,
+    rotated,
     three_level_two_block_model,
     upper_triangular_model,
 )
@@ -281,6 +283,23 @@ def test_asymptotics_and_simulate_answer_a_step_of_ten_to_the_twelve(tmp_path, c
     assert cov[0] == pytest.approx(cov_alt[0], rel=1e-12)
     doc = run_json(capsys, ["simulate", "--model", str(path), "-P", "10", "-N", "4"])
     assert doc["n_steps"] == 10 and doc["n_traj"] == 4
+
+
+def test_rate_and_asymptotics_answer_a_rotated_pair_of_tied_blocks(tmp_path, capsys):
+    # The two 1 x 1 blocks tie at every tilt, so the whole map's root is
+    # double.  Out of the basis that makes zeros exact, its eigenvector is an
+    # indefinite mix, and a curve read off the whole map exited 4 with
+    # "leading eigenvector has negative part".
+    path = tmp_path / "equal_modulus.json"
+    dump_model(rotated(equal_modulus_diagonal_model(), 1), path)
+    doc = run_json(capsys, ["asymptotics", "--model", str(path)])
+    (curve,) = doc["lambda_curves"]
+    assert len(curve["u"]) == 41
+    assert curve["degenerate_u"] == curve["u"]
+    assert curve["kinks"] == []
+    doc = run_json(capsys, ["rate", "--model", str(path)])
+    want = rate_function(equal_modulus_diagonal_model(), doc["x_grid"])
+    np.testing.assert_allclose(doc["rate"], want.rate, rtol=0, atol=1e-12)
 
 
 def test_rate_answers_a_direct_sum_with_different_block_drifts(tmp_path, capsys):
