@@ -60,8 +60,8 @@ from .model import (
     validate_model,
 )
 from .structure import (
+    _two_level_reason,
     bn_decomposition,
-    c2_m_classifier,
     classify_c2,
     is_irreducible_L,
     is_irreducible_M,
@@ -201,6 +201,7 @@ def _cmd_analyze(args: argparse.Namespace):
         "verdict": mirr.verdict,
         "closure_dimension": mirr.closure_dimension,
         "max_length_used": mirr.max_length_used,
+        "period": mirr.period,
         "witness": mirr.witness,
     }
 
@@ -219,10 +220,10 @@ def _cmd_analyze(args: argparse.Namespace):
             two_level = None
         if (two_level is not None and model.lattice_dim == 1
                 and set(model.displacements) == {(1,), (-1,)}):
-            mcls = c2_m_classifier(model)
-            two_level["m_irreducible"] = mcls.m_irreducible
-            two_level["m_period"] = mcls.m_period
-            two_level["reducible_reason"] = mcls.reducible_reason
+            two_level["m_irreducible"] = {"irreducible": True,
+                                          "reducible": False}.get(mirr.verdict)
+            two_level["m_period"] = mirr.period
+            two_level["reducible_reason"] = _two_level_reason(model, mirr)
 
     return 0, {
         "auxiliary_map": aux,

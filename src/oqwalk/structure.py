@@ -3,15 +3,14 @@
 Covers irreducibility of the auxiliary map (two independent routes that must
 agree), its cyclic period with resolution projections, regularity, the
 recurrent/decaying splitting of the internal space, the three-way taxonomy of
-two-level models by their common invariant rays, irreducibility of the lattice
-walk itself via the spans of return words, and the dedicated two-level lattice
-classifier (reducible / period 2 / period 4).
+two-level models by their common invariant rays, and irreducibility and period
+of the lattice walk itself via the spans of return words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .config import FAITHFUL_TOL, PROJECTION_TOL, SPAN_TOL, UNIT_CIRCLE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
+    SingularRestrictionError,
     SpectralIndeterminateError,
 )
 from .model import KrausModel, _kept, validate_model
@@ -40,8 +40,6 @@ __all__ = [
     "classify_c2",
     "MIrreducibility",
     "is_irreducible_M",
-    "C2MClassification",
-    "c2_m_classifier",
 ]
 
 
@@ -493,6 +491,12 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
+def _ray_member(v: np.ndarray, ray: np.ndarray, scale: float) -> bool:
+    """Is v in the line spanned by unit vector ray (zero counts as inside)?"""
+    residual = v - (ray.conj() @ v) * ray
+    return np.linalg.norm(residual) <= 1e-9 * max(1.0, scale)
+
+
 def _ray_candidates(op: np.ndarray) -> list[np.ndarray]:
     _, vecs = np.linalg.eig(op)
     rays: list[np.ndarray] = []
@@ -572,13 +576,19 @@ class MIrreducibility:
     certified witness: the canonical orthonormal basis (a function of the
     subspace alone) of a proper subspace invariant under every return word.
     A walk whose steps cannot reach every site is reducible on geometry
-    alone and reports ``("reducible", 0, 0, None)``.
+    alone and reports ``("reducible", 0, 0, None)``.  ``period`` is the
+    walk's period when it is irreducible (see :func:`is_irreducible_M`),
+    else None.  ``return_span`` is the orthonormal basis of the nonzero
+    closed return span behind a search that ends below full dimension, else
+    None.
     """
 
     verdict: str
     closure_dimension: int
     max_length_used: int
     witness: np.ndarray | None
+    period: int | None = None
+    return_span: np.ndarray | None = None
 
 
 def _det(rows) -> int:
@@ -627,6 +637,16 @@ def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
     return basis
 
 
+def _lattice_period(steps) -> int:
+    """Index p of the lattice spanned by the differences s - s_0 of the steps,
+    the gcd of their d x d minors.  A return word of length l taking step s
+    n_s times has sum n_s (s - s_0) = -l s_0; steps that generate Z^d make
+    s_0 generate the quotient, so p divides l."""
+    base = steps[0]
+    diffs = [[a - b for a, b in zip(s, base)] for s in steps[1:]]
+    return gcd(*(_det(sub) for sub in combinations(diffs, len(base))))
+
+
 def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrreducibility:
     """Probe lattice-walk irreducibility through the spans of return words.
 
@@ -644,11 +664,22 @@ def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrred
     span joins the return span, closed multiplicatively after each length
     from the first return word on:
 
-    * return span reaches full dimension: irreducible (early exit);
+    * return span reaches full dimension: irreducible;
     * its dimension stalls for three consecutive lengths below full: search
       for a proper subspace invariant under it; if certified, reducible with
       the subspace's canonical basis as witness, otherwise inconclusive;
     * lengths exhausted without stall or fill: inconclusive.
+
+    An irreducible walk's period is g, the gcd of the lengths at which the
+    origin's span has an element of nonzero trace (|tr| > 1e-9 on its
+    orthonormal basis).  Each such length is a multiple of the steps'
+    lattice period p and of the auxiliary map's period d: a return word of
+    length l maps each cyclic piece of the map to the piece l on, so its
+    trace vanishes unless d divides l.  The scan goes on past the verdict until
+    g = lcm(p, d), or to ``max_length``; d is read only when g differs from
+    p at the verdict, and a refused peripheral spectrum leaves d unknown, so
+    the scan runs to ``max_length``.  ``max_length_used`` is the length of
+    the verdict.
     """
     n, d = model.internal_dim, model.lattice_dim
     if max_length is None:
@@ -657,12 +688,14 @@ def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrred
     steps = [s for s, _ in live]
     if not _steps_generate_lattice(steps, d):
         return MIrreducibility("reducible", 0, 0, None)
+    p = _lattice_period(steps)
     lo = [min(0, *c) for c in zip(*steps)]
     hi = [max(0, *c) for c in zip(*steps)]
     zero = (0,) * d
     spans = {zero: _OperatorSpan(n, [np.eye(n)])}
     span = _OperatorSpan(n)
     dims: list[int] = []
+    g, target, verdict_at = 0, None, 0
     length_used = 0
     for length_used in range(1, max_length + 1):
         left = max_length - length_used
@@ -673,22 +706,60 @@ def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrred
                 if all(l * left <= -c <= h * left for l, c, h in zip(lo, x, hi)):
                     reached.setdefault(x, []).extend(op @ words.matrices())
         spans = {x: _OperatorSpan(n, mats) for x, mats in reached.items()}
-        if zero in spans:
-            for b in spans[zero].matrices():
-                span.add(b)
-        if len(span):  # close the return span multiplicatively
-            span = _OperatorSpan(n, algebra_closure(span.matrices()).basis)
-        dims.append(len(span))
-        if len(span) == n * n:
-            return MIrreducibility("irreducible", n * n, length_used, None)
-        if len(span) and dims[-3:] == [len(span)] * 3:
+        origin = spans.get(zero)
+        if origin is not None and (np.abs(origin.basis[:, ::n + 1].sum(axis=1)) > 1e-9).any():
+            g = gcd(g, length_used)
+        if not verdict_at:
+            if origin is not None:
+                for b in origin.matrices():
+                    span.add(b)
+            if not len(span):
+                continue
+            closure = algebra_closure(span.matrices())  # close it multiplicatively
+            if closure.dimension < n * n:
+                span = _OperatorSpan(n, closure.basis)
+                dims.append(len(span))
+                if dims[-3:] == [len(span)] * 3:
+                    break
+                continue
+            verdict_at = length_used
+        if g != p and target is None:
+            try:
+                target = lcm(p, _peripheral_count(model))
+            except (SingularRestrictionError, SpectralIndeterminateError):
+                target = -1  # d unknown: scan on to max_length
+        if g in (p, target):
             break
 
+    if verdict_at:
+        return MIrreducibility("irreducible", n * n, verdict_at, None, g or None)
     if not len(span):
         return MIrreducibility("inconclusive", 0, length_used, None)
     witness = _search_common_invariant_subspace(span.matrices(), n)
     verdict = "inconclusive" if witness is None else "reducible"
-    return MIrreducibility(verdict, len(span), length_used, witness)
+    return MIrreducibility(verdict, len(span), length_used, witness,
+                           return_span=span.matrices().copy())
+
+
+def _two_level_reason(model: KrausModel, walk: MIrreducibility) -> str | None:
+    """Why a reducible two-level walk is reducible, None for other verdicts.
+
+    ``common-eigenvector`` when some ray invariant under every return word
+    is an eigenvector of some L_s, ``swap-pair`` otherwise.  With n = 2 the
+    eigenvector rays of a nonscalar L_s are its ``_ray_candidates``, and a
+    scalar one has every ray, the witness among them.  Steps that miss a
+    site leave one L_s zero and no return word: every ray qualifies.
+    """
+    if walk.verdict != "reducible":
+        return None
+    if walk.witness is None:
+        return "common-eigenvector"
+    for op in model.operators:
+        for v in (walk.witness[:, 0], *_ray_candidates(op)):
+            if _ray_member(op @ v, v, frob(op)) and all(
+                    _ray_member(b @ v, v, frob(b)) for b in walk.return_span):
+                return "common-eigenvector"
+    return "swap-pair"
 
 
 def _search_common_invariant_subspace(basis_mats: np.ndarray,
@@ -754,101 +825,3 @@ def _irreducible_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
         vars(block)["product_stack"] = stack
         blocks.append(block)
     return tuple(blocks)
-
-
-# --------------------------------------------------------------------------
-# Two-level lattice walks on steps {+1, -1}: reducible / period 2 / period 4.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class C2MClassification:
-    """Lattice-walk classification of a nearest-neighbour two-level model.
-
-    When the walk is irreducible its period is 2 or 4; period 4 happens
-    exactly when some orthonormal basis makes one operator diagonal and the
-    other antidiagonal (``basis`` records it).
-    """
-
-    m_irreducible: bool
-    m_period: int | None
-    reducible_reason: str | None
-    basis: np.ndarray | None
-
-
-def _ray_member(v: np.ndarray, ray: np.ndarray, scale: float) -> bool:
-    """Is v in the line spanned by unit vector ray (zero counts as inside)?"""
-    residual = v - (ray.conj() @ v) * ray
-    return np.linalg.norm(residual) <= 1e-9 * max(1.0, scale)
-
-
-def c2_m_classifier(model: KrausModel) -> C2MClassification:
-    """Classify the lattice walk of a two-level nearest-neighbour model.
-
-    Works from the common eigenvector rays of the two round-trip products
-    ``L_+ L_-`` and ``L_- L_+``:
-
-    * the walk is reducible iff such a common ray is an eigenvector of one of
-      the operators themselves, or the two rays form a swap pair (each operator
-      sends one ray into the other);
-    * otherwise the walk is irreducible and its period divides 4; period 4
-      holds exactly when one operator is normal with an orthonormal eigenbasis
-      whose rays the other operator swaps with nonzero amplitudes.
-    """
-    if model.internal_dim != 2:
-        raise AssumptionError("this classifier needs internal dimension 2")
-    if model.lattice_dim != 1 or set(model.displacements) != {(1,), (-1,)}:
-        raise AssumptionError(
-            "this classifier needs one-dimensional steps {+1, -1}"
-        )
-    ops = dict(zip(model.displacements, model.operators))
-    lp, lm = ops[(1,)], ops[(-1,)]
-    m1, m2 = lp @ lm, lm @ lp
-
-    def rays_or_all(m: np.ndarray):
-        if frob(m - (np.trace(m) / 2) * np.eye(2)) <= 1e-10 * max(1.0, frob(m)):
-            return "all"
-        return _ray_candidates(m)
-
-    r1, r2 = rays_or_all(m1), rays_or_all(m2)
-    if r1 == "all" and r2 == "all":
-        # Every ray is common; in particular every eigenvector of lp is.
-        return C2MClassification(False, None, "common-eigenvector", None)
-    if r1 == "all":
-        common = r2
-    elif r2 == "all":
-        common = r1
-    else:
-        common = [
-            v for v in r1
-            if any(min(np.linalg.norm(v - w), np.linalg.norm(v + w)) <= 1e-8
-                   for w in r2)
-        ]
-
-    for v in common:
-        for op in (lp, lm):
-            if _ray_member(op @ v, v, frob(op)):
-                return C2MClassification(False, None, "common-eigenvector", None)
-    if len(common) == 2:
-        e0, e1 = common
-        swap = all(
-            _ray_member(op @ e0, e1, frob(op)) and _ray_member(op @ e1, e0, frob(op))
-            for op in (lp, lm)
-        )
-        if swap:
-            return C2MClassification(False, None, "swap-pair", None)
-
-    # Irreducible; decide period 4 vs 2.
-    for a, b in ((lp, lm), (lm, lp)):
-        rays = _ray_candidates(a)
-        if len(rays) != 2:
-            continue
-        v1, v2 = rays
-        if abs(np.vdot(v1, v2)) > 1e-9:
-            continue
-        diag_b = max(abs(v1.conj() @ b @ v1), abs(v2.conj() @ b @ v2))
-        cross = min(abs(v1.conj() @ b @ v2), abs(v2.conj() @ b @ v1))
-        diag_a = min(abs(v1.conj() @ a @ v1), abs(v2.conj() @ a @ v2))
-        if diag_b <= 1e-9 and cross > 1e-9 and diag_a > 1e-9:
-            basis = np.column_stack([v1, v2])
-            return C2MClassification(True, 4, None, basis)
-    return C2MClassification(True, 2, None, None)

@@ -7,7 +7,8 @@ commands on the bundled models and on the seeded benchmark documents
 (``perfbench/docs.py``, seeds 31 and 32: valid n = 4 and n = 8 walks, an
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 ``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
-10^30, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
+10^30, ``analyze`` on a period-4 two-level walk and on a block-cyclic walk
+of period 6, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
@@ -58,6 +59,8 @@ import oqwalk.cli  # noqa: E402
 from oqwalk import builtin, dump_model  # noqa: E402
 from model_zoo import (  # noqa: E402
     STEPS_2D,
+    block_cyclic_model,
+    c2_sample,
     huge_entry_document,
     moved_step_document,
     equal_modulus_diagonal_model,
@@ -107,6 +110,10 @@ EXTRA = (
     # First return words at length 21, and none within the default lengths.
     "analyze --model {docs}/n4_step20_31.json",
     "analyze --model {docs}/n4_step1e30_31.json",
+    # Walk periods beyond the steps' own 2: a two-level walk of period 4, and
+    # period 6, the lcm of the steps' 2 and the auxiliary map's 3.
+    "analyze --model {docs}/c2_period4.json",
+    "analyze --model {docs}/block_cyclic_111.json",
     # A lattice box too large for the exact propagator.
     "oracle-check --model {docs}/n4_step1e30_31.json -P 5",
     # An entry of 1e308: the stochasticity residual is NaN.
@@ -220,6 +227,8 @@ def write_documents(directory: Path) -> None:
                         ("breakdown", builtin("breakdown_example"))):
         dump_model(rotated(model, 1), directory / f"rotated_{name}.json")
     dump_model(random_isometry_model(3, n=2, steps=STEPS_2D), directory / "isometry_2d.json")
+    dump_model(c2_sample(100)[80], directory / "c2_period4.json")
+    dump_model(block_cyclic_model(0, (1, 1, 1)), directory / "block_cyclic_111.json")
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

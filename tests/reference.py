@@ -6,6 +6,8 @@ importing the package under test, so these numbers can serve as independent
 oracles; the sections at the end that do import it say why.
 Derivation notes are inline where the algebra is not obvious.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -361,6 +363,91 @@ def enumerated_walk_irreducibility(model, max_length=None):
                        for w in return_words):
                     return "reducible", len(span), length_used, sub
     return "inconclusive", len(span), length_used, None
+
+
+# ---------------------------------------------------------------------------
+# The two-level lattice walk on steps {+1, -1} from ray geometry: reducible,
+# period 2 or period 4, with the reason a reducible walk is reducible.  It
+# decides from the common eigenvector rays of the round trips L_+ L_- and
+# L_- L_+, never from return-word spans, so it is an independent oracle for
+# ``is_irreducible_M``'s verdict and period.  It reuses ``classify_c2``'s ray
+# helpers (eigenvector rays of one matrix, membership of a ray).
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class C2MClassification:
+    """When the walk is irreducible its period is 2 or 4; period 4 happens
+    exactly when some orthonormal basis makes one operator diagonal and the
+    other antidiagonal (``basis`` records it)."""
+
+    m_irreducible: bool
+    m_period: int | None
+    reducible_reason: str | None
+    basis: np.ndarray | None
+
+
+def c2_m_classifier(model):
+    """Classify the lattice walk of a two-level nearest-neighbour model.
+
+    * The walk is reducible iff a common ray of the round trips is an
+      eigenvector of one of the operators themselves, or the two common rays
+      form a swap pair (each operator sends one ray into the other).
+    * Otherwise it is irreducible and its period divides 4; period 4 holds
+      exactly when one operator is normal with an orthonormal eigenbasis
+      whose rays the other operator swaps with nonzero amplitudes.
+    """
+    from oqwalk.errors import AssumptionError
+    from oqwalk.numerics import frob
+    from oqwalk.structure import _ray_candidates, _ray_member
+
+    if model.internal_dim != 2:
+        raise AssumptionError("this classifier needs internal dimension 2")
+    if model.lattice_dim != 1 or set(model.displacements) != {(1,), (-1,)}:
+        raise AssumptionError("this classifier needs one-dimensional steps {+1, -1}")
+    ops = dict(zip(model.displacements, model.operators))
+    lp, lm = ops[(1,)], ops[(-1,)]
+
+    def rays_or_all(m):
+        if frob(m - (np.trace(m) / 2) * np.eye(2)) <= 1e-10 * max(1.0, frob(m)):
+            return "all"
+        return _ray_candidates(m)
+
+    r1, r2 = rays_or_all(lp @ lm), rays_or_all(lm @ lp)
+    if r1 == "all" and r2 == "all":
+        # Every ray is common; in particular every eigenvector of lp is.
+        return C2MClassification(False, None, "common-eigenvector", None)
+    if r1 == "all":
+        common = r2
+    elif r2 == "all":
+        common = r1
+    else:
+        common = [v for v in r1
+                  if any(min(np.linalg.norm(v - w), np.linalg.norm(v + w)) <= 1e-8
+                         for w in r2)]
+
+    for v in common:
+        if any(_ray_member(op @ v, v, frob(op)) for op in (lp, lm)):
+            return C2MClassification(False, None, "common-eigenvector", None)
+    if len(common) == 2:
+        e0, e1 = common
+        if all(_ray_member(op @ e0, e1, frob(op)) and _ray_member(op @ e1, e0, frob(op))
+               for op in (lp, lm)):
+            return C2MClassification(False, None, "swap-pair", None)
+
+    # Irreducible; decide period 4 vs 2.
+    for a, b in ((lp, lm), (lm, lp)):
+        rays = _ray_candidates(a)
+        if len(rays) != 2:
+            continue
+        v1, v2 = rays
+        if abs(np.vdot(v1, v2)) > 1e-9:
+            continue
+        diag_b = max(abs(v1.conj() @ b @ v1), abs(v2.conj() @ b @ v2))
+        cross = min(abs(v1.conj() @ b @ v2), abs(v2.conj() @ b @ v1))
+        diag_a = min(abs(v1.conj() @ a @ v1), abs(v2.conj() @ a @ v2))
+        if diag_b <= 1e-9 and cross > 1e-9 and diag_a > 1e-9:
+            return C2MClassification(True, 4, None, np.column_stack([v1, v2]))
+    return C2MClassification(True, 2, None, None)
 
 
 # ---------------------------------------------------------------------------

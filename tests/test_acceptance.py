@@ -13,7 +13,6 @@ from oqwalk import (
     asymptotic_stats,
     batch_statistics,
     bn_decomposition,
-    c2_m_classifier,
     classify_c2,
     exact_distribution,
     invariant_state,
@@ -162,7 +161,7 @@ def test_criterion_6_classifier_consistency():
     n_irr = n_red = n_inconclusive = n_period2 = 0
     for i, model in enumerate(sample):
         report = is_irreducible_L(model)  # must never raise on this sample
-        cls = c2_m_classifier(model)
+        cls = reference.c2_m_classifier(model)
         search = is_irreducible_M(model, max_length=10)
         if cls.m_irreducible:
             assert search.verdict != "reducible", i

@@ -6,8 +6,11 @@ the same walk.  With sign = -1 for the reflection and +1 otherwise, they
 move a position x to sign x + v and turn log lambda_u into
 log lambda_{sign u} + u v.  So the structural verdicts, the CLT constants,
 the tilted curve with its kinks and ties, the rate function and the exact
-law must come out the same, mapped.  No closed form is needed, so the check
-reaches every model here, not only those whose basis makes zeros exact.
+law must come out the same, mapped.  The lattice walk's verdict and period
+are compared except under the shift, which changes the lattice.  Swapping
+the axes of a walk on Z^2 keeps every verdict and permutes the covariance.
+No closed form is needed, so the check reaches every model here, not only
+those whose basis makes zeros exact.
 """
 import functools
 
@@ -21,7 +24,6 @@ from oqwalk import (
     asymptotic_stats,
     bn_decomposition,
     builtin,
-    c2_m_classifier,
     classify_c2,
     exact_distribution,
     is_irreducible_L,
@@ -32,6 +34,7 @@ from oqwalk import (
     rate_function,
 )
 from oqwalk.structure import algebra_closure
+import reference
 from model_zoo import (
     STEPS_2D,
     block_sum_model,
@@ -96,9 +99,10 @@ def _verdicts(model, lattice: bool) -> dict:
     if model.internal_dim == 2:
         out["situation"] = _outcome(lambda m: classify_c2(m).situation, model)
     if lattice:
-        out["lattice"] = is_irreducible_M(model).verdict
+        walk = is_irreducible_M(model)
+        out["lattice"] = (walk.verdict, walk.period)
         if model.internal_dim == 2 and set(model.displacements) == {(1,), (-1,)}:
-            m = c2_m_classifier(model)
+            m = reference.c2_m_classifier(model)
             out["c2_m"] = (m.m_irreducible, m.m_period)
     return out
 
@@ -200,3 +204,15 @@ def test_the_walk_answers_alike_in_every_description(name, transform):
     assert set(got["law"]) == set(want["law"])
     for x, p in want["law"].items():
         assert got["law"][x] == pytest.approx(p, abs=1e-14), x
+
+
+def test_a_2d_walk_answers_alike_with_its_axes_swapped():
+    model = MODELS["isometry_2d"]()
+    swapped = KrausModel(2, model.internal_dim,
+                         tuple(s[::-1] for s in model.displacements), model.operators)
+    want, got = _verdicts(model, lattice=True), _verdicts(swapped, lattice=True)
+    assert got == want
+    assert want["lattice"] == ("irreducible", 2)
+    stats, swapped_stats = asymptotic_stats(model), asymptotic_stats(swapped)
+    _close(swapped_stats.mean, stats.mean[::-1], 1e-12, "mean")
+    _close(swapped_stats.covariance, stats.covariance[::-1, ::-1], 1e-12, "covariance")

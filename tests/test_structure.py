@@ -2,6 +2,7 @@
 import itertools
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from oqwalk import (
     AssumptionError,
     KrausModel,
     MIrreducibility,
+    SingularRestrictionError,
     algebra_closure,
     bn_decomposition,
     builtin,
-    c2_m_classifier,
     classify_c2,
     is_irreducible_L,
     is_irreducible_M,
@@ -22,6 +23,7 @@ from oqwalk import (
     model_from_dict,
     period,
 )
+from oqwalk import structure
 from oqwalk.numerics import unvec, vec
 from oqwalk.structure import _projector_basis
 from oqwalk.superop import build_superop
@@ -39,6 +41,7 @@ from model_zoo import (
     irreducible_sample,
     moved_step_document,
     random_isometry_model,
+    rotated,
     three_level_two_block_model,
     upper_triangular_model,
 )
@@ -491,6 +494,8 @@ def test_walk_irreducibility_respects_the_length_budget(std_model):
     assert verdict.verdict == "inconclusive"
     assert verdict.closure_dimension == 0
     assert verdict.max_length_used <= 1
+    assert is_irreducible_M(std_model, max_length=0) == MIrreducibility(
+        "inconclusive", 0, 0, None)
 
 
 @pytest.mark.parametrize("step, expected", [
@@ -582,26 +587,124 @@ def test_breakdown_walk_is_not_irreducible(breakdown_model):
     assert is_irreducible_M(breakdown_model).verdict != "irreducible"
 
 
-# -- closed-form two-level walk classifier ----------------------------------------
+# -- the lattice walk's period -----------------------------------------------------
+
+@pytest.mark.parametrize("steps, expected", [
+    (((1,), (-1,)), 2),
+    (((2,), (-3,)), 5),
+    (((2, 1), (-1, 0), (0, -1)), 4),
+    (STEPS_2D, 2),
+], ids=["nn", "coprime", "skew_2d", "nn_2d"])
+def test_walk_period_is_the_lattice_period_of_a_generic_walk(steps, expected):
+    # A generic map is aperiodic, so the period is p, the index of the
+    # lattice the step differences span: 2, 5, |det((-3, -1), (-2, -2))| = 4
+    # and 2.
+    walk = is_irreducible_M(random_isometry_model(3, n=2, steps=steps))
+    assert (walk.verdict, walk.period) == ("irreducible", expected)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3, 3)])
+def test_walk_period_is_the_lcm_of_the_lattice_and_map_periods(sizes):
+    # The map cycles through three blocks and the steps alternate parity;
+    # the closed return span is full at length 2, long before the period.
+    model = block_cyclic_model(0, sizes)
+    walk = is_irreducible_M(model)
+    assert (walk.verdict, walk.max_length_used, walk.period) == ("irreducible", 2, 6)
+    assert period(model).period == 3
+
+
+def test_walk_period_scans_on_when_the_map_period_is_refused():
+    # period() refuses this map's spectrum, so d is unknown and the scan
+    # runs to max_length; the gcd of its trace lengths is still 6.
+    model = block_cyclic_model(0, (1, 2, 1))
+    with pytest.raises(SingularRestrictionError):
+        period(model)
+    walk = is_irreducible_M(model)
+    assert (walk.verdict, walk.max_length_used, walk.period) == ("irreducible", 2, 6)
+
+
+def _commuting_diagonal_model(seed):
+    """L_+ = U diag(0.6, 0.8) U^dag and L_- = U diag(0.8, 0.6) U^dag: every
+    return word is a multiple of I, so every ray is invariant, the
+    eigenvectors of L_+ among them, but not the basis vectors for U != I."""
+    return rotated(KrausModel(1, 2, NN_STEPS, np.array(
+        [np.diag([0.6, 0.8]), np.diag([0.8, 0.6])], dtype=complex)), seed)
+
+
+def test_walk_period_and_reason_match_the_ray_oracle():
+    models = c2_sample(100) + [builtin(name) for name in (
+        "periodic_example", "breakdown_example", "antidiag_example")]
+    models.append(_commuting_diagonal_model(1))
+    seen = []
+    for seed in (None, 1, 2):  # the reason must not depend on the basis
+        for i, model in enumerate(models):
+            if seed is not None:
+                model = rotated(model, seed)
+            oracle = reference.c2_m_classifier(model)
+            want = (oracle.m_irreducible, oracle.m_period, oracle.reducible_reason)
+            walk = is_irreducible_M(model)
+            got = ({"irreducible": True, "reducible": False}.get(walk.verdict),
+                   walk.period, structure._two_level_reason(model, walk))
+            assert got == want, (seed, i)
+            seen.append(want)
+    assert sorted(Counter(seen[:len(models)]).values()) == [10, 12, 12, 70]
+    assert seen[80:90] == [(True, 4, None)] * 10
+    assert seen[103] == (False, None, "common-eigenvector")
+
+
+def _span_count(monkeypatch, model, max_length=None) -> int:
+    """How many operator spans ``is_irreducible_M`` builds, closures included."""
+    built = []
+
+    class Counted(structure._OperatorSpan):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(structure, "_OperatorSpan", Counted)
+    is_irreducible_M(model, max_length)
+    return len(built)
+
+
+@pytest.mark.parametrize("model, walk_period", [
+    (lambda: model_from_dict(json.loads(bench_document(1, "n4.json"))), 2),
+    (lambda: model_from_dict(json.loads(bench_document(1, "n8.json"))), 2),
+    (lambda: block_cyclic_model(0, (2, 3, 3)), 6),
+], ids=["n4", "n8", "block_cyclic_233"])
+def test_walk_period_scan_stops_once_the_period_is_known(monkeypatch, model, walk_period):
+    # Here g first equals lcm(p, d) at the length of the period itself: the
+    # benchmark documents at their verdict length 2, the block-cyclic model
+    # at 6 of its 130 lengths.  With steps +-1 a run allowed twice that many
+    # lengths prunes no site up to there, so its span count equals the
+    # default run's only if both stop at that length.
+    model = model()
+    walk = is_irreducible_M(model)
+    assert (walk.verdict, walk.max_length_used, walk.period) == (
+        "irreducible", 2, walk_period)
+    assert (_span_count(monkeypatch, model)
+            == _span_count(monkeypatch, model, 2 * walk_period))
+
+
+# -- the two-level ray oracle (tests/reference.py) ---------------------------------
 
 def test_walk_classifier_on_builtins(std_model, periodic_model,
                                      breakdown_model, antidiag_model):
-    cls = c2_m_classifier(std_model)
+    cls = reference.c2_m_classifier(std_model)
     assert (cls.m_irreducible, cls.m_period) == (True, 2)
 
     for model in (periodic_model, antidiag_model):
-        cls = c2_m_classifier(model)
+        cls = reference.c2_m_classifier(model)
         assert (cls.m_irreducible, cls.m_period, cls.reducible_reason) == (
             False, None, "swap-pair")
 
-    cls = c2_m_classifier(breakdown_model)
+    cls = reference.c2_m_classifier(breakdown_model)
     assert (cls.m_irreducible, cls.m_period, cls.reducible_reason) == (
         False, None, "common-eigenvector")
 
 
 def test_walk_classifier_finds_period_four_models():
     model = diag_antidiag_model(0)
-    cls = c2_m_classifier(model)
+    cls = reference.c2_m_classifier(model)
     assert cls.m_irreducible
     assert cls.m_period == 4
     b = cls.basis
@@ -618,14 +721,14 @@ def test_walk_classifier_finds_period_four_models():
 
 def test_walk_classifier_rejects_wrong_shapes(classical_model):
     with pytest.raises(AssumptionError):
-        c2_m_classifier(classical_model)
+        reference.c2_m_classifier(classical_model)
 
 
 def test_classifier_and_search_never_contradict_each_other():
     pool = c2_sample()
     sample = pool[:8] + pool[70:75] + pool[80:85] + pool[90:93] + pool[95:98]
     for model in sample:
-        cls = c2_m_classifier(model)
+        cls = reference.c2_m_classifier(model)
         search = is_irreducible_M(model, max_length=8)
         if cls.m_irreducible:
             assert search.verdict != "reducible"
