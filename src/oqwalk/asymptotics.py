@@ -38,7 +38,6 @@ from .structure import (
     _irreducible_blocks,
     _operator_closure,
     classify_c2,
-    is_irreducible_L,
     period,
 )
 from .superop import (
@@ -531,8 +530,9 @@ def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
 class RateFunctionTable:
     """Legendre transform values I(x) = sup_u (u x - log lambda_u).
 
-    ``upper_bound_only`` is set when the auxiliary map is reducible: the
-    transform then certifies only an upper bound on exponential decay.
+    ``upper_bound_only`` is set when the auxiliary map is reducible (its curve
+    comes from certified blocks): the transform then certifies only an upper
+    bound on exponential decay.
     Infinite values mark positions outside the reachable velocity range.
     The window grid of log lambda_u used for the sup is kept (``u_grid``,
     ``log_lambda``) along with any slope-discontinuity locations found on
@@ -667,7 +667,6 @@ def rate_function(model: KrausModel, positions,
             "rate-function evaluation is implemented for one-dimensional walks"
         )
     xs = np.asarray(positions, dtype=float)
-    upper_only = not is_irreducible_L(model).irreducible
     curve, blocks, rows = _curve_rows(model, np.linspace(u_min, u_max, points))
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
@@ -791,7 +790,7 @@ def rate_function(model: KrausModel, positions,
         rate=values,
         maximizers=maximizers,
         finite=finite,
-        upper_bound_only=upper_only,
+        upper_bound_only=blocks is not None,
         u_grid=u_grid,
         log_lambda=log_grid,
         kinks=tuple(k.u for k in curve.kinks),

@@ -17,7 +17,7 @@ DERIVED_POSITIVITY_TOL = 1e-8
 #: eigenvalues and degenerate root, a second block's radius on a reducible curve.
 RADIUS_TIE_TOL = 1e-9
 
-#: Relative eigen-residual bound of ``eigendecompose`` and ``perron``.
+#: Relative eigen-residual bound of the untilted map's fixed pairs and of ``perron``.
 RESIDUAL_TOL = 1e-9
 
 #: Largest stochasticity residual of a valid model (``is_valid``, ``model_from_dict``).

@@ -18,8 +18,8 @@ Conventions
   gets exactly the bits its matrix would get alone, whatever the stack
   around it.
 
-Everything here wraps LAPACK (via numpy) and adds the residual / tolerance
-contracts the higher layers rely on; no iterative or randomized solvers.
+Everything here wraps LAPACK (via numpy); no iterative or randomized solvers.
+Eigenpairs carry no residual contract: each caller certifies the pairs it reads.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DERIVED_POSITIVITY_TOL, RESIDUAL_TOL
+from .config import DERIVED_POSITIVITY_TOL
 from .errors import (
     AssumptionError,
     HermiticityError,
@@ -134,14 +134,13 @@ def _sort_order(values: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(matrix: np.ndarray) -> EigenSystem:
-    """Dense eigendecomposition with the package's ordering and residual contract.
+    """Dense eigendecomposition with the package's ordering and phases.
 
     Raises :class:`AssumptionError` for non-square input or a side beyond
-    ``DENSE_DIM_LIMIT``, and :class:`SingularRestrictionError` if residuals
-    exceed ``RESIDUAL_TOL * ||A||_F`` (which would indicate a defective solve).
-    A ``(T, N, N)`` stack gives ``(T, N)`` values and ``(T, N, N)`` vectors,
-    each row what its matrix alone would give, from one stacked ``eig``;
-    there the first matrix to miss the residual bound raises.
+    ``DENSE_DIM_LIMIT``.  No pair is certified here: each caller gates the
+    pairs it reads, where it reads them.  A ``(T, N, N)`` stack gives
+    ``(T, N)`` values and ``(T, N, N)`` vectors, each row what its matrix
+    alone would give, from one stacked ``eig``.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
@@ -163,15 +162,6 @@ def eigendecompose(matrix: np.ndarray) -> EigenSystem:
     nonzero = moduli > 0
     phases[nonzero] = moduli[nonzero] / pivots[nonzero]
     vectors = vectors * phases[:, None, :]
-    residuals = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)
-    tiny = np.finfo(float).tiny
-    for x, r in zip(stack, residuals):
-        scale = max(frob(x), tiny)
-        if not (r <= RESIDUAL_TOL * scale).all():  # a NaN residual fails too
-            raise SingularRestrictionError(
-                f"eigendecomposition residual {r.max():.3e} exceeds "
-                f"{RESIDUAL_TOL:.1e} * ||A|| = {RESIDUAL_TOL * scale:.3e}"
-            )
     if a.ndim == 2:
         values, vectors = values[0], vectors[0]
     return EigenSystem(values=values, vectors=vectors)

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .config import FAITHFUL_TOL, PROJECTION_TOL, SPAN_TOL, UNIT_CIRCLE_TOL
+from .config import FAITHFUL_TOL, PROJECTION_TOL, RESIDUAL_TOL, SPAN_TOL, UNIT_CIRCLE_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -112,8 +112,14 @@ def algebra_closure(operators) -> AlgebraClosure:
         raise ValueError("algebra_closure needs at least one generator")
     n = gens[0].shape[0]
     gens = [g for g in gens if frob(g) > SPAN_TOL]
-    span = _OperatorSpan(n, gens)
+    span = _close(_OperatorSpan(n, gens), gens)
+    return AlgebraClosure(dimension=len(span), basis=span.matrices().copy())
 
+
+def _close(span: _OperatorSpan, gens) -> _OperatorSpan:
+    """Grow ``span`` in place, and return it, until left multiplication by
+    each generator adds nothing; the generators must lie in the span."""
+    n = span.n
     rounds = 0
     changed = True
     while changed:
@@ -128,7 +134,7 @@ def algebra_closure(operators) -> AlgebraClosure:
         rounds += 1
         if len(span) == n * n:
             break
-    return AlgebraClosure(dimension=len(span), basis=span.matrices().copy())
+    return span
 
 
 @_kept
@@ -163,8 +169,10 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
     """The one home of the untilted map's eigendecomposition, computed on first
     use and kept on the model; the irreducibility routes, the period, the
     recurrent split and the invariant state all read it.  The kept state is
-    read-only."""
-    es = eigendecompose(build_superop(model).matrix)
+    read-only.  The fixed pairs are read here and nowhere else certified, so
+    they are gated here, on their residual against ``RESIDUAL_TOL * ||A||``."""
+    a = build_superop(model).matrix
+    es = eigendecompose(a)
     dist = np.abs(es.values - 1.0)
     fixed = np.flatnonzero(dist <= UNIT_CIRCLE_TOL)
     ambiguous = np.flatnonzero((dist > UNIT_CIRCLE_TOL) & (dist < 1e-7))
@@ -177,6 +185,12 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
         raise SpectralIndeterminateError(
             "trace-preserving map shows no eigenvalue 1; spectrum unusable"
         )
+    v = es.vectors[:, fixed]
+    residual = np.linalg.norm(a @ v - v * es.values[fixed], axis=0).max()
+    bound = RESIDUAL_TOL * max(frob(a), np.finfo(float).tiny)
+    if not residual <= bound:  # a NaN residual fails too
+        raise SingularRestrictionError(f"eigendecomposition residual {residual:.3e} "
+                                       f"exceeds {RESIDUAL_TOL:.1e} * ||A|| = {bound:.3e}")
     if fixed.size > 1:
         return _FixedPoints(es, fixed, None, None)
     n = model.internal_dim
@@ -639,12 +653,30 @@ def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
 
 def _lattice_period(steps) -> int:
     """Index p of the lattice spanned by the differences s - s_0 of the steps,
-    the gcd of their d x d minors.  A return word of length l taking step s
-    n_s times has sum n_s (s - s_0) = -l s_0; steps that generate Z^d make
-    s_0 generate the quotient, so p divides l."""
-    base = steps[0]
-    diffs = [[a - b for a, b in zip(s, base)] for s in steps[1:]]
-    return gcd(*(_det(sub) for sub in combinations(diffs, len(base))))
+    0 below full rank.  A return word of length l taking step s n_s times has
+    sum n_s (s - s_0) = -l s_0; steps that generate Z^d make s_0 generate the
+    quotient, so p divides l.
+
+    Integer row reduction: Euclid down each column leaves one row with a
+    nonzero entry there, the pivot; unimodular row steps keep the lattice,
+    so its index is the product of the pivots.
+    """
+    rows = [[a - b for a, b in zip(s, steps[0])] for s in steps[1:]]
+    index = 1
+    for c in range(len(steps[0])):
+        live = [r for r in rows if r[c]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not pivot:
+                    q = r[c] // pivot[c]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+            live = [r for r in live if r[c]]
+        if not live:
+            return 0
+        index *= abs(live[0][c])
+        rows = [r for r in rows if r is not live[0]]
+    return index
 
 
 def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrreducibility:
@@ -715,9 +747,7 @@ def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrred
                     span.add(b)
             if not len(span):
                 continue
-            closure = algebra_closure(span.matrices())  # close it multiplicatively
-            if closure.dimension < n * n:
-                span = _OperatorSpan(n, closure.basis)
+            if len(_close(span, span.matrices().copy())) < n * n:
                 dims.append(len(span))
                 if dims[-3:] == [len(span)] * 3:
                     break

@@ -8,7 +8,8 @@ commands on the bundled models and on the seeded benchmark documents
 n = 9 walk beyond the dense cap, a malformed and a non-stochastic document),
 ``analyze`` on the seed-31 n = 4 walk with its +1 step moved to +20 and to
 10^30, ``analyze`` on a period-4 two-level walk and on a block-cyclic walk
-of period 6, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
+of period 6, ``analyze`` and ``asymptotics`` on a period-6 walk whose
+cyclic blocks differ in size, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
@@ -114,6 +115,8 @@ EXTRA = (
     # period 6, the lcm of the steps' 2 and the auxiliary map's 3.
     "analyze --model {docs}/c2_period4.json",
     "analyze --model {docs}/block_cyclic_111.json",
+    "analyze --model {docs}/block_cyclic_121.json",
+    "asymptotics --model {docs}/block_cyclic_121.json",
     # A lattice box too large for the exact propagator.
     "oracle-check --model {docs}/n4_step1e30_31.json -P 5",
     # An entry of 1e308: the stochasticity residual is NaN.
@@ -228,7 +231,9 @@ def write_documents(directory: Path) -> None:
         dump_model(rotated(model, 1), directory / f"rotated_{name}.json")
     dump_model(random_isometry_model(3, n=2, steps=STEPS_2D), directory / "isometry_2d.json")
     dump_model(c2_sample(100)[80], directory / "c2_period4.json")
-    dump_model(block_cyclic_model(0, (1, 1, 1)), directory / "block_cyclic_111.json")
+    for sizes in ((1, 1, 1), (1, 2, 1)):
+        name = "".join(map(str, sizes))
+        dump_model(block_cyclic_model(0, sizes), directory / f"block_cyclic_{name}.json")
     state = json.dumps(STATE_DOCUMENT)
     (directory / "state.json").write_text(state)
     (directory / "bad_state.json").write_text(state[: len(state) // 2])

@@ -1,10 +1,12 @@
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from oqwalk import BUILTIN_NAMES, builtin
 from oqwalk.asymptotics import covariance, drift, invariant_state
+from oqwalk.numerics import EigenSystem
 
 # Deterministic hypothesis runs: same examples every time, no flaky deadlines.
 settings.register_profile("suite", deadline=None, derandomize=True)
@@ -68,3 +70,22 @@ def computes(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def perturb_pairs(monkeypatch):
+    """``perturb_pairs(module, pick, error)`` makes ``module.eigendecompose``
+    add ``error`` to every entry of each eigenvector whose eigenvalue
+    ``pick(values)`` marks, one reader's mutant of the pairs it reads."""
+
+    def perturb(module, pick, error=1e-6):
+        real = module.eigendecompose
+
+        def perturbed(matrix):
+            es = real(matrix)
+            shift = np.where(pick(es.values), error, 0.0)[..., None, :]
+            return EigenSystem(es.values, es.vectors + shift)
+
+        monkeypatch.setattr(module, "eigendecompose", perturbed)
+
+    return perturb

@@ -6,6 +6,7 @@ complex Gaussian), and the structured two-level families parametrize their
 constraint manifolds with angles and phases.  All randomness goes through
 numpy's seeded Generator so samples are identical across runs.
 """
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -258,6 +259,15 @@ def block_cyclic_model(seed, sizes, steps=NN_STEPS):
             ops[i, starts[dst]:starts[dst] + rows,
                 starts[src]:starts[src] + cols] = q[i * rows:(i + 1) * rows]
     return KrausModel(len(steps[0]), n, steps, ops)
+
+
+#: The 45 size tuples of the valid ``block_cyclic_model`` walks on the steps
+#: +-1 with 2-4 blocks of sizes 1-3, not all equal, and n <= 8: each block is
+#: the image of the one before it, so it is at least half that block's size.
+UNEQUAL_BLOCK_SIZES = tuple(
+    sizes for d in (2, 3, 4) for sizes in itertools.product((1, 2, 3), repeat=d)
+    if len(set(sizes)) > 1 and sum(sizes) <= 8
+    and all(2 * sizes[j] >= sizes[j - 1] for j in range(d)))
 
 
 def block_sum_model(*models):

@@ -238,6 +238,31 @@ def path_sum_mgf(displacements, operators, blocks, u, p):
 
 
 # ---------------------------------------------------------------------------
+# The index of the lattice spanned by integer vectors, as the gcd of their
+# d x d minors, each by Laplace expansion: C(K, d) determinants of O(d!)
+# terms, so only for small step sets.  The package reduces the rows instead.
+# ---------------------------------------------------------------------------
+
+def laplace_det(rows):
+    """Exact determinant of a square integer matrix, by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def lattice_period_by_minors(steps):
+    """Index of the lattice spanned by the differences s - s_0 of the steps:
+    the gcd of their d x d minors, 0 below full rank."""
+    from itertools import combinations
+    from math import gcd
+
+    base = list(steps[0])
+    diffs = [[a - b for a, b in zip(s, base)] for s in steps[1:]]
+    return gcd(*(laplace_det(list(sub)) for sub in combinations(diffs, len(base))))
+
+
+# ---------------------------------------------------------------------------
 # Superoperator references: the auxiliary map applied term by term, the
 # lattice map one sandwich at a time, the weighted map assembled one
 # Kronecker product per term, and the Choi matrix

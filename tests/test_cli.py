@@ -23,6 +23,7 @@ from oqwalk.cli import main
 from oqwalk.superop import build_superop
 from model_zoo import (
     bench_document,
+    block_cyclic_model,
     broken_scaled_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
@@ -138,17 +139,18 @@ def test_analyze_breakdown_model(capsys):
 def test_analyze_computes_the_auxiliary_closure_once(name, closures, monkeypatch,
                                                      capsys):
     """One closure for the auxiliary map; the rest are the lattice-walk
-    search's, one per word length from its first return word on."""
+    search's, one per word length from its first return word on, each
+    closing its return span in place."""
     import oqwalk.structure as structure
 
     calls = []
-    real = structure.algebra_closure
+    real = structure._close
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "algebra_closure", counting)
+    monkeypatch.setattr(structure, "_close", counting)
     run_json(capsys, ["analyze", "--builtin", name])
     assert len(calls) == closures
 
@@ -531,10 +533,50 @@ def test_analyze_answers_a_walk_whose_first_return_word_is_long(tmp_path, capsys
     ["rate", "--builtin", "std_example", "--x-points", "3", "--u-points", "9"],
 ], ids=["analyze", "asymptotics", "simulate", "rate"])
 def test_each_command_builds_the_untilted_map_once(argv, computes, capsys):
-    # each invocation loads a fresh model, which keeps its map from then on
+    # each invocation loads a fresh model, which keeps its map from then on;
+    # rate reads reducibility off the curve's blocks and never needs the map
     builds = computes(build_superop, oqwalk.superop, "weighted_superop")
     run_json(capsys, argv)
-    assert len(builds) == 1
+    assert len(builds) == (0 if argv[0] == "rate" else 1)
+
+
+def _fixed(values):
+    return np.abs(values - 1) <= 1e-8
+
+
+@pytest.mark.parametrize("module, pick, argv, message", [
+    (oqwalk.structure, _fixed, ["analyze", "--builtin", "std_example"],
+     "eigendecomposition residual"),
+    (oqwalk.structure, _fixed, ["asymptotics", "--builtin", "std_example"],
+     "eigendecomposition residual"),
+    (oqwalk.superop, lambda v: v.real == v.real.max(axis=-1, keepdims=True),
+     ["asymptotics", "--builtin", "std_example"], "leading eigenvector residual"),
+    (oqwalk.superop, lambda v: v.real == v.real.max(axis=-1, keepdims=True),
+     ["rate", "--builtin", "std_example"], "leading eigenvector residual"),
+    (oqwalk.structure, lambda v: (np.abs(np.abs(v) - 1) <= 1e-8) & ~_fixed(v),
+     ["analyze", "--builtin", "periodic_example"], "peripheral eigenvector does not power up"),
+], ids=["fixed-analyze", "fixed-asymptotics", "perron-asymptotics", "perron-rate",
+        "primitive-root-analyze"])
+def test_a_read_pair_off_its_eigenvalue_exits_4(module, pick, argv, message,
+                                                perturb_pairs, capsys):
+    # eigendecompose certifies no pair: the fixed pairs, the Perron pair and
+    # period's primitive-root pair are each gated where they are read, so
+    # 1e-6 on the vectors of just those pairs is refused there.
+    perturb_pairs(module, pick)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_a_walk_with_unequal_cyclic_blocks_answers_every_command(tmp_path, capsys):
+    # A far from normal untilted map: pairs no command reads miss 1e-9 ||A||.
+    path = tmp_path / "block_cyclic_121.json"
+    dump_model(block_cyclic_model(0, (1, 2, 1)), path)
+    doc = run_json(capsys, ["analyze", "--model", str(path)])
+    assert (doc["auxiliary_map"]["period"], doc["lattice_walk"]["period"]) == (3, 6)
+    for argv in (["asymptotics"], ["rate"], ["simulate", "-P", "5", "-N", "4"]):
+        run_json(capsys, argv + ["--model", str(path)])
 
 
 def test_analyze_keeps_the_stochasticity_gate(tmp_path, capsys):

@@ -7,12 +7,14 @@ strings, bools, ints and exit codes exactly, floats to 1e-9 relative
 (1e-12 absolute near zero).
 
 Re-record after an intended output change with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py COMMAND...``; only the named
+commands' goldens are rewritten, so the others keep their bytes.
 """
 import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,13 +84,27 @@ def test_comparison_is_strict_about_types_and_tolerant_of_rounding():
     assert mismatches([1], [1, 2])
 
 
-def record() -> None:
+def test_recording_rewrites_only_the_named_goldens(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    record(["validate"])
+    assert [p.name for p in tmp_path.iterdir()] == ["validate.json"]
+    golden = json.loads((Path(__file__).parent / "golden" / "validate.json").read_text())
+    assert mismatches(golden, json.loads((tmp_path / "validate.json").read_text())) == []
+    with pytest.raises(SystemExit):
+        record([])
+
+
+def record(commands) -> None:
+    """Rewrite the goldens of ``commands``, names from ``COMMANDS``."""
+    unknown = sorted(set(commands) - set(COMMANDS))
+    if not commands or unknown:
+        raise SystemExit(f"name one or more of {sorted(COMMANDS)}; unknown: {unknown}")
     GOLDEN.mkdir(exist_ok=True)
-    for command in COMMANDS:
+    for command in commands:
         doc = {name: run(command, name) for name in BUILTIN_NAMES}
         (GOLDEN / f"{command}.json").write_text(
             json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -37,6 +37,7 @@ from oqwalk.structure import algebra_closure
 import reference
 from model_zoo import (
     STEPS_2D,
+    block_cyclic_model,
     block_sum_model,
     c2_sample,
     equal_modulus_diagonal_model,
@@ -58,6 +59,8 @@ MODELS = {
     "equal_modulus_diagonal": equal_modulus_diagonal_model,
     "mirrored_breakdown": mirrored_breakdown_model,
     "isometry_2d": lambda: random_isometry_model(3, n=2, steps=STEPS_2D),
+    "block_cyclic_121": lambda: block_cyclic_model(0, (1, 2, 1)),
+    "block_cyclic_1232": lambda: block_cyclic_model(0, (1, 2, 3, 2)),
 }
 
 

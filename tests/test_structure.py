@@ -13,10 +13,12 @@ from oqwalk import (
     KrausModel,
     MIrreducibility,
     SingularRestrictionError,
+    SpectralIndeterminateError,
     algebra_closure,
     bn_decomposition,
     builtin,
     classify_c2,
+    invariant_state,
     is_irreducible_L,
     is_irreducible_M,
     is_regular,
@@ -24,13 +26,14 @@ from oqwalk import (
     period,
 )
 from oqwalk import structure
-from oqwalk.numerics import unvec, vec
+from oqwalk.numerics import frob, unvec, vec
 from oqwalk.structure import _projector_basis
 from oqwalk.superop import build_superop
 import reference
 from model_zoo import (
     NN_STEPS,
     STEPS_2D,
+    UNEQUAL_BLOCK_SIZES,
     bench_document,
     block_cyclic_model,
     broken_scaled_model,
@@ -162,6 +165,17 @@ def test_diagonal_pair_has_two_fixed_points():
     assert report.min_fixed_eigenvalue is None
 
 
+@pytest.mark.parametrize("error", [np.nan, 1e-6], ids=["nan", "1e-6"])
+def test_fixed_pairs_are_gated_where_they_are_read(error, perturb_pairs):
+    # eigendecompose certifies no pair, and no other reader certifies the
+    # fixed ones, so the fixed-point data gates them; a NaN residual fails too.
+    perturb_pairs(structure, lambda values: np.abs(values - 1) <= 1e-8, error)
+    with pytest.raises(SingularRestrictionError, match=(
+            r"^eigendecomposition residual (nan|1\.\d{3}e-06) exceeds "
+            r"1\.0e-09 \* \|\|A\|\| = 1\.700e-09$")):
+        is_irreducible_L(builtin("std_example"))
+
+
 # -- cyclic period -------------------------------------------------------------
 
 def test_standard_model_is_aperiodic(std_model):
@@ -197,6 +211,7 @@ def test_antidiagonal_model_has_period_two(antidiag_model):
 
 @pytest.mark.parametrize("sizes, steps", [
     ((3, 2, 3), NN_STEPS),
+    ((1, 2, 1), NN_STEPS),
     ((3, 2, 1, 1), ((1,), (-1,), (0,))),
 ])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -215,6 +230,30 @@ def test_block_cyclic_models_have_their_period_and_blocks(sizes, steps, seed):
         np.testing.assert_allclose(p, np.diag(block), atol=1e-9)
     r = is_regular(model)
     assert (r.regular, r.period) == (False, d)
+
+
+def test_unequal_block_walks_answer_with_their_period():
+    # The untilted maps of these walks are far from normal, and pairs that
+    # no caller reads miss 1e-9 ||A|| on many of them; every pair an answer
+    # reads passes its own gate.  A reducible verdict is one both routes
+    # give (they raise when they disagree), with the closure below n^2.  The
+    # invariant state meets the fixed-point gate's bound; on three seed-3
+    # walks it is only that accurate (7.5e-10 on (2, 1)), on the rest to 1e-14.
+    seen = Counter()
+    for seed, sizes in itertools.product(range(5), UNEQUAL_BLOCK_SIZES):
+        model = block_cyclic_model(seed, sizes)
+        n = model.internal_dim
+        report = is_irreducible_L(model)
+        if not report.irreducible:
+            assert report.closure_dimension < n * n, (seed, sizes)
+            seen["reducible"] += 1
+            continue
+        assert period(model).period == len(sizes), (seed, sizes)
+        a = build_superop(model)
+        rho = invariant_state(model)
+        assert frob(a.apply(rho) - rho) <= 1e-9 * frob(a.matrix), (seed, sizes)
+        seen["periodic"] += 1
+    assert seen == {"periodic": 170, "reducible": 55}
 
 
 def test_period_requires_irreducibility(breakdown_model):
@@ -589,6 +628,25 @@ def test_breakdown_walk_is_not_irreducible(breakdown_model):
 
 # -- the lattice walk's period -----------------------------------------------------
 
+def test_lattice_period_matches_the_minor_gcd():
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        steps = [tuple(int(c) for c in rng.integers(-4, 5, size=d)) for _ in range(k)]
+        assert structure._lattice_period(steps) == reference.lattice_period_by_minors(steps), \
+            steps
+
+
+def test_lattice_period_takes_no_minor(monkeypatch):
+    # The 80 steps of {-1, 0, 1}^4 \ {0} have C(79, 4) = 1.5 million 4 x 4
+    # minors; row reduction forms none.
+    calls = []
+    monkeypatch.setattr(structure, "_det", lambda rows: calls.append(rows))
+    steps = [s for s in itertools.product((-1, 0, 1), repeat=4) if any(s)]
+    assert structure._lattice_period(steps) == 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("steps, expected", [
     (((1,), (-1,)), 2),
     (((2,), (-3,)), 5),
@@ -603,7 +661,7 @@ def test_walk_period_is_the_lattice_period_of_a_generic_walk(steps, expected):
     assert (walk.verdict, walk.period) == ("irreducible", expected)
 
 
-@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3, 3)])
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (1, 2, 1), (2, 3, 3)])
 def test_walk_period_is_the_lcm_of_the_lattice_and_map_periods(sizes):
     # The map cycles through three blocks and the steps alternate parity;
     # the closed return span is full at length 2, long before the period.
@@ -613,14 +671,20 @@ def test_walk_period_is_the_lcm_of_the_lattice_and_map_periods(sizes):
     assert period(model).period == 3
 
 
-def test_walk_period_scans_on_when_the_map_period_is_refused():
-    # period() refuses this map's spectrum, so d is unknown and the scan
-    # runs to max_length; the gcd of its trace lengths is still 6.
+def test_walk_period_scans_on_when_the_map_period_is_refused(monkeypatch):
+    # With the map's peripheral spectrum refused, d is unknown and the scan
+    # runs past length 6, where it stops when d = 3 is known, to max_length;
+    # the gcd of its trace lengths is still 6.
     model = block_cyclic_model(0, (1, 2, 1))
-    with pytest.raises(SingularRestrictionError):
-        period(model)
+    known = _span_count(monkeypatch, model)
+
+    def refused(model):
+        raise SpectralIndeterminateError("peripheral spectrum refused")
+
+    monkeypatch.setattr(structure, "_peripheral_count", refused)
     walk = is_irreducible_M(model)
     assert (walk.verdict, walk.max_length_used, walk.period) == ("irreducible", 2, 6)
+    assert _span_count(monkeypatch, model) > known
 
 
 def _commuting_diagonal_model(seed):
@@ -669,8 +733,9 @@ def _span_count(monkeypatch, model, max_length=None) -> int:
 @pytest.mark.parametrize("model, walk_period", [
     (lambda: model_from_dict(json.loads(bench_document(1, "n4.json"))), 2),
     (lambda: model_from_dict(json.loads(bench_document(1, "n8.json"))), 2),
+    (lambda: block_cyclic_model(0, (1, 2, 1)), 6),
     (lambda: block_cyclic_model(0, (2, 3, 3)), 6),
-], ids=["n4", "n8", "block_cyclic_233"])
+], ids=["n4", "n8", "block_cyclic_121", "block_cyclic_233"])
 def test_walk_period_scan_stops_once_the_period_is_known(monkeypatch, model, walk_period):
     # Here g first equals lcm(p, d) at the length of the period itself: the
     # benchmark documents at their verdict length 2, the block-cyclic model

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oqwalk import (
     BUILTIN_NAMES,
     AssumptionError,
-    SingularRestrictionError,
     SpectralIndeterminateError,
     apply_M,
     build_superop,
@@ -233,13 +232,13 @@ def test_periodic_root_is_separated_though_its_modulus_gap_is_zero(periodic_mode
     assert data.separation > 1e-2
 
 
-def test_an_overflowing_radius_fails_the_eigendecomposition_gate():
-    # A finite map whose radius overflows to inf: its eigen-residuals are NaN,
-    # which the residual gate refuses with a typed error before any Perron
-    # step reads the spectrum.
+def test_an_overflowing_radius_fails_the_perron_gate():
+    # A finite map whose radius overflows to inf: no eigenvalue lies within
+    # a tie of it, so the Perron extraction refuses with a typed error before
+    # any step reads the lead pair.
     with np.errstate(all="ignore"), pytest.raises(
-            SingularRestrictionError, match=r"^eigendecomposition residual nan exceeds "
-                                            r"1\.0e-09 \* \|\|A\|\| = inf$"):
+            SpectralIndeterminateError, match=r"^spectral radius overflows; no eigenvalue "
+                                              r"lies on the spectral circle$"):
         perron(Superoperator(np.full((4, 4), 1e308, complex), 2))
 
 
