@@ -13,8 +13,8 @@ POSITIVITY_TOL = 1e-10
 #: the CLT covariance.
 DERIVED_POSITIVITY_TOL = 1e-8
 
-#: Distance to a radius r, over max(r, 1), of a tie: ``perron``'s peripheral
-#: eigenvalues and degenerate root, a second block's radius on a reducible curve.
+#: Distance to a radius r, over max(r, 1), of a tie: ``perron``'s root at r and
+#: its degenerate root, a second block's radius on a reducible curve.
 RADIUS_TIE_TOL = 1e-9
 
 #: Relative eigen-residual bound of the untilted map's fixed pairs and of ``perron``.
@@ -24,15 +24,17 @@ RESIDUAL_TOL = 1e-9
 STOCHASTICITY_TOL = 1e-10
 
 #: Distance of an untilted eigenvalue to 1 or to a root of unity: the fixed
-#: points, the peripheral spectrum and the primitive root of ``period``.
+#: points and the primitive root of ``period``; and, over max(r, 1), the
+#: peripheral band |mu| >= r - tol of ``period`` (r = 1) and ``perron``.
 UNIT_CIRCLE_TOL = 1e-8
 
 #: Least eigenvalue of a strictly positive trace-one state: the faithful fixed
 #: point of ``is_irreducible_L``, the positivity onset of ``is_regular``.
 FAITHFUL_TOL = 1e-8
 
-#: Largest residual of a synthesized projection (``period``, ``c2_parameters``)
-#: and of the recurrent subspace's invariance (``bn_decomposition``).
+#: Largest residual of a synthesized projection (``period``, ``c2_parameters``),
+#: and largest relative leak ||(I - P) A P|| / ||A|| of an invariant subspace:
+#: the recurrent part, a common ray, a common invariant subspace.
 PROJECTION_TOL = 1e-8
 
 #: Relative norm below which a candidate adds no direction to an operator span.

@@ -438,21 +438,27 @@ def bn_decomposition(model: KrausModel) -> BNDecomposition:
     rank = keep.shape[1]
 
     # The recurrent part must be invariant under every Kraus operator.
-    eye = np.eye(n)
-    for op in model.operators:
-        leak = frob((eye - p_r) @ op @ p_r) / max(frob(op), 1e-30)
-        if leak > PROJECTION_TOL:
-            raise SpectralIndeterminateError(
-                f"recurrent subspace leaks under a Kraus operator "
-                f"(relative leakage {leak:.3e})"
-            )
+    leak = _leak(p_r, model.operators)
+    if leak > PROJECTION_TOL:
+        raise SpectralIndeterminateError(
+            f"recurrent subspace leaks under a Kraus operator "
+            f"(relative leakage {leak:.3e})"
+        )
     return BNDecomposition(
         recurrent_dimension=rank,
         decaying_dimension=n - rank,
         recurrent_basis=_projector_basis(p_r, rank),
-        decaying_basis=_projector_basis(eye - p_r, n - rank),
+        decaying_basis=_projector_basis(np.eye(n) - p_r, n - rank),
         limit_state=limit,
     )
+
+
+def _leak(p: np.ndarray, mats) -> float:
+    """Largest relative leak ||(I - P) A P||_F / ||A||_F of the range of the
+    projector ``p`` under the matrices ``mats`` (a zero matrix leaks nothing);
+    the range counts as invariant when this is at most ``PROJECTION_TOL``."""
+    q = np.eye(len(p)) - p
+    return max(frob(q @ a @ p) / max(frob(a), 1e-30) for a in mats)
 
 
 def _projector_basis(p: np.ndarray, rank: int) -> np.ndarray:
@@ -505,12 +511,6 @@ def _phase_fix(v: np.ndarray) -> np.ndarray:
     return v / phase
 
 
-def _ray_member(v: np.ndarray, ray: np.ndarray, scale: float) -> bool:
-    """Is v in the line spanned by unit vector ray (zero counts as inside)?"""
-    residual = v - (ray.conj() @ v) * ray
-    return np.linalg.norm(residual) <= 1e-9 * max(1.0, scale)
-
-
 def _ray_candidates(op: np.ndarray) -> list[np.ndarray]:
     _, vecs = np.linalg.eig(op)
     rays: list[np.ndarray] = []
@@ -535,7 +535,7 @@ def classify_c2(model: KrausModel) -> C2Classification:
 
     candidates = _ray_candidates(next(op for op in model.operators if _nonscalar(op)))
     rays = [v for v in candidates
-            if all(_ray_member(op @ v, v, frob(op)) for op in model.operators)]
+            if _leak(np.outer(v, v.conj()), model.operators) <= PROJECTION_TOL]
 
     if not rays:
         return C2Classification(1, (), None, None, None, None)
@@ -554,21 +554,18 @@ def _normal_form(ops: np.ndarray, rays: list[np.ndarray]):
     """``(basis, alpha, beta, gamma)`` of the operators in the basis of the
     common rays, a lone ray completed by its orthogonal partner, checked
     against the stochasticity identities of the triangular (one ray) or the
-    diagonal (two rays) normal form."""
+    diagonal (two rays) normal form; the rays' invariance is the caller's."""
     e1 = rays[0]
     e2 = rays[1] if len(rays) > 1 else np.array([-np.conj(e1[1]), np.conj(e1[0])])
     alpha, beta, gamma = (np.array([a.conj() @ op @ b for op in ops])
                           for a, b in ((e1, e1), (e2, e2), (e1, e2)))
-    lower = max(abs(e2.conj() @ op @ e1) for op in ops)
     alpha_norm = abs(np.sum(np.abs(alpha) ** 2) - 1.0)
     if len(rays) == 1:
         form, checks = "triangular", (
-            lower, alpha_norm,
-            abs(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(gamma) ** 2) - 1.0),
+            alpha_norm, abs(np.sum(np.abs(beta) ** 2) + np.sum(np.abs(gamma) ** 2) - 1.0),
             abs(np.vdot(alpha, gamma)))
     else:
-        form, checks = "diagonal", (max(max(abs(g) for g in gamma), lower), alpha_norm,
-                                    abs(np.sum(np.abs(beta) ** 2) - 1.0))
+        form, checks = "diagonal", (alpha_norm, abs(np.sum(np.abs(beta) ** 2) - 1.0))
     if max(checks) > 1e-8:
         raise AssumptionError(
             f"{form} normal form violates its stochasticity identities; "
@@ -786,8 +783,7 @@ def _two_level_reason(model: KrausModel, walk: MIrreducibility) -> str | None:
         return "common-eigenvector"
     for op in model.operators:
         for v in (walk.witness[:, 0], *_ray_candidates(op)):
-            if _ray_member(op @ v, v, frob(op)) and all(
-                    _ray_member(b @ v, v, frob(b)) for b in walk.return_span):
+            if _leak(np.outer(v, v.conj()), (op, *walk.return_span)) <= PROJECTION_TOL:
                 return "common-eigenvector"
     return "swap-pair"
 
@@ -802,7 +798,6 @@ def _search_common_invariant_subspace(basis_mats: np.ndarray,
     reported by its canonical basis.
     """
     rng = np.random.default_rng(0xBEEF)
-    eye = np.eye(n)
     for _ in range(4):
         coeffs = rng.normal(size=len(basis_mats)) + 1j * rng.normal(size=len(basis_mats))
         generic = sum(c * b for c, b in zip(coeffs, basis_mats))
@@ -811,7 +806,7 @@ def _search_common_invariant_subspace(basis_mats: np.ndarray,
             sub = _minimal_invariant_subspace(vecs[:, j], basis_mats, n)
             if 0 < sub.shape[1] < n:
                 p = sub @ sub.conj().T
-                if all(frob((eye - p) @ b @ p) <= 1e-9 for b in basis_mats):
+                if _leak(p, basis_mats) <= PROJECTION_TOL:
                     return _projector_basis(p, sub.shape[1])
     return None
 

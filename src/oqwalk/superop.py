@@ -22,7 +22,7 @@ from operator import add
 
 import numpy as np
 
-from .config import RADIUS_TIE_TOL, RESIDUAL_TOL
+from .config import RADIUS_TIE_TOL, RESIDUAL_TOL, UNIT_CIRCLE_TOL
 from .errors import AssumptionError, OQWalkError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState, _kept
 from .numerics import (
@@ -244,12 +244,13 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
     radius = moduli.max(axis=1)
     if (radius <= 0).any():
         raise SpectralIndeterminateError("zero spectral radius")
-    # The peripheral eigenvalues may tie in modulus to rounding (e.g. a +/-
-    # pair for a 2-periodic map), so the modulus sort alone cannot be trusted
-    # to put the Perron root first: take the peripheral one of largest real
-    # part and insist that it is the positive real point of the circle.
+    # The peripheral eigenvalues (``period``'s band, scaled by max(r, 1)) may
+    # tie in modulus to rounding (e.g. a +/- pair for a 2-periodic map), so the
+    # modulus sort alone cannot be trusted to put the Perron root first: take
+    # the peripheral one of largest real part and insist that it sits at r to
+    # within the tie tolerance; no eigenvalue the band adds beats such a root.
     tol_edge = RADIUS_TIE_TOL * np.maximum(radius, 1.0)
-    peripheral = moduli >= (radius - tol_edge)[:, None]
+    peripheral = moduli >= (radius - UNIT_CIRCLE_TOL * np.maximum(radius, 1.0))[:, None]
     if not peripheral.any(axis=1).all():  # a radius of inf: inf - inf is NaN
         raise SpectralIndeterminateError(
             "spectral radius overflows; no eigenvalue lies on the spectral circle")

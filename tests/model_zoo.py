@@ -98,6 +98,39 @@ def diagonal_pair_model(seed):
     return KrausModel(1, 2, NN_STEPS, ops)
 
 
+def leaky_ray_model(leak):
+    """Two-level walk whose ray e0 is invariant under L_+ and leaks under L_-
+    by ``leak`` relative: |<e1, L_- e0>| = leak * ||L_-||_F.
+
+    The operators stack into the first two columns of an isometry (Gram-Schmidt
+    in C^4), so sum_s L_s^dag L_s = Id to rounding; the leak is linear in the
+    seeded entry delta, so one rescaling of delta hits it.
+    """
+    def build(delta):
+        c0 = np.array([0.6, 0.0, 0.8j, delta])
+        c0 /= np.linalg.norm(c0)
+        c1 = np.array([0.3 + 0.2j, 0.5, -0.4j, 0.6])
+        c1 -= np.vdot(c0, c1) * c0
+        v = np.column_stack([c0, c1 / np.linalg.norm(c1)])
+        return np.stack([v[:2], v[2:]])
+
+    ops = build(leak)
+    ops = build(leak * leak * np.linalg.norm(ops[1]) / abs(ops[1][1, 0]))
+    return KrausModel(1, 2, NN_STEPS, ops)
+
+
+def nearly_periodic_model(gap, seed=3):
+    """(1 - eta) Phi + eta id for the period-2 ``antidiagonal_pair_model`` map
+    Phi, eta = gap / 2: the identity term is a lazy step of operator
+    sqrt(eta) I.  The mixture keeps Phi's eigenvectors and moves its
+    eigenvalue -1 to -(1 - gap), so the map is aperiodic for every gap > 0.
+    """
+    eta = gap / 2
+    ops = np.concatenate([np.sqrt(1 - eta) * antidiagonal_pair_model(seed).operators,
+                          [np.sqrt(eta) * np.eye(2)]])
+    return KrausModel(1, 2, NN_STEPS + ((0,),), ops)
+
+
 def c2_sample(count=100, base_seed=0xC2):
     """Stratified sample of valid two-level nearest-neighbour models.
 

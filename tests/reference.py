@@ -411,6 +411,14 @@ class C2MClassification:
     basis: np.ndarray | None
 
 
+def _ray_member(v, ray, scale):
+    """Is v in the line spanned by unit vector ray (zero counts as inside)?
+    The oracle's own absolute bound, 1e-9 * max(1, scale), so that it does not
+    read the package's invariance predicate, which it checks."""
+    residual = v - (ray.conj() @ v) * ray
+    return np.linalg.norm(residual) <= 1e-9 * max(1.0, scale)
+
+
 def c2_m_classifier(model):
     """Classify the lattice walk of a two-level nearest-neighbour model.
 
@@ -423,7 +431,7 @@ def c2_m_classifier(model):
     """
     from oqwalk.errors import AssumptionError
     from oqwalk.numerics import frob
-    from oqwalk.structure import _ray_candidates, _ray_member
+    from oqwalk.structure import _ray_candidates
 
     if model.internal_dim != 2:
         raise AssumptionError("this classifier needs internal dimension 2")

@@ -42,7 +42,9 @@ from model_zoo import (
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     irreducible_sample,
+    leaky_ray_model,
     moved_step_document,
+    nearly_periodic_model,
     random_isometry_model,
     rotated,
     three_level_two_block_model,
@@ -259,6 +261,23 @@ def test_unequal_block_walks_answer_with_their_period():
 def test_period_requires_irreducibility(breakdown_model):
     with pytest.raises(AssumptionError):
         period(breakdown_model)
+
+
+@pytest.mark.parametrize("gap", [3e-9, 3e-8])
+def test_the_peripheral_band_is_the_unit_circle_tolerance(gap):
+    """The band is 1e-8 (``UNIT_CIRCLE_TOL``) wide.  An eigenvalue -(1 - gap)
+    of an aperiodic map inside it counts as a second root of unity: the map
+    is not regular, and ``period`` refuses it, since a lazy step cannot shift
+    cyclic projections.  Outside the band the map has period 1."""
+    model = nearly_periodic_model(gap)
+    report = is_regular(model)
+    if gap < 1e-8:
+        assert (report.regular, report.period) == (False, 2)
+        with pytest.raises(SpectralIndeterminateError):
+            period(model)
+    else:
+        assert (report.regular, report.period) == (True, 1)
+        assert period(model).period == 1
 
 
 # -- regularity ----------------------------------------------------------------
@@ -489,6 +508,15 @@ def test_diagonal_models_are_situation_three():
         rebuilt = cls.basis @ np.diag([cls.alpha[s], cls.beta[s]]) @ cls.basis.conj().T
         np.testing.assert_allclose(rebuilt, op, atol=1e-9)
     assert cls.gamma is None
+
+
+@pytest.mark.parametrize("leak, situation", [(3e-9, 2), (3e-8, 1)])
+def test_a_common_ray_may_leak_up_to_the_projection_tolerance(leak, situation):
+    """A ray is common when its relative leak is at most 1e-8 (``PROJECTION_TOL``)."""
+    model = leaky_ray_model(leak)
+    e0 = np.array([1.0, 0.0])
+    assert structure._leak(np.outer(e0, e0), model.operators) == pytest.approx(leak, rel=1e-6)
+    assert classify_c2(model).situation == situation
 
 
 def test_taxonomy_requires_a_valid_two_level_model(classical_model):
