@@ -29,12 +29,13 @@ STOCHASTICITY_TOL = 1e-10
 UNIT_CIRCLE_TOL = 1e-8
 
 #: Least eigenvalue of a strictly positive trace-one state: the faithful fixed
-#: point of ``is_irreducible_L``, the positivity onset of ``is_regular``.
+#: point of ``is_irreducible_L``, which refuses one within FAITHFUL_TOL / 10 of
+#: it, and the positivity onset of ``is_regular``.
 FAITHFUL_TOL = 1e-8
 
-#: Largest residual of a synthesized projection (``period``, ``c2_parameters``),
-#: and largest relative leak ||(I - P) A P|| / ||A|| of an invariant subspace:
-#: the recurrent part, a common ray, a common invariant subspace.
+#: Largest residual of the synthesized projections of ``period``, and largest
+#: relative leak ||(I - P) A P|| / ||A|| of an invariant subspace: the
+#: recurrent part, a common ray, a common invariant subspace.
 PROJECTION_TOL = 1e-8
 
 #: Relative norm below which a candidate adds no direction to an operator span.

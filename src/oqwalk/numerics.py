@@ -78,11 +78,6 @@ def _nonscalar(op: np.ndarray) -> bool:
     return frob(op - (np.trace(op) / n) * np.eye(n)) > 1e-10
 
 
-def _trace_drifted(x: np.ndarray) -> bool:
-    """Is |tr x| above max(1e-12, 1e-12 ||x||)?  NaN counts as traceless."""
-    return abs(complex(np.trace(x))) > max(1e-12, 1e-12 * frob(x))
-
-
 def kraus_products(operators: np.ndarray) -> np.ndarray:
     """Stack of the Kraus-term superoperators ``kron(conj(L_k), L_k)``.
 
@@ -182,10 +177,11 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` is a superoperator matrix whose restriction to the traceless subspace
     must be invertible (smallest restricted singular value > 1e-12 ||a||); ``b``
     must be traceless up to 1e-10 max(1, ||b||), a gate that scales with ``b``
-    as its rounding does.  The returned ``x`` has |trace| <= max(1e-12,
-    1e-12 ||x||) (``_trace_drifted``) and residual ||a(x) - b_0|| <= 1e-10
-    ||b||, where b_0 = b - (tr b / n) I is the traceless part of ``b``, the
-    part a traceless ``x`` can reach.
+    as its rounding does.  The returned ``x`` has residual ||a(x) - b_0|| <=
+    1e-10 ||b||, where b_0 = b - (tr b / n) I is the traceless part of ``b``,
+    the part a traceless ``x`` can reach.  It is traceless by construction:
+    ``x`` is the traceless basis times a vector, so |tr x| is rounding, under
+    3e-16 ||x|| for n <= 8.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -221,8 +217,6 @@ def solve_on_traceless(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularRestrictionError(
             f"traceless solve residual {residual:.3e} exceeds 1e-10 * ||b||"
         )
-    if _trace_drifted(x):
-        raise TraceGaugeError("solution drifted off the traceless gauge")
     return x
 
 

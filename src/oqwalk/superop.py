@@ -98,11 +98,14 @@ def _shifted_maps(model: KrausModel, us: np.ndarray) -> tuple[np.ndarray, np.nda
     in (0, 1] (overflow-free).
 
     Returns ``(shifts, stack)``: ``shifts[t] = max_s <us[t], s>``, and the
-    tilted map at ``us[t]`` is ``exp(shifts[t])`` times ``stack[t]``.
+    tilted map at ``us[t]`` is ``exp(shifts[t])`` times ``stack[t]``.  An
+    exponent that overflows is -inf, whose weight 0 is the exact limit.
     """
     phis = np.array([model.steps_array @ u for u in us]).reshape(len(us), model.n_steps)
     shifts = np.max(phis, axis=1)
-    return shifts, _weighted_stack(model, np.exp(phis - shifts[:, None]))
+    with np.errstate(over="ignore"):
+        weights = np.exp(phis - shifts[:, None])
+    return shifts, _weighted_stack(model, weights)
 
 
 def _shifted_map(model: KrausModel, u: np.ndarray) -> tuple[float, Superoperator]:

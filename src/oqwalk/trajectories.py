@@ -698,7 +698,10 @@ def mgf_check(model: KrausModel, u, p: int,
     started from the summed blocks rho at the origin, which the propagator
     gives; the other route is Tr(L_u^p rho).  Both use the weights of
     ``superop._shifted_map``, shifted by exp(-max_s <u, s>) per step, so
-    neither overflows; if both underflow, :class:`ConvergenceError`.
+    neither overflows; if both underflow, :class:`ConvergenceError`.  The
+    propagator's exponent <x - p s*, u>, with s* the step of the shift, is
+    formed from the integer offsets x - p s*; one that overflows is -inf,
+    whose weight 0 is the exact limit.
     """
     if initial_state is None:
         initial_state = default_initial_state(model)
@@ -707,7 +710,9 @@ def mgf_check(model: KrausModel, u, p: int,
 
     sites, weights = _propagate(model, {(0,) * model.lattice_dim: rho}, p)
     shift, shifted = _shifted_map(model, u)
-    path = float(np.exp(sites @ u - p * shift) @ weights)
+    top = model.steps_array[int(np.argmax(model.steps_array @ u))]
+    with np.errstate(over="ignore"):
+        path = float(np.exp((sites - p * top) @ u) @ weights)
     tilted = float(np.trace(shifted.power_apply(rho, p)).real)
     larger = max(abs(path), abs(tilted))
     if larger < np.finfo(float).tiny:

@@ -319,3 +319,74 @@ def block_sum_model(*models):
         ops[:, at:at + k, at:at + k] = m.operators
         at += k
     return KrausModel(models[0].lattice_dim, n, steps, ops)
+
+
+def chain_walk(q, p10=0.5):
+    """Two-state classical chain as a two-level walk: L_+ = diag(sqrt(1 - p01),
+    sqrt(1 - p10)) stays, L_- = [[0, sqrt(p10)], [sqrt(p01), 0]] jumps.
+
+    p01 is chosen so that the stationary weight of state 1 is ``q``: the
+    unique fixed point is diag(1 - q, q), with minimum eigenvalue q, and the
+    untilted map has the eigenvalue 1 - p01 - p10 next to 1.
+    """
+    p01 = q * p10 / (1 - q)
+    ops = np.array([np.diag([np.sqrt(1 - p01), np.sqrt(1 - p10)]),
+                    [[0, np.sqrt(p10)], [np.sqrt(p01), 0]]], dtype=complex)
+    return KrausModel(1, 2, NN_STEPS, ops)
+
+
+def nilpotent_step_model():
+    """Irreducible two-level walk whose +1 operator is nilpotent.
+
+    At a tilt u of a few hundred the -1 term's weight exp(-2u) underflows,
+    and the shifted map is the nilpotent +1 term alone: spectral radius 0.
+    """
+    ops = np.array([[[0, 0.6], [0, 0]], [[0, 0.8], [1, 0]]], dtype=complex)
+    return KrausModel(1, 2, NN_STEPS, ops)
+
+
+def imaginary_ray_breakdown_model():
+    """``breakdown_example`` in a basis that takes its invariant ray e0 to
+    (1, i) / sqrt 2 and e1 to e^{i pi/4} (i, 1) / sqrt 2.
+
+    The unique fixed point is the pure state on that ray; its entries tie in
+    modulus, and rounding makes the imaginary coherence the largest entry
+    of the computed eigenvector.
+    """
+    m = builtin("breakdown_example")
+    u = np.column_stack([np.array([1, 1j]) / np.sqrt(2),
+                         np.array([1j, 1]) / np.sqrt(2) * np.exp(1j * np.pi / 4)])
+    return KrausModel(1, 2, m.displacements, u @ m.operators @ u.conj().T)
+
+
+def near_scalar_model(delta):
+    """Valid two-level walk (I / sqrt 2 +- delta N) with N = [[0, 1], [0, 1]].
+
+    Both operators have the rays of N, e0 and (1, 1) / sqrt 2, which are not
+    orthogonal; the stochasticity residual is 4 delta^2, about 4e-12 at
+    delta = 1e-6.
+    """
+    n = np.array([[0, 1], [0, 1]])
+    ops = np.array([np.eye(2) / np.sqrt(2) + delta * n,
+                    np.eye(2) / np.sqrt(2) - delta * n], dtype=complex)
+    return KrausModel(1, 2, NN_STEPS, ops)
+
+
+def leaning_ray_model(eps):
+    """Valid two-level walk on steps 0, +1, -1 whose ray e0 leaks by ``eps``
+    relative under the +1 and -1 operators, aligned with their entry beta.
+
+    L_s = [[alpha_s, gamma_s], [delta_s, beta_s]] with alpha = (a, c, c),
+    beta = (-a, c, -c), delta = (0, eps, -eps) and gamma chosen so that
+    sum_s L_s^dag L_s = I: then sum_s conj(alpha_s) gamma_s = -2 c eps,
+    which is the triangular normal form's third identity, about 1.41 eps.
+    The ray stays common for eps up to ``PROJECTION_TOL``.
+    """
+    a = 1e-3
+    c = np.sqrt((1 - a * a) / 2)
+    alpha, beta = np.array([a, c, c]), np.array([-a, c, -c])
+    delta = np.array([0.0, eps, -eps])
+    gamma = np.array([0.0, -np.sum(delta * beta) / c, 0.0])
+    ops = np.array([[[x, g], [d, b]] for x, b, g, d in zip(alpha, beta, gamma, delta)],
+                   dtype=complex)
+    return KrausModel(1, 2, ((0,), (1,), (-1,)), ops)

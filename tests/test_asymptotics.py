@@ -16,6 +16,7 @@ from oqwalk import (
     KrausModel,
     ConvergenceError,
     MultiplicityError,
+    OQWalkError,
     SpectralIndeterminateError,
     asymptotic_stats,
     bn_decomposition,
@@ -35,7 +36,9 @@ from oqwalk import (
 )
 from oqwalk.asymptotics import (
     _block_crossings,
+    _legendre_point,
     _log_lambda_derivatives,
+    _newton_max,
     _top_block,
 )
 from oqwalk.structure import (
@@ -52,9 +55,11 @@ from model_zoo import (
     bench_document,
     block_cyclic_model,
     block_sum_model,
+    broken_scaled_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     mirrored_breakdown_model,
+    nilpotent_step_model,
     random_isometry_model,
     three_level_two_block_model,
     upper_triangular_model,
@@ -1005,6 +1010,30 @@ def test_rate_function_is_one_dimensional_only():
         rate_function(random_isometry_model(0, steps=STEPS_2D), [0.0])
 
 
+def test_rate_function_refuses_a_map_that_is_not_trace_preserving():
+    # std_example with L_+ scaled by 1.001: log lambda_0 = log rho(Phi) > 0.
+    with pytest.raises(ConvergenceError, match=r"^log lambda at u = 0 is "):
+        rate_function(broken_scaled_model(), [0.0])
+
+
+def test_a_newton_run_that_crawls_raises_after_100_steps():
+    # Each triple says c' - x = -1 with curvature 1e6: a step of 1e-6 that
+    # stays in the bracket [-1, 1] and moves its lower end by as much.
+    run = _newton_max(lambda u: 0.0, 0.0, -1.0, 0.0, 1.0)
+    u = next(run)
+    with pytest.raises(ConvergenceError, match="did not converge in 100 steps"):
+        for _ in range(100):
+            u = run.send((0.0, -1.0, 1e6))
+    assert u == pytest.approx(99e-6)
+
+
+def test_a_maximum_that_never_leaves_the_window_edge_raises():
+    # At x = 0 the objective -c(u) = asinh(u) rises on every window, and the
+    # 64 doublings end near u = 1e20, where it is 46, far under the cap.
+    with pytest.raises(ConvergenceError, match="did not localize"):
+        _legendre_point(lambda u: -np.arcsinh(u), 0.0, -4.0, 4.0, 41, ())
+
+
 # -- two-level closed forms -----------------------------------------------------
 
 def approx_law(law, expected):
@@ -1118,6 +1147,15 @@ def test_closed_form_agrees_with_the_spectral_route(periodic_model):
 
 
 # -- overflow-free curve evaluation ------------------------------------------------
+
+def test_log_lambda_refuses_a_tilt_where_the_map_is_nilpotent():
+    # The -1 term's weight exp(-800) underflows; the +1 operator is nilpotent.
+    model = nilpotent_step_model()
+    assert np.isfinite(log_lambda(model, 300.0))
+    with pytest.raises(OQWalkError) as info:
+        log_lambda(model, 400.0)
+    assert info.value.exit_code == 4
+
 
 def test_log_lambda_stays_finite_far_out(all_builtins):
     for name, model in all_builtins.items():

@@ -18,17 +18,31 @@ import oqwalk.model
 import oqwalk.numerics
 import oqwalk.structure
 import oqwalk.superop
-from oqwalk import ModelValidationError, dump_model, load_model, rate_function
+from oqwalk import (
+    KrausModel,
+    ModelValidationError,
+    builtin,
+    dump_model,
+    load_model,
+    model_to_dict,
+    random_initial_state,
+    rate_function,
+    state_to_dict,
+)
 from oqwalk.cli import main
 from oqwalk.superop import build_superop
 from model_zoo import (
+    NN_STEPS,
     bench_document,
     block_cyclic_model,
     broken_scaled_model,
+    chain_walk,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     huge_entry_document,
+    imaginary_ray_breakdown_model,
     moved_step_document,
+    nilpotent_step_model,
     random_isometry_model,
     rotated,
     three_level_two_block_model,
@@ -714,6 +728,160 @@ def test_oracle_check_refuses_a_lattice_box_beyond_its_bound(where, tmp_path, ca
         argv += ["--initial", str(state)]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: exact propagator box ")
+
+
+def test_oracle_check_answers_a_tilt_of_1e308(capsys):
+    # <s, u> - shift overflowed to -inf - inf: four RuntimeWarnings, gap=nan
+    # at p = 2 and exit 3.  An overflowing exponent is -inf, weight 0.
+    code = main(["oracle-check", "--builtin", "std_example", "-P", "2", "-u", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out
+    assert captured.out.splitlines()[:2] == ["ok mgf p=1 u=1e+308 gap=0.000e+00",
+                                             "ok mgf p=2 u=1e+308 gap=0.000e+00"]
+    assert captured.err == ""
+
+
+def test_random_initial_is_the_document_of_its_seeded_state(tmp_path, capsys):
+    model = builtin("std_example")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_dict(random_initial_state(model, 11))))
+    argv = ["oracle-check", "--builtin", "std_example", "-P", "3", "-u", "0.5"]
+    assert main(argv + ["--random-initial", "11"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(argv + ["--initial", str(state)]) == 0
+    assert seeded == capsys.readouterr().out
+    assert main(argv) == 0  # the default state gives other gaps
+    assert seeded != capsys.readouterr().out
+
+
+# -- malformed documents: one per parser error, each exit 2 -----------------------
+
+def _std_document() -> dict:
+    return json.loads(json.dumps(model_to_dict(builtin("std_example"))))
+
+
+def _set(obj, path, value):
+    """``obj`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+_ZERO = {"re": 0.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("document, message", [
+    ([], "$: expected an object, got list"),
+    (_set(_std_document(), ["steps", 1], [0]), "$.steps[1]: expected an object, got list"),
+    (_set(_std_document(), ["lattice_dim"], 0),
+     "$.lattice_dim: expected a positive integer, got 0"),
+    (_set(_std_document(), ["internal_dim"], True),
+     "$.internal_dim: expected a positive integer, got True"),
+    (_set(_std_document(), ["steps"], []), "$.steps: expected a non-empty list"),
+    (_set(_std_document(), ["steps", 0, "displacement"], 1),
+     "$.steps[0].displacement: expected a list of integers"),
+    (_set(_std_document(), ["steps", 0, "displacement"], [1.5]),
+     "$.steps[0].displacement[0]: expected an integer, got 1.5"),
+    (_set(_std_document(), ["steps", 0, "matrix"], []),
+     "$.steps[0].matrix: expected a non-empty matrix (list of rows)"),
+    (_set(_std_document(), ["steps", 0, "matrix", 1], _ZERO),
+     "$.steps[0].matrix[1]: expected a list"),
+    (_set(_std_document(), ["steps", 0, "matrix", 1], [_ZERO]),
+     "$.steps[0].matrix[1]: ragged row (len 1 != 2)"),
+    (_set(_std_document(), ["steps", 0, "matrix"], [[_ZERO, _ZERO]]),
+     "$.steps[0].matrix: matrix must be square, got (1, 2)"),
+    (_set(_std_document(), ["steps", 1, "matrix"], [[_ZERO]]),
+     "$.steps[1].matrix: matrix side 1 != internal_dim 2"),
+    (_set(_std_document(), ["steps", 0, "matrix", 0, 1, "re"], "1"),
+     "$.steps[0].matrix[0][1].re: expected a number, got '1'"),
+    (_set(_std_document(), ["steps", 0, "matrix", 1, 0, "im"], None),
+     "$.steps[0].matrix[1][0].im: expected a number, got None"),
+], ids=["top_level_list", "step_list", "lattice_dim", "internal_dim_bool", "no_steps",
+        "displacement_scalar", "displacement_float", "empty_matrix", "row_not_list",
+        "ragged_row", "not_square", "wrong_side", "re_string", "im_null"])
+def test_each_malformed_model_document_exits_2(document, message, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    line = _assert_one_error_line(["validate", "--model", str(path)], 2, capsys)
+    assert line == f"error: {message}"
+
+
+def test_an_initial_state_without_sites_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"sites": []}))
+    line = _assert_one_error_line(["oracle-check", "--builtin", "std_example", "-P", "1",
+                                   "--initial", str(path)], 2, capsys)
+    assert line == "error: $.sites: expected a non-empty list"
+
+
+# -- walks at the structural gates ---------------------------------------------------
+
+def test_analyze_gives_scalar_two_level_operators_no_taxonomy(tmp_path, capsys):
+    # Scalar operators fail h2, which the two-level taxonomy assumes.
+    path = tmp_path / "scalar.json"
+    ops = np.array([np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * np.eye(2)], dtype=complex)
+    dump_model(KrausModel(1, 2, NN_STEPS, ops), path)
+    doc = run_json(capsys, ["analyze", "--model", str(path)])
+    assert doc["two_level"] is None
+    assert doc["validation"]["h2_non_scalar"] is False
+    assert doc["auxiliary_map"]["fixed_point_count"] == 4
+
+
+@pytest.mark.parametrize("q, expect", [
+    (2e-8, 0),      # faithful, outside the refusal band
+    (1.2e-8, 0),
+    (1.05e-8, 4),   # inside the band (9e-9, 1.1e-8) around FAITHFUL_TOL = 1e-8
+    (1e-8, 4),
+    (9.5e-9, 4),
+    (5e-9, 4),      # below the threshold: the span route still says irreducible
+])
+def test_the_faithfulness_threshold_decides_a_chain_walk(q, expect, tmp_path, capsys):
+    # The fixed point is diag(1 - q, q); the operators generate every matrix.
+    path = tmp_path / "chain.json"
+    dump_model(chain_walk(q), path)
+    if expect == 0:
+        doc = run_json(capsys, ["analyze", "--model", str(path)])
+        assert doc["auxiliary_map"]["irreducible"] is True
+        assert doc["auxiliary_map"]["min_fixed_eigenvalue"] == pytest.approx(q, rel=1e-6)
+    else:
+        line = _assert_one_error_line(["analyze", "--model", str(path)], 4, capsys)
+        band = abs(q - 1e-8) < 1e-9
+        assert ("faithfulness threshold" in line) is band
+        assert ("irreducibility routes disagree" in line) is not band
+
+
+def test_analyze_refuses_an_eigenvalue_in_the_fixed_point_band(tmp_path, capsys):
+    # p01 + p10 = 5e-8 puts the chain's second eigenvalue 5e-8 from 1.
+    path = tmp_path / "slow.json"
+    dump_model(chain_walk(0.5, p10=2.5e-8), path)
+    line = _assert_one_error_line(["analyze", "--model", str(path)], 4, capsys)
+    assert "fixed-point decision band" in line
+
+
+def test_analyze_answers_a_pure_fixed_point_on_an_imaginary_ray(tmp_path, capsys):
+    # Its Hermitian part was zero after the phase fix: exit 4, "fixed point
+    # has no Hermitian part".  The walk answers as breakdown_example does.
+    path = tmp_path / "ray.json"
+    dump_model(imaginary_ray_breakdown_model(), path)
+    doc = run_json(capsys, ["analyze", "--model", str(path)])
+    base = run_json(capsys, ["analyze", "--builtin", "breakdown_example"])
+    for key in ("irreducible", "closure_dimension", "fixed_point_count",
+                "recurrent_dimension", "decaying_dimension"):
+        assert doc["auxiliary_map"][key] == base["auxiliary_map"][key], key
+    assert abs(doc["auxiliary_map"]["min_fixed_eigenvalue"]) < 1e-12
+    assert doc["lattice_walk"]["verdict"] == base["lattice_walk"]["verdict"]
+
+
+def test_asymptotics_refuses_a_tilt_where_the_map_is_nilpotent(tmp_path, capsys):
+    # At u = 400 the -1 term's weight exp(-800) underflows, and the +1
+    # operator is nilpotent: the shifted map has spectral radius 0.
+    path = tmp_path / "nilpotent.json"
+    dump_model(nilpotent_step_model(), path)
+    run_json(capsys, ["asymptotics", "--model", str(path), "--u-points", "3"])
+    _assert_one_error_line(["asymptotics", "--model", str(path), "--u-min", "398",
+                            "--u-max", "400", "--u-points", "3"], 4, capsys)
 
 
 # -- the process boundary -----------------------------------------------------------

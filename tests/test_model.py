@@ -58,6 +58,11 @@ def test_displacements_are_checked():
         KrausModel(1, 2, ((1.0,), (-1,)), ops)       # non-integer parts
 
 
+def test_a_model_needs_a_step():
+    with pytest.raises(ModelValidationError, match="at least one step"):
+        KrausModel(1, 2, (), np.zeros((0, 2, 2)))
+
+
 def test_all_zero_displacements_rejected():
     ops = np.zeros((1, 2, 2))
     with pytest.raises(ModelValidationError):
@@ -243,6 +248,13 @@ def test_lattice_state_orders_sites_lexicographically():
     np.testing.assert_allclose(
         [np.trace(state.blocks[p]).real for p in state.positions], [0.5, 0.3, 0.2])
     assert sum(np.trace(b).real for b in state.blocks.values()) == pytest.approx(1.0)
+
+
+def test_lattice_state_needs_a_site_and_blocks_of_one_shape():
+    with pytest.raises(ModelValidationError, match="at least one site"):
+        LatticeState({})
+    with pytest.raises(ModelValidationError, match=r"block at \(1,\) has shape \(3, 3\)"):
+        LatticeState({(0,): np.eye(2) / 4, (1,): np.eye(3) / 6})
 
 
 def test_lattice_state_rejects_bad_total_trace():

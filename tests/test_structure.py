@@ -24,6 +24,7 @@ from oqwalk import (
     is_regular,
     model_from_dict,
     period,
+    validate_model,
 )
 from oqwalk import structure
 from oqwalk.numerics import frob, unvec, vec
@@ -38,12 +39,15 @@ from model_zoo import (
     block_cyclic_model,
     broken_scaled_model,
     c2_sample,
+    chain_walk,
     diag_antidiag_model,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     irreducible_sample,
     leaky_ray_model,
+    leaning_ray_model,
     moved_step_document,
+    near_scalar_model,
     nearly_periodic_model,
     random_isometry_model,
     rotated,
@@ -165,6 +169,12 @@ def test_diagonal_pair_has_two_fixed_points():
     assert not report.irreducible
     assert report.fixed_point_count == 2
     assert report.min_fixed_eigenvalue is None
+
+
+def test_a_map_that_is_not_trace_preserving_has_no_fixed_point():
+    # std_example with L_+ scaled by 1.001: no eigenvalue lies within 1e-7 of 1.
+    with pytest.raises(SpectralIndeterminateError, match="shows no eigenvalue 1"):
+        is_irreducible_L(broken_scaled_model())
 
 
 @pytest.mark.parametrize("error", [np.nan, 1e-6], ids=["nan", "1e-6"])
@@ -344,6 +354,13 @@ def test_breakdown_decomposition_isolates_the_trapping_ray(breakdown_model):
     np.testing.assert_allclose(full.conj().T @ full, np.eye(2), atol=1e-10)
 
 
+def test_a_recurrent_part_cut_below_its_weight_is_refused():
+    # The chain's fixed point diag(1 - q, q) at q = 5e-10 keeps state 0
+    # alone above the 1e-9 support cut, and L_- carries state 0 into state 1.
+    with pytest.raises(SpectralIndeterminateError, match="recurrent subspace leaks"):
+        bn_decomposition(chain_walk(5e-10))
+
+
 def test_irreducible_models_are_fully_recurrent(std_model, periodic_model):
     for model in (std_model, periodic_model):
         bn = bn_decomposition(model)
@@ -517,6 +534,27 @@ def test_a_common_ray_may_leak_up_to_the_projection_tolerance(leak, situation):
     e0 = np.array([1.0, 0.0])
     assert structure._leak(np.outer(e0, e0), model.operators) == pytest.approx(leak, rel=1e-6)
     assert classify_c2(model).situation == situation
+
+
+def test_two_common_rays_that_are_not_orthogonal_are_refused():
+    # I / sqrt 2 +- 1e-6 N share the rays of N = [[0, 1], [0, 1]], 45 degrees
+    # apart; only a scalar family has such a pair exactly.
+    with pytest.raises(AssumptionError, match="not orthogonal"):
+        classify_c2(near_scalar_model(1e-6))
+
+
+@pytest.mark.parametrize("eps, refused", [(5e-9, False), (9e-9, True)])
+def test_the_triangular_normal_form_checks_its_identities(eps, refused):
+    # The ray e0 leaks by eps under two operators, which passes the 1e-8 ray
+    # gate, and sum conj(alpha) gamma = -1.41 eps: 7.1e-9, under the 1e-8
+    # identity gate, and 1.27e-8, over it.
+    model = leaning_ray_model(eps)
+    assert validate_model(model).residual <= 1e-15
+    if refused:
+        with pytest.raises(AssumptionError, match="triangular normal form violates"):
+            classify_c2(model)
+    else:
+        assert classify_c2(model).situation == 2
 
 
 def test_taxonomy_requires_a_valid_two_level_model(classical_model):

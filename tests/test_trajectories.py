@@ -332,6 +332,13 @@ def test_initial_site_is_drawn_from_the_initial_state(std_model):
 
 # -- exact distribution oracle --------------------------------------------------
 
+def test_an_exact_law_that_is_not_trace_preserving_is_refused():
+    # std_example with L_+ scaled by 1.001: both routes agree on a law of
+    # total mass (1.001^2 + 1) / 2 after one step from I / 2.
+    with pytest.raises(ConvergenceError, match=r"total mass 1\.0010005\d*, expected 1$"):
+        exact_distribution(broken_scaled_model(), 1)
+
+
 def test_classical_distribution_is_binomial():
     for q in (0.5, 0.7):
         model = builtin("classical_dilation", p=q)
