@@ -4,8 +4,9 @@ The central objects are the invariant state of the auxiliary map, the drift
 vector, the CLT covariance (computed by two genuinely different routes that
 must agree), the tilted-eigenvalue curve u -> lambda_u with kink detection,
 and the large-deviation rate function obtained as a Legendre transform of
-log lambda_u.  A closed-form fallback for two-level models covers the cases
-where the generic spectral route degenerates.
+log lambda_u.  A walk without a unique invariant state gets the mixture of
+its recurrent blocks' statistics, weighted by where the initial state is
+absorbed.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DERIVED_POSITIVITY_TOL, RADIUS_TIE_TOL
+from .config import DERIVED_POSITIVITY_TOL, RADIUS_TIE_TOL, STOCHASTICITY_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -32,11 +33,10 @@ from .numerics import (
     vec,
 )
 from .structure import (
+    _cesaro_limit,
     _fixed_point_data,
     _irreducible_blocks,
     _operator_closure,
-    classify_c2,
-    period,
 )
 from .superop import (
     SpectralData,
@@ -63,8 +63,8 @@ __all__ = [
     "lambda_curve",
     "RateFunctionTable",
     "rate_function",
-    "C2Parameters",
-    "c2_parameters",
+    "BlockMixture",
+    "block_mixture",
 ]
 
 
@@ -72,14 +72,13 @@ def invariant_state(model: KrausModel) -> np.ndarray:
     """The invariant state of the auxiliary map; must be unique.
 
     Raises :class:`MultiplicityError` when the fixed space has dimension
-    greater than one (two-level models can then fall back to
-    :func:`c2_parameters`).
+    greater than one; :func:`block_mixture` then gives the walk's statistics.
     """
     fp = _fixed_point_data(model)
     if fp.state is None:
         raise MultiplicityError(
             f"invariant state is not unique (fixed-point count {fp.fixed.size}); "
-            "for two-level models use the closed-form route instead"
+            "the walk's statistics are a mixture of its recurrent blocks'"
         )
     return project_to_state(fp.state, what="invariant state")
 
@@ -307,16 +306,17 @@ def _log_lambda_derivatives(model: KrausModel,
     return _triple_derivatives(model, u, shift, shifted.matrix, data)
 
 
-def _certified_blocks(model: KrausModel) -> tuple[KrausModel, ...] | None:
-    """The irreducible blocks of a composition series of the Kraus family, or
-    None when the operators generate the full matrix algebra."""
+def _certified_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray], ...] | None:
+    """The irreducible blocks of a composition series of the Kraus family, each
+    with its isometry (see :func:`_irreducible_blocks`), or None when the
+    operators generate the full matrix algebra."""
     if _operator_closure(model).dimension == model.internal_dim ** 2:
         return None
     blocks = _irreducible_blocks(model)
     if blocks is None:
         raise SpectralIndeterminateError(
             "no composition series of the Kraus family could be certified; "
-            "the tilted curve cannot be taken block by block"
+            "the map cannot be taken block by block"
         )
     return blocks
 
@@ -343,7 +343,7 @@ def log_lambda(model: KrausModel, u) -> float:
     :func:`lambda_curve`."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     blocks = _certified_blocks(model)
-    return _top_block((model,) if blocks is None else blocks, u)[1]
+    return _top_block((model,) if blocks is None else tuple(b for b, _ in blocks), u)[1]
 
 
 @dataclass(frozen=True)
@@ -497,6 +497,7 @@ def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
 
     blocks, rows = _certified_blocks(model), []
     if blocks is not None:
+        blocks = tuple(b for b, _ in blocks)
         points = [_top_block(blocks, t * direction) for t in ts]
     else:
         shifts, stack = _shifted_maps(model, ts[:, None] * direction)
@@ -792,100 +793,62 @@ def rate_function(model: KrausModel, positions,
 
 
 # --------------------------------------------------------------------------
-# Closed forms for two-level models.
+# Walks without a unique invariant state: a mixture of recurrent blocks.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class C2Parameters:
-    """Walk statistics of a two-level model from its normal form.
+class BlockMixture:
+    """Walk statistics of a reducible walk as a mixture of its recurrent blocks.
 
-    ``law_a`` / ``law_b`` map displacements to probabilities for the one or
-    two effective classical step distributions; ``weight_first`` is the mass
-    the initial state puts on the first invariant ray (two-ray case only).
-    ``covariance`` is None in the two-ray case with distinct branch means,
-    where no single Gaussian limit exists.
+    ``weights[k]`` is the mass the initial state ends up with in the block
+    whose :func:`asymptotic_stats` are ``blocks[k]``; ``mean`` and
+    ``covariance`` are the weighted sums of the blocks' drifts and
+    covariances.  ``covariance`` is None where the drifts differ, since the
+    blocks then part at distinct velocities and no single Gaussian limit
+    exists.
     """
 
-    situation: int
-    periodic: bool
     mean: np.ndarray
     covariance: np.ndarray | None
-    law_a: dict[tuple[int, ...], float] | None
-    law_b: dict[tuple[int, ...], float] | None
-    weight_first: float | None
+    weights: tuple[float, ...]
+    blocks: tuple[AsymptoticStats, ...]
 
 
-def _law_moments(law: dict[tuple[int, ...], float],
-                 d: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.zeros(d)
-    second = np.zeros((d, d))
-    for s, p in law.items():
-        sv = np.asarray(s, dtype=float)
-        mean += p * sv
-        second += p * np.outer(sv, sv)
-    return mean, second - np.outer(mean, mean)
+def block_mixture(model: KrausModel,
+                  initial_state: LatticeState | None = None) -> BlockMixture:
+    """Drift and covariance of a walk from the irreducible blocks of its
+    Kraus family (Baumgartner-Narnhofer; Carbone-Pautrat).
 
-
-def c2_parameters(model: KrausModel,
-                  initial_state: LatticeState | None = None) -> C2Parameters:
-    """Drift/covariance of a two-level walk through its invariant-ray form.
-
-    * no common ray: generic spectral statistics (periodic maps get the
-      two-alternating-laws form via the cyclic projections);
-    * one common ray: the walk's statistics are those of the classical step
-      law on the ray (the off-ray part decays);
-    * two common rays: two classical branch laws mixed with the initial
-      weight of the first ray.
+    Given absorption in the irreducible block k, with isometry q_k onto its
+    piece of the internal space, (X_P - P m_k) / sqrt(P) tends to N(0, C_k),
+    where (m_k, C_k) are the block's own :func:`asymptotic_stats`; the
+    decaying part adds only O(1).  The walk from the initial blocks summed
+    over sites, rho_0, is absorbed in block k with weight Tr(q_k^dag E1(rho_0)
+    q_k), E1 the Cesaro limit of the map's powers.  Blocks of weight at most
+    1e-12 are dropped; a block with weight must be trace preserving to
+    ``STOCHASTICITY_TOL`` (:class:`SpectralIndeterminateError` if not, as
+    when a transient decays too slowly to be told from a fixed point), and
+    drifts count as equal under ``np.allclose(..., atol=1e-12)``.
     """
-    cls = classify_c2(model)
-    d = model.lattice_dim
-
-    if cls.situation == 1:
-        pd = period(model)
-        if pd.period == 1:
-            rho = invariant_state(model)
-            mean = drift(model, rho)
-            cov = covariance(model, rho)
-            return C2Parameters(1, False, mean, cov, None, None, None)
-        # Period 2, the only other on C^2: P_j L_s = L_s P_{j-1} makes the
-        # projection before a zero one zero too, by sum_s L_s^dag L_s = I, so
-        # all are nonzero, and nonzero projections summing to I on C^2 are
-        # at most two, each of rank one.
-        f1 = _projection_ray(pd.projections[0])
-        f2 = _projection_ray(pd.projections[1])
-        terms = list(zip(model.displacements, model.operators))
-        law_a = {s: float(abs(f2.conj() @ op @ f1) ** 2) for s, op in terms}
-        law_b = {s: float(abs(f1.conj() @ op @ f2) ** 2) for s, op in terms}
-        ma, va = _law_moments(law_a, d)
-        mb, vb = _law_moments(law_b, d)
-        return C2Parameters(1, True, (ma + mb) / 2, (va + vb) / 2, law_a, law_b, None)
-
-    if cls.situation == 2:
-        law_a = {s: float(abs(a) ** 2) for s, a in zip(model.displacements, cls.alpha)}
-        mean, cov = _law_moments(law_a, d)
-        return C2Parameters(2, False, mean, cov, law_a, None, None)
-
-    # Two common rays.
-    law_a = {s: float(abs(a) ** 2) for s, a in zip(model.displacements, cls.alpha)}
-    law_b = {s: float(abs(b) ** 2) for s, b in zip(model.displacements, cls.beta)}
-    ma, va = _law_moments(law_a, d)
-    mb, vb = _law_moments(law_b, d)
+    blocks = _certified_blocks(model) or ((model, np.eye(model.internal_dim)),)
     if initial_state is None:
         initial_state = default_initial_state(model)
-    ray = cls.rays[0]
-    weight = sum(float((ray.conj() @ block @ ray).real)
-                 for block in initial_state.blocks.values())
-    mean = weight * ma + (1 - weight) * mb
-    if (np.allclose(ma, mb, atol=1e-12)
-            or weight <= 1e-12 or weight >= 1 - 1e-12):
-        # Single Gaussian limit: branch means agree, or the initial state
-        # sits (to rounding) on one invariant ray.
-        cov = weight * va + (1 - weight) * vb
-    else:
-        cov = None
-    return C2Parameters(3, False, mean, cov, law_a, law_b, weight)
-
-
-def _projection_ray(p: np.ndarray) -> np.ndarray:
-    """The unit vector spanning a rank-one projection."""
-    return np.linalg.eigh(p)[1][:, -1]
+    limit = _cesaro_limit(model, sum(initial_state.blocks.values()))
+    weights, stats = [], []
+    for block, q in blocks:
+        weight = float(np.trace(q.conj().T @ limit @ q).real)
+        if weight <= 1e-12:
+            continue
+        residual = block.stochasticity_residual()
+        if not residual <= STOCHASTICITY_TOL:
+            raise SpectralIndeterminateError(
+                f"a recurrent block of weight {weight:.3e} is not trace preserving "
+                f"(stochasticity residual {residual:.3e})"
+            )
+        weights.append(weight)
+        stats.append(asymptotic_stats(block))
+    mean = sum(w * s.mean for w, s in zip(weights, stats))
+    cov = None
+    if all(np.allclose(s.mean, stats[0].mean, atol=1e-12) for s in stats):
+        cov = sum(w * s.covariance for w, s in zip(weights, stats))
+    return BlockMixture(mean, cov, tuple(weights), tuple(stats))

@@ -18,7 +18,7 @@ Exit codes, as each error class's ``exit_code`` (``oqwalk.errors``):
      ``validate`` and a failed ``oracle-check``
   4  SpectralIndeterminateError, PositivityError, ConvergenceError,
      SingularRestrictionError, HermiticityError, TraceGaugeError
-  5  MultiplicityError: no unique invariant state, no two-level fallback
+  5  MultiplicityError: no unique invariant state
   6  DegenerateStepError, TraceDriftError, StandardizationError
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .asymptotics import (
     asymptotic_stats,
-    c2_parameters,
+    block_mixture,
     lambda_curve,
     rate_function,
 )
@@ -74,12 +74,6 @@ from .trajectories import (
     mgf_check,
     write_batch_csv,
 )
-
-
-def _law_json(law) -> dict | None:
-    if law is None:
-        return None
-    return {",".join(str(c) for c in s): p for s, p in law.items()}
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -245,7 +239,8 @@ def _cmd_analyze(args: argparse.Namespace):
 
 
 def _stats_with_fallback(model, initial_state):
-    """Spectral drift/covariance, falling back to two-level closed forms.
+    """Spectral drift/covariance or, without a unique invariant state, the
+    mixture of the recurrent blocks' (``block_mixture``).
 
     Returns (mean, covariance-or-None, method, extra-json).
     """
@@ -262,17 +257,11 @@ def _stats_with_fallback(model, initial_state):
             },
         )
     except MultiplicityError:
-        if model.internal_dim != 2:
-            raise
-        params = c2_parameters(model, initial_state)
-        extra = {
-            "situation": params.situation,
-            "periodic": params.periodic,
-            "law_a": _law_json(params.law_a),
-            "law_b": _law_json(params.law_b),
-            "weight_first": params.weight_first,
-        }
-        return params.mean, params.covariance, "two-level-closed-form", extra
+        mix = block_mixture(model, initial_state)
+        blocks = [{"weight": w, "drift": b.mean, "covariance": b.covariance,
+                   "method_residuals": b.method_residuals}
+                  for w, b in zip(mix.weights, mix.blocks)]
+        return mix.mean, mix.covariance, "block-mixture", {"blocks": blocks}
 
 
 def _cmd_asymptotics(args: argparse.Namespace):
@@ -343,7 +332,7 @@ def _cmd_simulate(args: argparse.Namespace):
     mean, cov, method, extra = _stats_with_fallback(model, state)
     if cov is None:
         raise StandardizationError(
-            "branch step laws have distinct means; no single Gaussian limit "
+            "recurrent blocks have distinct drifts; no single Gaussian limit "
             "exists to standardize against"
         )
     batch = batch_statistics(

@@ -700,7 +700,9 @@ def mgf_check(model: KrausModel, u, p: int,
     ``superop._shifted_map``, shifted by exp(-max_s <u, s>) per step, so
     neither overflows; if both underflow, :class:`ConvergenceError`.  The
     propagator's exponent <x - p s*, u>, with s* the step of the shift, is
-    formed from the integer offsets x - p s*; one that overflows is -inf,
+    formed from the integer offsets x - p s* as <x - p s*, u / a> a, with
+    a = max_i |u_i|, so that no term overflows; a tilt along one axis keeps
+    its bits, as u / a = +-e_i exactly.  An exponent that overflows is -inf,
     whose weight 0 is the exact limit.
     """
     if initial_state is None:
@@ -711,8 +713,9 @@ def mgf_check(model: KrausModel, u, p: int,
     sites, weights = _propagate(model, {(0,) * model.lattice_dim: rho}, p)
     shift, shifted = _shifted_map(model, u)
     top = model.steps_array[int(np.argmax(model.steps_array @ u))]
+    a = float(np.max(np.abs(u))) or 1.0
     with np.errstate(over="ignore"):
-        path = float(np.exp((sites - p * top) @ u) @ weights)
+        path = float(np.exp(((sites - p * top) @ (u / a)) * a) @ weights)
     tilted = float(np.trace(shifted.power_apply(rho, p)).real)
     larger = max(abs(path), abs(tilted))
     if larger < np.finfo(float).tiny:

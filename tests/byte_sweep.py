@@ -13,6 +13,10 @@ cyclic blocks differ in size, ``oracle-check`` and ``rate`` on the 10^30 walk, s
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
 it, ``rate`` on a three-level direct sum whose blocks have different drifts,
+``asymptotics`` and ``simulate`` on walks without a unique invariant state
+(that sum, ``std_example`` summed with itself, a sum of two n = 4 walks and
+two rays fed by a transient level), ``analyze`` on a two-level walk whose
+common ray leaks by 9e-9,
 ``rate`` and ``asymptotics`` on ``breakdown_example`` and on a diagonal pair
 whose blocks tie at every tilt, each written in a rotated internal basis,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
@@ -61,13 +65,16 @@ from oqwalk import builtin, dump_model  # noqa: E402
 from model_zoo import (  # noqa: E402
     STEPS_2D,
     block_cyclic_model,
+    block_sum_model,
     c2_sample,
     huge_entry_document,
+    leaning_ray_model,
     moved_step_document,
     equal_modulus_diagonal_model,
     random_isometry_model,
     rotated,
     three_level_two_block_model,
+    transient_fed_rays_model,
 )
 
 BUILTINS = ("std_example", "periodic_example", "breakdown_example",
@@ -138,6 +145,18 @@ EXTRA = (
     "rate --model {docs}/n4_step1e30_31.json",
     # A direct sum whose blocks have different drifts: a kink at u = 0.
     "rate --model {docs}/three_level.json",
+    # Walks without a unique invariant state: mixtures of recurrent blocks,
+    # with equal drifts (std_sum) and different ones.
+    "asymptotics --model {docs}/three_level.json --out {out}",
+    "simulate --model {docs}/three_level.json -P 40 -N 30",
+    "asymptotics --model {docs}/std_sum.json --out {out}",
+    "simulate --model {docs}/std_sum.json -P 40 -N 30 --seed 7 --out {out}",
+    "asymptotics --model {docs}/block_sum_n8.json --out {out}",
+    "simulate --model {docs}/block_sum_n8.json -P 40 -N 30",
+    "asymptotics --model {docs}/transient_fed.json --out {out}",
+    "simulate --model {docs}/transient_fed.json -P 40 -N 30",
+    # A common ray that leaks by 9e-9, inside the ray gate.
+    "analyze --model {docs}/leaning_ray.json",
     # Reducible walks out of the basis that makes their zeros exact.
     "rate --model {docs}/rotated_equal_modulus.json",
     "asymptotics --model {docs}/rotated_equal_modulus.json",
@@ -226,6 +245,12 @@ def write_documents(directory: Path) -> None:
         (directory / f"n4_{name}_31.json").write_text(moved_step_document(step))
     (directory / "n4_huge_31.json").write_text(huge_entry_document())
     dump_model(three_level_two_block_model(), directory / "three_level.json")
+    std = builtin("std_example")
+    dump_model(block_sum_model(std, std), directory / "std_sum.json")
+    dump_model(block_sum_model(random_isometry_model(3, n=4), random_isometry_model(4, n=4)),
+               directory / "block_sum_n8.json")
+    dump_model(transient_fed_rays_model(), directory / "transient_fed.json")
+    dump_model(leaning_ray_model(9e-9), directory / "leaning_ray.json")
     for name, model in (("equal_modulus", equal_modulus_diagonal_model()),
                         ("breakdown", builtin("breakdown_example"))):
         dump_model(rotated(model, 1), directory / f"rotated_{name}.json")

@@ -194,6 +194,23 @@ def three_level_two_block_model():
     return KrausModel(1, 3, NN_STEPS, np.array(ops))
 
 
+def transient_fed_rays_model(stay=0.36):
+    """Two rays fed by a transient level, on steps +1, -1 and 0.
+
+    On the ray e0 the walk steps +1 with probability 0.7, on e1 with 0.2;
+    from e2 it takes step 0 and stays with probability t^2 = ``stay``, or
+    falls to e0 with u^2 = 3/4 (1 - t^2) and to e1 with v^2 = 1/4 (1 - t^2).
+    At the default (t^2, u^2, v^2) = (0.36, 0.48, 0.16): from I/3 the walk
+    is absorbed in e0 with weight 1/3 + (1/3)(3/4) = 7/12 and in e1 with
+    5/12, so its drift is (7/12) 0.4 - (5/12) 0.6 = -1/60.
+    """
+    ops = np.zeros((3, 3, 3), dtype=complex)
+    ops[0, 0, 0], ops[0, 1, 1] = np.sqrt(0.7), np.sqrt(0.2)
+    ops[1, 0, 0], ops[1, 1, 1] = np.sqrt(0.3), np.sqrt(0.8)
+    ops[2, :, 2] = np.sqrt(0.75 * (1 - stay)), np.sqrt(0.25 * (1 - stay)), np.sqrt(stay)
+    return KrausModel(1, 3, ((1,), (-1,), (0,)), ops)
+
+
 def mirrored_breakdown_model():
     """``breakdown_example`` with a mirrored third level: three 1 x 1 blocks.
 

@@ -709,25 +709,31 @@ def covariance_ags(model):
 # ---------------------------------------------------------------------------
 # CLT constants from the exact position law.  Started at the invariant state
 # at the origin, E[X_P] = P m exactly and Cov(X_P) = P C + B + O(gap^P), so
-# two horizons past the transient give C = (Cov_P2 - Cov_P1) / (P2 - P1).
-# Only the invariant state and the exact propagator come from the package;
+# two horizons past the transient give m = (E_P2 - E_P1) / (P2 - P1) and
+# C = (Cov_P2 - Cov_P1) / (P2 - P1).  From another start the mean gains an
+# offset too, which the same differences remove.  Only the invariant state
+# (when no start is given) and the exact propagator come from the package;
 # neither covariance route is used.
 # ---------------------------------------------------------------------------
 
-def exact_clt_constants(model, p1, p2):
-    """(drift, covariance) from the exact position laws after p1 < p2 steps."""
+def exact_clt_constants(model, p1, p2, start=None):
+    """(drift, covariance) from the exact position laws after p1 < p2 steps,
+    started at the origin in the internal state ``start`` (default: the
+    invariant state)."""
     from oqwalk.asymptotics import invariant_state
     from oqwalk.trajectories import _propagate
 
-    start = {(0,) * model.lattice_dim: invariant_state(model)}
+    if start is None:
+        start = invariant_state(model)
+    blocks = {(0,) * model.lattice_dim: start}
     means, covariances = [], []
     for p in (p1, p2):
-        sites, masses = _propagate(model, start, p)
+        sites, masses = _propagate(model, blocks, p)
         mean = masses @ sites
         centred = sites - mean
         means.append(mean)
         covariances.append((masses[:, None] * centred).T @ centred)
-    return means[1] / p2, (covariances[1] - covariances[0]) / (p2 - p1)
+    return (means[1] - means[0]) / (p2 - p1), (covariances[1] - covariances[0]) / (p2 - p1)
 
 
 def clt_kolmogorov_distance(model, p, mean, variance, offset=0.5):
@@ -744,3 +750,103 @@ def clt_kolmogorov_distance(model, p, mean, variance, offset=0.5):
     sites, masses = _propagate(model, {(0,): invariant_state(model)}, p)
     gauss = normal_cdf((sites[:, 0] + offset - p * mean) / np.sqrt(p * variance))
     return float(np.max(np.abs(np.cumsum(masses) - gauss)))
+
+
+# ---------------------------------------------------------------------------
+# The two-level closed forms: the n = 2 instance of the block mixture, read
+# from the common rays of the operators (``classify_c2``) instead of a
+# composition series.  No common ray: the spectral statistics, or for period
+# 2 the two alternating laws between the cyclic projections; one ray: the
+# classical step law on it; two rays: two classical branch laws mixed by the
+# initial mass on the first.  The package's taxonomy, period and spectral
+# statistics supply the pieces.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class C2Parameters:
+    """Walk statistics of a two-level model from its normal form.
+
+    ``law_a`` / ``law_b`` map displacements to probabilities for the one or
+    two effective classical step distributions; ``weight_first`` is the mass
+    the initial state puts on the first invariant ray (two-ray case only).
+    ``covariance`` is None in the two-ray case with distinct branch means,
+    where no single Gaussian limit exists.
+    """
+
+    situation: int
+    periodic: bool
+    mean: np.ndarray
+    covariance: np.ndarray | None
+    law_a: dict | None
+    law_b: dict | None
+    weight_first: float | None
+
+
+def _law_moments(law, d):
+    mean = np.zeros(d)
+    second = np.zeros((d, d))
+    for s, p in law.items():
+        sv = np.asarray(s, dtype=float)
+        mean += p * sv
+        second += p * np.outer(sv, sv)
+    return mean, second - np.outer(mean, mean)
+
+
+def _projection_ray(p):
+    """The unit vector spanning a rank-one projection."""
+    return np.linalg.eigh(p)[1][:, -1]
+
+
+def c2_parameters(model, initial_state=None):
+    """Drift/covariance of a two-level walk through its invariant-ray form."""
+    from oqwalk.asymptotics import covariance, drift, invariant_state
+    from oqwalk.model import default_initial_state
+    from oqwalk.structure import classify_c2, period
+
+    cls = classify_c2(model)
+    d = model.lattice_dim
+
+    if cls.situation == 1:
+        pd = period(model)
+        if pd.period == 1:
+            rho = invariant_state(model)
+            mean = drift(model, rho)
+            cov = covariance(model, rho)
+            return C2Parameters(1, False, mean, cov, None, None, None)
+        # Period 2, the only other on C^2: P_j L_s = L_s P_{j-1} makes the
+        # projection before a zero one zero too, by sum_s L_s^dag L_s = I, so
+        # all are nonzero, and nonzero projections summing to I on C^2 are
+        # at most two, each of rank one.
+        f1 = _projection_ray(pd.projections[0])
+        f2 = _projection_ray(pd.projections[1])
+        terms = list(zip(model.displacements, model.operators))
+        law_a = {s: float(abs(f2.conj() @ op @ f1) ** 2) for s, op in terms}
+        law_b = {s: float(abs(f1.conj() @ op @ f2) ** 2) for s, op in terms}
+        ma, va = _law_moments(law_a, d)
+        mb, vb = _law_moments(law_b, d)
+        return C2Parameters(1, True, (ma + mb) / 2, (va + vb) / 2, law_a, law_b, None)
+
+    if cls.situation == 2:
+        law_a = {s: float(abs(a) ** 2) for s, a in zip(model.displacements, cls.alpha)}
+        mean, cov = _law_moments(law_a, d)
+        return C2Parameters(2, False, mean, cov, law_a, None, None)
+
+    # Two common rays.
+    law_a = {s: float(abs(a) ** 2) for s, a in zip(model.displacements, cls.alpha)}
+    law_b = {s: float(abs(b) ** 2) for s, b in zip(model.displacements, cls.beta)}
+    ma, va = _law_moments(law_a, d)
+    mb, vb = _law_moments(law_b, d)
+    if initial_state is None:
+        initial_state = default_initial_state(model)
+    ray = cls.rays[0]
+    weight = sum(float((ray.conj() @ block @ ray).real)
+                 for block in initial_state.blocks.values())
+    mean = weight * ma + (1 - weight) * mb
+    if (np.allclose(ma, mb, atol=1e-12)
+            or weight <= 1e-12 or weight >= 1 - 1e-12):
+        # Single Gaussian limit: branch means agree, or the initial state
+        # sits (to rounding) on one invariant ray.
+        cov = weight * va + (1 - weight) * vb
+    else:
+        cov = None
+    return C2Parameters(3, False, mean, cov, law_a, law_b, weight)

@@ -1,4 +1,4 @@
-"""Drift, CLT covariance, tilted-curve kinks, rate function, closed forms."""
+"""Drift, CLT covariance, tilted-curve kinks, rate function, block mixtures."""
 import functools
 import itertools
 import json
@@ -19,9 +19,9 @@ from oqwalk import (
     OQWalkError,
     SpectralIndeterminateError,
     asymptotic_stats,
+    block_mixture,
     bn_decomposition,
     builtin,
-    c2_parameters,
     covariance,
     drift,
     invariant_state,
@@ -49,6 +49,7 @@ from oqwalk.structure import (
 )
 from oqwalk.superop import _shifted_map, build_superop, spectral_radius
 import reference
+from reference import c2_parameters
 from model_zoo import (
     STEPS_2D,
     UNEQUAL_BLOCK_SIZES,
@@ -56,12 +57,15 @@ from model_zoo import (
     block_cyclic_model,
     block_sum_model,
     broken_scaled_model,
+    c2_sample,
     diagonal_pair_model,
     equal_modulus_diagonal_model,
     mirrored_breakdown_model,
     nilpotent_step_model,
     random_isometry_model,
+    rotated,
     three_level_two_block_model,
+    transient_fed_rays_model,
     upper_triangular_model,
 )
 
@@ -360,7 +364,7 @@ def _assert_block_values(model, curve, oracle):
     block's near-defective cluster: at u = 7 on the three-level sum it is
     1.5e-12 off the closed form (see the next test), the block value 1e-14.
     """
-    blocks = _irreducible_blocks(model)
+    blocks = [b for b, _ in _irreducible_blocks(model)]
     logs = []
     for t in curve.parameters:
         shift = _shifted_map(model, np.array([t]))[0]
@@ -468,7 +472,7 @@ def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
     # The jump is read from the finite log slopes, 1 on the left and 2 on
     # the right.
     model = _overflowing_crossing_model()
-    blocks, ts = _irreducible_blocks(model), np.array([700.0, 740.0])
+    blocks, ts = [b for b, _ in _irreducible_blocks(model)], np.array([700.0, 740.0])
     (kink,) = _block_crossings(blocks, ts, np.ones(1), [_top_block(blocks, ts[:1])[0],
                                                         _top_block(blocks, ts[1:])[0]])
     assert kink.u == pytest.approx(720.0 - np.log(2.0), rel=1e-13)
@@ -497,7 +501,7 @@ def test_wide_grid_reports_only_the_real_block_crossing():
 
 
 def test_breakdown_blocks_are_the_ray_and_the_corner(breakdown_model):
-    blocks = _irreducible_blocks(breakdown_model)
+    blocks = [b for b, _ in _irreducible_blocks(breakdown_model)]
     assert sorted(b.internal_dim for b in blocks) == [1, 1]
     for u in (-3.0, -0.5, 0.0, reference.BREAKDOWN_KINK_U, 2.0):
         got = sorted(log_lambda(b, u) for b in blocks)
@@ -507,7 +511,7 @@ def test_breakdown_blocks_are_the_ray_and_the_corner(breakdown_model):
 
 def test_two_block_model_splits_into_its_summands():
     blocks = _irreducible_blocks(three_level_two_block_model())
-    assert sorted(b.internal_dim for b in blocks) == [1, 2]
+    assert sorted(b.internal_dim for b, _ in blocks) == [1, 2]
 
 
 def test_rate_function_computes_the_operator_closure_once(monkeypatch):
@@ -886,7 +890,7 @@ def test_direct_sums_with_different_block_drifts_answer(name):
     build, xs = _DIRECT_SUMS[name]
     model = build()
     table = rate_function(model, xs)
-    drifts = sorted(float(drift(block)[0]) for block in _irreducible_blocks(model))
+    drifts = sorted(float(drift(block)[0]) for block, _ in _irreducible_blocks(model))
     assert drifts[0] < drifts[-1]
     assert (table.rate >= 0).all()
     between = (xs >= drifts[0]) & (xs <= drifts[-1])
@@ -1034,7 +1038,7 @@ def test_a_maximum_that_never_leaves_the_window_edge_raises():
         _legendre_point(lambda u: -np.arcsinh(u), 0.0, -4.0, 4.0, 41, ())
 
 
-# -- two-level closed forms -----------------------------------------------------
+# -- two-level closed forms (the oracle in reference.py) ------------------------
 
 def approx_law(law, expected):
     assert set(law) == set(expected)
@@ -1144,6 +1148,96 @@ def test_closed_form_agrees_with_the_spectral_route(periodic_model):
     params = c2_parameters(periodic_model)
     np.testing.assert_allclose(stats.mean, params.mean, atol=1e-10)
     np.testing.assert_allclose(stats.covariance, params.covariance, atol=1e-9)
+
+
+# -- block mixture ----------------------------------------------------------------
+
+_MIXTURE_DOCUMENTS = {
+    "three_level_two_block": three_level_two_block_model,
+    "std_sum": lambda: block_sum_model(builtin("std_example"), builtin("std_example")),
+    "block_sum_n8": lambda: block_sum_model(random_isometry_model(3, n=4),
+                                            random_isometry_model(4, n=4)),
+}
+
+
+def test_block_weights_follow_absorption_through_a_transient_level():
+    # From I/3 the transient e2 falls to e0 with probability 3/4: weights 7/12
+    # and 5/12 (not the 1/3 of each ray that rho_0's diagonal holds), and the
+    # drift is the exact mean slope, -1/60.
+    model = transient_fed_rays_model()
+    mix = block_mixture(model)
+    np.testing.assert_allclose(mix.weights, [7 / 12, 5 / 12], rtol=0, atol=1e-15)
+    mean, _ = reference.exact_clt_constants(model, 200, 400, start=np.eye(3) / 3)
+    np.testing.assert_allclose(mix.mean, mean, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mix.mean, [-1 / 60], rtol=0, atol=1e-15)
+    assert [float(b.mean[0]) for b in mix.blocks] == [pytest.approx(0.4, abs=1e-14),
+                                                      pytest.approx(-0.6, abs=1e-14)]
+    assert mix.covariance is None
+
+
+@pytest.mark.parametrize("name", sorted(_MIXTURE_DOCUMENTS))
+def test_each_block_started_on_its_invariant_state_has_the_exact_constants(name):
+    # The walk started on q_k rho_k q_k^dag, block k's invariant state in its
+    # piece of the internal space, never leaves block k.
+    model = _MIXTURE_DOCUMENTS[name]()
+    mix = block_mixture(model)
+    blocks = _irreducible_blocks(model)
+    assert len(mix.blocks) == len(blocks) == 2
+    for (block, q), stats in zip(blocks, mix.blocks):
+        start = q @ invariant_state(block) @ q.conj().T
+        mean, cov = reference.exact_clt_constants(model, 150, 300, start=start)
+        np.testing.assert_allclose(stats.mean, mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(stats.covariance, cov, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(_MIXTURE_DOCUMENTS))
+def test_the_block_mixture_is_the_exact_law_from_the_default_state(name):
+    # The drift is the exact mean slope; where the block drifts agree, the
+    # covariance is the exact covariance slope, and otherwise there is none.
+    model = _MIXTURE_DOCUMENTS[name]()
+    mix = block_mixture(model)
+    n = model.internal_dim
+    mean, cov = reference.exact_clt_constants(model, 150, 300, start=np.eye(n) / n)
+    np.testing.assert_allclose(mix.mean, mean, rtol=0, atol=1e-10)
+    if name == "std_sum":
+        np.testing.assert_allclose(mix.weights, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(mix.covariance, cov, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(mix.covariance, [[8 / 9]], rtol=0, atol=1e-12)
+    else:
+        assert mix.covariance is None
+
+
+def _two_ray_models():
+    equal = equal_modulus_diagonal_model()
+    pair = diagonal_pair_model(5)
+    ray = np.diag([1.0, 0.0])
+    yield "diagonal_pair_5", pair, None
+    yield "diagonal_pair_5_on_one_ray", pair, point_initial_state(pair, ray)
+    yield "equal_modulus", equal, None
+    yield "rotated_equal_modulus", rotated(equal, 1), None
+    for i, model in enumerate(c2_sample(100)[95:]):
+        yield f"c2_sample_{95 + i}", model, None
+
+
+def test_the_block_mixture_equals_the_two_level_closed_forms():
+    for name, model, start in _two_ray_models():
+        mix = block_mixture(model, start)
+        params = c2_parameters(model, start)
+        assert params.situation == 3, name
+        np.testing.assert_allclose(mix.mean, params.mean, rtol=0, atol=1e-12, err_msg=name)
+        assert (mix.covariance is None) == (params.covariance is None), name
+        if params.covariance is not None:
+            np.testing.assert_allclose(mix.covariance, params.covariance, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+def test_a_weighted_block_that_is_not_trace_preserving_is_refused():
+    # The transient e2 stays with probability 1 - 1e-9: its eigenvalue lies
+    # within UNIT_CIRCLE_TOL of 1 and counts as fixed, so E1 keeps a third of
+    # I/3 on a block that leaks 1e-9 per step.
+    model = transient_fed_rays_model(1 - 1e-9)
+    with pytest.raises(SpectralIndeterminateError, match="is not trace preserving"):
+        block_mixture(model)
 
 
 # -- overflow-free curve evaluation ------------------------------------------------

@@ -35,6 +35,7 @@ from model_zoo import (
     NN_STEPS,
     bench_document,
     block_cyclic_model,
+    block_sum_model,
     broken_scaled_model,
     chain_walk,
     diagonal_pair_model,
@@ -198,15 +199,42 @@ def test_asymptotics_standard_model(tmp_path, capsys):
 
 
 def test_asymptotics_falls_back_to_closed_forms(tmp_path, capsys):
+    # Two rays with different branch drifts: a block mixture without a
+    # covariance, its blocks the two classical branch laws.
     path = tmp_path / "pair.json"
     dump_model(diagonal_pair_model(5), path)
     doc = run_json(capsys, ["asymptotics", "--model", str(path)])
-    assert doc["method"] == "two-level-closed-form"
-    assert doc["situation"] == 3
+    assert doc["method"] == "block-mixture"
     assert doc["covariance"] is None
-    assert doc["weight_first"] == pytest.approx(0.5)
-    assert set(doc["law_a"]) == {"1", "-1"}
-    assert sum(doc["law_a"].values()) == pytest.approx(1.0, abs=1e-12)
+    assert {"situation", "periodic", "law_a", "law_b", "weight_first"}.isdisjoint(doc)
+    assert [b["weight"] for b in doc["blocks"]] == [pytest.approx(0.5, abs=1e-12)] * 2
+    assert set(doc["blocks"][0]) == {"weight", "drift", "covariance", "method_residuals"}
+    drifts = [b["drift"][0] for b in doc["blocks"]]
+    assert abs(drifts[0] - drifts[1]) > 1e-3
+    assert doc["drift"][0] == pytest.approx(sum(drifts) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, simulate_exit", [
+    (three_level_two_block_model, 6),
+    (lambda: block_sum_model(builtin("std_example"), builtin("std_example")), 0),
+    (lambda: block_sum_model(random_isometry_model(3, n=4), random_isometry_model(4, n=4)), 6),
+], ids=["three_level_two_block", "std_sum", "block_sum_n8"])
+def test_reducible_walks_of_any_size_answer_with_a_block_mixture(tmp_path, capsys, build,
+                                                                  simulate_exit):
+    # asymptotics answers; simulate standardizes where the block drifts agree
+    # and has no single Gaussian limit (exit 6) where they differ.
+    path = tmp_path / "blocks.json"
+    dump_model(build(), path)
+    doc = run_json(capsys, ["asymptotics", "--model", str(path), "--u-points", "5"])
+    assert doc["method"] == "block-mixture"
+    assert len(doc["blocks"]) == 2
+    assert (doc["covariance"] is None) == (simulate_exit == 6)
+    code = main(["simulate", "--model", str(path), "-P", "10", "-N", "4"])
+    assert code == simulate_exit
+    if code == 0:
+        assert json.loads(capsys.readouterr().out)["method"] == "block-mixture"
+    else:
+        assert "distinct drifts" in capsys.readouterr().err
 
 
 # -- rate -----------------------------------------------------------------------
@@ -381,9 +409,10 @@ def test_simulate_without_a_gaussian_limit_fails_cleanly(tmp_path, capsys):
 
 
 def test_simulate_needs_a_unique_invariant_state_beyond_two_levels(tmp_path, capsys):
+    # The three-level sum's blocks drift at -0.4 and 0: no single Gaussian.
     path = tmp_path / "blocks.json"
     dump_model(three_level_two_block_model(), path)
-    assert main(["simulate", "--model", str(path), "-P", "10", "-N", "4"]) == 5
+    assert main(["simulate", "--model", str(path), "-P", "10", "-N", "4"]) == 6
     assert "error:" in capsys.readouterr().err
 
 

@@ -28,6 +28,7 @@ from oqwalk import (
     write_batch_csv,
 )
 from oqwalk import trajectories
+from oqwalk.config import ORACLE_TOL
 from oqwalk.rng import derive_seed, derive_seeds, unit_draws_array
 from oqwalk.trajectories import (
     _BLOCK_DRAWS,
@@ -393,6 +394,13 @@ def test_oracles_run_past_the_old_path_budget(std_model, classical_model):
     # both scaled values underflow: no vacuous zero gap
     with pytest.raises(ConvergenceError):
         mgf_check(std_model, -3.0, 1000)
+
+
+def test_mgf_check_takes_a_huge_tilt_along_several_axes():
+    # <x - p s*, u> summed over two components of 1e308 overflowed with
+    # opposite signs (inf - inf); at u / max |u_i| each term stays finite.
+    report = mgf_check(random_isometry_model(0, steps=STEPS_2D), [1e308, 1e308], 2)
+    assert np.isfinite(report.relative_gap) and report.relative_gap <= ORACLE_TOL
 
 
 
