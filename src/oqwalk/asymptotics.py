@@ -321,6 +321,14 @@ def _certified_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray],
     return blocks
 
 
+def _curve_blocks(model: KrausModel) -> tuple[KrausModel, ...]:
+    """The models whose largest spectral radius is lambda_u: the irreducible
+    blocks of :func:`_certified_blocks`, or the model itself when its
+    operators generate the full matrix algebra."""
+    blocks = _certified_blocks(model)
+    return (model,) if blocks is None else tuple(b for b, _ in blocks)
+
+
 def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> tuple[int, float, bool]:
     """``(top, log lambda_u, tied)`` at ``u``: each block's shifted map shares
     the whole map's shift, so ``top`` indexes the largest block radius r (the
@@ -341,9 +349,7 @@ def log_lambda(model: KrausModel, u) -> float:
     """log of the leading tilted eigenvalue, stable for large tilts; on a
     reducible map the largest of its irreducible blocks' values, as in
     :func:`lambda_curve`."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    blocks = _certified_blocks(model)
-    return _top_block((model,) if blocks is None else tuple(b for b, _ in blocks), u)[1]
+    return _top_block(_curve_blocks(model), np.atleast_1d(np.asarray(u, dtype=float)))[1]
 
 
 @dataclass(frozen=True)
@@ -451,43 +457,28 @@ def _block_crossings(blocks: tuple[KrausModel, ...], ts: np.ndarray, direction: 
 def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
-    When the Kraus operators generate the full matrix algebra, the grid's
-    rescaled maps (rescaled so large tilts cannot overflow) are built as one
-    stack and go through one stacked Perron extraction: one ``eig``, one
-    projection ``eigh`` and two left solves for the whole grid, in chunks of
-    a fixed size.  Each point gets exactly the triple, or the error, that
-    :func:`perron` gives on its map alone, and the points are read in grid
-    order, so the first failing point raises.  Tilting rescales each
-    operator by a positive scalar, so with a full algebra every tilted map
-    is irreducible, its spectral radius is a simple eigenvalue, and lambda_u
-    is real-analytic with no kink to find.
+    Each grid point is :func:`log_lambda` at ``t * direction``, bit for bit:
+    the largest spectral radius of the curve's blocks (see
+    :func:`_curve_blocks`), each block's tilted map rescaled so large tilts
+    cannot overflow, and degenerate where a second block ties it (see
+    :func:`_top_block`).  No Perron pair is read, so none is solved.
+
+    When the Kraus operators generate the full matrix algebra, the one block
+    is the whole map.  Tilting rescales each operator by a positive scalar,
+    so every tilted map is irreducible, its spectral radius is a simple
+    eigenvalue, and lambda_u is real-analytic with no kink to find.
 
     Otherwise the same argument applies block by block.  The invariant
     subspaces of the operators do not depend on the tilt, so in a basis
     adapted to a composition series of the family every tilted map is block
     triangular, and lambda_u is the largest of the irreducible diagonal
-    blocks' radii, each real-analytic.  Each grid point takes that largest
-    radius, and is degenerate where a second block ties it (see
-    :func:`_top_block`); the whole map is never solved, so no basis makes
-    its zeros matter.  A kink is a point where one block overtakes another,
-    found by bisecting each grid cell whose ends have different top blocks
-    (see :func:`_block_crossings`); the one blind spot is a double crossing
-    inside one cell.  A family whose composition series cannot be certified
-    raises :class:`SpectralIndeterminateError`.  A lambda_u beyond the
-    largest double is reported as infinite.
-    """
-    return _curve_rows(model, parameters, direction)[0]
-
-
-def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
-        LambdaCurve, tuple[KrausModel, ...] | None, list[tuple[float, np.ndarray, SpectralData]]]:
-    """:func:`lambda_curve`, with the ``(blocks, rows)`` a rate table reads again.
-
-    On a reducible map ``blocks`` are its certified irreducible blocks and
-    there are no rows.  On an irreducible one ``blocks`` is None and
-    ``rows[i]`` is ``(shift, matrix, triple)`` at grid point i: the shifted
-    map, its shift and its :func:`perron` triple, so a caller that needs the
-    triple at a grid tilt reads it instead of solving again.
+    blocks' radii, each real-analytic.  The whole map is never solved, so no
+    basis makes its zeros matter.  A kink is a point where one block
+    overtakes another, found by bisecting each grid cell whose ends have
+    different top blocks (see :func:`_block_crossings`); the one blind spot
+    is a double crossing inside one cell.  A family whose composition series
+    cannot be certified raises :class:`SpectralIndeterminateError`.  A
+    lambda_u beyond the largest double is reported as infinite.
     """
     ts = np.asarray(parameters, dtype=float)
     if direction is None:
@@ -495,30 +486,18 @@ def _curve_rows(model: KrausModel, parameters, direction=None) -> tuple[
         direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
 
-    blocks, rows = _certified_blocks(model), []
-    if blocks is not None:
-        blocks = tuple(b for b, _ in blocks)
-        points = [_top_block(blocks, t * direction) for t in ts]
-    else:
-        shifts, stack = _shifted_maps(model, ts[:, None] * direction)
-        rows = list(zip(shifts.tolist(), stack, _perron_rows(stack, model.internal_dim)))
-        for *_, data in rows:
-            if not isinstance(data, SpectralData):
-                raise data
-        points = [(0, shift + float(np.log(d.lambda_u)), d.degenerate) for shift, _, d in rows]
-
+    blocks = _curve_blocks(model)
+    points = [_top_block(blocks, t * direction) for t in ts]
     logs = np.array([log for _, log, _ in points], dtype=float)
     with np.errstate(over="ignore"):
         lams = np.array([float(np.exp(log)) for log in logs], dtype=float)
-    kinks = _block_crossings(blocks, ts, direction, [p[0] for p in points]) if blocks else []
-    curve = LambdaCurve(
+    return LambdaCurve(
         parameters=ts,
         lambda_values=lams,
         log_lambda_values=logs,
-        kinks=tuple(kinks),
+        kinks=tuple(_block_crossings(blocks, ts, direction, [p[0] for p in points])),
         degenerate_parameters=tuple(float(t) for t, (_, _, tied) in zip(ts, points) if tied),
     )
-    return curve, blocks, rows
 
 
 @dataclass(frozen=True)
@@ -650,19 +629,20 @@ def rate_function(model: KrausModel, positions,
 
     The Newton runs of all velocities go in lockstep, one step each per
     round.  On an irreducible map the tilts a round needs share one stack of
-    shifted maps and one stacked Perron extraction, and a tilt on the window
-    grid reads the row the curve already extracted; the derivative formulas
-    then run row by row.  A reducible map's triple comes from one lone
-    :func:`perron` call per tilt on that tilt's top block.  Every row has
-    the bits of a lone extraction, so each velocity gets the value it gets
-    alone.  Where velocities fail, the table raises the error of the first.
+    shifted maps and one stacked Perron extraction, and the derivative
+    formulas then run row by row; the window grid takes radii only, as the
+    curve does, so a Perron triple is solved only where Newton reads it.  A
+    reducible map's triple comes from one lone :func:`perron` call per tilt
+    on that tilt's top block.  Every row has the bits of a lone extraction,
+    so each velocity gets the value it gets alone.  Where velocities fail,
+    the table raises the error of the first.
     """
     if model.lattice_dim != 1:
         raise AssumptionError(
             "rate-function evaluation is implemented for one-dimensional walks"
         )
     xs = np.asarray(positions, dtype=float)
-    curve, blocks, rows = _curve_rows(model, np.linspace(u_min, u_max, points))
+    curve = lambda_curve(model, np.linspace(u_min, u_max, points))
     u_grid = curve.parameters
     log_grid = curve.log_lambda_values
 
@@ -686,36 +666,29 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
-    # On a reducible map c is the largest of the irreducible blocks' curves,
-    # each analytic: Newton uses the top block's triple.
-    if blocks is not None:
-        def at(u: float):
-            return _log_lambda_derivatives(blocks[_top_block(blocks, np.array([u]))[0]], u)
-    else:
-        # The unread rows: the grid's, and those of the round being served.
-        unread = dict(zip(u_grid.tolist(), rows))
-
-        def at(u: float):
-            shift, matrix, row = unread.pop(u)
-            if isinstance(row, _DECLINED):
-                return None
-            if isinstance(row, Exception):
-                raise row
-            return _triple_derivatives(model, u, shift, matrix, row)
-
+    reducible = _certified_blocks(model) is not None
+    blocks = _curve_blocks(model)
     # What each tilt sends to a Newton run: its triple, None, or its error.
     derivatives: dict[float, tuple[float, float, float] | None | Exception] = {}
 
     def serve(tilts: list[float]) -> None:
-        if blocks is None:
-            fresh = [u for u in tilts if u not in unread]
-            if fresh:
-                fresh_shifts, fresh_stack = _shifted_maps(model, np.array(fresh)[:, None])
-                unread.update(zip(fresh, zip(fresh_shifts.tolist(), fresh_stack,
-                                             _perron_rows(fresh_stack, model.internal_dim))))
+        if not reducible:
+            shifts, stack = _shifted_maps(model, np.array(tilts)[:, None])
+            for u, shift, matrix, row in zip(tilts, shifts.tolist(), stack,
+                                             _perron_rows(stack, model.internal_dim)):
+                if isinstance(row, _DECLINED):
+                    derivatives[u] = None
+                elif isinstance(row, Exception):
+                    derivatives[u] = row
+                else:
+                    derivatives[u] = _triple_derivatives(model, u, shift, matrix, row)
+            return
+        # On a reducible map c is the largest of the irreducible blocks'
+        # curves, each analytic: Newton uses the top block's triple.
         for u in tilts:
             try:
-                derivatives[u] = at(u)
+                derivatives[u] = _log_lambda_derivatives(
+                    blocks[_top_block(blocks, np.array([u]))[0]], u)
             except _PERRON_ERRORS as exc:
                 derivatives[u] = exc
 
@@ -785,7 +758,7 @@ def rate_function(model: KrausModel, positions,
         rate=values,
         maximizers=maximizers,
         finite=finite,
-        upper_bound_only=blocks is not None,
+        upper_bound_only=reducible,
         u_grid=u_grid,
         log_lambda=log_grid,
         kinks=tuple(k.u for k in curve.kinks),

@@ -119,6 +119,11 @@ def _check_args(args: argparse.Namespace) -> None:
     if "x_min" in given and not args.x_min <= args.x_max:
         raise ModelFormatError(
             f"need x_min <= x_max, got [{args.x_min}, {args.x_max}]")
+    # np.linspace steps by the span, so a span that overflows makes NaN points.
+    for lo, hi in (("u_min", "u_max"), ("x_min", "x_max")):
+        if lo in given and not math.isfinite(given[hi] - given[lo]):
+            raise ModelFormatError(
+                f"{hi} - {lo} must be finite, got [{given[lo]}, {given[hi]}]")
     if "x_points" in given and args.x_points < 1:
         raise ModelFormatError(
             f"velocity grid needs at least 1 point, got {args.x_points}")

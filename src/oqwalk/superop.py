@@ -10,10 +10,12 @@ weighted sum over the model's cached stack of Kraus-term products
 weights change.  All of these maps are completely positive, so the leading
 eigenvalue is a genuine spectral radius with (up to normalization) a PSD
 eigenvector on either side; ``perron`` extracts that data with explicit
-tolerance and degeneracy reporting.  A tilt grid builds its maps as one
-stack (``_shifted_maps``) and extracts all their Perron data with one
-stacked call per LAPACK stage (``_perron_rows``); ``perron`` is the same
-code on a stack of one.
+tolerance and degeneracy reporting.  A tilted curve reads only
+``spectral_radius``.  The Perron triples are read only by a rate table's
+Newton steps, and each round of them builds its tilts' maps as one stack
+(``_shifted_maps``) and extracts their triples with one stacked call per
+LAPACK stage (``_perron_rows``); ``perron`` is the same code on a stack of
+one.
 """
 from __future__ import annotations
 
@@ -182,7 +184,8 @@ class SpectralData:
 
 
 def spectral_radius(superoperator: Superoperator) -> float:
-    """Just the spectral radius (cheapest query; used by curve scans)."""
+    """Just the spectral radius, from ``eigvals`` alone: the cheapest query,
+    and all a tilted curve reads at each point."""
     check_dense_side(superoperator.matrix.shape[0])
     values = np.linalg.eigvals(superoperator.matrix)
     return float(np.max(np.abs(values)))
@@ -340,7 +343,7 @@ def perron(superoperator: Superoperator) -> SpectralData:
     the spectral diagnostics; the left weight comes from two steps of inverse
     iteration on the adjoint, shifted just past the root, and is gated on its
     own eigen-residual.  This is :func:`_perron_stack` on a stack of one, the
-    same code a tilt grid runs on all its maps at once.
+    same code a rate table's Newton round runs on all its tilts at once.
 
     Raises :class:`SpectralIndeterminateError` when no real positive eigenvalue
     sits at the spectral radius (not a CP map, or hopeless noise), when either

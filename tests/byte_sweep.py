@@ -20,10 +20,11 @@ common ray leaks by 9e-9,
 ``rate`` and ``asymptotics`` on ``breakdown_example`` and on a diagonal pair
 whose blocks tie at every tilt, each written in a rotated internal basis,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
-windows where the Perron extraction of a valid model fails, ``asymptotics``
-on a 2-D walk, initial-state documents (one with a NaN entry), every range
-check, ``--p`` on a model other than ``classical_dilation``, input and output
-paths that cannot be read or written, non-finite numeric arguments,
+windows where the Perron extraction of a valid model fails (one of them
++-1e6), windows whose span overflows, ``asymptotics`` on a 2-D walk,
+initial-state documents (one with a NaN entry), every range check, ``--p``
+on a model other than ``classical_dilation``, input and output paths that
+cannot be read or written, non-finite numeric arguments,
 an ``oracle-check`` whose moments underflow, argparse errors and ``--help``.
 
 Every ``.json`` artifact and every stdout that parses as JSON must be
@@ -166,6 +167,11 @@ EXTRA = (
     "asymptotics --builtin std_example --u-min=-15 --u-max=15",
     "asymptotics --builtin std_example --u-min=-17 --u-max=17",
     "rate --builtin periodic_example --u-min=-40 --u-max=40",
+    "rate --builtin std_example --u-min=-1e6 --u-max=1e6",
+    # Finite windows whose span overflows.
+    "asymptotics --builtin std_example --u-min=-1e308 --u-max=1e308",
+    "rate --builtin std_example --u-min=-1e308 --u-max=1e308",
+    "rate --builtin std_example --x-min=-1e308 --x-max=1e308",
     # A walk on Z^2, whose curve runs along the first axis.
     "asymptotics --model {docs}/isometry_2d.json",
     # Each range check alone, at and beyond its edge.

@@ -38,8 +38,6 @@ ALLOWED = {
         "a CLT covariance is a limit of covariances; only a patched route term",
     ("asymptotics.py", "log lambda_u sampled on the window is not convex"):
         "log lambda_u of a CP family is convex (Kingman); only a patched curve",
-    ("asymptotics.py", "raise row"):
-        "every Perron gate's error is declined there; only a LAPACK failure is left",
     ("asymptotics.py", "rate function came out negative"):
         "I(x) >= -c(0) >= -1e-10 past the u = 0 gate; only a patched c or maximizer",
     ("asymptotics.py", "rate-function values violate convexity"):

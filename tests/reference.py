@@ -611,8 +611,10 @@ def perron_per_matrix(matrix, n):
 
 
 def per_point_curve(model, parameters, direction=None):
-    """``lambda_curve``'s values, degenerate points and errors from one
-    ``perron`` call per grid point, each on its own shifted map."""
+    """A tilted curve's values and degenerate points from one ``perron``
+    call per grid point, each on its own shifted map; a reducible map's
+    point whose extraction fails takes the whole map's radius and counts as
+    degenerate, an irreducible one's raises."""
     from oqwalk import SpectralIndeterminateError
     from oqwalk.structure import _operator_closure
     from oqwalk.superop import _shifted_map, perron, spectral_radius

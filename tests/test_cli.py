@@ -21,6 +21,7 @@ import oqwalk.superop
 from oqwalk import (
     KrausModel,
     ModelValidationError,
+    SpectralIndeterminateError,
     builtin,
     dump_model,
     load_model,
@@ -465,6 +466,25 @@ def test_out_of_range_arguments_are_format_errors(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["asymptotics", "--u-min=-1e308", "--u-max=1e308"],
+     "u_max - u_min must be finite, got [-1e+308, 1e+308]"),
+    (["rate", "--u-min=-1e308", "--u-max=1e308"],
+     "u_max - u_min must be finite, got [-1e+308, 1e+308]"),
+    (["rate", "--x-min=-1e308", "--x-max=1e308"],
+     "x_max - x_min must be finite, got [-1e+308, 1e+308]"),
+], ids=["asymptotics-u", "rate-u", "rate-x"])
+def test_a_finite_window_whose_span_overflows_is_a_format_error(argv, message, capsys):
+    # np.linspace steps by the span: an inf span made NaN grid points, and
+    # the tilt grid's ended in a LinAlgError traceback.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--builtin", "std_example", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _documented_exit_codes() -> dict:
     """Error class name -> exit code, read from the table in the cli docstring."""
     table = oqwalk.cli.__doc__.split("Exit codes", 1)[1]
@@ -592,24 +612,58 @@ def _fixed(values):
      "eigendecomposition residual"),
     (oqwalk.structure, _fixed, ["asymptotics", "--builtin", "std_example"],
      "eigendecomposition residual"),
-    (oqwalk.superop, lambda v: v.real == v.real.max(axis=-1, keepdims=True),
-     ["asymptotics", "--builtin", "std_example"], "leading eigenvector residual"),
-    (oqwalk.superop, lambda v: v.real == v.real.max(axis=-1, keepdims=True),
-     ["rate", "--builtin", "std_example"], "leading eigenvector residual"),
     (oqwalk.structure, lambda v: (np.abs(np.abs(v) - 1) <= 1e-8) & ~_fixed(v),
      ["analyze", "--builtin", "periodic_example"], "peripheral eigenvector does not power up"),
-], ids=["fixed-analyze", "fixed-asymptotics", "perron-asymptotics", "perron-rate",
-        "primitive-root-analyze"])
+], ids=["fixed-analyze", "fixed-asymptotics", "primitive-root-analyze"])
 def test_a_read_pair_off_its_eigenvalue_exits_4(module, pick, argv, message,
                                                 perturb_pairs, capsys):
-    # eigendecompose certifies no pair: the fixed pairs, the Perron pair and
-    # period's primitive-root pair are each gated where they are read, so
-    # 1e-6 on the vectors of just those pairs is refused there.
+    # eigendecompose certifies no pair: the fixed pairs and period's
+    # primitive-root pair are each gated where they are read, so 1e-6 on the
+    # vectors of just those pairs is refused there.
     perturb_pairs(module, pick)
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def _perron_pair(values):
+    return values.real == values.real.max(axis=-1, keepdims=True)
+
+
+def test_asymptotics_reads_no_perron_pair(perturb_pairs, capsys):
+    # Its curve takes radii only, so 1e-6 on every Perron vector moves no byte.
+    argv = ["asymptotics", "--builtin", "std_example"]
+    main(argv)
+    want = capsys.readouterr()
+    perturb_pairs(oqwalk.superop, _perron_pair)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+def test_rate_declines_a_newton_row_off_its_eigenvalue(perturb_pairs, capsys, monkeypatch):
+    # The Perron pair is read only by the Newton rows.  1e-6 on its vector
+    # fails each row's residual gate; the row is declined, and bisection on
+    # the objective gives the rates.
+    argv = ["rate", "--builtin", "std_example"]
+    want = run_json(capsys, argv)
+    perturb_pairs(oqwalk.superop, _perron_pair)
+    with pytest.raises(SpectralIndeterminateError, match="^leading eigenvector residual"):
+        oqwalk.superop.perron(build_superop(builtin("std_example")))
+    accepted, searched = [], []
+    real_log_lambda = oqwalk.asymptotics.log_lambda
+
+    def searching(model, u):
+        searched.append(u)
+        return real_log_lambda(model, u)
+
+    monkeypatch.setattr(oqwalk.asymptotics, "_triple_derivatives",
+                        lambda *args: accepted.append(args))
+    monkeypatch.setattr(oqwalk.asymptotics, "log_lambda", searching)
+    got = run_json(capsys, argv)
+    assert accepted == [] and searched
+    np.testing.assert_allclose(got["rate"], want["rate"], rtol=0, atol=1e-12)
+    assert got["x_grid"] == want["x_grid"]
 
 
 def test_a_walk_with_unequal_cyclic_blocks_answers_every_command(tmp_path, capsys):

@@ -26,7 +26,12 @@ from oqwalk.superop import (
     weighted_superop,
 )
 import reference
-from model_zoo import STEPS_2D, diagonal_pair_model, random_isometry_model
+from model_zoo import (
+    STEPS_2D,
+    diagonal_pair_model,
+    nilpotent_step_model,
+    random_isometry_model,
+)
 
 
 def random_density(rng, n):
@@ -240,6 +245,14 @@ def test_an_overflowing_radius_fails_the_perron_gate():
             SpectralIndeterminateError, match=r"^spectral radius overflows; no eigenvalue "
                                               r"lies on the spectral circle$"):
         perron(Superoperator(np.full((4, 4), 1e308, complex), 2))
+
+
+def test_a_nilpotent_map_fails_the_perron_gate():
+    # At u = 400 the -1 term's weight exp(-800) underflows and the +1
+    # operator is nilpotent: the shifted map has no nonzero eigenvalue.
+    shifted = _shifted_map(nilpotent_step_model(), np.array([400.0]))[1]
+    with pytest.raises(SpectralIndeterminateError, match=r"^zero spectral radius$"):
+        perron(shifted)
 
 
 def test_one_perron_triple_costs_one_eigensolve(monkeypatch):
