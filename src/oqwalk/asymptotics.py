@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DERIVED_POSITIVITY_TOL, RADIUS_TIE_TOL, STOCHASTICITY_TOL
+from .config import DERIVED_POSITIVITY_TOL, STOCHASTICITY_TOL
 from .errors import (
     AssumptionError,
     ConvergenceError,
@@ -32,16 +32,13 @@ from .numerics import (
     unvec,
     vec,
 )
-from .structure import (
-    _cesaro_limit,
-    _fixed_point_data,
-    _irreducible_blocks,
-    _operator_closure,
-)
+from .structure import _cesaro_limit, _fixed_point_data, _irreducible_blocks
 from .superop import (
     SpectralData,
     _PERRON_ERRORS,
     _perron_rows,
+    _radius_tie,
+    _refuse_zero_radius,
     _shifted_map,
     _shifted_maps,
     build_superop,
@@ -306,50 +303,32 @@ def _log_lambda_derivatives(model: KrausModel,
     return _triple_derivatives(model, u, shift, shifted.matrix, data)
 
 
-def _certified_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray], ...] | None:
-    """The irreducible blocks of a composition series of the Kraus family, each
-    with its isometry (see :func:`_irreducible_blocks`), or None when the
-    operators generate the full matrix algebra."""
-    if _operator_closure(model).dimension == model.internal_dim ** 2:
-        return None
-    blocks = _irreducible_blocks(model)
-    if blocks is None:
-        raise SpectralIndeterminateError(
-            "no composition series of the Kraus family could be certified; "
-            "the map cannot be taken block by block"
-        )
-    return blocks
+#: Blocks of a walk with their isometries, as :func:`_irreducible_blocks` gives them.
+Blocks = tuple[tuple[KrausModel, np.ndarray], ...]
 
 
-def _curve_blocks(model: KrausModel) -> tuple[KrausModel, ...]:
-    """The models whose largest spectral radius is lambda_u: the irreducible
-    blocks of :func:`_certified_blocks`, or the model itself when its
-    operators generate the full matrix algebra."""
-    blocks = _certified_blocks(model)
-    return (model,) if blocks is None else tuple(b for b, _ in blocks)
-
-
-def _top_block(blocks: tuple[KrausModel, ...], u: np.ndarray) -> tuple[int, float, bool]:
+def _top_block(blocks: Blocks, u: np.ndarray) -> tuple[int, float, bool]:
     """``(top, log lambda_u, tied)`` at ``u``: each block's shifted map shares
     the whole map's shift, so ``top`` indexes the largest block radius r (the
     first of equal ones), log lambda_u is the shift plus log r, and ``tied``
-    says a second radius lies within 1e-9 max(r, 1) of r, as in :func:`perron`.
+    says the next largest radius ties r (:func:`_radius_tie`, as in
+    :func:`perron`).
     """
-    shifted = [_shifted_map(b, u) for b in blocks]
+    shifted = [_shifted_map(b, u) for b, _ in blocks]
     radii = [spectral_radius(m) for _, m in shifted]
     top = int(np.argmax(radii))
     r = radii[top]
-    if r <= 0:
-        raise ConvergenceError("tilted map has zero spectral radius")
-    tied = sum(r - x <= RADIUS_TIE_TOL * max(r, 1.0) for x in radii) > 1
+    _refuse_zero_radius(r)
+    tied = len(radii) > 1 and bool(_radius_tie(r - sorted(radii)[-2], r))
     return top, shifted[top][0] + float(np.log(r)), tied
 
 
 def log_lambda(model: KrausModel, u) -> float:
-    """log of the leading tilted eigenvalue, stable for large tilts; on a
-    reducible map the largest of its irreducible blocks' values, as in
+    """log of the leading tilted eigenvalue, stable for large tilts: the
+    largest of the walk's irreducible blocks' values, as in
     :func:`lambda_curve`."""
-    return _top_block(_curve_blocks(model), np.atleast_1d(np.asarray(u, dtype=float)))[1]
+    return _top_block(_irreducible_blocks(model),
+                      np.atleast_1d(np.asarray(u, dtype=float)))[1]
 
 
 @dataclass(frozen=True)
@@ -396,7 +375,7 @@ def _convex(values: np.ndarray) -> bool:
                 and np.min(second) < -1e-8 * max(1.0, float(np.max(np.abs(values)))))
 
 
-def _block_crossings(blocks: tuple[KrausModel, ...], ts: np.ndarray, direction: np.ndarray,
+def _block_crossings(blocks: Blocks, ts: np.ndarray, direction: np.ndarray,
                      tops: list[int]) -> list[KinkRecord]:
     """The kinks of a reducible curve: where its top irreducible block changes.
 
@@ -411,10 +390,10 @@ def _block_crossings(blocks: tuple[KrausModel, ...], ts: np.ndarray, direction: 
     max(1 / lambda, |left|, |right|): the lambda-slope gate divided by
     lambda, which stays finite where lambda overflows.
     """
-    def log_lam(block: KrausModel, t: float) -> float:
+    def log_lam(block: tuple[KrausModel, np.ndarray], t: float) -> float:
         return _top_block((block,), t * direction)[1]
 
-    def log_slope(block: KrausModel, t: float) -> float:
+    def log_slope(block: tuple[KrausModel, np.ndarray], t: float) -> float:
         return (log_lam(block, t + 1e-5) - log_lam(block, t - 1e-5)) / 2e-5
 
     def crossings(t0: float, i: int, t1: float, j: int) -> list[KinkRecord]:
@@ -458,21 +437,18 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
     """Evaluate u -> lambda_u along ``t * direction`` and locate kinks.
 
     Each grid point is :func:`log_lambda` at ``t * direction``, bit for bit:
-    the largest spectral radius of the curve's blocks (see
-    :func:`_curve_blocks`), each block's tilted map rescaled so large tilts
-    cannot overflow, and degenerate where a second block ties it (see
+    the largest spectral radius of the walk's irreducible blocks (see
+    :func:`_irreducible_blocks`), each block's tilted map rescaled so large
+    tilts cannot overflow, and degenerate where a second block ties it (see
     :func:`_top_block`).  No Perron pair is read, so none is solved.
 
-    When the Kraus operators generate the full matrix algebra, the one block
-    is the whole map.  Tilting rescales each operator by a positive scalar,
-    so every tilted map is irreducible, its spectral radius is a simple
-    eigenvalue, and lambda_u is real-analytic with no kink to find.
-
-    Otherwise the same argument applies block by block.  The invariant
-    subspaces of the operators do not depend on the tilt, so in a basis
+    The invariant subspaces of the operators do not depend on the tilt, and
+    tilting rescales each operator by a positive scalar, so in a basis
     adapted to a composition series of the family every tilted map is block
-    triangular, and lambda_u is the largest of the irreducible diagonal
-    blocks' radii, each real-analytic.  The whole map is never solved, so no
+    triangular with irreducible diagonal blocks, each block's radius is a
+    simple eigenvalue, real-analytic in u, and lambda_u is the largest of
+    them; a walk whose operators generate the full matrix algebra is its own
+    one block.  The whole map of a reducible walk is never solved, so no
     basis makes its zeros matter.  A kink is a point where one block
     overtakes another, found by bisecting each grid cell whose ends have
     different top blocks (see :func:`_block_crossings`); the one blind spot
@@ -486,7 +462,7 @@ def lambda_curve(model: KrausModel, parameters, direction=None) -> LambdaCurve:
         direction[0] = 1.0
     direction = np.asarray(direction, dtype=float)
 
-    blocks = _curve_blocks(model)
+    blocks = _irreducible_blocks(model)
     points = [_top_block(blocks, t * direction) for t in ts]
     logs = np.array([log for _, log, _ in points], dtype=float)
     with np.errstate(over="ignore"):
@@ -666,8 +642,8 @@ def rate_function(model: KrausModel, positions,
             "spectral data is unreliable here"
         )
 
-    reducible = _certified_blocks(model) is not None
-    blocks = _curve_blocks(model)
+    blocks = _irreducible_blocks(model)
+    reducible = blocks[0][0] is not model
     # What each tilt sends to a Newton run: its triple, None, or its error.
     derivatives: dict[float, tuple[float, float, float] | None | Exception] = {}
 
@@ -688,7 +664,7 @@ def rate_function(model: KrausModel, positions,
         for u in tilts:
             try:
                 derivatives[u] = _log_lambda_derivatives(
-                    blocks[_top_block(blocks, np.array([u]))[0]], u)
+                    blocks[_top_block(blocks, np.array([u]))[0]][0], u)
             except _PERRON_ERRORS as exc:
                 derivatives[u] = exc
 
@@ -803,7 +779,7 @@ def block_mixture(model: KrausModel,
     when a transient decays too slowly to be told from a fixed point), and
     drifts count as equal under ``np.allclose(..., atol=1e-12)``.
     """
-    blocks = _certified_blocks(model) or ((model, np.eye(model.internal_dim)),)
+    blocks = _irreducible_blocks(model)
     if initial_state is None:
         initial_state = default_initial_state(model)
     limit = _cesaro_limit(model, sum(initial_state.blocks.values()))

@@ -13,10 +13,6 @@ POSITIVITY_TOL = 1e-10
 #: the CLT covariance.
 DERIVED_POSITIVITY_TOL = 1e-8
 
-#: Distance to a radius r, over max(r, 1), of a tie: ``perron``'s root at r and
-#: its degenerate root, a second block's radius on a reducible curve.
-RADIUS_TIE_TOL = 1e-9
-
 #: Relative eigen-residual bound of the untilted map's fixed pairs and of ``perron``.
 RESIDUAL_TOL = 1e-9
 

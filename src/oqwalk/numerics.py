@@ -78,6 +78,19 @@ def _nonscalar(op: np.ndarray) -> bool:
     return frob(op - (np.trace(op) / n) * np.eye(n)) > 1e-10
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """The larger in norm of (a + a^dag) / 2 and (a - a^dag) / 2i, both
+    Hermitian, for a matrix or each matrix of a stack (a tie keeps the first).
+    An eigenvector of a Hermiticity-preserving map at a real eigenvalue is a
+    phase times a Hermitian matrix, whose first part the phase fix may zero;
+    at a degenerate eigenvalue both parts are eigenvectors."""
+    adjoint = a.conj().swapaxes(-1, -2)
+    h, k = (a + adjoint) / 2, (a - adjoint) / 2j
+    side = a.shape[-2:]
+    keep = [frob(x) >= frob(y) for x, y in zip(h.reshape(-1, *side), k.reshape(-1, *side))]
+    return np.where(np.reshape(keep, a.shape[:-2] + (1, 1)), h, k)
+
+
 def kraus_products(operators: np.ndarray) -> np.ndarray:
     """Stack of the Kraus-term superoperators ``kron(conj(L_k), L_k)``.
 

@@ -21,7 +21,7 @@ from .errors import (
     SpectralIndeterminateError,
 )
 from .model import KrausModel, _kept, validate_model
-from .numerics import EigenSystem, _nonscalar, eigendecompose, frob, unvec, vec
+from .numerics import EigenSystem, _hermitian_part, _nonscalar, eigendecompose, frob, unvec, vec
 from .superop import build_superop
 
 __all__ = [
@@ -187,14 +187,7 @@ def _fixed_point_data(model: KrausModel) -> _FixedPoints:
                                        f"exceeds {RESIDUAL_TOL:.1e} * ||A|| = {bound:.3e}")
     if fixed.size > 1:
         return _FixedPoints(es, fixed, None, None)
-    n = model.internal_dim
-    # The eigenvector is a phase times a Hermitian matrix: keep the larger of
-    # its Hermitian and anti-Hermitian parts, as ``perron`` does.  The phase
-    # fix can leave the Hermitian part zero, on a pure fixed point whose
-    # largest entry is an imaginary coherence.
-    a = unvec(es.vectors[:, fixed[0]], n)
-    h, k = (a + a.conj().T) / 2, (a - a.conj().T) / 2j
-    h = h if frob(h) >= frob(k) else k
+    h = _hermitian_part(unvec(es.vectors[:, fixed[0]], model.internal_dim))
     h = h / np.trace(h).real if abs(np.trace(h).real) > 1e-12 else h
     if np.trace(h).real < 0:
         h = -h
@@ -606,13 +599,12 @@ def _steps_generate_lattice(steps, d: int) -> bool:
     """Do the integer steps generate Z^d as a semigroup?  Exact arithmetic.
 
     They do when their cone is all of R^d, so the semigroup is a group, and
-    that group has index one: no hyperplane through d - 1 of the steps has
-    every step on one side, and the d x d minors have gcd 1.  For each set
-    ``sub`` of d - 1 independent steps, the cofactor normal ``m`` has
-    ``s . m = det([s, *sub])``: one product gives both a minor and the side
-    of ``s``.  The work is C(K, d - 1) normals of K products each.
+    that group has index one (:func:`_lattice_index`).  The cone is all of
+    R^d when no hyperplane through d - 1 of the steps has every step on one
+    side: for each set ``sub`` of d - 1 independent steps, the cofactor
+    normal ``m`` has ``s . m = det([s, *sub])``, the side of ``s``.  The work
+    is C(K, d - 1) normals of K products each.
     """
-    g = 0
     for sub in combinations(steps, d - 1):
         normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in sub]) for j in range(d)]
         if not any(normal):
@@ -620,8 +612,7 @@ def _steps_generate_lattice(steps, d: int) -> bool:
         sides = [sum(a * b for a, b in zip(s, normal)) for s in steps]
         if min(sides) >= 0 or max(sides) <= 0:
             return False
-        g = gcd(g, *sides)
-    return g == 1
+    return _lattice_index([list(s) for s in steps], d) == 1
 
 
 def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
@@ -640,19 +631,16 @@ def _minimal_invariant_subspace(seed: np.ndarray, mats: list[np.ndarray],
     return basis
 
 
-def _lattice_period(steps) -> int:
-    """Index p of the lattice spanned by the differences s - s_0 of the steps,
-    0 below full rank.  A return word of length l taking step s n_s times has
-    sum n_s (s - s_0) = -l s_0; steps that generate Z^d make s_0 generate the
-    quotient, so p divides l.
+def _lattice_index(rows: list[list[int]], d: int) -> int:
+    """Index in Z^d of the lattice the integer ``rows`` (of length d) span, 0
+    below full rank; the rows are reduced in place.
 
     Integer row reduction: Euclid down each column leaves one row with a
     nonzero entry there, the pivot; unimodular row steps keep the lattice,
-    so its index is the product of the pivots.
+    so its index is the product of the pivots.  No minor is formed.
     """
-    rows = [[a - b for a, b in zip(s, steps[0])] for s in steps[1:]]
     index = 1
-    for c in range(len(steps[0])):
+    for c in range(d):
         live = [r for r in rows if r[c]]
         while len(live) > 1:
             pivot = min(live, key=lambda r: abs(r[c]))
@@ -666,6 +654,15 @@ def _lattice_period(steps) -> int:
         index *= abs(live[0][c])
         rows = [r for r in rows if r is not live[0]]
     return index
+
+
+def _lattice_period(steps) -> int:
+    """Index p of the lattice spanned by the differences s - s_0 of the steps,
+    0 below full rank (see :func:`_lattice_index`).  A return word of length
+    l taking step s n_s times has sum n_s (s - s_0) = -l s_0; steps that
+    generate Z^d make s_0 generate the quotient, so p divides l."""
+    return _lattice_index([[a - b for a, b in zip(s, steps[0])] for s in steps[1:]],
+                          len(steps[0]))
 
 
 def is_irreducible_M(model: KrausModel, max_length: int | None = None) -> MIrreducibility:
@@ -804,9 +801,10 @@ def _search_common_invariant_subspace(basis_mats: np.ndarray,
 
 
 @_kept
-def _irreducible_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray], ...] | None:
+def _irreducible_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray], ...]:
     """The nonzero diagonal blocks of a composition series of the Kraus family,
-    each with the isometry q onto its piece of the internal space.
+    each with the isometry q onto its piece of the internal space; the model
+    itself with the identity when its operators generate the full algebra.
 
     A subspace V invariant under every L_s, with W spanning its orthogonal
     complement, puts the family in block upper triangular form; the
@@ -814,23 +812,30 @@ def _irreducible_blocks(model: KrausModel) -> tuple[tuple[KrausModel, np.ndarray
     each family generates its full matrix algebra.  Each nonzero block comes
     back as the model of the operators q^dag L_s q on the original
     displacements, so a tilt weights its terms as it weights the whole
-    family's.  None when a search cannot certify a split.  Kept on the model;
-    each block's product stack is read-only.
+    family's.  :class:`SpectralIndeterminateError` when a search cannot
+    certify a split.  Kept on the model; each block's product stack is
+    read-only.
     """
     n = model.internal_dim
+    whole = _operator_closure(model)
+    if whole.dimension == n * n:
+        return ((model, np.eye(n)),)
     blocks = []
     pending = [np.eye(n, dtype=complex)]  # isometries onto the pieces
     while pending:
         q = pending.pop()
         m = q.shape[1]
         ops = q.conj().T @ model.operators @ q
-        closure = algebra_closure(ops)
+        closure = whole if m == n else algebra_closure(ops)
         if closure.dimension == 0:
             continue
         if closure.dimension < m * m:
             sub = _search_common_invariant_subspace(closure.basis, m)
             if sub is None:
-                return None
+                raise SpectralIndeterminateError(
+                    "no composition series of the Kraus family could be certified; "
+                    "the map cannot be taken block by block"
+                )
             rest = _projector_basis(np.eye(m) - sub @ sub.conj().T, m - sub.shape[1])
             pending += [q @ rest, q @ sub]
             continue

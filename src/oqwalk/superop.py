@@ -24,10 +24,11 @@ from operator import add
 
 import numpy as np
 
-from .config import RADIUS_TIE_TOL, RESIDUAL_TOL, UNIT_CIRCLE_TOL
+from .config import RESIDUAL_TOL, UNIT_CIRCLE_TOL
 from .errors import AssumptionError, OQWalkError, SpectralIndeterminateError
 from .model import KrausModel, LatticeState, _kept
 from .numerics import (
+    _hermitian_part,
     check_dense_side,
     eigendecompose,
     frob,
@@ -163,9 +164,10 @@ class SpectralData:
       the non-degenerate case).
     * ``rho_u``: right eigenvector as a trace-one density matrix.
     * ``m_u``: Hermitian left eigenvector, normalized so Tr(m_u rho_u) = 1.
-    * ``degenerate``: another eigenvalue coincides with the radius itself
-      (within 1e-9 relative).  Equal-modulus eigenvalues at a different phase
-      (the periodic pattern) do *not* set this flag.
+    * ``degenerate``: another eigenvalue ties the root (:func:`_radius_tie`:
+      within 1e-9 max(r, 1), so absolute below r = 1).  Equal-modulus
+      eigenvalues at a different phase (the periodic pattern) do *not* set
+      this flag.
     * ``gap``: relative modulus gap to the next eigenvalue in sorted order;
       1.0 when there is no other eigenvalue.
     * ``residual``: relative eigen-residual of the returned rho_u.
@@ -189,6 +191,20 @@ def spectral_radius(superoperator: Superoperator) -> float:
     check_dense_side(superoperator.matrix.shape[0])
     values = np.linalg.eigvals(superoperator.matrix)
     return float(np.max(np.abs(values)))
+
+
+def _radius_tie(distance, radius):
+    """Is ``distance`` from the spectral radius ``radius`` a tie, at most 1e-9
+    max(radius, 1)?  Elementwise.  The one test of :func:`perron`'s root at
+    the radius and of its degenerate root, and of a second block's radius on
+    a tilted curve."""
+    return distance <= 1e-9 * np.maximum(radius, 1.0)
+
+
+def _refuse_zero_radius(*radii: float) -> None:
+    """Refuse a zero spectral radius among ``radii``: no Perron root, no log."""
+    if any(r <= 0 for r in radii):
+        raise SpectralIndeterminateError("zero spectral radius")
 
 
 def _left_perron_vectors(adjoints: np.ndarray, lams, n: int) -> np.ndarray:
@@ -248,22 +264,20 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
     rows = np.arange(len(stack))
     moduli = np.abs(es.values)
     radius = moduli.max(axis=1)
-    if (radius <= 0).any():
-        raise SpectralIndeterminateError("zero spectral radius")
+    _refuse_zero_radius(*radius.tolist())
     # The peripheral eigenvalues (``period``'s band, scaled by max(r, 1)) may
     # tie in modulus to rounding (e.g. a +/- pair for a 2-periodic map), so the
     # modulus sort alone cannot be trusted to put the Perron root first: take
-    # the peripheral one of largest real part and insist that it sits at r to
-    # within the tie tolerance; no eigenvalue the band adds beats such a root.
-    tol_edge = RADIUS_TIE_TOL * np.maximum(radius, 1.0)
+    # the peripheral one of largest real part and insist that it ties r; no
+    # eigenvalue the band adds beats such a root.
     peripheral = moduli >= (radius - UNIT_CIRCLE_TOL * np.maximum(radius, 1.0))[:, None]
     if not peripheral.any(axis=1).all():  # a radius of inf: inf - inf is NaN
         raise SpectralIndeterminateError(
             "spectral radius overflows; no eigenvalue lies on the spectral circle")
     lead = np.where(peripheral, es.values.real, -np.inf).argmax(axis=1)
     top = es.values[rows, lead]
-    for t, r, edge in zip(top, radius.tolist(), tol_edge.tolist()):
-        if abs(t - r) > edge:
+    for t, r in zip(top, radius.tolist()):
+        if not _radius_tie(abs(t - r), r):
             raise SpectralIndeterminateError(
                 f"no eigenvalue at the positive real point of the spectral "
                 f"circle (closest {t}, radius {r:.6e}); not a CP spectrum"
@@ -271,7 +285,7 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
     lams = top.real.tolist()
     distance = np.abs(es.values - top[:, None])
     distance[rows, lead] = np.inf
-    degenerate = (distance <= tol_edge[:, None]).any(axis=1)
+    degenerate = _radius_tie(distance, radius[:, None]).any(axis=1)
     if stack.shape[1] == 1:
         gap = separation = [1.0] * len(stack)
     else:
@@ -279,15 +293,8 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
         gap = ((radius - moduli.max(axis=1)) / radius).tolist()
         separation = (distance.min(axis=1) / radius).tolist()
 
-    # The map preserves Hermiticity, so for a real simple eigenvalue the
-    # eigenvector is Hermitian up to a phase; in degenerate corners the
-    # Hermitian and anti-Hermitian parts are both eigenvectors and the
-    # larger one is kept.
     a = es.vectors[rows, :, lead].reshape(-1, n, n).swapaxes(1, 2)
-    h = (a + a.conj().swapaxes(1, 2)) / 2
-    k = (a - a.conj().swapaxes(1, 2)) / 2j
-    keep_h = np.array([frob(x) >= frob(y) for x, y in zip(h, k)])
-    rhos = project_to_state(np.where(keep_h[:, None, None], h, k), what="leading eigenvector")
+    rhos = project_to_state(_hermitian_part(a), what="leading eigenvector")
     tiny = np.finfo(float).tiny
     scales = [max(frob(m), tiny) for m in stack]
     residuals = []

@@ -21,7 +21,8 @@ common ray leaks by 9e-9,
 whose blocks tie at every tilt, each written in a rotated internal basis,
 ``classical_dilation`` tilts where lambda exceeds the largest double, tilt
 windows where the Perron extraction of a valid model fails (one of them
-+-1e6), windows whose span overflows, ``asymptotics`` on a 2-D walk,
++-1e6), a window reaching a tilt where the shifted map is nilpotent,
+windows whose span overflows, ``asymptotics`` on a 2-D walk,
 initial-state documents (one with a NaN entry), every range check, ``--p``
 on a model other than ``classical_dilation``, input and output paths that
 cannot be read or written, non-finite numeric arguments,
@@ -72,6 +73,7 @@ from model_zoo import (  # noqa: E402
     leaning_ray_model,
     moved_step_document,
     equal_modulus_diagonal_model,
+    nilpotent_step_model,
     random_isometry_model,
     rotated,
     three_level_two_block_model,
@@ -168,6 +170,9 @@ EXTRA = (
     "asymptotics --builtin std_example --u-min=-17 --u-max=17",
     "rate --builtin periodic_example --u-min=-40 --u-max=40",
     "rate --builtin std_example --u-min=-1e6 --u-max=1e6",
+    # A window reaching u = 400, where the shifted map has spectral radius 0.
+    "asymptotics --model {docs}/nilpotent.json --u-min 398 --u-max 400 --u-points 3",
+    "rate --model {docs}/nilpotent.json --u-min 398 --u-max 400 --u-points 3",
     # Finite windows whose span overflows.
     "asymptotics --builtin std_example --u-min=-1e308 --u-max=1e308",
     "rate --builtin std_example --u-min=-1e308 --u-max=1e308",
@@ -257,6 +262,7 @@ def write_documents(directory: Path) -> None:
                directory / "block_sum_n8.json")
     dump_model(transient_fed_rays_model(), directory / "transient_fed.json")
     dump_model(leaning_ray_model(9e-9), directory / "leaning_ray.json")
+    dump_model(nilpotent_step_model(), directory / "nilpotent.json")
     for name, model in (("equal_modulus", equal_modulus_diagonal_model()),
                         ("breakdown", builtin("breakdown_example"))):
         dump_model(rotated(model, 1), directory / f"rotated_{name}.json")

@@ -262,6 +262,23 @@ def lattice_period_by_minors(steps):
     return gcd(*(laplace_det(list(sub)) for sub in combinations(diffs, len(base))))
 
 
+def steps_generate_lattice_by_minors(steps, d):
+    """Do the integer steps generate Z^d as a semigroup?  Their cone is all
+    of R^d (no hyperplane through d - 1 of them, by its cofactor normal, has
+    every step on one side) and the gcd of all their d x d minors is 1."""
+    from itertools import combinations
+    from math import gcd
+
+    rows = [list(s) for s in steps]
+    for sub in combinations(rows, d - 1):
+        normal = [(-1) ** j * laplace_det([r[:j] + r[j + 1:] for r in sub]) for j in range(d)]
+        if any(normal):
+            sides = [sum(a * b for a, b in zip(s, normal)) for s in rows]
+            if min(sides) >= 0 or max(sides) <= 0:
+                return False
+    return gcd(*(laplace_det(list(sub)) for sub in combinations(rows, d))) == 1
+
+
 # ---------------------------------------------------------------------------
 # Superoperator references: the auxiliary map applied term by term, the
 # lattice map one sandwich at a time, the weighted map assembled one

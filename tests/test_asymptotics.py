@@ -16,7 +16,6 @@ from oqwalk import (
     KrausModel,
     ConvergenceError,
     MultiplicityError,
-    OQWalkError,
     SpectralIndeterminateError,
     asymptotic_stats,
     block_mixture,
@@ -427,7 +426,8 @@ def test_uncertified_blocks_raise(name, monkeypatch, capsys):
     monkeypatch.setattr(structure, "_search_common_invariant_subspace",
                         lambda basis_mats, n: None)
     model = _REDUCIBLE_MODELS[name]()
-    assert _irreducible_blocks(model) is None
+    with pytest.raises(SpectralIndeterminateError, match="composition series"):
+        _irreducible_blocks(model)
     with pytest.raises(SpectralIndeterminateError, match="composition series"):
         lambda_curve(model, _ORACLE_GRIDS[0])
     if name == "breakdown":
@@ -478,7 +478,7 @@ def test_a_kink_past_the_largest_double_keeps_its_log_slopes():
     # The jump is read from the finite log slopes, 1 on the left and 2 on
     # the right.
     model = _overflowing_crossing_model()
-    blocks, ts = [b for b, _ in _irreducible_blocks(model)], np.array([700.0, 740.0])
+    blocks, ts = _irreducible_blocks(model), np.array([700.0, 740.0])
     (kink,) = _block_crossings(blocks, ts, np.ones(1), [_top_block(blocks, ts[:1])[0],
                                                         _top_block(blocks, ts[1:])[0]])
     assert kink.u == pytest.approx(720.0 - np.log(2.0), rel=1e-13)
@@ -518,6 +518,17 @@ def test_breakdown_blocks_are_the_ray_and_the_corner(breakdown_model):
 def test_two_block_model_splits_into_its_summands():
     blocks = _irreducible_blocks(three_level_two_block_model())
     assert sorted(b.internal_dim for b, _ in blocks) == [1, 2]
+
+
+def test_the_block_split_reads_the_kept_closure_of_the_whole_walk(computes):
+    # One closure per piece of the split, none again for the whole space.
+    import oqwalk.structure as structure
+
+    model = three_level_two_block_model()
+    closures = computes(_irreducible_blocks, structure, "algebra_closure")
+    _operator_closure(model)
+    blocks = _irreducible_blocks(model)
+    assert len(closures) == len(blocks) == 2
 
 
 def test_rate_function_computes_the_operator_closure_once(monkeypatch):
@@ -1303,7 +1314,7 @@ def test_log_lambda_refuses_a_tilt_where_the_map_is_nilpotent():
     # The -1 term's weight exp(-800) underflows; the +1 operator is nilpotent.
     model = nilpotent_step_model()
     assert np.isfinite(log_lambda(model, 300.0))
-    with pytest.raises(OQWalkError) as info:
+    with pytest.raises(SpectralIndeterminateError, match=r"^zero spectral radius$") as info:
         log_lambda(model, 400.0)
     assert info.value.exit_code == 4
 

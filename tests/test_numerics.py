@@ -18,6 +18,7 @@ from oqwalk import (
 )
 from oqwalk.config import POSITIVITY_TOL
 from oqwalk.numerics import (
+    _hermitian_part,
     choi_matrix,
     eigendecompose,
     frob,
@@ -171,6 +172,22 @@ def test_a_stack_projects_to_states_as_each_matrix_alone():
     stack[2] = -np.eye(3) + 2 * np.diag([1.0, 0.0, 0.0])  # trace -1, eigenvalue 1
     with pytest.raises(PositivityError, match="negative part -1.000e\\+00"):
         project_to_state(stack)
+
+
+def test_the_hermitian_part_is_the_larger_of_the_two_row_by_row():
+    # e^{i theta} h has Hermitian part cos(theta) h and anti-Hermitian part
+    # sin(theta) h; the larger one is kept, and a stack keeps each row's.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = x + x.conj().T
+    thetas = np.array([0.0, 0.3, np.pi / 4, np.pi / 2, 2.0])
+    stack = np.exp(1j * thetas)[:, None, None] * h
+    parts = _hermitian_part(stack)
+    for a, part, theta in zip(stack, parts, thetas):
+        assert part.tobytes() == _hermitian_part(a).tobytes()
+        c, s = np.cos(theta), np.sin(theta)
+        want = c * h if abs(c) >= abs(s) else s * h
+        np.testing.assert_allclose(part, want, rtol=0, atol=1e-14)
 
 
 def test_importing_the_package_loads_no_scipy_linalg():

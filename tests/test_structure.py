@@ -701,6 +701,24 @@ def test_lattice_period_matches_the_minor_gcd():
             steps
 
 
+def test_lattice_gate_matches_the_cone_and_the_minor_gcd():
+    # The gate's index comes from the row reduction of _lattice_index; the
+    # oracle takes the gcd of every d x d minor.  Doubling a step set keeps
+    # its cone and makes the index at least 2^d, so each set that passes
+    # fails doubled by its index alone.
+    rng = np.random.default_rng(6)
+    seen = Counter()
+    for _ in range(1500):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        steps = [tuple(int(c) for c in rng.integers(-3, 4, size=d)) for _ in range(k)]
+        for scale in (1, 2):
+            scaled = [tuple(scale * c for c in s) for s in steps]
+            want = reference.steps_generate_lattice_by_minors(scaled, d)
+            assert structure._steps_generate_lattice(scaled, d) == want, scaled
+            seen[scale, want] += 1
+    assert seen[1, True] > 100 and seen[2, True] == 0
+
+
 def test_lattice_period_takes_no_minor(monkeypatch):
     # The 80 steps of {-1, 0, 1}^4 \ {0} have C(79, 4) = 1.5 million 4 x 4
     # minors; row reduction forms none.

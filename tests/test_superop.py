@@ -21,6 +21,7 @@ from oqwalk.numerics import eigendecompose
 from oqwalk.superop import (
     Superoperator,
     _left_perron_vectors,
+    _radius_tie,
     _shifted_map,
     derivative_maps,
     weighted_superop,
@@ -253,6 +254,16 @@ def test_a_nilpotent_map_fails_the_perron_gate():
     shifted = _shifted_map(nilpotent_step_model(), np.array([400.0]))[1]
     with pytest.raises(SpectralIndeterminateError, match=r"^zero spectral radius$"):
         perron(shifted)
+
+
+def test_a_radius_tie_is_1e_9_absolute_below_1_and_relative_above():
+    # perron's root and degenerate root and a curve's tied blocks read this
+    # one predicate; literal inputs on both sides of its edge.
+    assert _radius_tie(1e-9, 0.5) and not _radius_tie(1.01e-9, 0.5)
+    assert _radius_tie(1e-9, 1.0) and not _radius_tie(1.01e-9, 1.0)
+    assert _radius_tie(4e-9, 4.0) and not _radius_tie(4.04e-9, 4.0)
+    got = _radius_tie(np.array([0.0, 2e-9]), np.array([[0.5], [2.0]]))
+    assert got.tolist() == [[True, False], [True, True]]
 
 
 def test_one_perron_triple_costs_one_eigensolve(monkeypatch):

@@ -21,6 +21,7 @@ from oqwalk import (
     builtin,
     default_initial_state,
     exact_distribution,
+    invariant_state,
     mgf_check,
     point_initial_state,
     random_initial_state,
@@ -529,6 +530,37 @@ def test_recorded_states_average_to_the_exact_state_law(model, pure):
     gap = mean[:, upper[0], upper[1]] - exact[:, upper[0], upper[1]]
     assert np.abs(gap.real).max() <= t
     assert np.abs(gap.imag).max() <= t
+
+
+_ERGODIC_CASES = {
+    "std_example": (lambda: builtin("std_example"), 1e-2),
+    "periodic_example": (lambda: builtin("periodic_example"), 5e-5),
+    "antidiag_example": (lambda: builtin("antidiag_example"), 5e-5),
+    "isometry31_n4": (lambda: random_isometry_model(31, n=4), 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", list(_ERGODIC_CASES))
+def test_one_trajectory_time_averages_to_the_invariant_state(name):
+    """Along one trajectory of an irreducible walk, the time average of the
+    recorded projectors tends to the invariant state (Kummerer & Maassen,
+    J. Phys. A 37, 2004).  One seeded run of P = 20000 steps is held within
+    a stated bound of it, entry by entry.
+
+    On the two antidiagonal walks every step swaps e_0 and e_1, so the
+    average of the P + 1 projectors is 1 / (2 (P + 1)) = 2.5e-5 off
+    I / 2 whatever is drawn: the bound is 1 / (P + 1).  On std_example the
+    gap over seeds 0-299 averaged 1.8e-3 (largest 7.0e-3), and on the n = 4
+    isometry walk, whose invariant state is not I / 2, its largest over
+    seeds 0-99 was 6.4e-3; seed 7 gives 2.1e-3 and 1.8e-3 against the bound
+    1e-2.  An engine that records another step's candidate over its own
+    norm, or draws each step with its squared probability, puts the
+    isometry walk 4.4e-2 and 2.9e-2 off.  std_example's invariant state is
+    I / 2, and both of those engines keep it."""
+    make, bound = _ERGODIC_CASES[name]
+    model = make()
+    average = sample_trajectory(model, 20_000, 7).states.mean(axis=0)
+    assert np.abs(average - invariant_state(model)).max() <= bound
 
 
 # -- standardization and failure modes ----------------------------------------------
