@@ -174,10 +174,7 @@ def _cmd_analyze(args: argparse.Namespace):
 
     irr = is_irreducible_L(model)
     aux: dict = {
-        "irreducible": irr.irreducible,
-        "closure_dimension": irr.closure_dimension,
-        "fixed_point_count": irr.fixed_point_count,
-        "min_fixed_eigenvalue": irr.min_fixed_eigenvalue,
+        **vars(irr),  # an IrreducibilityReport's fields
         "period": None,
         "projections": None,
         "regular": None,
@@ -196,13 +193,7 @@ def _cmd_analyze(args: argparse.Namespace):
     aux["recurrent_basis"] = bn.recurrent_basis
 
     mirr = is_irreducible_M(model)
-    lattice = {
-        "verdict": mirr.verdict,
-        "closure_dimension": mirr.closure_dimension,
-        "max_length_used": mirr.max_length_used,
-        "period": mirr.period,
-        "witness": mirr.witness,
-    }
+    lattice = {k: v for k, v in vars(mirr).items() if k != "return_span"}
 
     two_level = None
     if model.internal_dim == 2:
@@ -310,16 +301,7 @@ def _cmd_rate(args: argparse.Namespace):
     table = rate_function(
         model, xs, u_min=args.u_min, u_max=args.u_max, points=args.u_points,
     )
-    summary = {
-        "x_grid": table.x_grid,
-        "rate": table.rate,
-        "maximizers": table.maximizers,
-        "finite": table.finite,
-        "upper_bound_only": table.upper_bound_only,
-        "u_grid": table.u_grid,
-        "log_lambda": table.log_lambda,
-        "kinks": table.kinks,
-    }
+    summary = vars(table)  # a RateFunctionTable's fields
     return 0, summary, {
         "rate_function.json": summary,
         "rate_function.csv": _csv(

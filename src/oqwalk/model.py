@@ -20,7 +20,7 @@ import numpy as np
 from .config import POSITIVITY_TOL, STOCHASTICITY_TOL
 from .errors import ModelFormatError, ModelValidationError
 from .numerics import _nonscalar, choi_matrix, frob, kraus_products, psd_check
-from .rng import MASK64, unit_draw
+from .rng import MASK64, unit_draws_array
 
 __all__ = [
     "KrausModel",
@@ -422,8 +422,8 @@ def random_initial_state(model: KrausModel, seed: int) -> LatticeState:
     ``X[i, j]`` is draw ``i * n + j`` of the stream rooted at ``seed``.
     """
     n = model.internal_dim
-    seed &= MASK64
-    x = np.array([[unit_draw(seed, i * n + j) for j in range(n)] for i in range(n)])
+    x = unit_draws_array(np.full(n * n, seed & MASK64, dtype=np.uint64),
+                         np.arange(n * n, dtype=np.uint64)).reshape(n, n)
     g = x @ x.T
     return point_initial_state(model, g / np.trace(g))
 

@@ -9,11 +9,11 @@ contract of the trajectory sampler leans on:
 
 * per-trajectory seed: ``seed_i = mix64(seed XOR i)``
 * draw k of trajectory i (k = 0 picks the initial site and eigenvector,
-  k >= 1 picks steps):
-  ``u = to_unit(mix64(seed_i + (k + 1) * GAMMA mod 2^64))``
-* ``to_unit(x) = (x >> 11) * 2^-53`` in [0, 1).
+  k >= 1 picks steps): the top 53 bits of
+  ``mix64(seed_i + (k + 1) * GAMMA mod 2^64)``, times ``2^-53``, in [0, 1).
 
-Scalar and numpy-vectorized variants are provided; they agree bit for bit.
+The numpy forms are the one implementation: the scalar ``mix64`` and
+``unit_draw`` call them on one element, so the two agree by construction.
 The vectorized draw takes an array of draw indices as well as one index, so
 the trajectory engine fetches the draws of a whole block of steps, for every
 stream, in one call; each draw is still the same pure function of
@@ -37,18 +37,14 @@ _MIX_MUL_2 = 0xC4CEB9FE1A85EC53
 
 
 def mix64(x: int) -> int:
-    """64-bit avalanche finalizer (scalar)."""
-    x &= MASK64
-    x ^= x >> 33
-    x = (x * _MIX_MUL_1) & MASK64
-    x ^= x >> 33
-    x = (x * _MIX_MUL_2) & MASK64
-    x ^= x >> 33
-    return x
+    """64-bit avalanche finalizer of ``x mod 2^64``: :func:`mix64_array` on
+    one word."""
+    return int(mix64_array(x & MASK64))
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on uint64 arrays (wrapping arithmetic)."""
+    """The 64-bit avalanche finalizer on a copy of ``x`` as uint64 words
+    (wrapping arithmetic)."""
     return _mix64_in_place(np.array(x, dtype=np.uint64))
 
 
@@ -66,7 +62,7 @@ def _mix64_in_place(x: np.ndarray) -> np.ndarray:
 
 def derive_seed(seed: int, index: int) -> int:
     """Per-trajectory seed: ``mix64(seed XOR index)``."""
-    return mix64((seed ^ index) & MASK64)
+    return mix64(seed ^ index)
 
 
 def derive_seeds(seed: int, count: int) -> np.ndarray:
@@ -75,14 +71,10 @@ def derive_seeds(seed: int, count: int) -> np.ndarray:
     return mix64_array(np.uint64(seed & MASK64) ^ idx)
 
 
-def to_unit(x: int) -> float:
-    """Map a 64-bit word to a double in [0, 1) using its top 53 bits."""
-    return (x >> 11) * 2.0**-53
-
-
 def unit_draw(seed_i: int, k: int) -> float:
-    """Draw k (0-based) of the stream rooted at ``seed_i``."""
-    return to_unit(mix64((seed_i + (k + 1) * GAMMA) & MASK64))
+    """Draw k (0-based) of the stream rooted at ``seed_i``, both taken mod
+    2^64: :func:`unit_draws_array` on one stream."""
+    return float(unit_draws_array(seed_i & MASK64, k & MASK64))
 
 
 def unit_draws_array(seeds: np.ndarray, k: int | np.ndarray) -> np.ndarray:
@@ -90,7 +82,8 @@ def unit_draws_array(seeds: np.ndarray, k: int | np.ndarray) -> np.ndarray:
 
     ``k`` is one draw index for all streams or an array of indices taken
     elementwise with ``seeds``; either way the state is
-    ``seed + (k + 1) * GAMMA mod 2^64``, so the draws equal :func:`unit_draw`.
+    ``seed + (k + 1) * GAMMA mod 2^64``, so row by row the draws are those
+    of :func:`unit_draw`.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     # One state array, updated in place and then overwritten by the draws

@@ -12,10 +12,10 @@ eigenvalue is a genuine spectral radius with (up to normalization) a PSD
 eigenvector on either side; ``perron`` extracts that data with explicit
 tolerance and degeneracy reporting.  A tilted curve reads only
 ``spectral_radius``.  The Perron triples are read only by a rate table's
-Newton steps, and each round of them builds its tilts' maps as one stack
-(``_shifted_maps``) and extracts their triples with one stacked call per
-LAPACK stage (``_perron_rows``); ``perron`` is the same code on a stack of
-one.
+Newton steps: each round builds a stack of its tilts' maps (``_shifted_maps``)
+and extracts their triples with one stacked call per LAPACK stage
+(``_perron_rows``), and a stack of one goes through ``perron``, the same code
+on one map.
 """
 from __future__ import annotations
 
@@ -324,23 +324,24 @@ def _perron_stack(stack: np.ndarray, n: int) -> list[SpectralData]:
 def _perron_rows(stack: np.ndarray, n: int) -> list[SpectralData | Exception]:
     """What :func:`perron` returns or raises on each map of a stack, in order.
 
-    The stack is solved in chunks of :data:`_STACK_ENTRIES` entries.  When a
-    chunk raises, whether at a gate or in a stacked LAPACK call, its rows are
-    solved again one at a time, so that each row's entry is its own triple
-    or error.
+    The stack is solved in chunks of :data:`_STACK_ENTRIES` entries, and a
+    stack of one is :func:`perron` itself.  When a chunk raises, whether at a
+    gate or in a stacked LAPACK call, its rows are solved again one at a
+    time, so that each row's entry is its own triple or error.
     """
     size = max(1, _STACK_ENTRIES // (stack.shape[1] * stack.shape[2]))
-    out: list[SpectralData | Exception] = []
-    for lo in range(0, len(stack), size):
-        chunk = stack[lo:lo + size]
+    if len(stack) > size:
+        return [row for lo in range(0, len(stack), size)
+                for row in _perron_rows(stack[lo:lo + size], n)]
+    if len(stack) == 1:
         try:
-            out += _perron_stack(chunk, n)
+            return [perron(Superoperator(stack[0], n))]
         except _PERRON_ERRORS as exc:
-            if len(chunk) == 1:
-                out.append(exc)
-            else:
-                out += [r for i in range(len(chunk)) for r in _perron_rows(chunk[i:i + 1], n)]
-    return out
+            return [exc]
+    try:
+        return _perron_stack(stack, n)
+    except _PERRON_ERRORS:
+        return [row for i in range(len(stack)) for row in _perron_rows(stack[i:i + 1], n)]
 
 
 def perron(superoperator: Superoperator) -> SpectralData:
@@ -350,7 +351,8 @@ def perron(superoperator: Superoperator) -> SpectralData:
     the spectral diagnostics; the left weight comes from two steps of inverse
     iteration on the adjoint, shifted just past the root, and is gated on its
     own eigen-residual.  This is :func:`_perron_stack` on a stack of one, the
-    same code a rate table's Newton round runs on all its tilts at once.
+    same code a rate table's Newton round runs on all its tilts at once, and
+    :func:`_perron_rows` answers every stack of one through it.
 
     Raises :class:`SpectralIndeterminateError` when no real positive eigenvalue
     sits at the spectral radius (not a CP map, or hopeless noise), when either

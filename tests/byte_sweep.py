@@ -12,7 +12,8 @@ of period 6, ``analyze`` and ``asymptotics`` on a period-6 walk whose
 cyclic blocks differ in size, ``oracle-check`` and ``rate`` on the 10^30 walk, six commands on
 that walk with its first entry set to 1e308, tilt grids with a point on the
 block crossing of ``breakdown_example`` and a five-point ``rate`` grid across
-it, ``rate`` on a three-level direct sum whose blocks have different drifts,
+it, ``rate`` on a three-level direct sum whose blocks have different drifts
+and on three reducible walks whose blocks are larger than 1 x 1,
 ``asymptotics`` and ``simulate`` on walks without a unique invariant state
 (that sum, ``std_example`` summed with itself, a sum of two n = 4 walks and
 two rays fed by a transient level), ``analyze`` on a two-level walk whose
@@ -148,6 +149,11 @@ EXTRA = (
     "rate --model {docs}/n4_step1e30_31.json",
     # A direct sum whose blocks have different drifts: a kink at u = 0.
     "rate --model {docs}/three_level.json",
+    # Reducible tables whose top blocks are larger than 1 x 1, so that their
+    # Newton steps take bordered solves.
+    "rate --model {docs}/std_sum.json",
+    "rate --model {docs}/block_sum_n8.json",
+    "rate --model {docs}/transient_fed.json",
     # Walks without a unique invariant state: mixtures of recurrent blocks,
     # with equal drifts (std_sum) and different ones.
     "asymptotics --model {docs}/three_level.json --out {out}",

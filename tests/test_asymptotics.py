@@ -36,9 +36,9 @@ from oqwalk import (
 from oqwalk.asymptotics import (
     _block_crossings,
     _legendre_point,
-    _log_lambda_derivatives,
     _newton_max,
     _top_block,
+    _triple_derivatives,
 )
 from oqwalk.structure import (
     _fixed_point_data,
@@ -46,7 +46,14 @@ from oqwalk.structure import (
     _operator_closure,
     algebra_closure,
 )
-from oqwalk.superop import _shifted_map, build_superop, perron, spectral_radius
+from oqwalk.superop import (
+    _perron_rows,
+    _shifted_map,
+    _shifted_maps,
+    build_superop,
+    perron,
+    spectral_radius,
+)
 import reference
 from reference import c2_parameters
 from model_zoo import (
@@ -817,19 +824,29 @@ def test_rate_maximizers_match_closed_forms(periodic_model):
                                    rtol=0, atol=1e-10)
 
 
+def _block(build, k):
+    return lambda: _irreducible_blocks(build())[k][0]
+
+
 _CLT_MODELS = {
     "std": lambda: builtin("std_example"),
     "periodic": lambda: builtin("periodic_example"),
     "isometry_n4": lambda: random_isometry_model(4, n=4),
+    # Each irreducible block of the two direct sums whose blocks' drifts differ.
+    **{f"{name}-{k}": _block(_REDUCIBLE_MODELS[name], k)
+       for name in ("block_sum_n8", "three_level_two_block") for k in range(2)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CLT_MODELS))
 def test_newton_derivatives_at_zero_are_the_clt_constants(name):
-    # A third route to drift and variance: c'(0) and c''(0) of c = log lambda.
+    # A third route to drift and variance: c'(0) and c''(0) of c = log lambda,
+    # from the rate table's Newton route (a stack of one at u = 0).
     model = _CLT_MODELS[name]()
     stats = asymptotic_stats(model)
-    value, slope, curvature = _log_lambda_derivatives(model, 0.0)
+    shifts, stack = _shifted_maps(model, np.array([[0.0]]))
+    (row,) = _perron_rows(stack, model.internal_dim)
+    value, slope, curvature = _triple_derivatives(model, 0.0, float(shifts[0]), stack[0], row)
     assert abs(value) < 1e-12
     assert slope == pytest.approx(stats.mean[0], abs=1e-12)
     assert curvature == pytest.approx(stats.covariance[0, 0], abs=1e-9)
@@ -839,10 +856,12 @@ def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
                                                                     std_model):
     # The grid takes one radius per point and no eigenvectors.  Each round
     # of the table's Newton runs, the first one included, is one stacked
-    # extraction (one eig) of at most one row per velocity.
+    # extraction (one eig) of at most one row per velocity; a lone perron
+    # call is a round's stack of one.
     import oqwalk.asymptotics as asymptotics
+    import oqwalk.superop as superop
 
-    perrons = _count_calls(monkeypatch, "perron", asymptotics)
+    perrons = _count_calls(monkeypatch, "perron", superop)
     radii = _count_calls(monkeypatch, "spectral_radius", asymptotics)
     eigs = _count_calls(monkeypatch, "eig", np.linalg)
     triples = _count_calls(monkeypatch, "_triple_derivatives", asymptotics)
@@ -864,7 +883,7 @@ def test_rate_function_takes_at_most_six_perron_solves_per_velocity(monkeypatch,
         assert len(eigs) == len(stacked), velocities  # no eig outside them
         assert max(stacked) <= len(velocities), velocities
         assert len(triples) >= len(velocities), velocities
-        assert perrons == [], velocities  # no lone extraction
+        assert len(perrons) == stacked.count(1), velocities  # stacks of one only
 
 
 @pytest.mark.parametrize("name", ["std_example", "breakdown_example"])
@@ -886,17 +905,14 @@ def test_a_curve_takes_no_eig_and_no_eigvals_outside_the_radius(name, monkeypatc
 
 def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch):
     import oqwalk.asymptotics as asymptotics
+    import oqwalk.superop as superop
 
     model = builtin("breakdown_example")
     curve = lambda_curve(model, np.linspace(-4.0, 4.0, 41))
-    newton, searched, stacked = [], [], []
-    real_newton, real_log_lambda = asymptotics._log_lambda_derivatives, asymptotics.log_lambda
+    searched, stacked = [], []
+    real_log_lambda = asymptotics.log_lambda
     real_rows = asymptotics._perron_rows
-    perrons = _count_calls(monkeypatch, "perron", asymptotics)
-
-    def block_newton(block, u):
-        newton.append(block)
-        return real_newton(block, u)
+    perrons = _count_calls(monkeypatch, "perron", superop)
 
     def whole_curve(m, u):
         if m is model:
@@ -904,21 +920,19 @@ def test_reducible_rate_runs_block_newton_steps_and_no_radius_search(monkeypatch
         return real_log_lambda(m, u)
 
     def rows(stack, n):
-        stacked.append(len(stack))
+        stacked.append((len(stack), n))
         return real_rows(stack, n)
 
-    monkeypatch.setattr(asymptotics, "_log_lambda_derivatives", block_newton)
     monkeypatch.setattr(asymptotics, "log_lambda", whole_curve)
     monkeypatch.setattr(asymptotics, "_perron_rows", rows)
     table = rate_function(model, [-0.5, 0.0, 0.5])
-    # Newton on the cosh u block for x = -0.5 and 0, one lone perron call
-    # per tilt on that block; the grid takes the block radii, so no whole-map
-    # stack is built.
+    # Newton on the cosh u block for x = -0.5 and 0, each tilt a stack of
+    # one on that 1-dimensional block, extracted by one perron call; the
+    # grid takes the block radii, so no whole-map stack is built.
     # x = 0.5 lies between the kink's slopes 1/3 and 1, so the kink is the
     # maximizer, and the model's log_lambda is read only there, for the value.
-    assert newton and all(block.internal_dim == 1 for block in newton)
-    assert len(perrons) == len(newton)
-    assert stacked == []
+    assert stacked and set(stacked) == {(1, 1)}
+    assert len(perrons) == len(stacked)
     assert searched == [curve.kinks[0].u]
     assert table.maximizers[2] == curve.kinks[0].u
     np.testing.assert_allclose(table.maximizers[:2], [np.arctanh(-0.5), 0.0],

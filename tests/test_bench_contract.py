@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import oqwalk.asymptotics
 import oqwalk.cli
 import oqwalk.superop
 import oqwalk.trajectories
@@ -57,11 +58,14 @@ def test_the_exact_law_reaches_the_traced_apply_M(monkeypatch):
 
 
 def test_a_reducible_rate_table_reaches_the_traced_perron(monkeypatch):
-    # spectral's traced self-check needs superop.perron.calls > 0.  Grids and
-    # irreducible tables take stacked extractions, so that count comes from
-    # the lone block-Newton steps of a reducible table, which must go through
-    # perron as the benchmark wraps it: in superop and under every name bound
-    # to it.
+    # spectral's traced self-check needs superop.perron.calls > 0.  Grids take
+    # radii and an irreducible table's rounds are stacked, so that count comes
+    # from a reducible table, whose Newton tilts each go alone through
+    # _perron_rows, which answers a stack of one through perron as the
+    # benchmark wraps it: in superop and under every name bound to it.  The
+    # count is one per tilt served: a table that stacked its tilts by top
+    # block would still reach perron on a round with one tilt left, so > 0
+    # alone would not show it.
     spans = bench_module("spans")
     modules = spans.package_modules("oqwalk")
     original = oqwalk.superop.perron
@@ -71,8 +75,17 @@ def test_a_reducible_rate_table_reaches_the_traced_perron(monkeypatch):
                 monkeypatch.setattr(module, key, original)
     tracer = spans.Tracer()
     spans.install(tracer, [(oqwalk.superop, "perron", "superop.perron", None)], modules)
+    served = []
+    real_rows = oqwalk.asymptotics._perron_rows
+
+    def rows(stack, n):
+        served.append(len(stack))
+        return real_rows(stack, n)
+
+    monkeypatch.setattr(oqwalk.asymptotics, "_perron_rows", rows)
     rate_function(builtin("breakdown_example"), [-0.5, 0.0, 0.5])
-    assert spans.totals(tracer.spans)["superop.perron"]["calls"] > 0
+    assert sum(served) > 0
+    assert spans.totals(tracer.spans)["superop.perron"]["calls"] == sum(served)
 
 
 def test_exact_oracles_run_positionally():

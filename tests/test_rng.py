@@ -12,7 +12,6 @@ from oqwalk.rng import (
     derive_seeds,
     mix64,
     mix64_array,
-    to_unit,
     unit_draw,
     unit_draws_array,
 )
@@ -73,8 +72,19 @@ def test_unit_draw_formula_and_range():
     seed = derive_seed(2024, 3)
     for k in range(12):
         u = unit_draw(seed, k)
-        assert u == to_unit(mix64((seed + (k + 1) * GAMMA) & MASK64))
+        assert u == (mix64_by_hand((seed + (k + 1) * GAMMA) & MASK64) >> 11) * 2.0**-53
         assert 0.0 <= u < 1.0
+
+
+@pytest.mark.parametrize("seed", [9, -3, 2**64 + 5])
+@pytest.mark.parametrize("k", [-1, 2**64 - 1, 2**64 + 3, 2**70])
+def test_seeds_and_indices_are_taken_mod_2_64(seed, k):
+    # The scalar forms run the numpy code on one word; an argument outside
+    # [0, 2^64) is reduced first, never an OverflowError.
+    u = unit_draw(seed, k)
+    assert u == (mix64_by_hand((seed + (k + 1) * GAMMA) & MASK64) >> 11) * 2.0**-53
+    assert mix64(seed * k) == mix64_by_hand(seed * k)
+    assert derive_seed(seed, k) == mix64_by_hand(seed ^ k)
 
 
 def test_unit_draws_array_agrees_with_scalar():
